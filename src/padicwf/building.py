@@ -19,6 +19,8 @@ exact rational arithmetic.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
+from operator import mul
 
 from .localfield import LocalField, PrecisionError
 
@@ -369,6 +371,14 @@ class Window:
         self.xranges = tuple((Fraction(a), Fraction(b))
                              for a, b in xranges)
         self.rmin, self.rmax = Fraction(rmin), Fraction(rmax)
+        for k, (a, b) in enumerate(self.xranges):
+            if a > b:
+                raise ValueError("empty window: axis %d range [%s, %s] "
+                                 "has its lower end above its upper end"
+                                 % (k, a, b))
+        if self.rmin > self.rmax:
+            raise ValueError("empty window: r range [%s, %s] has rmin "
+                             "above rmax" % (self.rmin, self.rmax))
 
     def contains(self, x, r):
         return all(a <= Fraction(xi) <= b
@@ -437,7 +447,11 @@ def _frange(coeffs, const, window):
     return lo, hi
 
 
+# Plane lists of the most recent (model, window) pairs, oldest first.  A
+# query reads one window many times; a stream of queries on new windows
+# must not keep them all.
 _PLANE_CACHE = {}
+_PLANE_CACHE_SIZE = 16
 
 
 def critical_hyperplanes(model, window):
@@ -450,7 +464,8 @@ def critical_hyperplanes(model, window):
     ck = (model.name, id(model), window.key())
     if ck in _PLANE_CACHE:
         return _PLANE_CACHE[ck]
-    assert model.weight_funcs is not None, "model has no apartment chart"
+    if model.weight_funcs is None:
+        raise ValueError("model %s has no apartment chart" % model.name)
     planes = {}
     for cls in model.classes:
         for i, j, s in cls.members:
@@ -468,19 +483,24 @@ def critical_hyperplanes(model, window):
                 planes[pl.key()] = pl
                 k += 1
     out = sorted(planes.values(), key=lambda p: p.key())
+    if len(_PLANE_CACHE) >= _PLANE_CACHE_SIZE:
+        del _PLANE_CACHE[next(iter(_PLANE_CACHE))]
     _PLANE_CACHE[ck] = out
     return out
 
 
 class AugFacet:
-    """An augmented facet: sign vector against the window's planes."""
+    """An augmented facet: sign vector against the window's planes.
 
-    def __init__(self, model, window, signs, sample):
+    verts, when given, are the exact vertices of the facet's closure in
+    the window; otherwise they are enumerated on first use."""
+
+    def __init__(self, model, window, signs, sample, verts=None):
         self.model = model
         self.window = window
         self.signs = tuple(signs)
         self.sample = sample  # one interior point (x, r)
-        self._verts = None
+        self._verts = verts
 
     def planes(self):
         return critical_hyperplanes(self.model, self.window)
@@ -543,6 +563,179 @@ def facet_of(model, window, x, r):
     planes = critical_hyperplanes(model, window)
     signs = [pl.sign_at(x, r) for pl in planes]
     return AugFacet(model, window, signs, (x, r))
+
+
+# -- the arrangement engine --------------------------------------------
+
+# Work (cells split plus faces made) one Arrangement may do before it
+# gives up.  The sl3 unit window takes 1250 and the u7h window of
+# `graph reach` 15244; the u7 unit window (113 planes in 3-D) would take
+# 39944, about twice the budget, and stops.
+ARRANGEMENT_BUDGET = 20000
+
+
+class Arrangement:
+    """Every augmented facet of a window, built by inserting the
+    critical hyperplanes one at a time (Edelsbrunner, O'Rourke and
+    Seidel, SIAM J. Comput. 1986).
+
+    Constraints are numbered by bit: bits 0 .. 2d+1 for the faces of
+    the window box, then one bit per plane.  A cell is the masks of the
+    planes inserted so far that it lies above and below, and its exact
+    vertices, each with the mask of the constraints tight at it.  A new
+    plane splits only the cells with vertices strictly on both sides;
+    the new vertices are where it crosses their edges, and two vertices
+    span an edge when the constraints tight at both have rank dim - 1.
+    The faces of a closed cell are cut out by the intersections of its
+    vertices' plane sets; a face's sign vector is the cell's with zeros
+    on the planes containing it.  `faces` lists each facet once, as an
+    AugFacet with its vertices filled in.
+
+    Vertices are held in primitive homogeneous integer coordinates
+    (X, W) with W > 0, standing for X / W, so that locating and cutting
+    need no Fraction arithmetic.
+    """
+
+    def __init__(self, model, window):
+        planes = critical_hyperplanes(model, window)
+        if len(window.xranges) != model.d:
+            raise ValueError("window has %d axis ranges; model %s has %d "
+                             "chart coordinates" % (len(window.xranges),
+                                                    model.name, model.d))
+        self.model, self.window = model, window
+        self.dim = model.d + 1
+        box = window.box_constraints()
+        self._nbox = len(box)
+        self._rows = [a for a, _ in box] + \
+            [pl.functional()[0] for pl in planes]
+        self._ranks = {}
+        self.work = 0
+        cells = [(0, 0, self._box_vertices())]
+        for k, pl in enumerate(planes):
+            cells = self._insert(cells, 1 << (self._nbox + k),
+                                 _integral(*pl.functional()))
+        self.faces = self._faces(cells, len(planes))
+
+    def _spend(self):
+        self.work += 1
+        if self.work > ARRANGEMENT_BUDGET:
+            raise ValueError("arrangement budget exceeded (%d cells split "
+                             "and faces made); shrink the window"
+                             % ARRANGEMENT_BUDGET)
+
+    def _box_vertices(self):
+        """Corners of the window box with their tight box constraints
+        (a degenerate range gives one corner value, tight both ways)."""
+        w = self.window
+        verts = [((), 0)]
+        for k, (a, b) in enumerate(w.xranges + ((w.rmin, w.rmax),)):
+            verts = [(y + (c,), m | (c == b) << 2 * k | (c == a) << 2 * k + 1)
+                     for y, m in verts for c in sorted({a, b})]
+        return [(_homogeneous(y), m) for y, m in verts]
+
+    def _rank(self, mask):
+        if mask not in self._ranks:
+            self._ranks[mask] = qrank([row for i, row in enumerate(self._rows)
+                                       if mask >> i & 1])
+        return self._ranks[mask]
+
+    def _insert(self, cells, bit, plane):
+        """Cut every cell the plane crosses; record it on the vertices it
+        passes through.  plane: integer (a, -b) for {a.y = b}, dotted
+        with homogeneous vertices."""
+        edge_rank = self.dim - 1
+        out = []
+        for pos, neg, verts in cells:
+            vals = [sum(map(mul, plane, h)) for h, _ in verts]
+            if 0 in vals:
+                verts = [(h, m | bit) if v == 0 else (h, m)
+                         for (h, m), v in zip(verts, vals)]
+            up, down = max(vals) > 0, min(vals) < 0
+            if not (up and down):
+                out.append((pos | bit if up else pos,
+                            neg | bit if down else neg, verts))
+                continue
+            self._spend()
+            cut = []
+            for (hi, mi), si in zip(verts, vals):
+                if si <= 0:
+                    continue
+                for (hj, mj), sj in zip(verts, vals):
+                    if sj >= 0 or self._rank(mi & mj) != edge_rank:
+                        continue
+                    # si * hj - sj * hi lies on the plane, with weight > 0
+                    cut.append((_primitive([si * q - sj * p
+                                            for p, q in zip(hi, hj)]),
+                                mi & mj | bit))
+            out.append((pos | bit, neg, [hm for hm, v in zip(verts, vals)
+                                         if v >= 0] + cut))
+            out.append((pos, neg | bit, [hm for hm, v in zip(verts, vals)
+                                         if v <= 0] + cut))
+        return out
+
+    def _faces(self, cells, nplanes):
+        """One AugFacet per distinct face of the closed cells.  Sign
+        vectors are held as bit masks of the planes with sign +1 and -1
+        until a face is new."""
+        bits = [1 << (self._nbox + k) for k in range(nplanes)]
+        box = (1 << self._nbox) - 1
+        faces = {}
+        points = {}
+        for pos, neg, verts in cells:
+            gens = {m & ~box for _, m in verts}
+            zsets = set(gens)
+            new = zsets
+            while new:
+                new = {z & g for z in new for g in gens} - zsets
+                zsets |= new
+            for z in zsets:
+                key = (pos & ~z, neg & ~z)
+                if key in faces:
+                    continue
+                self._spend()
+                fv = []
+                for h, m in verts:
+                    if m & z == z:
+                        if h not in points:
+                            points[h] = tuple(Fraction(x, h[-1])
+                                              for x in h[:-1])
+                        fv.append(points[h])
+                signs = tuple(1 if key[0] & b else -1 if key[1] & b else 0
+                              for b in bits)
+                faces[key] = AugFacet(self.model, self.window, signs, None,
+                                      fv)
+        return list(faces.values())
+
+
+def _homogeneous(y):
+    """Primitive integer coordinates (X, W), W > 0, of a rational point."""
+    w = lcm(*(c.denominator for c in y))
+    return _primitive([int(c * w) for c in y] + [w])
+
+
+def _primitive(h):
+    g = gcd(*h)
+    return tuple(x // g for x in h)
+
+
+def _integral(a, b):
+    """The constraint a.y = b as integers (A, -B) with A.y = B a multiple
+    of it, to be dotted with homogeneous coordinates (y W, W)."""
+    w = lcm(*(c.denominator for c in a + (b,)))
+    return tuple(int(c * w) for c in a + (-b,))
+
+
+_RECENT = []  # the last Arrangement built by `arrangement`
+
+
+def arrangement(model, window):
+    """The Arrangement of a model and window.  Only the most recent one
+    is kept, so a run of queries on one window builds it once."""
+    for arr in _RECENT:
+        if arr.model is model and arr.window.key() == window.key():
+            return arr
+    _RECENT[:] = [Arrangement(model, window)]
+    return _RECENT[0]
 
 
 def precede(f1, f2):

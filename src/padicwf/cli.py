@@ -70,11 +70,6 @@ def write_result(path, mani, result):
         fh.write("\n")
 
 
-def load_result(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def wf_result_record(res):
     return {
         "labels": [list(l) for l in res.labels],
@@ -287,39 +282,11 @@ def cmd_wf(args):
     return 0
 
 
-def enumerate_facets(model, window, limit=20000):
-    """All augmented facets in a window, by recursive sign assignment
-    with feasibility pruning against the closed relaxation."""
-    planes = bd.critical_hyperplanes(model, window)
-    dim = model.d + 1
-    box = window.box_constraints()
-    out = []
-    calls = [0]
-
-    def rec(signs, eqs, ineqs):
-        calls[0] += 1
-        if calls[0] > limit:
-            raise CliError("facet enumeration budget exceeded "
-                           "(%d nodes); shrink the window" % limit)
-        if not bd.polytope_vertices(eqs, ineqs + box, dim):
-            return
-        k = len(signs)
-        if k == len(planes):
-            f = bd.AugFacet(model, window, signs, None)
-            x, r = gr.facet_center(f)
-            # a touching closed relaxation can fake a strict sign;
-            # the barycenter round-trip filters those out
-            if bd.facet_of(model, window, x, r).signs == f.signs:
-                out.append(f)
-            return
-        a, b = planes[k].functional()
-        rec(signs + (0,), eqs + [(a, b)], ineqs)
-        rec(signs + (1,), eqs,
-            ineqs + [(tuple(-c for c in a), -b)])
-        rec(signs + (-1,), eqs, ineqs + [(a, b)])
-
-    rec((), [], [])
-    return out
+def enumerate_facets(model, window):
+    """All augmented facets in a window, in table order: by depth, then
+    larger dimension first, then sign vector."""
+    facets = bd.Arrangement(model, window).faces
+    return sorted(facets, key=lambda f: (f.depth(), -f.dim(), f.signs))
 
 
 def _parse_window(args, model):
@@ -338,7 +305,6 @@ def cmd_facets(args):
     model = MODELS[args.model](args.q)
     window = _parse_window(args, model)
     facets = enumerate_facets(model, window)
-    facets.sort(key=lambda f: (f.depth(), -f.dim(), f.signs))
     print("facet table: model=%s window=%s r in [%s, %s]"
           % (args.model, [tuple(map(str, s)) for s in window.xranges],
              window.rmin, window.rmax))

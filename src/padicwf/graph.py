@@ -14,7 +14,7 @@ callers can fall back to targeted membership tests.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from . import building as bd
 from . import liealg as lie
@@ -32,14 +32,13 @@ class FiberTooLarge(ValueError):
 
 
 class GraphConfig:
-    """below: 'first' or 'all' facets below; prune: 'none' or 'label'
-    (drop rule-1 cosets whose label drops, which cannot reach anything);
-    cap: largest number of fiber cosets materialized."""
+    """prune: 'none' or 'label' (drop rule-1 cosets whose label drops,
+    which cannot reach anything); cap: largest number of fiber cosets
+    materialized."""
 
-    def __init__(self, below="first", prune="none", cap=2000):
-        assert below in ("first", "all") and prune in ("none", "label")
+    def __init__(self, prune="none", cap=2000):
+        assert prune in ("none", "label")
         assert cap > 0
-        self.below = below
         self.prune = prune
         self.cap = cap
 
@@ -144,12 +143,14 @@ def _walk_step(model, window, x, r, lam, slope):
     elif slope < 0:
         ts.append((window.rmin - r) / slope)
     ts = [t for t in ts if t > 0]
-    assert ts, "no room to walk inside the window"
+    if not ts:
+        raise ValueError("no room to walk inside the window from x=%s, "
+                         "r=%s" % (tuple(str(xi) for xi in x), r))
     return min(ts) / 2
 
 
-def out_edge_rule2(v):
-    """The unique out-neighbor along the cocharacter walk (slope 2)."""
+def _walk_target(v):
+    """The facet the cocharacter walk (slope 2) from v's facet enters."""
     model, window = v.model, v.facet.window
     if not v.is_nilpotent():
         raise ValueError("walk requires a nilpotent coset")
@@ -160,10 +161,16 @@ def out_edge_rule2(v):
     f2 = bd.facet_of(model, window, x2, r + 2 * eps)
     if f2.signs == v.facet.signs:
         raise ValueError("scenario A: the walk stays inside the facet")
+    return f2
+
+
+def out_edge_rule2(v):
+    """The unique out-neighbor along the cocharacter walk (slope 2)."""
+    f2 = _walk_target(v)
     assert not f2.is_horizontal()
     assert in_closure(v.facet, f2)
     assert bd.precede(v.facet, f2)
-    return GraphVertex(model, f2, v.cmat)
+    return GraphVertex(v.model, f2, v.cmat)
 
 
 # -- rule 1: descend to a facet below ------------------------------------
@@ -238,10 +245,9 @@ class PathEdge:
             self.rule, self.src.facet.depth(), self.dst.facet.depth())
 
 
-def path_trace(v, to_depth, config=None):
+def path_trace(v, to_depth):
     """Alternate rule-2 walks with forced rule-1 self-steps (the coset
     itself always survives to the facet below) until the depth target."""
-    config = config or GraphConfig()
     to_depth = Fraction(to_depth)
     if not v.is_nilpotent():
         raise ValueError("dead end: coset is not nilpotent")
@@ -260,58 +266,29 @@ def path_trace(v, to_depth, config=None):
     return edges
 
 
-def facets_above(facet, limit=8):
-    """Facets with this one in their closure: relax the zero signs."""
-    model, window = facet.model, facet.window
-    zeros = [i for i, s in enumerate(facet.signs) if s == 0]
-    if len(zeros) > limit:
-        raise ValueError("too many incident planes (%d)" % len(zeros))
-    out = []
-    for combo in product((-1, 0, 1), repeat=len(zeros)):
-        if not any(combo):
-            continue
-        signs = list(facet.signs)
-        for pos, s in zip(zeros, combo):
-            signs[pos] = s
-        f = bd.AugFacet(model, window, tuple(signs), None)
-        if not f.vertices():
-            continue
-        x, r = facet_center(f)
-        if bd.facet_of(model, window, x, r).signs != f.signs:
-            continue  # degenerate sign pattern, not a real facet
-        out.append(f)
-    return out
+def facets_above(facet):
+    """Facets other than this one with it in their closure."""
+    faces = bd.arrangement(facet.model, facet.window).faces
+    return [f for f in faces
+            if f.signs != facet.signs and in_closure(facet, f)]
 
 
 def closure_horizontals(facet):
     """Horizontal facets contained in the closure of a facet."""
-    model, window = facet.model, facet.window
-    byr = {}
-    for vert in facet.vertices():
-        byr.setdefault(vert[-1], []).append(vert)
-    found = {}
-    for r, verts in byr.items():
-        for size in range(1, len(verts) + 1):
-            for sub in combinations(verts, size):
-                c = tuple(sum(col) / len(sub) for col in zip(*sub))
-                f = bd.facet_of(model, window, c[:-1], c[-1])
-                if f.is_horizontal() and in_closure(f, facet):
-                    found[f.signs] = f
-    return list(found.values())
+    faces = bd.arrangement(facet.model, facet.window).faces
+    return [f for f in faces if in_closure(f, facet) and f.is_horizontal()]
 
 
-def predecessors(v, config=None):
+def predecessors(v):
     """In-neighbors of a vertex inside its window."""
-    config = config or GraphConfig()
     model = v.model
     out = []
     if v.facet.is_horizontal():
-        # rule-1 predecessors: non-horizontal facets this one is below
+        # rule-1 predecessors: non-horizontal facets this one is below;
+        # the facets below f are the horizontal facets in its closure at
+        # its depth, so v.facet is one of them when the depths agree
         for f in facets_above(v.facet):
             if f.is_horizontal() or f.depth() != v.facet.depth():
-                continue
-            if not any(b.signs == v.facet.signs
-                       for b in bd.facets_below(f)):
                 continue
             fx, fr = facet_center(f)
             if not bd.mp_member(model, v.cmat, model.point(fx), fr):
@@ -325,27 +302,37 @@ def predecessors(v, config=None):
                 continue
             cand = GraphVertex(model, f, v.cmat)
             try:
-                if not cand.is_nilpotent():
-                    continue
-                u = out_edge_rule2(cand)
+                target = _walk_target(cand)
             except ValueError:
                 continue
-            if u.facet.signs == v.facet.signs and u.coset() == v.coset():
+            # the walk keeps the matrix, so landing in v's facet lands on
+            # v's coset; only then are the target's vertices needed
+            if target.signs == v.facet.signs:
+                assert bd.precede(f, v.facet)
                 out.append(cand)
     return out
 
 
-def reachable(targets, config=None):
+# Largest backward reachable set `reachable` builds.  The sl2 scenario
+# has 8 vertices.  The u7h scenario, in 3-D, had passed 1100 vertices
+# after nine minutes of predecessor queries without finishing.
+REACH_LIMIT = 100
+
+
+def reachable(targets):
     """All vertices with a directed path into the target set, by
-    backward closure over predecessor queries."""
-    config = config or GraphConfig()
+    backward closure over predecessor queries.  Raises ValueError once
+    the set would exceed REACH_LIMIT vertices."""
     seen = {t.key(): t for t in targets}
     frontier = list(targets)
     while frontier:
         v = frontier.pop()
-        for u in predecessors(v, config):
+        for u in predecessors(v):
             k = u.key()
             if k not in seen:
+                if len(seen) >= REACH_LIMIT:
+                    raise ValueError("backward reachable set exceeds %d "
+                                     "vertices" % REACH_LIMIT)
                 seen[k] = u
                 frontier.append(u)
     return set(seen.values())

@@ -227,10 +227,6 @@ def mat_inv_local(a):
     return tuple(tuple(aug[i][n:]) for i in range(n))
 
 
-def conjugate_local(g, x):
-    return mat_mul(mat_mul(g, x), mat_inv_local(g))
-
-
 # -- characteristic polynomial (division-free, Berkowitz) --------------
 
 

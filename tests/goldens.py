@@ -27,3 +27,15 @@ GL3_F3_ORDER = 11232
 # F_q': group elements moving x into the regular slice, divided by
 # the stabilizer of the triple (the scalars).  Grows linearly in q'.
 THETA_DIAG_GL2 = {3: 2, 9: 8}
+
+# Sign vectors of every augmented facet of sl3 over k((t)) in the window
+# x in [0, 1/4]^2, r in [1/8, 1/4], against its 6 critical hyperplanes
+# in critical_hyperplanes order ("+": r above the plane, "-": below,
+# "0": on it).  Enumerated by the recursive sign-tree search that
+# padicwf 0.1.0 used (16 facets in about 3.4 s); the arrangement engine
+# that replaced it must reproduce them.
+SL3_FACET_SIGNS = [
+    "--++++", "--+++-", "--+++0", "--++-+", "--++--", "--++-0",
+    "--++0+", "--++0-", "--++00", "--+---", "--+0--", "--+00-",
+    "---+--", "--0+--", "--0+-0", "00++--",
+]

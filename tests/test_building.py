@@ -1,9 +1,15 @@
+import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicwf import building as bd
+from padicwf.graph import facet_center
 from padicwf.localfield import LocalField, PrecisionError
+
+from goldens import SL3_FACET_SIGNS
 
 
 def zmat(field, n):
@@ -122,6 +128,60 @@ def test_facet_constant_on_chamber():
     f2 = bd.facet_of(m, SL2_WIN, (Fr(1, 10),), Fr(1, 20))
     assert f1 == f2
     assert f1.dim() == 2 and not f1.is_horizontal()
+
+
+# -- the arrangement engine ---------------------------------------------
+
+
+def sl2_grid_census(x0, x1, r0, r1):
+    """Distinct sign vectors of the sl2 lines r = k, r = k + 2x and
+    r = k - 2x over the 1/48 grid of a window with endpoints in 1/4
+    steps.  Vertices then have denominators dividing 8, edge midpoints
+    16 and triangle centroids 24, so the grid meets every face."""
+    n = 48
+    lines = []
+    for c in (0, 2, -2):
+        lo, hi = min(c * x0, c * x1), max(c * x0, c * x1)
+        lines += [(c, k) for k in range(math.ceil(r0 - hi),
+                                        math.floor(r1 - lo) + 1)]
+    return len({tuple((d > 0) - (d < 0)
+                      for d in (R - n * k - c * X for c, k in lines))
+                for X in range(int(x0 * n), int(x1 * n) + 1)
+                for R in range(int(r0 * n), int(r1 * n) + 1)})
+
+
+@st.composite
+def sl2_subwindows(draw):
+    """Sub-windows of x in [0, 1], r in [-1, 2], endpoints in 1/4 steps
+    (degenerate ranges included)."""
+    x0, x1 = sorted(draw(st.integers(0, 4)) for _ in range(2))
+    r0, r1 = sorted(draw(st.integers(-4, 8)) for _ in range(2))
+    return Fr(x0, 4), Fr(x1, 4), Fr(r0, 4), Fr(r1, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sl2_subwindows())
+def test_arrangement_sl2_faces(window):
+    x0, x1, r0, r1 = window
+    m = bd.sl2_model(3)
+    win = bd.Window([(x0, x1)], r0, r1)
+    faces = bd.Arrangement(m, win).faces
+    assert len(faces) == len({f.signs for f in faces})
+    assert len(faces) == sl2_grid_census(*window)
+    for f in faces:
+        x, r = facet_center(f)
+        assert bd.facet_of(m, win, x, r).signs == f.signs
+        assert set(f.vertices()) == set(
+            bd.polytope_vertices(*f.constraints(), m.d + 1))
+
+
+def test_arrangement_sl3_golden():
+    m = bd.sl3_model(3)
+    win = bd.Window([(0, Fr(1, 4)), (0, Fr(1, 4))], Fr(1, 8), Fr(1, 4))
+    code = {1: "+", -1: "-", 0: "0"}
+    got = sorted("".join(code[s] for s in f.signs)
+                 for f in bd.Arrangement(m, win).faces)
+    assert got == SL3_FACET_SIGNS
 
 
 def test_facets_below_sl2_segment():

@@ -163,11 +163,30 @@ def test_facets_sl2_window_matches_grid_census(capsys):
 
 
 def test_facets_budget_guard(capsys):
+    # the u7 unit window has 113 planes in 3-D: about twice the
+    # arrangement budget
     code, _, err = run(["facets", "--model", "u7", "--q", "23",
                         "--window", "0,1:0,1", "--rmin", "-1",
                         "--rmax", "1"], capsys)
-    if code == 2:
-        assert "budget" in json.loads(err)["error"]["message"]
+    assert code == 2
+    assert "budget" in json.loads(err)["error"]["message"]
+
+
+def test_facets_model_without_chart(capsys):
+    code, _, err = run(["facets", "--model", "u6"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"]["message"] == \
+        "model u6 has no apartment chart"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--window", "1,0"], "empty window: axis 0 range [1, 0]"),
+    (["--rmin=1", "--rmax=0"], "empty window: r range [1, 0]"),
+])
+def test_facets_empty_window(argv, message, capsys):
+    code, out, err = run(["facets", "--model", "sl2"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].startswith(message)
 
 
 # -- graph ---------------------------------------------------------------
@@ -190,10 +209,28 @@ def test_graph_trace_u7h(tmp_path, capsys):
     assert data["rules"] == [2, 1] * 6
 
 
+def test_graph_trace_past_the_window(capsys):
+    # the sl2 window ends at r = 2: the walk cannot reach depth 5
+    code, _, err = run(["graph", "trace", "--scenario", "sl2",
+                        "--to-depth", "5"], capsys)
+    assert code == 2
+    assert "no room to walk inside the window" in \
+        json.loads(err)["error"]["message"]
+
+
 def test_graph_reach_sl2(capsys):
     code, text, _ = run(["graph", "reach", "--scenario", "sl2"], capsys)
     assert code == 0
-    assert "reachable set" in text
+    assert "reachable set: scenario=sl2, 8 vertices" in text
+
+
+def test_graph_reach_u7h_limit(capsys):
+    # the u7h backward closure passes 1000 vertices; reach stops at the
+    # documented limit instead of grinding for minutes
+    code, _, err = run(["graph", "reach", "--scenario", "u7h"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"]["message"] == \
+        "backward reachable set exceeds 100 vertices"
 
 
 # -- lab -----------------------------------------------------------------

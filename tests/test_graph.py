@@ -64,9 +64,7 @@ def test_facet_center_lies_in_facet():
 
 
 def test_graph_config_validation():
-    gr.GraphConfig(below="all", prune="label", cap=10)
-    with pytest.raises(AssertionError):
-        gr.GraphConfig(below="some")
+    gr.GraphConfig(prune="label", cap=10)
     with pytest.raises(AssertionError):
         gr.GraphConfig(prune="maybe")
     with pytest.raises(AssertionError):
