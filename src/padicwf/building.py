@@ -22,6 +22,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
+from . import linalg as la
 from .localfield import LocalField, PrecisionError
 
 ZERO = Fraction(0)
@@ -33,48 +34,16 @@ ZERO = Fraction(0)
 def qsolve_unique(rows, rhs):
     """Unique solution of a square-or-over system over Q, else None."""
     n = len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != n:
-        return None
-    for i in range(r, len(aug)):
-        if aug[i][n]:
-            return None  # inconsistent
-    return tuple(aug[c_i][n] for c_i in range(n))
+    red, pivots, _ = la.rref([list(row) + [b] for row, b in zip(rows, rhs)],
+                             la.Q_OPS)
+    if pivots != list(range(n)):
+        return None  # underdetermined or inconsistent
+    return tuple(Fraction(red[i][n]) for i in range(n))
 
 
 def qrank(rows):
-    rows = [[Fraction(x) for x in row] for row in rows]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+    """Rank over Q of a matrix of integers or Fractions."""
+    return la.rank(rows, la.Q_OPS)
 
 
 def polytope_vertices(eqs, ineqs, dim):

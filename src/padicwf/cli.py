@@ -52,11 +52,9 @@ def manifest(args, input_text=None, extra=None):
         "input_hash": hashlib.sha256(
             (input_text or "").encode()).hexdigest(),
         "seed": getattr(args, "seed", 0),
-        "threads": getattr(args, "threads", 1),
     }
-    for key in ("q", "precision", "window", "denom_bound",
-                "override_char_bound", "mode", "coeff", "model",
-                "variant", "scenario"):
+    for key in ("q", "precision", "window", "override_char_bound", "mode",
+                "coeff", "model", "variant", "scenario"):
         if getattr(args, key, None) is not None:
             data[key] = getattr(args, key)
     data.update(extra or {})
@@ -517,12 +515,7 @@ def build_parser():
     def common(p):
         p.add_argument("--out", help="write a JSON result file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (enumeration is sequential "
-                            "below this size)")
         p.add_argument("--precision", type=int, default=None)
-        p.add_argument("--denom-bound", type=int, default=None,
-                       dest="denom_bound")
 
     pw = sub.add_parser("wf", help="wave-front computations")
     wsub = pw.add_subparsers(dest="wf_cmd", required=True)

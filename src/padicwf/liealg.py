@@ -262,15 +262,6 @@ class Sl2Triple:
         return ok
 
 
-def _solve_in_span(span_mats, target, factor):
-    """Coefficients expressing target in the span, or None."""
-    if not span_mats:
-        return None
-    cols = [factor.flatten_mat(B) for B in span_mats]
-    M = la.transpose(la.mat(cols))
-    return la.solve(M, factor.flatten_mat(target), factor.prime_subfield())
-
-
 def sl2_complete(c, factor):
     """Complete a nonzero nilpotent c to an sl2-triple (c, h, d).
 

@@ -1,12 +1,24 @@
 """Exact linear algebra over field element objects.
 
-Matrices are tuples of tuples (immutable) whose entries support +, -, *,
-.inv() and truth testing.  Most routines work for finite field entries;
-the *_local variants pivot by valuation and are meant for matrices of
-truncated Laurent series.
+Matrices are tuples of tuples (immutable) whose entries support +, -, *
+and truth testing (zero is the only falsy element).
+
+Every row reduction in the package goes through one Gauss-Jordan kernel,
+`rref`.  It touches entries only through the field operations it is
+given, ops = (sub, mul, inv), and tests them for zero by truth value, so
+one code path serves every element representation: ffield elements
+(`FF_OPS`, the default), integers and Fractions over Q (`Q_OPS`) and
+the integer codes of `springerlab.ExtField` (its table-driven `ops`).
+It returns the reduced rows, the pivot columns and, for square input,
+the determinant; `rank`, `kernel_basis`, `solve` and `mat_inv` are read
+off it.
 
 Polynomials are lists of coefficients, constant term first.
 """
+
+import operator
+from fractions import Fraction
+from functools import partial
 
 
 def fzero(field):
@@ -45,10 +57,6 @@ def mat_sub(a, b):
                  for ra, rb in zip(a, b))
 
 
-def mat_neg(a):
-    return tuple(tuple(-x for x in r) for r in a)
-
-
 def mat_scale(c, a):
     return tuple(tuple(c * x for x in r) for r in a)
 
@@ -68,22 +76,8 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_pow(a, k):
-    n = len(a)
-    assert k >= 1
-    r = a
-    for _ in range(k - 1):
-        r = mat_mul(r, a)
-    return r
-
-
 def transpose(a):
     return tuple(tuple(a[i][j] for i in range(len(a)))
-                 for j in range(len(a[0])))
-
-
-def conj_transpose(a):
-    return tuple(tuple(a[i][j].conj() for i in range(len(a)))
                  for j in range(len(a[0])))
 
 
@@ -110,73 +104,90 @@ def sum_list(xs):
     return s
 
 
-# -- echelon form over a finite field ----------------------------------
+# -- the elimination kernel ---------------------------------------------
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot column list)."""
+# The arithmetic of ffield elements, the default.
+FF_OPS = (operator.sub, operator.mul, operator.methodcaller("inv"))
+# The arithmetic of Q on integers and Fractions: an inverse is
+# Fraction(1, x), as 1 / x would be a float for an integer.
+Q_OPS = (operator.sub, operator.mul, partial(Fraction, 1))
+
+
+def rref(rows, ops=FF_OPS):
+    """Reduced row echelon form by Gauss-Jordan elimination.
+
+    ops = (sub, mul, inv) is the field's arithmetic; zero must be the only
+    falsy element.  Returns (rows, pivots, det): the reduced rows, zero
+    rows last; the pivot column of each nonzero row; and for square
+    non-empty input the determinant, else None.
+    """
+    sub, mul, inv = ops
     rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    m = len(rows[0])
+    n, m = len(rows), len(rows[0]) if rows else 0
     pivots = []
-    r = 0
+    det, flips = None, 0
     for c in range(m):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            flips += 1
+        lead = rows[r][c]
+        det = lead if det is None else mul(det, lead)
+        s = inv(lead)
+        rows[r] = top = [mul(x, s) if x else x for x in rows[r]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [sub(x, mul(f, y)) if y else x
+                           for x, y in zip(rows[i], top)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + rows[r:], pivots
+    if n != m or not n:
+        det = None
+    elif len(pivots) < n:
+        det = sub(rows[0][0], rows[0][0])
+    elif flips % 2:
+        det = _neg(det, sub)
+    return rows, pivots, det
 
 
-def rank(a):
-    _, pivots = rref(list(a))
-    return len(pivots)
+def _neg(x, sub):
+    return sub(sub(x, x), x)
 
 
-def kernel_basis(a, field):
-    """Basis of the right kernel of the matrix a (finite field entries)."""
+def rank(a, ops=FF_OPS):
+    return len(rref(a, ops)[1])
+
+
+def kernel_basis(a, field, ops=FF_OPS):
+    """Basis of the right kernel of the matrix a."""
     n = len(a[0]) if a else 0
-    if not a:
-        return [tuple(fone(field) if i == j else fzero(field)
-                      for i in range(n)) for j in range(n)]
-    rows, pivots = rref(list(a))
+    rows, pivots, _ = rref(a, ops)
     z, o = fzero(field), fone(field)
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [z] * n
         v[fc] = o
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = _neg(rows[r][fc], ops[0])
         basis.append(tuple(v))
     return basis
 
 
-def solve(a, b, field):
-    """One solution x of a x = b over a finite field, or None."""
-    n = len(a)
+def solve(a, b, field, ops=FF_OPS):
+    """One solution x of a x = b, or None."""
     m = len(a[0]) if a else 0
-    aug = [list(a[i]) + [b[i]] for i in range(n)]
-    rows, pivots = rref(aug)
+    rows, pivots, _ = rref([list(r) + [y] for r, y in zip(a, b)], ops)
     if m in pivots:
         return None  # inconsistent
-    z = fzero(field)
-    x = [z] * m
+    x = [fzero(field)] * m
     for r, pc in enumerate(pivots):
         x[pc] = rows[r][m]
     return tuple(x)
@@ -184,47 +195,15 @@ def solve(a, b, field):
 
 def mat_inv(a, field):
     n = len(a)
-    aug = [list(a[i]) + list(identity(field, n)[i]) for i in range(n)]
-    rows, pivots = rref(aug)
+    aug = [list(r) + list(e) for r, e in zip(a, identity(field, n))]
+    rows, pivots, _ = rref(aug)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix not invertible")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    return tuple(tuple(r[n:]) for r in rows)
 
 
 def conjugate(g, x, field):
     return mat_mul(mat_mul(g, x), mat_inv(g, field))
-
-
-# -- linear algebra over truncated Laurent series ----------------------
-
-
-def mat_inv_local(a):
-    """Inverse of a matrix of LocalScalar entries, pivoting by valuation."""
-    from .localfield import PrecisionError
-    n = len(a)
-    field = a[0][0].field
-    one = field.one()
-    zero = field.zero()
-    aug = [list(a[i]) + [one if i == j else zero for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv, pv = None, None
-        for i in range(c, n):
-            e = aug[i][c]
-            if e.terms:
-                v = e.terms[0][0]
-                if pv is None or v < pv:
-                    piv, pv = i, v
-        if piv is None:
-            raise PrecisionError("no visible pivot in column %d" % c)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c].inv()
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c].terms:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
 
 
 # -- characteristic polynomial (division-free, Berkowitz) --------------

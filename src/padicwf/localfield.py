@@ -209,9 +209,6 @@ class LocalScalar:
 
     # -- queries --------------------------------------------------------
 
-    def is_exact(self):
-        return self.prec is None
-
     def is_zero(self):
         """Exactly zero (raises if only zero-to-precision)."""
         if self.terms:

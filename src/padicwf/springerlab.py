@@ -9,7 +9,6 @@ directly, one projective choice at a time.
 """
 
 import random
-from fractions import Fraction
 from itertools import product
 
 from . import ffield as ff
@@ -108,65 +107,6 @@ def zeta(p, j=1):
     return Cyc.from_int(p, 1).shift(j)
 
 
-# -- linear algebra over Z/p ---------------------------------------------
-
-
-def rref_mod(rows, p):
-    """Row-reduce an integer matrix mod p; returns (rows, pivot columns)."""
-    a = [[x % p for x in row] for row in rows]
-    piv = []
-    r = 0
-    ncol = len(a[0]) if a else 0
-    for col in range(ncol):
-        pr = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][col], p - 2, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        piv.append(col)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], piv
-
-
-def nullspace_mod(rows, p):
-    """Basis of the kernel of an integer matrix mod p."""
-    ncol = len(rows[0]) if rows else 0
-    red, piv = rref_mod(rows, p)
-    free = [c for c in range(ncol) if c not in piv]
-    out = []
-    for fc in free:
-        v = [0] * ncol
-        v[fc] = 1
-        for r, pc in enumerate(piv):
-            v[pc] = (-red[r][fc]) % p
-        out.append(v)
-    return out
-
-
-def _int_rank(rows):
-    """Rank of an integer matrix over the rationals."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(a[0]) if a else 0):
-        pr = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if pr is None:
-            continue
-        a[rank], a[pr] = a[pr], a[rank]
-        for i in range(rank + 1, len(a)):
-            if a[i][col]:
-                f = a[i][col] / a[rank][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
 # -- matrices over F_p, in bulk ------------------------------------------
 
 
@@ -202,21 +142,16 @@ class MatContext:
         powers = self.p ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
         return (flat % self.p) @ powers
 
-    def decode(self, idx):
-        m = np.zeros(self.dim, dtype=np.int64)
-        for k in range(self.dim - 1, -1, -1):
-            m[k] = idx % self.p
-            idx //= self.p
-        return m.reshape(self.n, self.n)
-
     def det_mod(self, mats):
+        """Determinants mod p of a stack of k x k matrices, k <= 3."""
         m = np.asarray(mats) % self.p
-        if self.n == 1:
+        k = m.shape[-1]
+        if k == 1:
             return m[..., 0, 0]
-        if self.n == 2:
+        if k == 2:
             return (m[..., 0, 0] * m[..., 1, 1]
                     - m[..., 0, 1] * m[..., 1, 0]) % self.p
-        if self.n == 3:
+        if k == 3:
             d = (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2]
                                  - m[..., 1, 2] * m[..., 2, 1])
                  - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2]
@@ -226,22 +161,27 @@ class MatContext:
             return d % self.p
         raise ValueError("determinant formula only for n <= 3")
 
-    def inv_mod(self, g):
-        """Inverse of a single invertible matrix mod p."""
+    def inv_mod(self, mats):
+        """Inverses mod p of a stack of invertible matrices: the adjugate,
+        from the determinants of the minors, over the determinant."""
         n, p = self.n, self.p
-        aug = [[int(g[i][j]) % p for j in range(n)]
-               + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        red, piv = rref_mod(aug, p)
-        assert piv == list(range(n)), "matrix not invertible"
-        return np.array([row[n:] for row in red], dtype=np.int64)
+        m = np.asarray(mats) % p
+        det = self.det_mod(m)
+        assert np.all(det), "matrix not invertible"
+        recip = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)])
+        adj = np.empty_like(m)
+        for i in range(n):
+            for j in range(n):
+                minor = np.delete(np.delete(m, j, axis=-2), i, axis=-1)
+                adj[..., i, j] = (-1) ** (i + j) * self.det_mod(minor)
+        return adj * recip[det][..., None, None] % p
 
     def group(self):
         """All of GL_n(F_p) with precomputed inverses."""
         if self._group is None:
             mats = self.all_matrices()
             keep = mats[self.det_mod(mats) != 0]
-            invs = np.stack([self.inv_mod(g) for g in keep])
-            self._group = (keep, invs)
+            self._group = (keep, self.inv_mod(keep))
         return self._group
 
     def nilpotent_mask(self):
@@ -261,6 +201,11 @@ class MatContext:
     def from_ff(self, m):
         return np.array([[e.v % self.p for e in row] for row in m],
                         dtype=np.int64)
+
+    def nullspace(self, rows):
+        """Basis of the kernel of an integer matrix mod p, as int lists."""
+        return self.from_ff(la.kernel_basis(self.to_ff(rows),
+                                            self.field)).tolist()
 
     def jordan_type(self, m):
         return lie.jordan_type(self.to_ff(m), self.field)
@@ -284,7 +229,7 @@ class MatContext:
                 e = np.zeros((n, n), dtype=np.int64)
                 e[i][j] = 1
                 rows.append(((e @ d - d @ e) % p).reshape(-1))
-        return nullspace_mod(np.array(rows).T.tolist(), p)
+        return self.nullspace(np.array(rows).T)
 
 
 def sl2_reps(ctx):
@@ -531,7 +476,7 @@ def _membership_checker(ctx, c, d):
     """Vectorized test for y in c + Z(d): returns a function on (m,n,n)
     arrays of candidates."""
     basis = ctx.centralizer_in_algebra(d)
-    ann = nullspace_mod(basis, ctx.p) if basis else \
+    ann = ctx.nullspace(basis) if basis else \
         np.eye(ctx.dim, dtype=np.int64).tolist()
     R = np.array(ann, dtype=np.int64)
     cflat = np.asarray(c).reshape(-1)
@@ -608,7 +553,10 @@ def _find_irreducible(p, d):
 
 class ExtField:
     """F_{p^d} with elements encoded as integers (base-p coefficient
-    vectors) and precomputed operation tables."""
+    vectors) and precomputed operation tables.  ops is the arithmetic
+    the linalg kernel eliminates with."""
+
+    zero, one = 0, 1
 
     def __init__(self, p, d):
         self.p = p
@@ -667,6 +615,9 @@ class ExtField:
         for a in range(1, q):
             self.inv[a] = next(b for b in range(1, q)
                                if self.mul[a][b] == 1)
+        add, neg, mul = self.add, self.neg, self.mul
+        self.ops = (lambda a, b: add[a][neg[b]], lambda a, b: mul[a][b],
+                    self.inv.__getitem__)
         self.sqrt = [None] * q
         for a in range(q):
             s = self.mul[a][a]
@@ -698,68 +649,6 @@ def _dot(K, u, v):
     for a, b in zip(u, v):
         s = K.add[s][K.mul[a][b]]
     return s
-
-
-def _solve_affine(K, conditions, rhs, dim=5):
-    """One solution of a small linear system over an ExtField, by
-    Gaussian elimination; None if inconsistent."""
-    rows = [list(c) + [r] for c, r in zip(conditions, rhs)]
-    piv = []
-    r = 0
-    for col in range(dim):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = K.inv[rows[r][col]]
-        rows[r] = [K.mul[inv][x] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [K.add[x][K.neg[K.mul[f][y]]]
-                           for x, y in zip(rows[i], rows[r])]
-        piv.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][dim]:
-            return None
-    sol = [0] * dim
-    for i, col in enumerate(piv):
-        sol[col] = rows[i][dim]
-    return sol
-
-
-def _nullspace_ext(K, conditions, dim=5):
-    red = [list(c) + [0] for c in conditions]
-    sol = _solve_affine(K, conditions, [0] * len(conditions), dim)
-    # recompute pivots by reducing once more
-    rows = [list(c) for c in conditions]
-    piv = []
-    r = 0
-    for col in range(dim):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = K.inv[rows[r][col]]
-        rows[r] = [K.mul[inv][x] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [K.add[x][K.neg[K.mul[f][y]]]
-                           for x, y in zip(rows[i], rows[r])]
-        piv.append(col)
-        r += 1
-    out = []
-    for fc in range(dim):
-        if fc in piv:
-            continue
-        v = [0] * dim
-        v[fc] = 1
-        for i, pc in enumerate(piv):
-            v[pc] = K.neg[rows[i][fc]]
-        out.append(v)
-    return out
 
 
 # -- flag-variety point counts -------------------------------------------
@@ -820,13 +709,13 @@ def _flag_pairs(K, gram):
     n = len(gram)
     for v0 in isotropic_points(K, gram):
         gv0 = _mat_vec(K, gram, v0)
-        comp = _nullspace_ext(K, [gv0], n)
+        comp = la.kernel_basis([gv0], K, K.ops)
         # basis of a complement of v0 inside its perp space
         basis = []
         span = [v0]
         for w in comp:
             cand = span + [w]
-            if _ext_rank(K, cand) == len(cand):
+            if la.rank(cand, K.ops) == len(cand):
                 span = cand
                 basis.append(w)
         qgram = [[_dot(K, a, _mat_vec(K, gram, b)) for b in basis]
@@ -841,38 +730,17 @@ def _flag_pairs(K, gram):
             yield v0, v1
 
 
-def _ext_rank(K, vecs):
-    rows = [list(v) for v in vecs]
-    r = 0
-    dim = len(rows[0])
-    for col in range(dim):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = K.inv[rows[r][col]]
-        rows[r] = [K.mul[inv][x] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [K.add[x][K.neg[K.mul[f][y]]]
-                           for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
-
-
 def _adapted_basis(K, gram, v0, v1):
     """Complete (v0, v1) to a basis with the standard antidiagonal gram
     and determinant 1; entries of Ad(g)X can then be read off through
     the form."""
-    n = len(gram)
     gv0 = _mat_vec(K, gram, v0)
     gv1 = _mat_vec(K, gram, v1)
     # v2: perpendicular to the plane, unit length
-    perp = _nullspace_ext(K, [gv0, gv1], n)
+    perp = la.kernel_basis([gv0, gv1], K, K.ops)
     v2 = None
     for w in perp:
-        if _ext_rank(K, [v0, v1, w]) == 3:
+        if la.rank([v0, v1, w], K.ops) == 3:
             v2 = w
             break
     s = _dot(K, v2, _mat_vec(K, gram, v2))
@@ -881,40 +749,19 @@ def _adapted_basis(K, gram, v0, v1):
     v2 = _vec_scale(K, K.inv[root], v2)
     gv2 = _mat_vec(K, gram, v2)
     # v3: pairs with v1, isotropic
-    w0 = _solve_affine(K, [gv0, gv1, gv2], [0, 1, 0], n)
+    w0 = la.solve([gv0, gv1, gv2], [0, 1, 0], K, K.ops)
     b = K.mul[K.neg[_dot(K, w0, _mat_vec(K, gram, w0))]][K.inv[K.embed(2)]]
     v3 = _vec_add(K, w0, _vec_scale(K, b, v1))
     gv3 = _mat_vec(K, gram, v3)
     # v4: pairs with v0, isotropic
-    u0 = _solve_affine(K, [gv0, gv1, gv2, gv3], [1, 0, 0, 0], n)
+    u0 = la.solve([gv0, gv1, gv2, gv3], [1, 0, 0, 0], K, K.ops)
     a = K.mul[K.neg[_dot(K, u0, _mat_vec(K, gram, u0))]][
         K.inv[K.embed(2)]]
     v4 = _vec_add(K, u0, _vec_scale(K, a, v0))
     basis = [v0, v1, v2, v3, v4]
-    if _ext_det(K, basis) != 1:
+    if la.rref(basis, K.ops)[2] != 1:
         basis[2] = _vec_scale(K, K.neg[1], v2)
     return basis
-
-
-def _ext_det(K, rows):
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        pr = next((i for i in range(col, n) if m[i][col]), None)
-        if pr is None:
-            return 0
-        if pr != col:
-            m[col], m[pr] = m[pr], m[col]
-            det = K.neg[det]
-        det = K.mul[det][m[col][col]]
-        inv = K.inv[m[col][col]]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = K.mul[m[i][col]][inv]
-                m[i] = [K.add[x][K.neg[K.mul[f][y]]]
-                        for x, y in zip(m[i], m[col])]
-    return det
 
 
 def point_count(spec, degrees=(1,), cap=2 * 10 ** 6):
@@ -977,7 +824,7 @@ def curve_count(coeff, p=23, deg=1):
         gw = _mat_vec(K, gram, w)
         if _dot(K, w, gw):
             continue
-        if _ext_rank(K, [v0, w]) < 2:
+        if la.rank([v0, w], K.ops) < 2:
             continue  # Xv0 proportional to v0: flag degenerates
         if _dot(K, _mat_vec(K, X, w), gw):
             count += 1

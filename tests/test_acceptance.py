@@ -315,10 +315,10 @@ def test_criterion_7_small_group_suite():
     # cone span one dimension per nilpotent class
     xis2 = [sl.test_fn(gl2, c, h, d) for _, c, h, d in sl.sl2_reps(gl2)]
     m2 = gl2.nilpotent_mask()
-    assert sl._int_rank([x.vals[m2, 0].tolist() for x in xis2]) == 2
+    assert la.rank([x.vals[m2, 0].tolist() for x in xis2], la.Q_OPS) == 2
     xis3 = [sl.test_fn(gl3, c, h, d) for _, c, h, d in sl.sl2_reps(gl3)]
     m3 = gl3.nilpotent_mask()
-    assert sl._int_rank([x.vals[m3, 0].tolist() for x in xis3]) == 3
+    assert la.rank([x.vals[m3, 0].tolist() for x in xis3], la.Q_OPS) == 3
 
     # transitivity: the centralizer of the regular nilpotent permutes
     # its chain completions transitively

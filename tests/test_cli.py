@@ -281,3 +281,16 @@ def test_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "-> 0" in proc.stdout
+
+
+def test_inert_options_are_gone(tmp_path, capsys):
+    # no computation reads a thread count or a denominator bound, so
+    # neither is an option nor a manifest key
+    with pytest.raises(SystemExit) as err:
+        cli.main(["wf", "example", "toral", "--threads", "2"])
+    assert err.value.code == 2
+    out = tmp_path / "r.json"
+    code, _, _ = run(["wf", "example", "toral", "--out", str(out)], capsys)
+    assert code == 0
+    mani = json.loads(out.read_text())["manifest"]
+    assert "threads" not in mani and "denom_bound" not in mani

@@ -1,11 +1,14 @@
+import operator
 import random
+from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
 from padicwf import linalg as la
+from padicwf import springerlab as sl
 from padicwf.ffield import prime_field, quad_field
-from padicwf.localfield import LocalField
 
 
 def rand_mat(field, n, rng):
@@ -54,23 +57,69 @@ def test_cayley_hamilton():
             assert z == la.zero_mat(field, n)
 
 
+def field_kinds():
+    """(field, ops, add, random element) for every element representation
+    the kernel serves: Fractions, ffield objects and ExtField codes."""
+    rationals = SimpleNamespace(zero=Fraction(0), one=Fraction(1))
+    yield (rationals, la.Q_OPS, operator.add,
+           lambda rng: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+           if rng.random() < 0.5 else rng.randrange(-3, 4))
+    for F in (prime_field(5), quad_field(3)):
+        yield F, la.FF_OPS, operator.add, F.random
+    for K in (sl.ExtField(3, 2), sl.ExtField(23, 1)):
+        yield (K, K.ops, lambda a, b, K=K: K.add[a][b],
+               lambda rng, K=K: rng.randrange(K.q))
+
+
+def leibniz_det(a, field, ops, add):
+    sub, mul, _ = ops
+    s = la.fzero(field)
+    for perm in permutations(range(len(a))):
+        term = la.fone(field)
+        for i, j in enumerate(perm):
+            term = mul(term, a[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(len(a))
+                         for j in range(i + 1, len(a)))
+        s = sub(s, term) if inversions % 2 else add(s, term)
+    return s
+
+
 def test_rank_kernel_solve():
-    F = prime_field(5)
-    rng = random.Random(3)
-    for _ in range(20):
-        n, m = rng.randrange(1, 5), rng.randrange(1, 5)
-        a = tuple(tuple(F.random(rng) for _ in range(m)) for _ in range(n))
-        r = la.rank(a)
-        ker = la.kernel_basis(a, F)
-        assert r + len(ker) == m
-        for v in ker:
-            assert all(not x for x in la.mat_vec(a, v))
-        # a x = a e for a random vector e must be solvable
-        e = tuple(F.random(rng) for _ in range(m))
-        b = la.mat_vec(a, e)
-        x = la.solve(a, b, F)
-        assert x is not None
-        assert la.mat_vec(a, x) == b
+    for field, ops, add, rand in field_kinds():
+        mul = ops[1]
+        z, o = la.fzero(field), la.fone(field)
+
+        def apply(a, v):
+            out = []
+            for row in a:
+                s = z
+                for x, y in zip(row, v):
+                    s = add(s, mul(x, y))
+                out.append(s)
+            return out
+
+        rng = random.Random(3)
+        for _ in range(30):
+            n, m = rng.randrange(1, 5), rng.randrange(1, 5)
+            # zero entries often enough that many samples lose rank
+            a = [[rand(rng) if rng.random() < 0.6 else z for _ in range(m)]
+                 for _ in range(n)]
+            r = la.rank(a, ops)
+            ker = la.kernel_basis(a, field, ops)
+            assert r + len(ker) == m
+            assert not ker or la.rank(ker, ops) == len(ker)
+            for v in ker:
+                assert not any(apply(a, v))
+            # a x = a e for a random vector e must be solvable
+            e = [rand(rng) for _ in range(m)]
+            b = apply(a, e)
+            x = la.solve(a, b, field, ops)
+            assert x is not None and apply(a, x) == b
+            assert la.solve(a + [[z] * m], b + [o], field, ops) is None
+            if n == m:
+                det = la.rref(a, ops)[2]
+                assert det == leibniz_det(a, field, ops, add)
+                assert bool(det) == (r == n)
 
 
 def test_mat_inv():
@@ -83,31 +132,6 @@ def test_mat_inv():
                 break
         ai = la.mat_inv(a, F)
         assert la.mat_mul(a, ai) == la.identity(F, n)
-
-
-def test_mat_inv_local():
-    L = LocalField(23)
-    rng = random.Random(5)
-    t = L.uniformizer()
-    for _ in range(10):
-        n = rng.randrange(1, 4)
-        a = tuple(tuple(L.scalar(
-            {v: L.residue.random(rng)
-             for v in (rng.randrange(-2, 3), rng.randrange(-2, 3))},
-            prec=8) for _ in range(n)) for _ in range(n))
-        try:
-            ai = la.mat_inv_local(a)
-        except Exception:
-            continue
-        prod = la.mat_mul(a, ai)
-        for i in range(n):
-            for j in range(n):
-                e = prod[i][j]
-                if i == j:
-                    assert e.residue_at(0) == L.residue.one
-                    assert all(v == 0 for v, _ in e.terms)
-                else:
-                    assert not e.terms
 
 
 def test_poly_gcd_and_radical():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens
+from padicwf import linalg as la
 from padicwf import springerlab as sl
 
 
@@ -110,10 +111,11 @@ def test_group_orders(gl2, gl3):
     assert len(gl3.group()[0]) == goldens.GL3_F3_ORDER
 
 
-def test_group_inverses(gl2):
-    gs, gis = gl2.group()
-    prod = np.matmul(gs, gis) % 3
-    assert (prod == np.eye(2, dtype=np.int64)).all()
+def test_group_inverses(gl2, gl3):
+    for ctx in (gl2, gl3):
+        gs, gis = ctx.group()
+        prod = np.matmul(gs, gis) % 3
+        assert (prod == np.eye(ctx.n, dtype=np.int64)).all()
 
 
 def test_group_too_large():
@@ -418,11 +420,11 @@ def test_restriction_rank_counts_nilpotent_classes(gl2, gl3, gl2_xis):
     # space of dimension = number of nilpotent classes
     m2 = gl2.nilpotent_mask()
     rows = [xi.vals[m2, 0].tolist() for xi in gl2_xis]
-    assert sl._int_rank(rows) == 2
+    assert la.rank(rows, la.Q_OPS) == 2
     xis3 = [sl.test_fn(gl3, c, h, d) for _, c, h, d in sl.sl2_reps(gl3)]
     m3 = gl3.nilpotent_mask()
     rows3 = [xi.vals[m3, 0].tolist() for xi in xis3]
-    assert sl._int_rank(rows3) == 3
+    assert la.rank(rows3, la.Q_OPS) == 3
 
 
 # -- orbital counts over extensions --------------------------------------
