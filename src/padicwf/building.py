@@ -18,7 +18,6 @@ exact rational arithmetic.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -44,44 +43,6 @@ def qsolve_unique(rows, rhs):
 def qrank(rows):
     """Rank over Q of a matrix of integers or Fractions."""
     return la.rank(rows, la.Q_OPS)
-
-
-def polytope_vertices(eqs, ineqs, dim):
-    """Vertices of {y : a.y = b for eqs, a.y <= b for ineqs} in Q^dim.
-
-    Constraints are (coefficient tuple, bound) pairs.  Brute-force over
-    active sets; intended for dim <= 4.
-    """
-    # parallel inequalities: only the tightest bound per direction binds
-    tight = {}
-    for a, b in ineqs:
-        if a not in tight or b < tight[a]:
-            tight[a] = b
-    ineqs = sorted(tight.items())
-    # independent subset of the equalities
-    base = []
-    for a, b in eqs:
-        if qrank([list(r[0]) + [r[1]] for r in base + [(a, b)]]) > len(base):
-            base.append((a, b))
-    need = dim - len(base)
-    if need < 0:
-        return []
-    verts = []
-    for extra in combinations(range(len(ineqs)), need):
-        sysrows = base + [ineqs[i] for i in extra]
-        sol = qsolve_unique([list(a) for a, _ in sysrows],
-                            [b for _, b in sysrows])
-        if sol is None:
-            continue
-        if any(sum(ai * yi for ai, yi in zip(a, sol)) != b
-               for a, b in eqs):
-            continue
-        if any(sum(ai * yi for ai, yi in zip(a, sol)) > b
-               for a, b in ineqs):
-            continue
-        if sol not in verts:
-            verts.append(sol)
-    return verts
 
 
 # -- entry coupling classes --------------------------------------------
@@ -462,20 +423,17 @@ class AugFacet:
     """An augmented facet: sign vector against the window's planes.
 
     verts, when given, are the exact vertices of the facet's closure in
-    the window; otherwise they are enumerated on first use."""
+    the window; otherwise they are read off its closed cell on first
+    use."""
 
-    def __init__(self, model, window, signs, sample, verts=None):
+    def __init__(self, model, window, signs, verts=None):
         self.model = model
         self.window = window
         self.signs = tuple(signs)
-        self.sample = sample  # one interior point (x, r)
         self._verts = verts
 
     def planes(self):
         return critical_hyperplanes(self.model, self.window)
-
-    def key(self):
-        return self.signs
 
     def __eq__(self, other):
         return isinstance(other, AugFacet) and self.signs == other.signs \
@@ -484,23 +442,17 @@ class AugFacet:
     def __hash__(self):
         return hash((self.signs, self.window.key()))
 
-    def constraints(self):
-        eqs, ineqs = [], []
-        for pl, s in zip(self.planes(), self.signs):
-            a, b = pl.functional()
-            if s == 0:
-                eqs.append((a, b))
-            elif s > 0:
-                ineqs.append((tuple(-c for c in a), -b))
-            else:
-                ineqs.append((a, b))
-        ineqs.extend(self.window.box_constraints())
-        return eqs, ineqs
+    def cell(self):
+        """The closure of the facet: the window box cut by every plane on
+        the side of its sign, as `cell_vertices` gives it (mask bit k:
+        plane k)."""
+        return cell_vertices(self.window, [
+            pl.functional() + (s,) for pl, s in zip(self.planes(),
+                                                    self.signs)])
 
     def vertices(self):
         if self._verts is None:
-            eqs, ineqs = self.constraints()
-            self._verts = polytope_vertices(eqs, ineqs, self.model.d + 1)
+            self._verts = [y for y, _ in self.cell()]
         return self._verts
 
     def depth(self):
@@ -531,7 +483,98 @@ def facet_of(model, window, x, r):
         raise ValueError("outside window")
     planes = critical_hyperplanes(model, window)
     signs = [pl.sign_at(x, r) for pl in planes]
-    return AugFacet(model, window, signs, (x, r))
+    return AugFacet(model, window, signs)
+
+
+# -- the exact cut -----------------------------------------------------
+#
+# A polytope is held as its vertices, each in primitive homogeneous
+# integer coordinates (X, W) with W > 0, standing for X / W, and with
+# the bit mask of the constraints tight at it: bits 0 .. 2d+1 for the
+# faces of the window box, then one bit per cut.  Cutting and locating
+# need no Fraction arithmetic.
+
+
+def _box_vertices(window):
+    """Corners of the window box with their tight box constraints (a
+    degenerate range gives one corner value, tight both ways)."""
+    verts = [((), 0)]
+    ranges = window.xranges + ((window.rmin, window.rmax),)
+    for k, (a, b) in enumerate(ranges):
+        verts = [(y + (c,), m | (c == b) << 2 * k | (c == a) << 2 * k + 1)
+                 for y, m in verts for c in sorted({a, b})]
+    return [(_homogeneous(y), m) for y, m in verts]
+
+
+def _ranker(rows):
+    """Rank over Q of the rows a bit mask picks, cached per mask."""
+    return lru_cache(maxsize=None)(lambda mask: qrank(
+        [row for i, row in enumerate(rows) if mask >> i & 1]))
+
+
+def _cut(verts, plane, bit, rank):
+    """One plane against a polytope's vertices.
+
+    plane: integer (A, -B) for {a.y = b}, dotted with homogeneous
+    vertices.  Returns the plane's value at each vertex, the vertices
+    with `bit` added to the masks of those on the plane, and the points
+    where the plane crosses an edge, tight on `bit` and on what is tight
+    along the edge.  Two vertices span an edge when the constraints
+    tight at both have rank dim - 1.
+    """
+    vals = [sum(map(mul, plane, h)) for h, _ in verts]
+    if 0 in vals:
+        verts = [(h, m | bit) if v == 0 else (h, m)
+                 for (h, m), v in zip(verts, vals)]
+    cut = []
+    if vals and max(vals) > 0 > min(vals):
+        edge_rank = len(plane) - 2
+        for (hi, mi), si in zip(verts, vals):
+            if si <= 0:
+                continue
+            for (hj, mj), sj in zip(verts, vals):
+                if sj >= 0 or rank(mi & mj) != edge_rank:
+                    continue
+                # si * hj - sj * hi lies on the plane, with weight > 0
+                cut.append((_primitive([si * q - sj * p
+                                        for p, q in zip(hi, hj)]),
+                            mi & mj | bit))
+    return vals, verts, cut
+
+
+def _side(verts, vals, s):
+    """The vertices where the plane's value has sign s or is 0."""
+    return [hm for hm, v in zip(verts, vals) if v == 0 or v * s > 0]
+
+
+def _zero_sets(masks):
+    """The zero sets of the faces of a closed cell, from the plane masks
+    of its vertices: every intersection of some of them."""
+    gens = set(masks)
+    zsets = set(gens)
+    new = zsets
+    while new:
+        new = {z & g for z in new for g in gens} - zsets
+        zsets |= new
+    return zsets
+
+
+def cell_vertices(window, cuts):
+    """Vertices of the window box cut by each constraint (a, b, s) in
+    turn, keeping the side where a.y - b has sign s or is 0 (for s = 0,
+    the plane a.y = b).
+
+    Returns (point, mask) pairs, where mask bit k is set when cut k is
+    tight at the point; empty when the cell is.
+    """
+    box = window.box_constraints()
+    rank = _ranker([a for a, _ in box] + [a for a, _, _ in cuts])
+    verts = _box_vertices(window)
+    for k, (a, b, s) in enumerate(cuts):
+        vals, verts, cut = _cut(verts, _integral(a, b),
+                                1 << len(box) + k, rank)
+        verts = _side(verts, vals, s) + cut
+    return [(_point(h), m >> len(box)) for h, m in verts]
 
 
 # -- the arrangement engine --------------------------------------------
@@ -548,21 +591,13 @@ class Arrangement:
     critical hyperplanes one at a time (Edelsbrunner, O'Rourke and
     Seidel, SIAM J. Comput. 1986).
 
-    Constraints are numbered by bit: bits 0 .. 2d+1 for the faces of
-    the window box, then one bit per plane.  A cell is the masks of the
-    planes inserted so far that it lies above and below, and its exact
-    vertices, each with the mask of the constraints tight at it.  A new
-    plane splits only the cells with vertices strictly on both sides;
-    the new vertices are where it crosses their edges, and two vertices
-    span an edge when the constraints tight at both have rank dim - 1.
-    The faces of a closed cell are cut out by the intersections of its
-    vertices' plane sets; a face's sign vector is the cell's with zeros
-    on the planes containing it.  `faces` lists each facet once, as an
-    AugFacet with its vertices filled in.
-
-    Vertices are held in primitive homogeneous integer coordinates
-    (X, W) with W > 0, standing for X / W, so that locating and cutting
-    need no Fraction arithmetic.
+    A cell is the masks of the planes inserted so far that it lies above
+    and below, and its vertices with their tight masks.  A new plane
+    splits only the cells it crosses (`_cut`).  The faces of a closed
+    cell are cut out by its zero sets (`_zero_sets`); a face's sign
+    vector is the cell's with zeros on the planes containing it.
+    `faces` lists each facet once, as an AugFacet with its vertices
+    filled in.
     """
 
     def __init__(self, model, window):
@@ -572,14 +607,12 @@ class Arrangement:
                              "chart coordinates" % (len(window.xranges),
                                                     model.name, model.d))
         self.model, self.window = model, window
-        self.dim = model.d + 1
         box = window.box_constraints()
         self._nbox = len(box)
-        self._rows = [a for a, _ in box] + \
-            [pl.functional()[0] for pl in planes]
-        self._ranks = {}
+        self._rank = _ranker([a for a, _ in box] +
+                             [pl.functional()[0] for pl in planes])
         self.work = 0
-        cells = [(0, 0, self._box_vertices())]
+        cells = [(0, 0, _box_vertices(window))]
         for k, pl in enumerate(planes):
             cells = self._insert(cells, 1 << (self._nbox + k),
                                  _integral(*pl.functional()))
@@ -592,54 +625,20 @@ class Arrangement:
                              "and faces made); shrink the window"
                              % ARRANGEMENT_BUDGET)
 
-    def _box_vertices(self):
-        """Corners of the window box with their tight box constraints
-        (a degenerate range gives one corner value, tight both ways)."""
-        w = self.window
-        verts = [((), 0)]
-        for k, (a, b) in enumerate(w.xranges + ((w.rmin, w.rmax),)):
-            verts = [(y + (c,), m | (c == b) << 2 * k | (c == a) << 2 * k + 1)
-                     for y, m in verts for c in sorted({a, b})]
-        return [(_homogeneous(y), m) for y, m in verts]
-
-    def _rank(self, mask):
-        if mask not in self._ranks:
-            self._ranks[mask] = qrank([row for i, row in enumerate(self._rows)
-                                       if mask >> i & 1])
-        return self._ranks[mask]
-
     def _insert(self, cells, bit, plane):
         """Cut every cell the plane crosses; record it on the vertices it
-        passes through.  plane: integer (a, -b) for {a.y = b}, dotted
-        with homogeneous vertices."""
-        edge_rank = self.dim - 1
+        passes through."""
         out = []
         for pos, neg, verts in cells:
-            vals = [sum(map(mul, plane, h)) for h, _ in verts]
-            if 0 in vals:
-                verts = [(h, m | bit) if v == 0 else (h, m)
-                         for (h, m), v in zip(verts, vals)]
+            vals, verts, cut = _cut(verts, plane, bit, self._rank)
             up, down = max(vals) > 0, min(vals) < 0
             if not (up and down):
                 out.append((pos | bit if up else pos,
                             neg | bit if down else neg, verts))
                 continue
             self._spend()
-            cut = []
-            for (hi, mi), si in zip(verts, vals):
-                if si <= 0:
-                    continue
-                for (hj, mj), sj in zip(verts, vals):
-                    if sj >= 0 or self._rank(mi & mj) != edge_rank:
-                        continue
-                    # si * hj - sj * hi lies on the plane, with weight > 0
-                    cut.append((_primitive([si * q - sj * p
-                                            for p, q in zip(hi, hj)]),
-                                mi & mj | bit))
-            out.append((pos | bit, neg, [hm for hm, v in zip(verts, vals)
-                                         if v >= 0] + cut))
-            out.append((pos, neg | bit, [hm for hm, v in zip(verts, vals)
-                                         if v <= 0] + cut))
+            out.append((pos | bit, neg, _side(verts, vals, 1) + cut))
+            out.append((pos, neg | bit, _side(verts, vals, -1) + cut))
         return out
 
     def _faces(self, cells, nplanes):
@@ -651,13 +650,7 @@ class Arrangement:
         faces = {}
         points = {}
         for pos, neg, verts in cells:
-            gens = {m & ~box for _, m in verts}
-            zsets = set(gens)
-            new = zsets
-            while new:
-                new = {z & g for z in new for g in gens} - zsets
-                zsets |= new
-            for z in zsets:
+            for z in _zero_sets(m & ~box for _, m in verts):
                 key = (pos & ~z, neg & ~z)
                 if key in faces:
                     continue
@@ -666,13 +659,11 @@ class Arrangement:
                 for h, m in verts:
                     if m & z == z:
                         if h not in points:
-                            points[h] = tuple(Fraction(x, h[-1])
-                                              for x in h[:-1])
+                            points[h] = _point(h)
                         fv.append(points[h])
                 signs = tuple(1 if key[0] & b else -1 if key[1] & b else 0
                               for b in bits)
-                faces[key] = AugFacet(self.model, self.window, signs, None,
-                                      fv)
+                faces[key] = AugFacet(self.model, self.window, signs, fv)
         return list(faces.values())
 
 
@@ -680,6 +671,11 @@ def _homogeneous(y):
     """Primitive integer coordinates (X, W), W > 0, of a rational point."""
     w = lcm(*(c.denominator for c in y))
     return _primitive([int(c * w) for c in y] + [w])
+
+
+def _point(h):
+    """The rational point X / W of homogeneous coordinates (X, W)."""
+    return tuple(Fraction(x, h[-1]) for x in h[:-1])
 
 
 def _primitive(h):
@@ -718,28 +714,24 @@ def precede(f1, f2):
 
 
 def facets_below(facet):
-    """Horizontal facets in the closure of a facet at its depth."""
+    """Horizontal facets in the closure of a facet at its depth, by
+    dimension and then sign vector: the faces of its closed cell whose
+    vertices all lie at its depth."""
     if facet.is_horizontal():
         raise ValueError("facet is horizontal")
     dep = facet.depth()
-    bottom = [v for v in facet.vertices() if v[-1] == dep]
-    cands = {}
-    for size in range(1, len(bottom) + 1):
-        for sub in combinations(bottom, size):
-            c = tuple(sum(col) / len(sub) for col in zip(*sub))
-            x, r = c[:-1], c[-1]
-            f = facet_of(facet.model, facet.window, x, r)
-            cands[f.key()] = f
+    verts = facet.cell()
     out = []
-    for f in cands.values():
-        if not f.is_horizontal() or f.depth() != dep:
-            continue
-        ok = all(s2 == s1 or s2 == 0
-                 for s1, s2 in zip(facet.signs, f.signs))
-        if ok:
-            out.append(f)
-    assert out, "no horizontal facet below"
-    return out
+    for z in _zero_sets(m for _, m in verts):
+        fv = [y for y, m in verts if m & z == z]
+        if all(y[-1] == dep for y in fv):
+            signs = tuple(0 if z >> k & 1 else s
+                          for k, s in enumerate(facet.signs))
+            out.append(AugFacet(facet.model, facet.window, signs, fv))
+    if not out:
+        raise ValueError("no horizontal facet below the facet at depth %s: "
+                         "its top lies on the window's boundary" % dep)
+    return sorted(out, key=lambda f: (f.dim(), f.signs))
 
 
 # -- Moy-Prasad membership and depth -----------------------------------
@@ -770,12 +762,13 @@ def mp_member(model, gamma, w, r, strict=False):
 
 
 def dep_element(model, gamma, window):
-    """Depth of gamma: max r with mp_member over the windowed apartment."""
+    """Depth of gamma: max r with mp_member over the windowed apartment.
+
+    Raises PrecisionError when an entry known only to a precision bounds
+    r at a vertex where the maximum is reached."""
     assert model.weight_funcs is not None
-    d = model.d
-    eqs = []
-    ineqs = list(window.box_constraints())
-    fuzzy = []
+    cuts = []
+    fuzzy = 0  # mask of the cuts from entries known only to a precision
     for i in range(model.n):
         for j in range(model.n):
             e = gamma[i][j]
@@ -784,18 +777,16 @@ def dep_element(model, gamma, window):
             v = e.val() if e.terms else e.prec
             # r <= v + (w_i - w_j)(x): (-coeffs_ij, 1).(x,r) <= v + const
             coeffs, const = model.weight_diff(i, j)
-            a = tuple(-c for c in coeffs) + (Fraction(1),)
-            ineqs.append((a, v + const))
             if not e.terms:
-                fuzzy.append((a, v + const))
-    verts = polytope_vertices(eqs, ineqs, d + 1)
+                fuzzy |= 1 << len(cuts)
+            cuts.append((tuple(-c for c in coeffs) + (Fraction(1),),
+                         v + const, -1))
+    verts = cell_vertices(window, cuts)
     if not verts:
         raise ValueError("no admissible point in window")
-    best = max(verts, key=lambda v: v[-1])
-    r = best[-1]
-    for a, b in fuzzy:
-        if sum(ai * yi for ai, yi in zip(a, best)) == b:
-            raise PrecisionError("insufficient precision")
+    r = max(y[-1] for y, _ in verts)
+    if any(m & fuzzy for y, m in verts if y[-1] == r):
+        raise PrecisionError("insufficient precision")
     return r
 
 

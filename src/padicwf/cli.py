@@ -53,7 +53,7 @@ def manifest(args, input_text=None, extra=None):
             (input_text or "").encode()).hexdigest(),
         "seed": getattr(args, "seed", 0),
     }
-    for key in ("q", "precision", "window", "override_char_bound", "mode",
+    for key in ("q", "window", "override_char_bound", "mode",
                 "coeff", "model", "variant", "scenario"):
         if getattr(args, key, None) is not None:
             data[key] = getattr(args, key)
@@ -136,7 +136,7 @@ def _section_map(items, lineno_hint):
 def parse_input(text, override=False):
     """Parse an input file into (GoodChain, GroupSpec, options).
 
-    Sections: [field] (q, plus optional precision), [group] (model,
+    Sections: [field] (q), [group] (model,
     optional override-char-bound), one [gamma.N] per piece (depth and
     n matrix rows of scalar expressions), optional [options].
     """
@@ -515,7 +515,6 @@ def build_parser():
     def common(p):
         p.add_argument("--out", help="write a JSON result file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--precision", type=int, default=None)
 
     pw = sub.add_parser("wf", help="wave-front computations")
     wsub = pw.add_subparsers(dest="wf_cmd", required=True)
@@ -569,9 +568,13 @@ def build_parser():
     return ap
 
 
+_PARSER = []  # the parser, built by the first `main` call
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if not _PARSER:
+        _PARSER.append(build_parser())
+    args = _PARSER[0].parse_args(argv)
     try:
         if args.cmd == "wf":
             return cmd_wf(args)

@@ -92,11 +92,6 @@ def bracket(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_vec(a, v):
-    return tuple(sum_list([a[i][j] * v[j] for j in range(len(v))])
-                 for i in range(len(a)))
-
-
 def sum_list(xs):
     s = xs[0]
     for x in xs[1:]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicwf import building as bd
-from padicwf.graph import facet_center
+from padicwf.graph import facet_center, in_closure
 from padicwf.localfield import LocalField, PrecisionError
 
 from goldens import SL3_FACET_SIGNS
@@ -31,28 +31,32 @@ def test_qrank():
     assert bd.qrank([]) == 0
 
 
-def test_polytope_vertices_triangle():
-    # x >= 0, y >= 0, x + y <= 1
-    ineqs = [((Fr(-1), Fr(0)), Fr(0)), ((Fr(0), Fr(-1)), Fr(0)),
-             ((Fr(1), Fr(1)), Fr(1))]
-    vs = bd.polytope_vertices([], ineqs, 2)
-    assert set(vs) == {(0, 0), (1, 0), (0, 1)}
+def cell(window, cuts):
+    """The one-cell route's vertices, each with its mask of tight cuts."""
+    return dict(bd.cell_vertices(window, cuts))
 
 
-def test_polytope_vertices_with_equality():
+def test_cell_vertices_triangle():
+    # x >= 0, y >= 0, x + y <= 1 inside the box [-1, 2]^2
+    cuts = [((Fr(-1), Fr(0)), Fr(0), -1), ((Fr(0), Fr(-1)), Fr(0), -1),
+            ((Fr(1), Fr(1)), Fr(1), -1)]
+    vs = cell(bd.Window([(-1, 2)], -1, 2), cuts)
+    assert vs == {(0, 0): 0b011, (1, 0): 0b110, (0, 1): 0b101}
+
+
+def test_cell_vertices_with_equality():
     # segment x + y = 1 inside the unit square
-    eqs = [((Fr(1), Fr(1)), Fr(1))]
-    ineqs = [((Fr(1), Fr(0)), Fr(1)), ((Fr(-1), Fr(0)), Fr(0)),
-             ((Fr(0), Fr(1)), Fr(1)), ((Fr(0), Fr(-1)), Fr(0))]
-    vs = bd.polytope_vertices(eqs, ineqs, 2)
-    assert set(vs) == {(1, 0), (0, 1)}
+    vs = cell(bd.Window([(0, 1)], 0, 1), [((Fr(1), Fr(1)), Fr(1), 0)])
+    assert vs == {(1, 0): 1, (0, 1): 1}
 
 
-def test_polytope_parallel_dedup():
+def test_cell_vertices_parallel_dedup():
     # two parallel upper bounds: only the tighter one matters
-    ineqs = [((Fr(1),), Fr(5)), ((Fr(1),), Fr(2)), ((Fr(-1),), Fr(0))]
-    vs = bd.polytope_vertices([], ineqs, 1)
-    assert set(vs) == {(0,), (2,)}
+    cuts = [((Fr(1),), Fr(5), -1), ((Fr(1),), Fr(2), -1),
+            ((Fr(-1),), Fr(0), -1)]
+    vs = cell(bd.Window([], -1, 6), cuts)
+    assert vs == {(0,): 0b100, (2,): 0b010}
+    assert cell(bd.Window([], -1, 6), cuts + [((Fr(1),), Fr(3), 1)]) == {}
 
 
 # -- coupling classes ----------------------------------------------------
@@ -150,6 +154,27 @@ def sl2_grid_census(x0, x1, r0, r1):
                 for R in range(int(r0 * n), int(r1 * n) + 1)})
 
 
+def sl2_grid_vertices(model, win):
+    """The vertices of the arrangement on the 1/8 grid, with their sign
+    vectors: the points at which the tight lines and box sides have rank
+    2.  With window endpoints in 1/4 steps, every vertex is on the grid.
+    The closure of a face has for vertices those lying in it."""
+    planes = bd.critical_hyperplanes(model, win)
+    (x0, x1), = win.xranges
+    out = {}
+    for i in range(int(x0 * 8), int(x1 * 8) + 1):
+        for j in range(int(win.rmin * 8), int(win.rmax * 8) + 1):
+            x, r = Fr(i, 8), Fr(j, 8)
+            signs = tuple(pl.sign_at((x,), r) for pl in planes)
+            rows = [(-pl.coeffs[0], 1)
+                    for pl, s in zip(planes, signs) if s == 0]
+            rows += [(1, 0)] * (x in (x0, x1)) + \
+                [(0, 1)] * (r in (win.rmin, win.rmax))
+            if any(a * d - b * c for a, b in rows for c, d in rows):
+                out[(x, r)] = signs
+    return out
+
+
 @st.composite
 def sl2_subwindows(draw):
     """Sub-windows of x in [0, 1], r in [-1, 2], endpoints in 1/4 steps
@@ -168,11 +193,13 @@ def test_arrangement_sl2_faces(window):
     faces = bd.Arrangement(m, win).faces
     assert len(faces) == len({f.signs for f in faces})
     assert len(faces) == sl2_grid_census(*window)
+    corners = sl2_grid_vertices(m, win)
     for f in faces:
         x, r = facet_center(f)
         assert bd.facet_of(m, win, x, r).signs == f.signs
-        assert set(f.vertices()) == set(
-            bd.polytope_vertices(*f.constraints(), m.d + 1))
+        assert set(f.vertices()) == {
+            p for p, signs in corners.items()
+            if all(s == t or s == 0 for s, t in zip(signs, f.signs))}
 
 
 def test_arrangement_sl3_golden():
@@ -193,7 +220,42 @@ def test_facets_below_sl2_segment():
     assert len(below) == 1
     b = below[0]
     assert b.is_horizontal() and b.depth() == Fr(1, 2) and b.dim() == 0
-    assert b.sample == ((Fr(1, 4),), Fr(1, 2))
+    assert facet_center(b) == ((Fr(1, 4),), Fr(1, 2))
+
+
+def test_no_horizontal_facet_below():
+    # the chamber's top is the box side r = 3/8, on no critical line
+    m = bd.sl2_model(3)
+    win = bd.Window([(0, Fr(1, 2))], 0, Fr(3, 8))
+    f = bd.facet_of(m, win, (Fr(1, 4),), Fr(11, 32))
+    assert f.dim() == 2 and f.depth() == Fr(3, 8)
+    with pytest.raises(ValueError, match="no horizontal facet below"):
+        bd.facets_below(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sl2_subwindows())
+def test_facets_below_matches_the_arrangement(window):
+    """Second route for the descent step: the facets below a face are
+    the engine's horizontal faces in its closure at its depth."""
+    x0, x1, r0, r1 = window
+    m = bd.sl2_model(3)
+    faces = bd.Arrangement(m, bd.Window([(x0, x1)], r0, r1)).faces
+    for f in faces:
+        if f.is_horizontal():
+            continue
+        want = sorted(g.signs for g in faces
+                      if g.is_horizontal() and g.depth() == f.depth()
+                      and in_closure(g, f))
+        if not want:
+            with pytest.raises(ValueError, match="no horizontal facet"):
+                bd.facets_below(f)
+            continue
+        below = bd.facets_below(f)
+        assert sorted(g.signs for g in below) == want
+        order = [(g.dim(), g.signs) for g in below]
+        assert order == sorted(order)
+        assert all(bd.precede(f, g) for g in below)
 
 
 def test_facets_below_requires_vertical():
@@ -247,7 +309,7 @@ def test_u7_descent_step():
     below = bd.facets_below(f)
     assert f.depth() == Fr(1, 10)
     assert len(below) == 1
-    assert below[0].sample == ((Fr(3, 5), Fr(1, 5)), Fr(1, 10))
+    assert facet_center(below[0]) == ((Fr(3, 5), Fr(1, 5)), Fr(1, 10))
 
 
 # -- membership and depth ------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as Fr
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import padicwf
 from padicwf import building as bd
 from padicwf import cli
 
@@ -275,22 +277,40 @@ def test_oracle_all(capsys):
 
 
 def test_entry_point_subprocess():
+    # the child finds the package the way this process did, also from a
+    # checkout that is not installed
+    src = str(Path(padicwf.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                             else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "padicwf.cli", "lab", "curve",
          "--coeff", "3", "--q", "23"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "-> 0" in proc.stdout
 
 
 def test_inert_options_are_gone(tmp_path, capsys):
-    # no computation reads a thread count or a denominator bound, so
-    # neither is an option nor a manifest key
-    with pytest.raises(SystemExit) as err:
-        cli.main(["wf", "example", "toral", "--threads", "2"])
-    assert err.value.code == 2
+    # no computation reads a thread count, a denominator bound or a
+    # precision, so none is an option or a manifest key
+    for argv in (["--threads", "2"], ["--precision", "5"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["wf", "example", "toral"] + argv)
+        assert err.value.code == 2
     out = tmp_path / "r.json"
     code, _, _ = run(["wf", "example", "toral", "--out", str(out)], capsys)
     assert code == 0
     mani = json.loads(out.read_text())["manifest"]
-    assert "threads" not in mani and "denom_bound" not in mani
+    assert not {"threads", "denom_bound", "precision"} & set(mani)
+
+
+def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
+    # the parser is built once per process; each call parses afresh
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["wf", "example", "toral", "--seed", "5", "--out",
+                str(first)], capsys)[0] == 0
+    assert run(["wf", "example", "toral", "--out", str(second)],
+               capsys)[0] == 0
+    assert json.loads(first.read_text())["manifest"]["seed"] == 5
+    assert json.loads(second.read_text())["manifest"]["seed"] == 0
