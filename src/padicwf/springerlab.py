@@ -10,6 +10,7 @@ directly, one projective choice at a time.
 
 import random
 from itertools import product
+from math import isqrt
 
 from . import ffield as ff
 from . import liealg as lie
@@ -19,9 +20,9 @@ from . import orbits as ob
 
 class _Numpy:
     """numpy, imported on first use.  The command line imports this
-    module for every command, but only the matrix-space code (`lab spr`)
-    uses numpy; loading it up front doubled the start-up time and added
-    some 15 MB."""
+    module for every command, but only the matrix-space code and the
+    residue-field scans use numpy; loading it up front doubled the
+    start-up time and added some 15 MB."""
 
     def __getattr__(self, name):
         global np
@@ -538,9 +539,20 @@ def good1_check(ctx, x, lam, ell, c, budget=20000, rng=None):
 # -- small finite fields for point counts --------------------------------
 
 
+def _field_order(p, d):
+    """q = p^d for the fields `ExtField` builds: p an odd prime (the
+    adapted basis divides by 2) and d one of the degrees with a
+    root-free irreducible polynomial."""
+    if p < 3 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+        raise ValueError("p = %d is not an odd prime" % p)
+    if d not in (1, 2, 3):
+        raise ValueError("extension degree %d not supported (1, 2 or 3)"
+                         % d)
+    return p ** d
+
+
 def _find_irreducible(p, d):
     """A monic degree-d polynomial over F_p with no roots (d <= 3)."""
-    assert d in (2, 3)
     for tail in product(range(p), repeat=d):
         coeffs = list(tail) + [1]
         if not coeffs[0]:
@@ -559,14 +571,15 @@ class ExtField:
     zero, one = 0, 1
 
     def __init__(self, p, d):
+        self.q = _field_order(p, d)
         self.p = p
         self.d = d
-        self.q = p ** d
         if d == 1:
             self.modulus = None
         else:
             self.modulus = _find_irreducible(p, d)
         self._build_tables()
+        self._arrays = None
 
     def _decode(self, a):
         out = []
@@ -628,6 +641,15 @@ class ExtField:
         """Lift a residue of the prime field into the extension."""
         return a % self.p
 
+    def arrays(self):
+        """The add, mul and neg tables as numpy arrays of the smallest
+        unsigned dtype holding every element code; built on first use."""
+        if self._arrays is None:
+            dtype = np.min_scalar_type(self.q - 1)
+            self._arrays = tuple(np.array(t, dtype=dtype)
+                                 for t in (self.add, self.mul, self.neg))
+        return self._arrays
+
 
 def _vec_add(K, u, v):
     return [K.add[a][b] for a, b in zip(u, v)]
@@ -648,6 +670,28 @@ def _dot(K, u, v):
     s = 0
     for a, b in zip(u, v):
         s = K.add[s][K.mul[a][b]]
+    return s
+
+
+# Vectors in bulk: a (n, N) array of element codes holds N vectors of
+# length n, one coordinate per row.
+
+def _mat_vecs(K, m, V):
+    add, mul, _ = K.arrays()
+    out = []
+    for row in m:
+        s = np.zeros(V.shape[1], dtype=V.dtype)
+        for a, coord in zip(row, V):
+            if a:
+                s = add[s, mul[a][coord]]
+        out.append(s)
+    return np.stack(out)
+
+def _dots(K, U, V):
+    add, mul, _ = K.arrays()
+    s = np.zeros(U.shape[1], dtype=U.dtype)
+    for u, v in zip(U, V):
+        s = add[s, mul[u, v]]
     return s
 
 
@@ -687,19 +731,38 @@ def curve_spec(coeff, p=23):
     return VarietySpec(gram, X, pattern, p)
 
 
-def projective_vectors(K, dim=5):
-    """Pivot-normalized representatives of projective space."""
-    for pivot in range(dim):
-        for tail in product(range(K.q), repeat=dim - pivot - 1):
-            yield [0] * pivot + [1] + list(tail)
+def _projective_chunks(K, n):
+    """P^{n-1}(F_q) as pivot-normalized vectors in bulk, lexicographic
+    within each pivot: one chunk per pivot and leading free coordinate,
+    so at most q^(n-2) vectors at a time."""
+    q = K.q
+    dtype = K.arrays()[0].dtype
+    for pivot in range(n):
+        free = n - pivot - 1
+        if not free:
+            chunk = np.zeros((n, 1), dtype=dtype)
+            chunk[pivot] = 1
+            yield chunk
+            continue
+        tail = np.indices((q,) * (free - 1), dtype=dtype).reshape(
+            free - 1, q ** (free - 1))
+        for lead in range(q):
+            chunk = np.zeros((n, tail.shape[1]), dtype=dtype)
+            chunk[pivot] = 1
+            chunk[pivot + 1] = lead
+            chunk[pivot + 2:] = tail
+            yield chunk
+
+
+def _isotropic(K, gram, V):
+    """The vectors of V with B(v, v) = 0, in order."""
+    return V[:, _dots(K, V, _mat_vecs(K, gram, V)) == 0]
 
 
 def isotropic_points(K, gram):
     out = []
-    for v in projective_vectors(K, len(gram)):
-        gv = _mat_vec(K, gram, v)
-        if _dot(K, v, gv) == 0:
-            out.append(v)
+    for V in _projective_chunks(K, len(gram)):
+        out += _isotropic(K, gram, V).T.tolist()
     return out
 
 
@@ -707,6 +770,7 @@ def _flag_pairs(K, gram):
     """All (v0, v1) spanning a complete isotropic flag: v0 isotropic,
     v1 isotropic and orthogonal to v0, taken projectively mod v0."""
     n = len(gram)
+    spaces = {}  # the projective space of each complement dimension
     for v0 in isotropic_points(K, gram):
         gv0 = _mat_vec(K, gram, v0)
         comp = la.kernel_basis([gv0], K, K.ops)
@@ -718,12 +782,14 @@ def _flag_pairs(K, gram):
             if la.rank(cand, K.ops) == len(cand):
                 span = cand
                 basis.append(w)
+        if not basis:
+            continue
         qgram = [[_dot(K, a, _mat_vec(K, gram, b)) for b in basis]
                  for a in basis]
-        for a in projective_vectors(K, len(basis)):
-            ga = _mat_vec(K, qgram, a)
-            if _dot(K, a, ga):
-                continue
+        if len(basis) not in spaces:
+            spaces[len(basis)] = np.concatenate(
+                list(_projective_chunks(K, len(basis))), axis=1)
+        for a in _isotropic(K, qgram, spaces[len(basis)]).T.tolist():
             v1 = [0] * n
             for t, w in zip(a, basis):
                 v1 = _vec_add(K, v1, _vec_scale(K, t, w))
@@ -769,8 +835,7 @@ def point_count(spec, degrees=(1,), cap=2 * 10 ** 6):
     per extension degree."""
     out = {}
     for deg in degrees:
-        q = spec.p ** deg
-        est = (q ** 3 + q * q + q + 1) * (q + 1)
+        est = flag_total(_field_order(spec.p, deg))
         if est > cap:
             raise ValueError("enumeration too large (%d flags)" % est)
         K = ExtField(spec.p, deg)
@@ -812,23 +877,24 @@ def curve_count(coeff, p=23, deg=1):
     """Fast count for the curve condition: the flag is forced by its
     first vector (V2 must be the span of v0 and Xv0), so one membership
     test per projective isotropic point suffices."""
+    q = _field_order(p, deg)
+    scanned = sum(q ** k for k in range(5))
+    if scanned > 2 * 10 ** 6:
+        raise ValueError("enumeration too large (%d points)" % scanned)
     spec = curve_spec(coeff, p)
     K = ExtField(p, deg)
     gram = [[K.embed(x) for x in row] for row in spec.gram]
     X = [[K.embed(x) for x in row] for row in spec.X]
-    count = 0
-    for v0 in isotropic_points(K, gram):
-        w = _mat_vec(K, X, v0)
-        if _dot(K, v0, _mat_vec(K, gram, w)):
-            continue  # V2 would not be isotropic
-        gw = _mat_vec(K, gram, w)
-        if _dot(K, w, gw):
-            continue
-        if la.rank([v0, w], K.ops) < 2:
-            continue  # Xv0 proportional to v0: flag degenerates
-        if _dot(K, _mat_vec(K, X, w), gw):
-            count += 1
-    return count
+    v0 = np.concatenate([_isotropic(K, gram, V)
+                         for V in _projective_chunks(K, 5)], axis=1)
+    w = _mat_vecs(K, X, v0)
+    gw = _mat_vecs(K, gram, w)
+    # V2 = <v0, w> must be isotropic.  It must also be a plane, but the
+    # last test already fails when w = t v0: then <Xw, Gw> = t^3 <v0, Gv0>,
+    # which is 0 since v0 is isotropic.
+    ok = (_dots(K, v0, gw) == 0) & (_dots(K, w, gw) == 0)
+    ok &= _dots(K, _mat_vecs(K, X, w), gw) != 0
+    return int(np.count_nonzero(ok))
 
 
 def flag_total(q):

@@ -248,6 +248,21 @@ def test_lab_curve_golden(capsys):
     assert "-> 16" in text
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--q", "4"], "p = 4 is not an odd prime"),
+    (["--q", "2"], "p = 2 is not an odd prime"),
+    (["--deg", "0"], "extension degree 0 not supported (1, 2 or 3)"),
+    (["--deg", "4"], "extension degree 4 not supported (1, 2 or 3)"),
+    # P^4(F_529) has 7.8e10 points
+    (["--q", "23", "--deg", "2"],
+     "enumeration too large (78459301541 points)"),
+])
+def test_lab_curve_out_of_reach(argv, message, capsys):
+    code, out, err = run(["lab", "curve"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == message
+
+
 def test_lab_spr_exhaustive_gl2(capsys):
     code, text, _ = run(["lab", "spr", "--n", "2", "--q", "3"], capsys)
     assert code == 0
@@ -276,19 +291,33 @@ def test_oracle_all(capsys):
     assert "7/7 passed" in text
 
 
-def test_entry_point_subprocess():
+def _child_env():
     # the child finds the package the way this process did, also from a
     # checkout that is not installed
     src = str(Path(padicwf.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
-                                             else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                              else ""))
+
+
+def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "padicwf.cli", "lab", "curve",
          "--coeff", "3", "--q", "23"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "-> 0" in proc.stdout
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported on first use; loading it with the command line
+    # doubles the start-up time of every command
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, padicwf.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_inert_options_are_gone(tmp_path, capsys):

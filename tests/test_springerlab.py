@@ -471,11 +471,69 @@ def test_ext_field_frobenius_fixed_field():
 # -- flag variety counts -------------------------------------------------
 
 
-def test_isotropic_point_count_closed_form():
-    spec = sl.curve_spec(1, 3)
-    K = sl.ExtField(3, 1)
-    pts = sl.isotropic_points(K, spec.gram)
-    assert len(pts) == (3 + 1) * (9 + 1)
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
+                                 (23, 1)])
+def test_isotropic_point_count_closed_form(p, d):
+    # the split quadric in P^4(F_q) has (q+1)(q^2+1) points
+    K = sl.ExtField(p, d)
+    pts = sl.isotropic_points(K, sl.curve_spec(1, p).gram)
+    q = p ** d
+    assert len(pts) == (q + 1) * (q * q + 1)
+
+
+def _isotropic_by_direct_scan(p, gram):
+    n = len(gram)
+    out = []
+    for pivot in range(n):
+        for tail in product(range(p), repeat=n - pivot - 1):
+            v = [0] * pivot + [1] + list(tail)
+            if sum(v[i] * gram[i][j] * v[j] for i in range(n)
+                   for j in range(n)) % p == 0:
+                out.append(v)
+    return out
+
+
+@st.composite
+def symmetric_grams(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 5))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(0, p - 1))
+    # a radical: rows and columns forced to vanish
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for i in range(n):
+            gram[i][k] = gram[k][i] = 0
+    return p, gram
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_grams())
+def test_isotropic_points_match_direct_scan(case):
+    p, gram = case
+    assert (sl.isotropic_points(sl.ExtField(p, 1), gram)
+            == _isotropic_by_direct_scan(p, gram))
+
+
+@pytest.mark.parametrize("p,d,message", [
+    (2, 1, "p = 2 is not an odd prime"),
+    (9, 1, "p = 9 is not an odd prime"),
+    (1, 1, "p = 1 is not an odd prime"),
+    (3, 0, "extension degree 0 not supported"),
+    (3, 4, "extension degree 4 not supported"),
+])
+def test_ext_field_rejects_unsupported(p, d, message):
+    with pytest.raises(ValueError, match=message):
+        sl.ExtField(p, d)
+
+
+def test_ext_field_arrays_match_tables():
+    K = sl.ExtField(3, 2)
+    add, mul, neg = K.arrays()
+    assert add.tolist() == K.add and mul.tolist() == K.mul
+    assert neg.tolist() == K.neg
+    assert K.arrays()[0] is add
 
 
 def test_all_free_pattern_counts_all_flags():
@@ -495,6 +553,7 @@ def test_point_count_cap():
 @pytest.mark.parametrize("p,coeff,want", [
     (3, 3, goldens.CURVE_COUNT_Q3[3]), (3, 1, goldens.CURVE_COUNT_Q3[1]),
     (5, 3, goldens.CURVE_COUNT_Q5[3]), (5, 1, goldens.CURVE_COUNT_Q5[1]),
+    (7, 3, 4), (7, 1, 0), (11, 3, 8), (11, 1, 8),
 ])
 def test_curve_fast_path_matches_generic(p, coeff, want):
     generic = sl.point_count(sl.curve_spec(coeff, p), degrees=(1,))[1]
