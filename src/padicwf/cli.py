@@ -222,6 +222,8 @@ def parse_input(text, override=False):
 
 def cmd_wf(args):
     if args.wf_cmd == "example":
+        if args.mode and args.name != "u6":
+            raise CliError("--mode applies to the u6 example only")
         if args.name == "u6":
             results = [("u6 chain", wf.u6_example(args.mode or "exact"))]
         elif args.name == "toral":
@@ -398,6 +400,10 @@ def cmd_lab(args):
     if args.lab_cmd == "count":
         with open(args.spec) as fh:
             data = json.load(fh)
+        missing = [k for k in ("gram", "X", "pattern", "p")
+                   if not isinstance(data, dict) or k not in data]
+        if missing:
+            raise CliError("spec is missing %s" % ", ".join(missing))
         spec = sl.VarietySpec(data["gram"], data["X"], data["pattern"],
                               data["p"])
         degrees = tuple(data.get("degrees", [1]))
@@ -514,7 +520,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", help="write a JSON result file")
-        p.add_argument("--seed", type=int, default=0)
 
     pw = sub.add_parser("wf", help="wave-front computations")
     wsub = pw.add_subparsers(dest="wf_cmd", required=True)
@@ -552,6 +557,7 @@ def build_parser():
     ps.add_argument("--n", type=int, default=2, choices=[2, 3])
     ps.add_argument("--q", type=int, default=3)
     ps.add_argument("--samples", type=int, default=200)
+    ps.add_argument("--seed", type=int, default=0)
     common(ps)
     pcv = lsub.add_parser("curve")
     pcv.add_argument("--coeff", type=int, choices=[3, 1])

@@ -292,10 +292,6 @@ class QuadField:
                 return x
         return None
 
-    def trace_zero_gen(self):
-        """A generator of the trace-zero line over the base field."""
-        return self.gen
-
     def fmt(self, v):
         a, b = v
         if b == 0:

@@ -8,16 +8,15 @@ facet, step down to a facet below and fan out over the finite fiber
 of cosets refining the old one.  Every edge strictly increases the
 (depth, dimension) order, so the graph is acyclic.
 
-Fibers are enumerated exactly over the residue field up to a
-configurable dimension cap; larger fibers raise FiberTooLarge so
-callers can fall back to targeted membership tests.
+Fibers are enumerated exactly over the residue field up to FIBER_CAP
+cosets; larger fibers raise FiberTooLarge so callers can fall back to
+targeted membership tests.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from . import building as bd
-from . import liealg as lie
 from . import linalg as la
 from . import mpquotient as mpq
 from . import orbits as ob
@@ -31,16 +30,8 @@ class FiberTooLarge(ValueError):
         self.dim = dim
 
 
-class GraphConfig:
-    """prune: 'none' or 'label' (drop rule-1 cosets whose label drops,
-    which cannot reach anything); cap: largest number of fiber cosets
-    materialized."""
-
-    def __init__(self, prune="none", cap=2000):
-        assert prune in ("none", "label")
-        assert cap > 0
-        self.prune = prune
-        self.cap = cap
+# largest number of fiber cosets materialized
+FIBER_CAP = 2000
 
 
 def facet_center(facet):
@@ -204,30 +195,22 @@ def fiber_basis(v, below):
     return [mpq._combine(units, vco, model.field, model.n) for vco in kern]
 
 
-def out_edges_rule1(v, below, config=None):
+def out_edges_rule1(v, below):
     """All out-neighbors over one facet below: the coset fans out over
-    the finite fiber.  Raises FiberTooLarge above the enumeration cap."""
-    config = config or GraphConfig()
+    the finite fiber.  Raises FiberTooLarge above FIBER_CAP cosets."""
     basis = fiber_basis(v, below)
     kp = v.model.field.residue.base_or_self()
-    if kp.p ** len(basis) > config.cap:
+    if kp.p ** len(basis) > FIBER_CAP:
         raise FiberTooLarge(len(basis))
     scalars = [kp(a) for a in range(kp.p)]
     out = []
-    base_label = None
-    if config.prune == "label" and v.is_nilpotent():
-        base_label = v.label()
     for coeffs in product(scalars, repeat=len(basis)):
         m = la.mat(v.cmat)
         for cf, B in zip(coeffs, basis):
             if cf:
                 m = la.mat_add(m, la.mat_scale(
                     v.model.field.from_residue(cf), B))
-        u = GraphVertex(v.model, below, m)
-        if base_label is not None and u.is_nilpotent() and \
-                not ob.dominance_leq(base_label, u.label()):
-            continue
-        out.append(u)
+        out.append(GraphVertex(v.model, below, m))
     return out
 
 

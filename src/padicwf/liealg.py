@@ -15,7 +15,7 @@ nilpotent orbits.  Over the local-field model it provides the goodness test
 from fractions import Fraction
 
 from . import linalg as la
-from .ffield import PrimeField, QuadField
+from .ffield import QuadField
 from .localfield import LocalField, PrecisionError
 
 
@@ -232,14 +232,6 @@ def jordan_decomposition(X, field):
     return s, xn
 
 
-def centralizer_dim(X, factor):
-    """dim ker(ad X) in the factor's Lie algebra, over the prime field."""
-    basis = factor.algebra_basis()
-    cols = [factor.flatten_mat(la.bracket(X, B)) for B in basis]
-    M = la.transpose(la.mat(cols))
-    return len(basis) - la.rank(M)
-
-
 def centralizer_basis(X, factor):
     basis = factor.algebra_basis()
     cols = [factor.flatten_mat(la.bracket(X, B)) for B in basis]
@@ -309,48 +301,6 @@ def sl2_complete(c, factor):
     if not trip.check(field):
         raise ValueError("characteristic too small")
     return trip
-
-
-# -- cocharacter gradings ----------------------------------------------
-
-
-def grading_basis(factor, weights, i):
-    """Basis of the weight-i eigenspace of the cocharacter grading."""
-    # the grading is entrywise: split each basis vector by weights
-    out = []
-    for B in factor.algebra_basis():
-        X = [[factor.field.zero] * factor.n for _ in range(factor.n)]
-        nonzero = False
-        for a in range(factor.n):
-            for b in range(factor.n):
-                if weights[a] - weights[b] == i and B[a][b]:
-                    X[a][b] = B[a][b]
-                    nonzero = True
-        if nonzero:
-            out.append(la.mat(X))
-    # reduce to an independent set
-    return _independent_subset(out, factor)
-
-
-def _independent_subset(mats, factor):
-    picked = []
-    rows = []
-    for X in mats:
-        cand = rows + [factor.flatten_mat(X)]
-        if la.rank(la.mat(cand)) > len(rows):
-            rows = cand
-            picked.append(X)
-    return picked
-
-
-def grading_project(X, weights, i, field):
-    n = len(X)
-    out = [[field.zero] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if weights[a] - weights[b] == i:
-                out[a][b] = X[a][b]
-    return la.mat(out)
 
 
 # -- Levi data of a semisimple part, for orbit induction ---------------

@@ -197,10 +197,6 @@ def mat_inv(a, field):
     return tuple(tuple(r[n:]) for r in rows)
 
 
-def conjugate(g, x, field):
-    return mat_mul(mat_mul(g, x), mat_inv(g, field))
-
-
 # -- characteristic polynomial (division-free, Berkowitz) --------------
 
 
@@ -390,11 +386,6 @@ def _dedupe_radical(f, field):
         return poly_monic(f, field)
     q, _ = poly_divmod(f, g, field)
     return _dedupe_radical(q, field)
-
-
-def poly_roots(f, field):
-    """All roots of f in the (small) finite field, by scanning."""
-    return [x for x in field.elements() if not poly_eval(f, x, field)]
 
 
 def poly_powmod(f, e, mod, field):

@@ -395,16 +395,6 @@ class LocalScalar:
             self.field, tuple((w + v, c) for w, c in self.terms),
             None if self.prec is None else self.prec + v)
 
-    def to_field(self, other):
-        """Re-interpret in a compatible field (base into extension)."""
-        if other == self.field:
-            return self
-        assert self.field.kind == "base" and other.q == self.field.q
-        terms = tuple((v, other.residue(c.v if other.residue.degree == 1
-                                        else (c.v, 0)))
-                      for v, c in self.terms)
-        return LocalScalar(other, terms, self.prec)
-
     # -- comparison / display ------------------------------------------
 
     def __eq__(self, other):

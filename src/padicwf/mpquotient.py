@@ -21,7 +21,6 @@ from . import liealg as lie
 from . import linalg as la
 from . import orbits as ob
 from .ffield import QuadField
-from .localfield import PrecisionError
 
 
 class GradedQuotient:
@@ -81,15 +80,6 @@ class GradedQuotient:
     def __repr__(self):
         return "GradedQuotient(%s, w=%s, r=%s)" % (
             self.model.name, list(self.w), self.r)
-
-
-def heart_algebra(model, w, r):
-    p = model.field.q
-    for v in tuple(Fraction(wi) for wi in w) + (Fraction(r),):
-        if v.denominator % p == 0:
-            raise ValueError(
-                "denominator divisible by the residue characteristic")
-    return GradedQuotient(model, w, r)
 
 
 class QuotientElement:

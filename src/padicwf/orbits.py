@@ -175,47 +175,6 @@ def dynkin_cocharacter(lam):
     return tuple(sorted(weights, reverse=True))
 
 
-class OrbitLabel:
-    """A nilpotent orbit label in a product of classical factors.
-
-    factors: tuple of (type tag, partition).  Comparison is factorwise
-    dominance and demands the same ambient structure.
-    """
-
-    def __init__(self, factors):
-        self.factors = tuple((t, partition(p)) for t, p in factors)
-        for t, p in self.factors:
-            assert is_valid(p, t), "%s not valid for type %s" % (p, t)
-
-    def signature(self):
-        return tuple((t, sum(p)) for t, p in self.factors)
-
-    def leq(self, other):
-        if self.signature() != other.signature():
-            raise ValueError("labels live in different groups")
-        return all(dominance_leq(p, q) for (_, p), (_, q)
-                   in zip(self.factors, other.factors))
-
-    def __eq__(self, other):
-        return isinstance(other, OrbitLabel) and \
-            self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
-
-    def __repr__(self):
-        if len(self.factors) == 1:
-            return fmt_partition(self.factors[0][1])
-        return "(" + ", ".join(fmt_partition(p)
-                               for _, p in self.factors) + ")"
-
-
 def fmt_partition(lam):
     return "[" + ",".join(str(p) for p in lam) + "]"
 
-
-def parse_partition(text):
-    text = text.strip().strip("[]")
-    if not text:
-        return ()
-    return partition(int(x) for x in text.split(","))

@@ -34,91 +34,19 @@ class _Numpy:
 np = _Numpy()
 
 
-# -- exact cyclotomic integers -------------------------------------------
-
-
-def _canon(p, vec):
-    last = vec[p - 1]
-    return tuple(v - last for v in vec)
-
-
-class Cyc:
-    """An element of Z[zeta_p], stored as the coefficient vector of
-    (1, zeta, ..., zeta^{p-1}) reduced so the last coefficient is 0."""
-
-    __slots__ = ("p", "vec")
-
-    def __init__(self, p, vec=None):
-        self.p = p
-        if vec is None:
-            vec = (0,) * p
-        assert len(vec) == p
-        self.vec = _canon(p, tuple(vec))
-
-    @classmethod
-    def from_int(cls, p, n):
-        return cls(p, (n,) + (0,) * (p - 1))
-
-    def shift(self, j):
-        """Multiply by zeta^j."""
-        j %= self.p
-        v = self.vec
-        return Cyc(self.p, v[-j:] + v[:-j] if j else v)
-
-    def __add__(self, other):
-        assert self.p == other.p
-        return Cyc(self.p, tuple(a + b for a, b in zip(self.vec, other.vec)))
-
-    def __sub__(self, other):
-        assert self.p == other.p
-        return Cyc(self.p, tuple(a - b for a, b in zip(self.vec, other.vec)))
-
-    def __neg__(self):
-        return Cyc(self.p, tuple(-a for a in self.vec))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Cyc(self.p, tuple(a * other for a in self.vec))
-        assert self.p == other.p
-        out = [0] * self.p
-        for i, a in enumerate(self.vec):
-            if a:
-                for j, b in enumerate(other.vec):
-                    out[(i + j) % self.p] += a * b
-        return Cyc(self.p, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Cyc.from_int(self.p, other)
-        return self.p == other.p and self.vec == other.vec
-
-    def __hash__(self):
-        return hash((self.p, self.vec))
-
-    def __bool__(self):
-        return any(self.vec)
-
-    def __repr__(self):
-        return "Cyc(%d, %s)" % (self.p, list(self.vec))
-
-
-def zeta(p, j=1):
-    return Cyc.from_int(p, 1).shift(j)
-
-
 # -- matrices over F_p, in bulk ------------------------------------------
 
 
 class MatContext:
-    """gl_n over the prime field F_p, with exhaustive enumerations."""
+    """gl_n over the prime field F_p, with exhaustive enumerations of at
+    most CAP matrices."""
 
-    def __init__(self, n, p, cap=10 ** 6):
+    CAP = 10 ** 6
+
+    def __init__(self, n, p):
         self.n = n
         self.p = p
         self.dim = n * n
-        self.cap = cap
         self.field = ff.prime_field(p)
         self._group = None
         self._nilmask = None
@@ -127,7 +55,7 @@ class MatContext:
         return self.p ** self.dim
 
     def all_matrices(self):
-        if self.size() > self.cap:
+        if self.size() > self.CAP:
             raise ValueError("group too large (%d matrices)" % self.size())
         n, p = self.n, self.p
         idx = np.arange(self.size())
@@ -217,7 +145,7 @@ class MatContext:
             power = (power @ m) % self.p
         return not power.any()
 
-    def jordan_decomposition(self, m, rng=None):
+    def jordan_decomposition(self, m):
         s, n = lie.jordan_decomposition(self.to_ff(m), self.field)
         return self.from_ff(s), self.from_ff(n)
 
@@ -291,18 +219,12 @@ class FnOnPiece:
         vals[:, 0] = value
         return cls(p, dim, vals)
 
-    def value(self, idx):
-        return Cyc(self.p, tuple(int(x) for x in self.vals[idx]))
-
     def canonical(self):
         return self.vals - self.vals[:, -1:]
 
     def same(self, other):
         return (self.p == other.p and self.dim == other.dim
                 and np.array_equal(self.canonical(), other.canonical()))
-
-    def support(self):
-        return np.nonzero(self.canonical().any(axis=1))[0]
 
     def negate_argument(self):
         p, dim = self.p, self.dim
@@ -377,18 +299,6 @@ def test_fn(ctx, c, h, d):
     return FnOnPiece.from_ints(ctx.p, ctx.dim, table)
 
 
-def inner(f, g):
-    """<f, g> = sum_x f(x) g(x), exact."""
-    p = f.p
-    out = [0] * p
-    fa, ga = f.vals, g.vals
-    for i in range(p):
-        for j in range(p):
-            s = int(np.dot(fa[:, i], ga[:, j]))
-            out[(i + j) % p] += s
-    return Cyc(p, tuple(out))
-
-
 def conil_support_ok(ctx, f, pairing=None):
     """Whether the transform of f is supported on the nilpotent cone."""
     fhat = fourier(f, pairing or trace_pairing(ctx.n))
@@ -424,11 +334,11 @@ def nilradical_positions(comp, n, lower=False):
     return out
 
 
-def split_for_parabolic(ctx, x, comp, lower=False, rng=None):
+def split_for_parabolic(ctx, x, comp):
     """Jordan decomposition of x, checked against the standard parabolic
     of the given composition: the semisimple part must be scalar on each
     Levi block, with distinct scalars across blocks."""
-    xs, xn = ctx.jordan_decomposition(x, rng)
+    xs, xn = ctx.jordan_decomposition(x)
     edges = _blocks(comp)
     scalars = []
     for b in range(len(comp)):
@@ -447,11 +357,11 @@ def split_for_parabolic(ctx, x, comp, lower=False, rng=None):
     return xs, xn
 
 
-def verify_spr(ctx, x, comp, lower=False, xis=None, rng=None):
+def verify_spr(ctx, x, comp, lower=False, xis=None):
     """The parabolic identity: |U_P| <I_x, xi> = <I_{x_n + u_P}, xi> for
     every xi in a spanning family of conilpotent invariant functions."""
     x = np.asarray(x, dtype=np.int64) % ctx.p
-    xs, xn = split_for_parabolic(ctx, x, comp, lower, rng)
+    xs, xn = split_for_parabolic(ctx, x, comp)
     if xis is None:
         xis = [test_fn(ctx, c, h, d) for _, c, h, d in good_reps(ctx)]
     positions = nilradical_positions(comp, ctx.n, lower)
@@ -708,10 +618,15 @@ class VarietySpec:
         self.X = [list(map(int, row)) for row in X]
         self.pattern = [list(row) for row in pattern]
         self.p = p
-        n = len(self.gram)
-        assert all(len(r) == n for r in self.gram)
-        assert all(self.pattern[i][j] in "*0!" for i in range(n)
-                   for j in range(n))
+        if not isinstance(p, int):
+            raise ValueError("p must be an integer")
+        for name in ("gram", "X", "pattern"):
+            rows = getattr(self, name)
+            if len(rows) != 5 or any(len(r) != 5 for r in rows):
+                raise ValueError("%s must be 5x5" % name)
+        if any(c not in ("*", "0", "!") for row in self.pattern
+               for c in row):
+            raise ValueError("pattern entries must be '*', '0' or '!'")
 
 
 def curve_spec(coeff, p=23):
@@ -811,7 +726,9 @@ def _adapted_basis(K, gram, v0, v1):
             break
     s = _dot(K, v2, _mat_vec(K, gram, v2))
     root = K.sqrt[s]
-    assert root, "middle vector has isotropic norm"
+    if not root:
+        raise ValueError("middle vector has norm %d, not a nonzero square "
+                         "in F_%d" % (s, K.q))
     v2 = _vec_scale(K, K.inv[root], v2)
     gv2 = _mat_vec(K, gram, v2)
     # v3: pairs with v1, isotropic
@@ -908,27 +825,21 @@ def flag_total(q):
 
 def theta_count(x, p, deg=1):
     """|Theta(x)(k')| for x in gl_2 with regular induced orbit: group
-    elements moving x into the regular Slodowy slice, divided by the
-    stabilizer of the triple (the scalars)."""
+    elements moving x into the regular Slodowy slice [[t, 1], [u, t]],
+    divided by the stabilizer of the triple (the scalars).  All q^4
+    matrices g = [[a, b], [c, d]] are tested at once, through
+    det(g) Ad(g)x = g x adj(g): g qualifies when det(g) is nonzero,
+    entry (0, 1) of g x adj(g) is det(g) and its diagonal is constant."""
     K = ExtField(p, deg)
-    q = K.q
-    x = [[K.embed(int(e)) for e in row] for row in x]
-    count = 0
-    for a, b, c, d in product(range(q), repeat=4):
-        det = K.add[K.mul[a][d]][K.neg[K.mul[b][c]]]
-        if det == 0:
-            continue
-        di = K.inv[det]
-        # Ad(g)x for g = [[a,b],[c,d]]
-        m = [[K.add[K.mul[a][x[0][0]]][K.mul[b][x[1][0]]],
-              K.add[K.mul[a][x[0][1]]][K.mul[b][x[1][1]]]],
-             [K.add[K.mul[c][x[0][0]]][K.mul[d][x[1][0]]],
-              K.add[K.mul[c][x[0][1]]][K.mul[d][x[1][1]]]]]
-        y00 = K.mul[di][K.add[K.mul[m[0][0]][d]][K.neg[K.mul[m[0][1]][c]]]]
-        y01 = K.mul[di][K.add[K.mul[m[0][1]][a]][K.neg[K.mul[m[0][0]][b]]]]
-        y11 = K.mul[di][K.add[K.mul[m[1][1]][a]][K.neg[K.mul[m[1][0]][b]]]]
-        # slice through the regular nilpotent: [[t, 1], [u, t]]
-        if y01 == 1 and y00 == y11:
-            count += 1
-    assert count % (q - 1) == 0
-    return count // (q - 1)
+    add, mul, neg = K.arrays()
+    sub = lambda u, v: add[u, neg[v]]
+    (x00, x01), (x10, x11) = [[K.embed(int(e)) for e in row] for row in x]
+    a, b, c, d = np.indices((K.q,) * 4, dtype=add.dtype).reshape(4, -1)
+    det = sub(mul[a, d], mul[b, c])
+    m00, m01 = add[mul[a, x00], mul[b, x10]], add[mul[a, x01], mul[b, x11]]
+    m10, m11 = add[mul[c, x00], mul[d, x10]], add[mul[c, x01], mul[d, x11]]
+    ok = (det != 0) & (sub(mul[m01, a], mul[m00, b]) == det)
+    ok &= sub(mul[m00, d], mul[m01, c]) == sub(mul[m11, a], mul[m10, b])
+    count = int(np.count_nonzero(ok))
+    assert count % (K.q - 1) == 0
+    return count // (K.q - 1)

@@ -47,23 +47,6 @@ class GroupSpec:
                 % (self.q, 6 * self.rank - 1, self.rank))
 
 
-def levi_centralizer(gamma, field, n):
-    """Centralizer structure of a diagonalizable matrix with entries on
-    the diagonal: eigenvalue-grouped block sizes.  Only the diagonal
-    case is supported."""
-    for i in range(n):
-        for j in range(n):
-            if i != j and gamma[i][j].terms:
-                raise NotImplementedError(
-                    "centralizer only computed for diagonal elements")
-    groups = {}
-    for i in range(n):
-        key = tuple(gamma[i][i].terms)
-        groups.setdefault(key, []).append(i)
-    return sorted((tuple(v) for v in groups.values()), key=len,
-                  reverse=True)
-
-
 class Entry:
     """One orbit representative in a spectral datum: a named apartment
     point together with an exact matrix for the coset."""
@@ -149,16 +132,6 @@ def descend(datum, piece_fn):
     at this depth, per orbit representative."""
     return SpectralDatum(datum.depth,
                          [e.with_added(piece_fn) for e in datum.entries])
-
-
-def step_contributions(datum):
-    """Induced label of every entry, at integer depth."""
-    if datum.depth.denominator != 1:
-        raise ValueError("non-integral depth %s" % datum.depth)
-    out = []
-    for e in datum.entries:
-        out.append((e, mpq.n_label(e.coset(datum.depth))))
-    return out
 
 
 def wf_upper_bound(datum, notes=()):

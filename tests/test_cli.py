@@ -269,6 +269,17 @@ def test_lab_spr_exhaustive_gl2(capsys):
     assert "0 failures" in text
 
 
+def test_wf_example_u6_bound_mode(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    code, text, _ = run(["wf", "example", "u6", "--mode", "bound",
+                         "--out", str(out)], capsys)
+    assert code == 0
+    assert "[4,1,1]" in text and "[3,3]" in text
+    data = json.loads(out.read_text())
+    assert data["manifest"]["mode"] == "bound"
+    assert data["result"]["runs"][0]["notes"]
+
+
 def test_lab_count_spec_file(tmp_path, capsys):
     from padicwf import springerlab as sl
     spec = sl.curve_spec(1, 3)
@@ -280,6 +291,46 @@ def test_lab_count_spec_file(tmp_path, capsys):
     code, text, _ = run(["lab", "count", "--spec", str(path)], capsys)
     assert code == 0
     assert "4 points" in text
+
+
+def _curve_spec_data(**changes):
+    from padicwf import springerlab as sl
+    spec = sl.curve_spec(1, 3)
+    data = {"gram": spec.gram, "X": spec.X,
+            "pattern": ["".join(r) for r in spec.pattern], "p": 3}
+    data.update(changes)
+    return {k: v for k, v in data.items() if v is not None}
+
+
+# 2 * antidiag is a non-square multiple of the split form at p = 3
+TWICE_SPLIT = [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)]
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"pattern": ["?????"] * 5}, "pattern entries must be '*', '0' or '!'"),
+    ({"pattern": ["****"] * 4}, "pattern must be 5x5"),
+    ({"X": None}, "spec is missing X"),
+    ({"p": "3"}, "p must be an integer"),
+    ({"gram": TWICE_SPLIT},
+     "middle vector has norm 2, not a nonzero square in F_3"),
+])
+def test_lab_count_rejects_malformed_spec(changes, message, tmp_path,
+                                          capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_curve_spec_data(**changes)))
+    code, out, err = run(["lab", "count", "--spec", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == message
+
+
+def test_lab_count_non_split_gram_over_square_extension(tmp_path, capsys):
+    # 2 is a square in F_9, so the same form counts there
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_curve_spec_data(gram=TWICE_SPLIT,
+                                                degrees=[2])))
+    code, text, _ = run(["lab", "count", "--spec", str(path)], capsys)
+    assert code == 0
+    assert "degree 2 (q = 9): 8 points" in text
 
 
 # -- oracle and plumbing -------------------------------------------------
@@ -322,11 +373,21 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_inert_options_are_gone(tmp_path, capsys):
     # no computation reads a thread count, a denominator bound or a
-    # precision, so none is an option or a manifest key
-    for argv in (["--threads", "2"], ["--precision", "5"]):
+    # precision, so none is an option or a manifest key; only lab spr
+    # draws random samples, so only it takes a seed
+    for argv in (["--threads", "2"], ["--precision", "5"],
+                 ["--seed", "5"]):
         with pytest.raises(SystemExit) as err:
             cli.main(["wf", "example", "toral"] + argv)
         assert err.value.code == 2
+    capsys.readouterr()
+    # only the u6 example and wf compute read the mode
+    for name in ("u7", "toral"):
+        code, out, err = run(["wf", "example", name, "--mode", "bound"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == \
+            "--mode applies to the u6 example only"
     out = tmp_path / "r.json"
     code, _, _ = run(["wf", "example", "toral", "--out", str(out)], capsys)
     assert code == 0
@@ -337,9 +398,9 @@ def test_inert_options_are_gone(tmp_path, capsys):
 def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
     # the parser is built once per process; each call parses afresh
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["wf", "example", "toral", "--seed", "5", "--out",
+    assert run(["lab", "spr", "--n", "2", "--seed", "5", "--out",
                 str(first)], capsys)[0] == 0
-    assert run(["wf", "example", "toral", "--out", str(second)],
+    assert run(["lab", "spr", "--n", "2", "--out", str(second)],
                capsys)[0] == 0
     assert json.loads(first.read_text())["manifest"]["seed"] == 5
     assert json.loads(second.read_text())["manifest"]["seed"] == 0

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from padicwf.ffield import (FFElt, is_prime, least_nonresidue, prime_field,
+from padicwf.ffield import (is_prime, least_nonresidue, prime_field,
                             quad_field)
 
 
@@ -68,7 +68,7 @@ def test_quad_field_tower():
 
 def test_trace_zero_line():
     E = quad_field(3)
-    g = E.trace_zero_gen()
+    g = E.gen
     assert g.trace() == E.base(0)
     assert g  # nonzero
 

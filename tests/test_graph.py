@@ -4,8 +4,6 @@ import pytest
 
 from padicwf import building as bd
 from padicwf import graph as gr
-from padicwf import mpquotient as mpq
-from padicwf import orbits as ob
 
 
 def zmat(field, n):
@@ -63,14 +61,6 @@ def test_facet_center_lies_in_facet():
     assert bd.facet_of(m, win, x, r).signs == v.facet.signs
 
 
-def test_graph_config_validation():
-    gr.GraphConfig(prune="label", cap=10)
-    with pytest.raises(AssertionError):
-        gr.GraphConfig(prune="maybe")
-    with pytest.raises(AssertionError):
-        gr.GraphConfig(cap=0)
-
-
 # -- rule 2: the cocharacter walk ----------------------------------------
 
 
@@ -124,17 +114,6 @@ def test_rule1_fiber_nilpotent_part():
     assert len(nil) == 1
     assert nil[0].coset() == gr.GraphVertex(m, below, c).coset()
     assert nil[0].label() == (2,)
-
-
-def test_rule1_label_prune_keeps_dominating_cosets():
-    m, win, c, v = sl2_setup()
-    u = gr.out_edge_rule2(v)
-    below = bd.facets_below(u.facet)[0]
-    cfg = gr.GraphConfig(prune="label")
-    outs = gr.out_edges_rule1(u, below, cfg)
-    for o in outs:
-        if o.is_nilpotent():
-            assert ob.dominance_leq(u.label(), o.label())
 
 
 def test_fiber_too_large():

@@ -155,14 +155,6 @@ def test_poly_gcd_and_radical():
     assert rad == la.poly_monic(g, F)
 
 
-def test_poly_roots():
-    F = prime_field(5)
-    # x^2 - 1 has roots 1 and 4
-    f = [F(-1), F(0), F(1)]
-    roots = la.poly_roots(f, F)
-    assert sorted(r.v for r in roots) == [1, 4]
-
-
 def test_bracket_and_trace():
     F = prime_field(5)
     rng = random.Random(1)

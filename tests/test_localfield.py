@@ -140,11 +140,3 @@ def test_equality_semantics():
     c = F.parse("1 + t^4 + O(t^5)")
     assert a == c  # the t^4 term is hidden below O(t^3): weak equality
     assert not (b == c)
-
-
-def test_base_to_extension():
-    a = F.parse("t + 3")
-    for ext in (E_UR, E_RAM):
-        b = a.to_field(ext)
-        assert b.val() == 0
-        assert (b - b.conj()).is_zero_weak()

@@ -120,12 +120,6 @@ def test_project_u6_diagonal():
     assert not c.is_nilpotent()
 
 
-def test_quotient_denominator_guard():
-    m = bd.sl2_model(3)
-    with pytest.raises(ValueError):
-        mpq.heart_algebra(m, (Fr(1, 3), Fr(-1, 3)), 0)
-
-
 # -- labels --------------------------------------------------------------
 
 

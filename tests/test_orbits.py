@@ -105,22 +105,6 @@ def test_dynkin_cocharacter():
     assert ob.dynkin_cocharacter([4, 1]) == (3, 1, 0, -1, -3)
 
 
-def test_orbit_label():
-    a = ob.OrbitLabel([("B", (5,)), ("C", (2,))])
-    b = ob.OrbitLabel([("B", (3, 1, 1)), ("C", (2,))])
-    assert b.leq(a) and not a.leq(b)
-    assert repr(a) == "([5], [2])"
-    c = ob.OrbitLabel([("A", (4, 1))])
-    assert repr(c) == "[4,1]"
-    with pytest.raises(ValueError):
-        a.leq(c)
-
-
-def test_parse_partition():
-    assert ob.parse_partition("[4,1,1]") == (4, 1, 1)
-    assert ob.parse_partition("[]") == ()
-
-
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1,
                 max_size=5))
 def test_collapse_idempotent(parts):

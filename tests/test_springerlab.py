@@ -40,28 +40,6 @@ def e12(n=2):
     return m
 
 
-# -- cyclotomic integers -------------------------------------------------
-
-
-def test_cyc_root_of_unity_relations():
-    z = sl.zeta(3)
-    assert z * z * z == 1
-    assert z + z.shift(1) + sl.Cyc.from_int(3, 1) == 0  # 1 + z + z^2 = 0
-    assert sl.zeta(5).shift(4) == 1
-
-
-def test_cyc_ring_ops():
-    p = 5
-    a = sl.Cyc(p, (1, 2, 0, -1, 3))
-    b = sl.Cyc(p, (0, 1, 1, 0, 0))
-    assert a + b - b == a
-    assert a * sl.Cyc.from_int(p, 1) == a
-    assert (a * b).shift(2) == a * b.shift(2)
-    assert -(a - a) == sl.Cyc(p)
-    assert not sl.Cyc(p)
-    assert bool(a)
-
-
 # -- Fourier transform ---------------------------------------------------
 
 
@@ -440,6 +418,27 @@ def test_theta_count_linear_growth():
     assert goldens.THETA_DIAG_GL2[9] == 9 - 1
 
 
+def _theta_reference(x, p):
+    # Ad(g)x = g x g^-1 over F_p, one g at a time, inverse written out
+    count = 0
+    for a, b, c, d in product(range(p), repeat=4):
+        det = (a * d - b * c) % p
+        if det:
+            g = np.array([[a, b], [c, d]])
+            ginv = pow(det, p - 2, p) * np.array([[d, -b], [-c, a]]) % p
+            y = g @ np.array(x) @ ginv % p
+            count += y[0, 1] == 1 and y[0, 0] == y[1, 1]
+    return count // (p - 1)
+
+
+@pytest.mark.parametrize("p, samples", [(3, 81), (5, 12)])
+def test_theta_count_matches_direct_reference(p, samples):
+    xs = list(product(range(p), repeat=4))
+    for x in random.Random(p).sample(xs, samples):
+        x = [x[:2], x[2:]]
+        assert sl.theta_count(x, p) == _theta_reference(x, p)
+
+
 # -- extension fields ----------------------------------------------------
 
 
@@ -576,5 +575,5 @@ def test_curve_decision_at_q23():
 
 def test_variety_spec_validates_pattern():
     spec = sl.curve_spec(1, 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="pattern entries"):
         sl.VarietySpec(spec.gram, spec.X, ["?????"] * 5, 3)

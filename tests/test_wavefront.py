@@ -1,9 +1,6 @@
-from fractions import Fraction as Fr
-
 import pytest
 
 from padicwf import building as bd
-from padicwf import liealg as lie
 from padicwf import linalg as la
 from padicwf import orbits as ob
 from padicwf import wavefront as wf
@@ -19,20 +16,6 @@ def test_char_bound():
     with pytest.raises(ValueError, match="p > 41"):
         wf.u7_spec().check_char()
     wf.u7_spec().check_char(override=True)
-
-
-def test_levi_centralizer_diagonal():
-    m = bd.u6_model(23)
-    blocks = wf.levi_centralizer(wf.u6_gamma_deep(m), m.field, 6)
-    # two zero eigenvalues group together, the rest are singletons
-    assert sorted(len(b) for b in blocks) == [1, 1, 1, 1, 2]
-    assert (0, 1) in blocks
-
-
-def test_levi_centralizer_rejects_non_diagonal():
-    m = bd.u6_model(23)
-    with pytest.raises(NotImplementedError):
-        wf.levi_centralizer(wf.u6_chain_regular(m), m.field, 6)
 
 
 # -- chain validation ----------------------------------------------------
@@ -103,20 +86,6 @@ def test_descend_adds_piece_to_every_entry():
                       la.mat_scale(m.field.from_int(-1),
                                    seed.entries[0].cmat))
     assert diff == want
-
-
-def test_step_contributions_u6():
-    datum = wf.descend(wf.u6_seed(), wf.u6_gamma_deep)
-    got = {e.name: lab for e, lab in wf.step_contributions(datum)}
-    assert got == {"y": (4, 1, 1), "alcove": (3, 1, 1, 1), "z": (3, 3)}
-
-
-def test_step_contributions_rejects_non_integral():
-    m = bd.u7_model(23)
-    datum = wf.SpectralDatum(Fr(1, 2), [
-        wf.Entry("y", m, m.point(wf.U7_Y), wf.zmat(m.field, 7))])
-    with pytest.raises(ValueError, match="non-integral depth"):
-        wf.step_contributions(datum)
 
 
 def test_compute_wf_requires_matching_depth():
