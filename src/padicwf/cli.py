@@ -406,7 +406,10 @@ def cmd_lab(args):
             raise CliError("spec is missing %s" % ", ".join(missing))
         spec = sl.VarietySpec(data["gram"], data["X"], data["pattern"],
                               data["p"])
-        degrees = tuple(data.get("degrees", [1]))
+        degrees = data.get("degrees", [1])
+        if not isinstance(degrees, list) or not degrees or any(
+                type(d) is not int for d in degrees):
+            raise CliError("degrees must be a non-empty list of integers")
         counts = sl.point_count(spec, degrees)
         for d in degrees:
             print("degree %d (q = %d): %d points"

@@ -10,6 +10,10 @@ Elements are small immutable wrappers; all arithmetic is exact.  QuadField
 elements carry the Frobenius a -> a^p as .conj().  Fields are cached so two
 fields with the same parameters are the same object, which makes element
 compatibility checks cheap.
+
+Each field fixes how its elements are written over the prime field: `basis`
+is (1,) or (1, s), and `coords(a)` gives the prime-field coordinates of a in
+that basis.  Other modules flatten residues only through these two.
 """
 
 from functools import lru_cache
@@ -162,6 +166,7 @@ class PrimeField:
         self.degree = 1
         self.zero = FFElt(self, 0)
         self.one = FFElt(self, 1)
+        self.basis = (self.one,)
 
     def base_or_self(self):
         return self
@@ -187,6 +192,9 @@ class PrimeField:
 
     def _conj(self, u):
         return u
+
+    def coords(self, a):
+        return [a]
 
     def trace(self, a):
         return a
@@ -231,6 +239,7 @@ class QuadField:
         self.zero = FFElt(self, (0, 0))
         self.one = FFElt(self, (1, 0))
         self.gen = FFElt(self, (0, 1))  # the square root of n
+        self.basis = (self.one, self.gen)
 
     def base_or_self(self):
         return self.base
@@ -269,6 +278,10 @@ class QuadField:
 
     def _conj(self, u):
         return (u[0], (-u[1]) % self.p)
+
+    def coords(self, a):
+        """Coordinates of a over the base field in the basis (1, s)."""
+        return [FFElt(self.base, a.v[0]), FFElt(self.base, a.v[1])]
 
     def trace(self, a):
         """Trace to the base field."""

@@ -105,7 +105,7 @@ def _walk_direction(v):
     weights = []
     for i in range(n):
         cf = trip.h[i][i].residue_at(0) if trip.h[i][i].terms else kres.zero
-        val = cf.v if not isinstance(cf.v, tuple) else cf.v[0]
+        val = kres.coords(cf)[0].v
         weights.append(Fraction(val if val <= p // 2 else val - p))
     rows = [list(coeffs) for coeffs, const in model.weight_funcs]
     lam = bd.qsolve_unique(rows, weights)
@@ -185,7 +185,7 @@ def fiber_basis(v, below):
     factor = mpq._local_factor(model)
     zero = la.zero_mat(model.field, model.n)
     defects = [factor.lie_defect(B) or zero for B in units]
-    rows, _ = mpq._local_system(defects, [zero], kres, kp)
+    rows, _ = mpq._local_system(defects, [zero], kres)
     if not rows:
         kern = [tuple(la.fone(kp) if i == j else la.fzero(kp)
                       for i in range(len(units)))

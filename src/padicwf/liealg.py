@@ -15,8 +15,8 @@ nilpotent orbits.  Over the local-field model it provides the goodness test
 from fractions import Fraction
 
 from . import linalg as la
-from .ffield import QuadField
 from .localfield import LocalField, PrecisionError
+from .orbits import ls_induce, partition
 
 
 class Factor:
@@ -93,29 +93,9 @@ class Factor:
 
     # -- finite-field structure ----------------------------------------
 
-    def prime_subfield(self):
-        f = self.field
-        return f.base if isinstance(f, QuadField) else f
-
-    def coord_basis(self):
-        """Basis of the entry field over the prime subfield."""
-        f = self.field
-        if isinstance(f, QuadField):
-            return [f.one, f.gen]
-        return [f.one]
-
-    def flatten_entry(self, x):
-        f = self.field
-        if isinstance(f, QuadField):
-            return [f.base(x.v[0]), f.base(x.v[1])]
-        return [x]
-
     def flatten_mat(self, X):
-        out = []
-        for row in X:
-            for e in row:
-                out.extend(self.flatten_entry(e))
-        return out
+        """Entries of X over the prime subfield, row by row."""
+        return [c for row in X for e in row for c in self.field.coords(e)]
 
     def algebra_basis(self):
         """Basis matrices of the Lie algebra over the prime subfield."""
@@ -123,11 +103,10 @@ class Factor:
         if self._basis is not None:
             return self._basis
         n, f = self.n, self.field
-        kp = self.prime_subfield()
         gens = []
         for i in range(n):
             for j in range(n):
-                for b in self.coord_basis():
+                for b in f.basis:
                     E = [[f.zero] * n for _ in range(n)]
                     E[i][j] = b
                     gens.append(la.mat(E))
@@ -136,9 +115,9 @@ class Factor:
             return gens
         cols = [self.flatten_mat(self.lie_defect(E)) for E in gens]
         M = la.transpose(la.mat(cols))
-        ker = la.kernel_basis(M, kp)
+        ker = la.kernel_basis(M, f.base_or_self())
         basis = []
-        k2 = len(self.coord_basis())
+        k2 = len(f.basis)
         for v in ker:
             X = [[f.zero] * n for _ in range(n)]
             for idx, coef in enumerate(v):
@@ -146,7 +125,7 @@ class Factor:
                     continue
                 pos, b = divmod(idx, k2)
                 i, j = divmod(pos, n)
-                X[i][j] = X[i][j] + self.coord_basis()[b] * coef
+                X[i][j] = X[i][j] + f.basis[b] * coef
             basis.append(la.mat(X))
         self._basis = basis
         return basis
@@ -154,8 +133,7 @@ class Factor:
     def dim(self):
         """Dimension over the prime subfield."""
         if self.kind == "gl":
-            d = 2 if isinstance(self.field, QuadField) else 1
-            return self.n * self.n * d
+            return self.n * self.n * self.field.degree
         return len(self.algebra_basis())
 
     def from_coords(self, coeffs):
@@ -165,11 +143,6 @@ class Factor:
             if c:
                 X = la.mat_add(X, la.mat_scale(c, B))
         return X
-
-    def random_element(self, rng):
-        kp = self.prime_subfield()
-        return self.from_coords([kp.random(rng)
-                                 for _ in self.algebra_basis()])
 
     def __repr__(self):
         return "%s_%d(%r)" % (self.kind, self.n, self.field)
@@ -188,26 +161,29 @@ def is_nilpotent(X, field):
     return all(not e for row in P for e in row)
 
 
+def _block_sizes(A, d, full):
+    """Partition of the Jordan block sizes of A on its generalized kernel,
+    of dimension `full`, each block of size k spanning d*k dimensions.
+
+    Read from the kernel dimensions of successive powers: there are
+    (dim ker A^k - dim ker A^(k-1)) / d blocks of size at least k.
+    Raises ValueError("not nilpotent") if the kernels stop short of full.
+    """
+    n = len(A)
+    dims, P = [0], None
+    while dims[-1] < full:
+        P = A if P is None else la.mat_mul(P, A)
+        dims.append(n - la.rank(P))
+        if dims[-1] == dims[-2]:
+            raise ValueError("not nilpotent")
+    geq = [(b - a) // d for a, b in zip(dims, dims[1:])]
+    return partition(sum(1 for g in geq if g > i)
+                     for i in range(max(geq, default=0)))
+
+
 def jordan_type(X, field):
     """Partition of n recording the Jordan block sizes of a nilpotent X."""
-    n = len(X)
-    ranks = [n]
-    P = None
-    for k in range(1, n + 1):
-        P = X if P is None else la.mat_mul(P, X)
-        ranks.append(la.rank(P))
-        if ranks[-1] == 0:
-            break
-    if ranks[-1] != 0:
-        raise ValueError("not nilpotent")
-    # blocks of size >= k: ranks[k-1] - ranks[k]
-    parts = []
-    for k in range(1, len(ranks)):
-        geq_k = ranks[k - 1] - ranks[k]
-        geq_k1 = (ranks[k] - ranks[k + 1]) if k + 1 < len(ranks) else 0
-        parts.extend([k] * (geq_k - geq_k1))
-    from .orbits import partition
-    return partition(parts)
+    return _block_sizes(X, 1, len(X))
 
 
 def jordan_decomposition(X, field):
@@ -236,7 +212,7 @@ def centralizer_basis(X, factor):
     basis = factor.algebra_basis()
     cols = [factor.flatten_mat(la.bracket(X, B)) for B in basis]
     M = la.transpose(la.mat(cols))
-    ker = la.kernel_basis(M, factor.prime_subfield())
+    ker = la.kernel_basis(M, factor.field.base_or_self())
     return [factor.from_coords(v) for v in ker]
 
 
@@ -245,7 +221,6 @@ class Sl2Triple:
         self.c, self.h, self.d = c, h, d
 
     def check(self, field):
-        n = len(self.c)
         two = la.fone(field) + la.fone(field)
         ok = (la.bracket(self.h, self.c) == la.mat_scale(two, self.c)
               and la.bracket(self.h, self.d) ==
@@ -275,7 +250,7 @@ def sl2_complete(c, factor):
             for B in basis]
     M = la.transpose(la.mat(cols))
     rhs = factor.flatten_mat(la.mat_scale(-two, c))
-    sol = la.solve(M, rhs, factor.prime_subfield())
+    sol = la.solve(M, rhs, field.base_or_self())
     if sol is None:
         raise ValueError("characteristic too small")
     d0 = factor.from_coords(sol)
@@ -290,7 +265,7 @@ def sl2_complete(c, factor):
             for Z in zc]
         M2 = la.transpose(la.mat(cols))
         sol2 = la.solve(M2, factor.flatten_mat(defect),
-                        factor.prime_subfield())
+                        field.base_or_self())
         if sol2 is None:
             raise ValueError("characteristic too small")
         u = la.zero_mat(field, n)
@@ -306,39 +281,18 @@ def sl2_complete(c, factor):
 # -- Levi data of a semisimple part, for orbit induction ---------------
 
 
-def primary_parts(X, field, rng=None):
+def primary_parts(X, field):
     """Decompose by irreducible factors of the characteristic polynomial.
 
     Returns a list of (poly, mult, partition) where partition is the
     Jordan type of the nilpotent part on that primary component (a
     partition of mult).
     """
-    from .orbits import partition
-    n = len(X)
-    f = la.charpoly(X, field)
     out = []
-    for p, m in la.factor_poly(f, field, rng):
+    for p, m in la.factor_poly(la.charpoly(X, field), field):
         d = la.poly_deg(p)
-        dims = [0]
-        P = la.identity(field, n)
-        pm = la.poly_eval_mat(p, X, field)
-        for j in range(1, m + 1):
-            P = la.mat_mul(P, pm)
-            dims.append(n - la.rank(P))
-            if dims[-1] == dims[-2]:
-                dims[-1] = dims[-2]
-                break
-        # parts >= j count = (dims[j] - dims[j-1]) / d
-        parts = []
-        prev = None
-        for j in range(1, len(dims)):
-            cnt = (dims[j] - dims[j - 1]) // d
-            if prev is not None:
-                parts.extend([j - 1] * (prev - cnt))
-            prev = cnt
-        if prev:
-            parts.extend([len(dims) - 1] * prev)
-        out.append((p, m, partition(parts)))
+        pX = la.poly_eval_mat(p, X, field)
+        out.append((p, m, _block_sizes(pX, d, d * m)))
     return out
 
 
@@ -358,7 +312,7 @@ def _dual_poly(p, field, kind):
     return la.poly_monic(coeffs, field)
 
 
-def levi_factors_for_induction(Xs, factor, rng=None):
+def levi_factors_for_induction(Xs, factor):
     """Levi block data of Z(Xs) with the orbit partitions of the
     nilpotent part, as consumed by orbits.ls_induce.
 
@@ -368,7 +322,7 @@ def levi_factors_for_induction(Xs, factor, rng=None):
     """
     field = factor.field
     T = factor.geom_type()
-    parts = primary_parts(Xs, field, rng)
+    parts = primary_parts(Xs, field)
     out = []
     if T == "A":
         for p, m, mu in parts:
@@ -406,12 +360,10 @@ def levi_factors_for_induction(Xs, factor, rng=None):
     return out
 
 
-def induced_label(X, factor, rng=None):
+def induced_label(X, factor):
     """N(X): the induced nilpotent orbit label of X in its factor."""
-    from .orbits import ls_induce
-    s, n_part = jordan_decomposition(X, factor.field)
-    levi = levi_factors_for_induction(X, factor, rng)
-    return ls_induce(levi, factor.geom_type(), factor.n)
+    return ls_induce(levi_factors_for_induction(X, factor),
+                     factor.geom_type(), factor.n)
 
 
 # -- goodness over the local field -------------------------------------

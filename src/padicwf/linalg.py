@@ -13,10 +13,15 @@ It returns the reduced rows, the pivot columns and, for square input,
 the determinant; `rank`, `kernel_basis`, `solve` and `mat_inv` are read
 off it.
 
-Polynomials are lists of coefficients, constant term first.
+Polynomials are lists of coefficients, constant term first.  Over the
+finite fields of `ffield`, `squarefree_decomposition` is Yun's algorithm
+with one p-th-root recursion for characteristic p; `poly_radical` is the
+product of its parts and `factor_poly` splits each part by degree and then
+by Cantor-Zassenhaus.
 """
 
 import operator
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -340,52 +345,19 @@ def poly_eval_mat(f, a, field):
 
 
 def _pth_root_poly(f, field):
-    """p-th root of f when f(x) = g(x^p); coefficientwise p-th root."""
-    p = field.p
-    assert all(not c for i, c in enumerate(f) if i % p), \
+    """p-th root of f when f(x) = g(x^p): the inverse Frobenius on each
+    coefficient, which is conj on the fields of degree at most 2."""
+    assert all(not c for i, c in enumerate(f) if i % field.p), \
         "polynomial is not a p-th power"
-    out = []
-    for i in range(0, len(f), p):
-        c = f[i]
-        # p-th root in F_p is identity; in F_{p^2} it is the Frobenius
-        out.append(c if field.degree == 1 else c.conj())
-    return poly_trim(out)
+    return poly_trim([c.conj() for c in f[::field.p]])
 
 
 def poly_radical(f, field):
     """Product of the distinct irreducible factors of f (monic)."""
-    f = poly_monic(f, field)
-    if poly_deg(f) <= 0:
-        return [fone(field)]
-    df = poly_deriv(f, field)
-    if poly_deg(df) < 0:
-        return poly_radical(_pth_root_poly(f, field), field)
-    g = poly_gcd(f, df, field)
-    h, r = poly_divmod(f, g, field)
-    assert poly_deg(r) < 0
-    # strip every factor of h out of g, then recurse on what is left
-    g1 = g
-    while True:
-        d = poly_gcd(g1, h, field)
-        if poly_deg(d) <= 0:
-            break
-        g1, r = poly_divmod(g1, d, field)
-        assert poly_deg(r) < 0
-    rest = poly_radical(g1, field) if poly_deg(g1) > 0 else [fone(field)]
-    out = poly_mul(h, rest, field)
-    # the recursion can reintroduce shared factors; remove duplicates
-    return _dedupe_radical(out, field)
-
-
-def _dedupe_radical(f, field):
-    df = poly_deriv(f, field)
-    if poly_deg(df) < 0:
-        return poly_radical(f, field)
-    g = poly_gcd(f, df, field)
-    if poly_deg(g) <= 0:
-        return poly_monic(f, field)
-    q, _ = poly_divmod(f, g, field)
-    return _dedupe_radical(q, field)
+    out = [fone(field)]
+    for g, _ in squarefree_decomposition(f, field):
+        out = poly_mul(out, g, field)
+    return out
 
 
 def poly_powmod(f, e, mod, field):
@@ -401,55 +373,57 @@ def poly_powmod(f, e, mod, field):
     return out
 
 
+def _quo(f, g, field):
+    return poly_divmod(f, g, field)[0]
+
+
 def squarefree_decomposition(f, field):
-    """List of (monic squarefree g, multiplicity m) with f = prod g^m."""
+    """List of (g, m), g monic, squarefree and pairwise coprime, with
+    monic f = prod g^m.
+
+    Yun's algorithm (SYMSAC 1976), with one p-th-root recursion for
+    characteristic p.  Let b be the product of the distinct factors h
+    whose multiplicity e_h is prime to p; then f'/gcd(f, f') =
+    sum e_h h' b/h.  Yun's loop takes i = 1, 2, ... and splits off
+    gcd(b, c - b') with c = sum (e_h - i + 1) h' b/h: the factors with
+    e_h = i mod p.  What these parts leave of f is a p-th power.  Its
+    p-th root decomposes recursively, and a factor met there with
+    multiplicity j and in the part of residue i has e_h = i + p j.
+    """
     f = poly_monic(f, field)
-    out = []
     if poly_deg(f) <= 0:
-        return out
+        return []
     df = poly_deriv(f, field)
-    if poly_deg(df) < 0:
-        # f = g(x^p): recurse on the p-th root with multiplicities scaled
-        for g, m in squarefree_decomposition(_pth_root_poly(f, field), field):
-            out.append((g, m * field.p))
-        return out
     a = poly_gcd(f, df, field)
-    b, _ = poly_divmod(f, a, field)     # product of distinct factors
-    m = 1
+    b, c = _quo(f, a, field), _quo(df, a, field)
+    parts, rest, i = [], f, 1
     while poly_deg(b) > 0:
-        c = poly_gcd(a, b, field)
-        piece, _ = poly_divmod(b, c, field)  # factors with multiplicity == m
-        if poly_deg(piece) > 0:
-            out.append((piece, m))
-        b = c
-        a, _ = poly_divmod(a, c, field)
-        m += 1
-    if poly_deg(a) > 0:
-        # leftover is a p-th power
-        for g, mm in squarefree_decomposition(a, field):
-            out.append((g, mm + 0))
-    return _merge_sqfree(out, field)
-
-
-def _merge_sqfree(pairs, field):
-    # combine repeated squarefree parts (can arise from the p-power branch)
+        d = poly_add(c, [-x for x in poly_deriv(b, field)], field)
+        g = poly_gcd(b, d, field)
+        parts.append((g, i))
+        for _ in range(i):
+            rest = _quo(rest, g, field)
+        b, c, i = _quo(b, g, field), _quo(d, g, field), i + 1
     out = []
-    for g, m in pairs:
-        for i, (h, mm) in enumerate(out):
-            if poly_trim(g) == poly_trim(h):
-                out[i] = (h, mm + m)
-                break
-        else:
-            out.append((g, m))
-    return out
+    p = field.p
+    for r, j in squarefree_decomposition(_pth_root_poly(rest, field),
+                                         field):
+        for k, (g, e) in enumerate(parts):
+            s = poly_gcd(g, r, field)
+            if poly_deg(s) > 0:
+                out.append((s, e + p * j))
+                parts[k] = (_quo(g, s, field), e)
+                r = _quo(r, s, field)
+        out.append((r, p * j))
+    return [(g, m) for g, m in parts + out if poly_deg(g) > 0]
 
 
-def factor_squarefree(f, field, rng):
-    """Irreducible factors of a squarefree monic f (Cantor-Zassenhaus)."""
+def _distinct_degree(f, field):
+    """Pairs (g, d): g the product of the degree-d irreducible factors
+    of the squarefree monic f."""
     q = field.q
     x = [fzero(field), fone(field)]
     out = []
-    # distinct-degree splitting
     rem = poly_monic(f, field)
     d = 0
     xq = x
@@ -466,42 +440,34 @@ def factor_squarefree(f, field, rng):
             rem, _ = poly_divmod(rem, g, field)
             _, xq = poly_divmod(xq, rem, field) if poly_deg(rem) > 0 \
                 else (None, xq)
-    # equal-degree splitting
-    factors = []
-    for g, d in out:
-        factors.extend(_cz_split(g, d, field, rng))
-    return factors
-
-
-def _cz_split(f, d, field, rng):
-    n = poly_deg(f)
-    if n == d:
-        return [f]
-    q = field.q
-    while True:
-        h = [field.random(rng) for _ in range(n)]
-        h = poly_trim(h)
-        if poly_deg(h) < 1:
-            continue
-        g = poly_gcd(h, f, field)
-        if 0 < poly_deg(g) < n:
-            return _cz_split(g, d, field, rng) + \
-                _cz_split(poly_divmod(f, g, field)[0], d, field, rng)
-        e = (q ** d - 1) // 2
-        hp = poly_powmod(h, e, f, field)
-        g = poly_gcd(poly_add(hp, [-fone(field)], field), f, field)
-        if 0 < poly_deg(g) < n:
-            return _cz_split(g, d, field, rng) + \
-                _cz_split(poly_divmod(f, g, field)[0], d, field, rng)
-
-
-def factor_poly(f, field, rng=None):
-    """Monic irreducible factorization: list of (factor, multiplicity)."""
-    import random as _random
-    if rng is None:
-        rng = _random.Random(12345)
-    out = []
-    for g, m in squarefree_decomposition(f, field):
-        for h in factor_squarefree(g, field, rng):
-            out.append((h, m))
     return out
+
+
+def factor_poly(f, field):
+    """Monic irreducible factorization: list of (factor, multiplicity).
+
+    Each squarefree part is split by degree, then by Cantor-Zassenhaus
+    from a fixed seed, so the factors come in a reproducible order.
+    """
+    rng = random.Random(12345)
+    q = field.q
+
+    def split(u, d):
+        """The irreducible factors of u, a product of distinct ones of
+        degree d."""
+        n = poly_deg(u)
+        if n == d:
+            return [u]
+        while True:
+            h = poly_trim([field.random(rng) for _ in range(n)])
+            if poly_deg(h) < 1:
+                continue
+            g = poly_gcd(h, u, field)
+            if not 0 < poly_deg(g) < n:
+                hp = poly_powmod(h, (q ** d - 1) // 2, u, field)
+                g = poly_gcd(poly_add(hp, [-fone(field)], field), u, field)
+            if 0 < poly_deg(g) < n:
+                return split(g, d) + split(_quo(u, g, field), d)
+
+    return [(h, m) for g, m in squarefree_decomposition(f, field)
+            for gd, d in _distinct_degree(g, field) for h in split(gd, d)]

@@ -20,7 +20,6 @@ from . import building as bd
 from . import liealg as lie
 from . import linalg as la
 from . import orbits as ob
-from .ffield import QuadField
 
 
 class GradedQuotient:
@@ -137,12 +136,9 @@ def monomial_lift(c):
 
 
 def minimal_orbit_ur(c):
-    """Geometric label of the minimal orbit through a nilpotent coset."""
-    kres = c.quot.residue_field()
-    club = c.club()
-    if not lie.is_nilpotent(club, kres):
-        raise ValueError("not nilpotent")
-    return lie.jordan_type(club, kres)
+    """Geometric label of the minimal orbit through a nilpotent coset;
+    ValueError("not nilpotent") for any other coset."""
+    return lie.jordan_type(c.club(), c.quot.residue_field())
 
 
 def _block_shim(tag, m, kres):
@@ -156,7 +152,7 @@ def _block_shim(tag, m, kres):
     return lie.Factor.so(m, kp, la.identity(kp, m))
 
 
-def n_label(c, rng=None):
+def n_label(c):
     """Induced nilpotent label N(c) of a coset in the ambient group.
 
     Nilpotent cosets are labeled by their club Jordan type; otherwise
@@ -182,8 +178,7 @@ def n_label(c, rng=None):
                 raise ValueError("nonzero coset entry in a torus block")
             labels.append((1,) * m)
             continue
-        labels.append(lie.induced_label(sub, _block_shim(tag, m, kres),
-                                        rng))
+        labels.append(lie.induced_label(sub, _block_shim(tag, m, kres)))
     for i in range(quot.model.n):
         for j in range(quot.model.n):
             if c.mat[i][j] and not any(i in idx and j in idx
@@ -195,18 +190,6 @@ def n_label(c, rng=None):
 
 
 # -- graded sl2 lifting --------------------------------------------------
-
-
-def _res_coord_basis(kres):
-    if isinstance(kres, QuadField):
-        return [kres.one, kres.gen]
-    return [kres.one]
-
-
-def _res_coords(cf, kres, kp):
-    if isinstance(kres, QuadField):
-        return [kp(cf.v[0]), kp(cf.v[1])]
-    return [cf]
 
 
 def _grade_unit_lifts(quot, level):
@@ -225,7 +208,7 @@ def _grade_unit_lifts(quot, level):
             thr = quot.threshold(i, j, level)
             if not cls.allows(thr - s):
                 continue
-            for b in _res_coord_basis(kres):
+            for b in kres.basis:
                 M = [[E.zero()] * model.n for _ in range(model.n)]
                 M[i][j] = E.scalar({thr: b})
                 out.append(la.mat(M))
@@ -239,7 +222,7 @@ def _coeff_at(e, v):
     return None
 
 
-def _local_system(images, targets, kres, kp):
+def _local_system(images, targets, kres):
     """Rows of the linear system sum_k x_k images[k] = each target,
     flattened over the prime residue field; returns (rows, rhs list)."""
     keys = set()
@@ -249,20 +232,18 @@ def _local_system(images, targets, kres, kp):
                 for v, _ in e.terms:
                     keys.add((i, j, v))
     keys = sorted(keys)
-    nco = len(_res_coord_basis(kres))
+    nco = len(kres.basis)
     rows, rhs = [], [[] for _ in targets]
     z = kres.zero
     for (i, j, v) in keys:
         cells = []
         for M in images:
             cf = _coeff_at(M[i][j], v)
-            cells.append(_res_coords(cf if cf is not None else z,
-                                     kres, kp))
+            cells.append(kres.coords(cf if cf is not None else z))
         tcells = []
         for T in targets:
             cf = _coeff_at(T[i][j], v)
-            tcells.append(_res_coords(cf if cf is not None else z,
-                                      kres, kp))
+            tcells.append(kres.coords(cf if cf is not None else z))
         for ci in range(nco):
             rows.append([cell[ci] for cell in cells])
             for ti, tc in enumerate(tcells):
@@ -309,8 +290,8 @@ def lift_triple(c):
     ad2 = [la.bracket(chat, la.bracket(chat, B)) for B in basis]
     two = E.from_int(2)
     target = la.mat_scale(E.from_int(-2), chat)
-    rows_a, rhs_a = _local_system(ad2, [target], kres, kp)
-    rows_d, rhs_d = _local_system(defects, [zero], kres, kp)
+    rows_a, rhs_a = _local_system(ad2, [target], kres)
+    rows_d, rhs_d = _local_system(defects, [zero], kres)
     sol = la.solve(rows_a + rows_d, rhs_a[0] + rhs_d[0], kp)
     if sol is None:
         raise ValueError("characteristic too small")
@@ -320,23 +301,20 @@ def lift_triple(c):
     d = d0
     if any(e.terms for row in defect for e in row):
         ad1 = [la.bracket(chat, B) for B in basis]
-        rows_k, _ = _local_system(ad1, [zero], kres, kp)
-        rows_k2, _ = _local_system(defects, [zero], kres, kp)
+        rows_k, _ = _local_system(ad1, [zero], kres)
+        rows_k2, _ = _local_system(defects, [zero], kres)
         kern = la.kernel_basis(la.mat(rows_k + rows_k2), kp)
         Zs = [_combine(basis, v, E, n) for v in kern]
         imgs = [la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z))
                 for Z in Zs]
-        rows_c, rhs_c = _local_system(imgs, [defect], kres, kp)
+        rows_c, rhs_c = _local_system(imgs, [defect], kres)
         sol2 = la.solve(rows_c, rhs_c[0], kp)
         if sol2 is None:
             raise ValueError("characteristic too small")
         u = _combine(Zs, sol2, E, n)
         d = la.mat_sub(d0, u)
     trip = lie.Sl2Triple(chat, h, d)
-    ok = (la.bracket(h, chat) == la.mat_scale(two, chat)
-          and la.bracket(h, d) == la.mat_scale(-two, d)
-          and la.bracket(chat, d) == h)
-    if not ok:
+    if not trip.check(E):
         raise ValueError("characteristic too small")
     return trip
 

@@ -33,6 +33,12 @@ class _Numpy:
 
 np = _Numpy()
 
+# Largest piece, in points, that `fourier` transforms.
+FOURIER_CAP = 10 ** 8
+# Largest residue-field enumeration, in points or flags, that
+# `curve_count` and `point_count` scan.
+SCAN_CAP = 2 * 10 ** 6
+
 
 # -- matrices over F_p, in bulk ------------------------------------------
 
@@ -48,6 +54,7 @@ class MatContext:
         self.p = p
         self.dim = n * n
         self.field = ff.prime_field(p)
+        self.factor = lie.Factor.gl(n, self.field)
         self._group = None
         self._nilmask = None
 
@@ -149,17 +156,6 @@ class MatContext:
         s, n = lie.jordan_decomposition(self.to_ff(m), self.field)
         return self.from_ff(s), self.from_ff(n)
 
-    def centralizer_in_algebra(self, d):
-        """Basis (as flat vectors) of {m : [m, d] = 0} in gl_n."""
-        n, p = self.n, self.p
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                e = np.zeros((n, n), dtype=np.int64)
-                e[i][j] = 1
-                rows.append(((e @ d - d @ e) % p).reshape(-1))
-        return self.nullspace(np.array(rows).T)
-
 
 def sl2_reps(ctx):
     """One graded sl2-triple per nilpotent class of gl_n: for each
@@ -240,11 +236,11 @@ def trace_pairing(n):
     return [(j * n + i, 1) for i in range(n) for j in range(n)]
 
 
-def fourier(f, pairing=None, cap=10 ** 8):
+def fourier(f, pairing=None):
     """Exact Fourier transform: fhat(y) = sum_x zeta^{B(x,y)} f(x),
     computed one axis at a time."""
     p, dim = f.p, f.dim
-    if p ** dim > cap:
+    if p ** dim > FOURIER_CAP:
         raise ValueError("piece too large (%d points)" % p ** dim)
     if pairing is None:
         pairing = [(a, 1) for a in range(dim)]
@@ -274,13 +270,14 @@ def fourier(f, pairing=None, cap=10 ** 8):
 
 def slice_points(ctx, c, d):
     """All points of c + Z(d) as an (m, n, n) array."""
-    basis = ctx.centralizer_in_algebra(d)
+    basis = [ctx.from_ff(z)
+             for z in lie.centralizer_basis(ctx.to_ff(d), ctx.factor)]
     pts = []
     for coeffs in product(range(ctx.p), repeat=len(basis)):
         m = np.array(c, dtype=np.int64)
         for t, b in zip(coeffs, basis):
             if t:
-                m = m + t * np.array(b).reshape(ctx.n, ctx.n)
+                m = m + t * b
         pts.append(m % ctx.p)
     return np.stack(pts)
 
@@ -386,7 +383,8 @@ def verify_spr(ctx, x, comp, lower=False, xis=None):
 def _membership_checker(ctx, c, d):
     """Vectorized test for y in c + Z(d): returns a function on (m,n,n)
     arrays of candidates."""
-    basis = ctx.centralizer_in_algebra(d)
+    basis = [ctx.from_ff(z).reshape(-1)
+             for z in lie.centralizer_basis(ctx.to_ff(d), ctx.factor)]
     ann = ctx.nullspace(basis) if basis else \
         np.eye(ctx.dim, dtype=np.int64).tolist()
     R = np.array(ann, dtype=np.int64)
@@ -403,11 +401,10 @@ def support_test(ctx, c, x, budget=20000, rng=None):
     must meet the Slodowy slice of a completion of c under the group."""
     c = np.asarray(c, dtype=np.int64) % ctx.p
     x = np.asarray(x, dtype=np.int64) % ctx.p
-    factor = lie.Factor.gl(ctx.n, ctx.field)
-    target = lie.induced_label(ctx.to_ff(x), factor, rng)
+    target = lie.induced_label(ctx.to_ff(x), ctx.factor)
     if not ctx.is_nilpotent(c) or ctx.jordan_type(c) != target:
         return "not"
-    trip = lie.sl2_complete(ctx.to_ff(c), factor)
+    trip = lie.sl2_complete(ctx.to_ff(c), ctx.factor)
     d = ctx.from_ff(trip.d)
     check = _membership_checker(ctx, c, d)
     gs, ginvs = ctx.group()
@@ -614,8 +611,17 @@ class VarietySpec:
     grid of '*' (free), '0' (must vanish), '!' (must not vanish)."""
 
     def __init__(self, gram, X, pattern, p):
-        self.gram = [list(map(int, row)) for row in gram]
-        self.X = [list(map(int, row)) for row in X]
+        for name, rows in (("gram", gram), ("X", X), ("pattern", pattern)):
+            if not isinstance(rows, list) or not all(
+                    isinstance(r, list)
+                    or (name == "pattern" and isinstance(r, str))
+                    for r in rows):
+                raise ValueError("%s must be a list of rows" % name)
+        if any(type(x) is not int for rows in (gram, X) for r in rows
+               for x in r):
+            raise ValueError("gram and X entries must be integers")
+        self.gram = [list(row) for row in gram]
+        self.X = [list(row) for row in X]
         self.pattern = [list(row) for row in pattern]
         self.p = p
         if not isinstance(p, int):
@@ -747,13 +753,13 @@ def _adapted_basis(K, gram, v0, v1):
     return basis
 
 
-def point_count(spec, degrees=(1,), cap=2 * 10 ** 6):
+def point_count(spec, degrees=(1,)):
     """Exact number of complete isotropic flags satisfying the pattern,
     per extension degree."""
     out = {}
     for deg in degrees:
         est = flag_total(_field_order(spec.p, deg))
-        if est > cap:
+        if est > SCAN_CAP:
             raise ValueError("enumeration too large (%d flags)" % est)
         K = ExtField(spec.p, deg)
         gram = [[K.embed(x) for x in row] for row in spec.gram]
@@ -796,7 +802,7 @@ def curve_count(coeff, p=23, deg=1):
     test per projective isotropic point suffices."""
     q = _field_order(p, deg)
     scanned = sum(q ** k for k in range(5))
-    if scanned > 2 * 10 ** 6:
+    if scanned > SCAN_CAP:
         raise ValueError("enumeration too large (%d points)" % scanned)
     spec = curve_spec(coeff, p)
     K = ExtField(p, deg)

@@ -313,6 +313,14 @@ TWICE_SPLIT = [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)]
     ({"p": "3"}, "p must be an integer"),
     ({"gram": TWICE_SPLIT},
      "middle vector has norm 2, not a nonzero square in F_3"),
+    ({"degrees": 2}, "degrees must be a non-empty list of integers"),
+    ({"degrees": []}, "degrees must be a non-empty list of integers"),
+    ({"degrees": [True]}, "degrees must be a non-empty list of integers"),
+    ({"degrees": ["1"]}, "degrees must be a non-empty list of integers"),
+    ({"gram": 5}, "gram must be a list of rows"),
+    ({"X": [1, 2, 3, 4, 5]}, "X must be a list of rows"),
+    ({"pattern": "*****"}, "pattern must be a list of rows"),
+    ({"gram": [[None] * 5] * 5}, "gram and X entries must be integers"),
 ])
 def test_lab_count_rejects_malformed_spec(changes, message, tmp_path,
                                           capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padicwf import liealg as lg
 from padicwf import linalg as la
@@ -175,7 +177,7 @@ def test_sl2_complete_sp4():
     rng = random.Random(3)
     found = 0
     for _ in range(200):
-        X = fac.random_element(rng)
+        X = fac.from_coords([F.random(rng) for _ in fac.algebra_basis()])
         if not lg.is_nilpotent(X, F):
             continue
         if all(not e for row in X for e in row):
@@ -209,6 +211,46 @@ def test_sl2_regular_small_characteristic():
 
 
 # -- levi data and induced labels --------------------------------------
+
+
+@st.composite
+def conjugated_jordan_forms(draw):
+    """(F, lam, X): X = g J g^-1 for J the nilpotent Jordan form of the
+    partition lam and g invertible, over F_3 or F_5."""
+    F = draw(st.sampled_from([prime_field(3), prime_field(5)]))
+    n = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from(ob.partitions_of(n)))
+    J = [[F.zero] * n for _ in range(n)]
+    pos = 0
+    for part in lam:
+        for i in range(pos, pos + part - 1):
+            J[i][i + 1] = F.one
+        pos += part
+    g = la.mat([[F(draw(st.integers(0, F.p - 1))) for _ in range(n)]
+                for _ in range(n)])
+    assume(la.rank(g) == n)
+    X = la.mat_mul(la.mat_mul(g, la.mat(J)), la.mat_inv(g, F))
+    return F, lam, X
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_jordan_forms())
+def test_block_sizes_of_conjugated_jordan_form(case):
+    F, lam, X = case
+    assert lg.jordan_type(X, F) == lam
+    # one primary part, the polynomial x, carrying the whole Jordan type
+    assert lg.primary_parts(X, F) == [([F.zero, F.one], len(X), lam)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([prime_field(3), prime_field(5)]), st.integers(1, 4),
+       st.data())
+def test_primary_parts_fill_the_space(F, n, data):
+    X = la.mat([[F(data.draw(st.integers(0, F.p - 1))) for _ in range(n)]
+                for _ in range(n)])
+    parts = lg.primary_parts(X, F)
+    assert all(sum(mu) == m for _, m, mu in parts)
+    assert sum(la.poly_deg(p) * sum(mu) for p, _, mu in parts) == n
 
 
 def test_primary_parts_gl():

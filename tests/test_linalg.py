@@ -5,6 +5,8 @@ from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicwf import linalg as la
 from padicwf import springerlab as sl
@@ -153,6 +155,61 @@ def test_poly_gcd_and_radical():
     f = la.poly_mul(g, la.poly_mul(g, g, F), F)
     rad = la.poly_radical(f, F)
     assert rad == la.poly_monic(g, F)
+
+
+SQF_FIELDS = [prime_field(3), prime_field(5), quad_field(3)]
+
+
+@st.composite
+def factored_polys(draw):
+    """A field and a monic f with irreducible divisors of degree at most
+    2: a product of monic linear and quadratic powers, multiplicities up
+    to p + 1, the whole raised to the p-th power or not."""
+    F = draw(st.sampled_from(SQF_FIELDS))
+    elts = list(F.elements())
+    f = [F.one]
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.lists(st.sampled_from(elts), min_size=1, max_size=2))
+        for _ in range(draw(st.integers(1, F.p + 1))):
+            f = la.poly_mul(f, g + [F.one], F)
+    if draw(st.booleans()):
+        # f^p = f(x^p) with each coefficient raised to the p-th power
+        fp = [F.zero] * (F.p * (len(f) - 1) + 1)
+        fp[::F.p] = [c ** F.p for c in f]
+        f = fp
+    return F, f
+
+
+def _monic_irreducibles_to_degree_2(F):
+    elts = list(F.elements())
+    linear = [[a, F.one] for a in elts]
+    quadratic = [[a, b, F.one] for a in elts for b in elts
+                 if all(a + b * x + x * x for x in elts)]
+    return linear + quadratic
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_polys())
+def test_squarefree_decomposition_properties(case):
+    F, f = case
+    parts = la.squarefree_decomposition(f, F)
+    prod = [F.one]
+    for g, m in parts:
+        for _ in range(m):
+            prod = la.poly_mul(prod, g, F)
+    assert prod == la.poly_monic(f, F)
+    for k, (g, _) in enumerate(parts):
+        assert la.poly_deg(g) > 0 and g == la.poly_monic(g, F)
+        assert la.poly_deg(la.poly_gcd(g, la.poly_deriv(g, F), F)) == 0
+        for h, _ in parts[k + 1:]:
+            assert la.poly_deg(la.poly_gcd(g, h, F)) == 0
+    # the radical against a brute-force product of the monic irreducible
+    # divisors, all of degree at most 2 by construction
+    want = [F.one]
+    for h in _monic_irreducibles_to_degree_2(F):
+        if la.poly_deg(la.poly_divmod(f, h, F)[1]) < 0:
+            want = la.poly_mul(want, h, F)
+    assert la.poly_radical(f, F) == want
 
 
 def test_bracket_and_trace():

@@ -57,10 +57,11 @@ def test_fourier_constant_is_scaled_delta():
     assert fh.same(want)
 
 
-def test_fourier_piece_too_large():
+def test_fourier_piece_too_large(monkeypatch):
+    monkeypatch.setattr(sl, "FOURIER_CAP", 5)
     f = sl.FnOnPiece.constant(3, 2)
     with pytest.raises(ValueError, match="piece too large"):
-        sl.fourier(f, cap=5)
+        sl.fourier(f)
 
 
 @settings(max_examples=25, deadline=None)
@@ -544,9 +545,11 @@ def test_all_free_pattern_counts_all_flags():
 
 
 def test_point_count_cap():
-    spec = sl.curve_spec(1, 3)
-    with pytest.raises(ValueError, match="enumeration too large"):
-        sl.point_count(spec, degrees=(3,), cap=1000)
+    # F_125 has flag_total(125) = 248,078,376 flags, past SCAN_CAP
+    spec = sl.curve_spec(1, 5)
+    with pytest.raises(ValueError,
+                       match=r"enumeration too large \(248078376 flags\)"):
+        sl.point_count(spec, degrees=(3,))
 
 
 @pytest.mark.parametrize("p,coeff,want", [

@@ -1,0 +1,26 @@
+"""The full standard output of the wave-front commands, pinned byte for
+byte: labels, provenance, dominated lines and notes.  A refactor of the
+label layer must leave every file under tests/stdout unchanged."""
+
+from pathlib import Path
+
+import pytest
+
+from padicwf import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "stdout"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["wf", "example", "u6"], "wf_example_u6"),
+    (["wf", "example", "u7"], "wf_example_u7"),
+    (["wf", "example", "toral"], "wf_example_toral"),
+    (["wf", "compute", "--input", str(ROOT / "inputs" / "u6_chain.ini")],
+     "wf_compute_u6_chain"),
+    (["wf", "compute", "--input", str(ROOT / "inputs" / "toral.ini")],
+     "wf_compute_toral"),
+])
+def test_wf_stdout_is_pinned(argv, name, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / (name + ".txt")).read_text()
