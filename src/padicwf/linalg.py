@@ -1,7 +1,16 @@
 """Exact linear algebra over field element objects.
 
 Matrices are tuples of tuples (immutable) whose entries support +, -, *
-and truth testing (zero is the only falsy element).
+and truth testing (zero is the only falsy element).  For the
+`localfield.LocalScalar` entries of the descent layer the falsy zero is
+the exact one; an O(t^k) zero is truthy, since its value is unknown.
+
+The kernels `mat_mul`, `mat_add`, `mat_sub` and `mat_scale` skip exact
+zeros: `mat_mul` multiplies each nonzero entry of a row of a only by
+the nonzero entries of the matching row of b, and adding an exact zero
+returns the other operand.  A product with an exact-zero factor is the
+exact zero, and adding one changes neither the terms nor the precision
+of a LocalScalar, so every entry is the one the dense loop would give.
 
 Every row reduction in the package goes through one Gauss-Jordan kernel,
 `rref`.  It touches entries only through the field operations it is
@@ -53,30 +62,43 @@ def identity(field, n):
 
 
 def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb))
+    return tuple(tuple((x + y if y else x) if x else y
+                       for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
 
 
 def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb))
+    return tuple(tuple((x - y if y else x) if x else -y
+                       for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
 
 
 def mat_scale(c, a):
-    return tuple(tuple(c * x for x in r) for r in a)
+    return tuple(tuple(c * x if x else x for x in r) for r in a)
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    """The product a b, summing only the products of two nonzero entries
+    in the order of the inner index.  An entry that no such product
+    reaches is a sum of exact zeros: it takes the value of one of its
+    skipped products, the zero of the entries' representation."""
+    assert len(a[0]) == len(b)
+    m = len(b[0])
+    nonzero = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
+    zero = None
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = a[i][0] * b[0][j]
-            for l in range(1, k):
-                s = s + a[i][l] * b[l][j]
-            row.append(s)
+    for ra in a:
+        row = [None] * m
+        for x, nzb in zip(ra, nonzero):
+            if x:
+                for j, y in nzb:
+                    s = row[j]
+                    row[j] = x * y if s is None else s + x * y
+        for j, s in enumerate(row):
+            if s is None:
+                if zero is None:
+                    zero = ra[0] * b[0][j]
+                row[j] = zero
         out.append(tuple(row))
     return tuple(out)
 

@@ -221,6 +221,11 @@ class LocalScalar:
         """No visible terms (zero or indistinguishable from it)."""
         return not self.terms
 
+    def __bool__(self):
+        """False only for the exact zero: an O(t^k) zero is truthy, as
+        its value is not known."""
+        return bool(self.terms) or self.prec is not None
+
     def val(self):
         """Valuation as a Fraction; None for exact zero."""
         if self.terms:

@@ -287,7 +287,8 @@ def lift_triple(c):
     basis = _grade_unit_lifts(quot, -quot.r)
     zero = la.zero_mat(E, n)
     defects = [factor.lie_defect(B) or zero for B in basis]
-    ad2 = [la.bracket(chat, la.bracket(chat, B)) for B in basis]
+    ad1 = [la.bracket(chat, B) for B in basis]
+    ad2 = [la.bracket(chat, A) for A in ad1]
     two = E.from_int(2)
     target = la.mat_scale(E.from_int(-2), chat)
     rows_a, rhs_a = _local_system(ad2, [target], kres)
@@ -300,10 +301,8 @@ def lift_triple(c):
     defect = la.mat_add(la.bracket(h, d0), la.mat_scale(two, d0))
     d = d0
     if any(e.terms for row in defect for e in row):
-        ad1 = [la.bracket(chat, B) for B in basis]
         rows_k, _ = _local_system(ad1, [zero], kres)
-        rows_k2, _ = _local_system(defects, [zero], kres)
-        kern = la.kernel_basis(la.mat(rows_k + rows_k2), kp)
+        kern = la.kernel_basis(la.mat(rows_k + rows_d), kp)
         Zs = [_combine(basis, v, E, n) for v in kern]
         imgs = [la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z))
                 for Z in Zs]

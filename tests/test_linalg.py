@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from padicwf import linalg as la
 from padicwf import springerlab as sl
 from padicwf.ffield import prime_field, quad_field
+from padicwf.localfield import LocalField, LocalScalar
 
 
 def rand_mat(field, n, rng):
@@ -217,3 +218,110 @@ def test_bracket_and_trace():
     rng = random.Random(1)
     a, b = rand_mat(F, 3, rng), rand_mat(F, 3, rng)
     assert not la.trace(la.bracket(a, b))
+
+
+# -- the sparse matrix kernels against the dense reference -------------
+
+
+def dense_mul(a, b):
+    """The product by the full triple loop, every entry pair included."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            s = a[i][0] * b[0][j]
+            for l in range(1, k):
+                s = s + a[i][l] * b[l][j]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def dense_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
+def dense_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
+def dense_scale(c, a):
+    return tuple(tuple(c * x for x in r) for r in a)
+
+
+def identical(x, y):
+    """Same entry: for a LocalScalar the same terms and precision."""
+    if isinstance(x, LocalScalar):
+        return (isinstance(y, LocalScalar) and x.terms == y.terms
+                and x.prec == y.prec)
+    return type(x) is type(y) and x == y
+
+
+Q23 = LocalField(23)
+LOCAL_23 = (Q23, Q23.unramified_quadratic(), Q23.ramified_quadratic())
+
+
+@st.composite
+def local_entries(draw, E):
+    """Exact zeros, O(t^k) zeros, exact scalars and truncated ones, with
+    the zeros drawn most often, as in graded monomial lifts."""
+    kind = draw(st.sampled_from(["exact zero"] * 3 + ["O zero", "exact",
+                                                      "truncated"]))
+    val = st.integers(-4, 6).map(lambda k: Fraction(k, E.e))
+    if kind == "exact zero":
+        return E.zero()
+    if kind == "O zero":
+        return E.zero(prec=draw(val))
+    terms = draw(st.dictionaries(val, nonzero(E.residue), min_size=1,
+                                 max_size=3))
+    return E.scalar(terms, draw(val) if kind == "truncated" else None)
+
+
+def nonzero(F):
+    return st.sampled_from([x for x in F.elements() if x])
+
+
+def ff_entries(F):
+    return st.one_of(st.just(F.zero), st.just(F.zero), nonzero(F))
+
+
+FRACTION_ENTRIES = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+ENTRY_KINDS = ([local_entries(E) for E in LOCAL_23]
+               + [ff_entries(prime_field(23)), ff_entries(quad_field(23)),
+                  FRACTION_ENTRIES])
+
+
+@st.composite
+def kernel_operands(draw):
+    """(a, a2, b, c): a and a2 of one shape n x k, b of shape k x m and a
+    scalar c, all over one representation; n, k, m from 1 to 7."""
+    entry = draw(st.sampled_from(ENTRY_KINDS))
+    n, k, m = (draw(st.integers(1, 7)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return la.mat([[draw(entry) for _ in range(cols)]
+                       for _ in range(rows)])
+
+    return matrix(n, k), matrix(n, k), matrix(k, m), draw(entry)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_operands())
+def test_kernels_match_dense_reference(ops):
+    """Skipping exact zeros changes no entry: the terms and precision of
+    each LocalScalar entry are those of the dense loop."""
+    a, a2, b, c = ops
+    for got, want in [(la.mat_mul(a, b), dense_mul(a, b)),
+                      (la.mat_add(a, a2), dense_add(a, a2)),
+                      (la.mat_sub(a, a2), dense_sub(a, a2)),
+                      (la.mat_scale(c, a), dense_scale(c, a))]:
+        assert len(got) == len(want)
+        for rg, rw in zip(got, want):
+            assert len(rg) == len(rw)
+            assert all(identical(x, y) for x, y in zip(rg, rw))

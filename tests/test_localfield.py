@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicwf import linalg as la
 from padicwf.localfield import LocalField, PrecisionError
 
 
@@ -140,3 +141,29 @@ def test_equality_semantics():
     c = F.parse("1 + t^4 + O(t^5)")
     assert a == c  # the t^4 term is hidden below O(t^3): weak equality
     assert not (b == c)
+
+
+@pytest.mark.parametrize("field", [F, E_UR, E_RAM])
+def test_only_the_exact_zero_is_falsy(field):
+    assert not field.zero()
+    assert field.zero(prec=3)
+    rng = random.Random(3)
+    for _ in range(40):
+        a = rand_scalar(field, rng, exact=rng.random() < 0.5)
+        assert a or (not a.terms and a.prec is None)
+
+
+def test_rref_and_mat_mul_follow_the_zero_contract():
+    """rref passes over an exact zero for a pivot but must try an
+    O(t^k) zero, whose value it cannot certify; mat_mul leaves an entry
+    that only exact zeros reach the exact zero."""
+    z, one, t = F.zero(), F.one(), F.uniformizer()
+    rows, pivots, det = la.rref(la.mat([[z, one], [t, z]]))
+    assert pivots == [0, 1] and det == -t
+    with pytest.raises(PrecisionError):
+        la.rref(la.mat([[F.zero(prec=3), one], [t, z]]))
+    p = la.mat_mul(la.mat([[z, t], [one, z]]),
+                   la.mat([[z, z], [F.zero(prec=3), z]]))
+    assert not p[1][0] and p[1][0].prec is None
+    assert p[0][0] and not p[0][0].terms and p[0][0].prec == 4
+    assert all(not e for e in (p[0][1], p[1][1]))

@@ -1,6 +1,8 @@
-"""The full standard output of the wave-front commands, pinned byte for
-byte: labels, provenance, dominated lines and notes.  A refactor of the
-label layer must leave every file under tests/stdout unchanged."""
+"""The full standard output of the wave-front and path-trace commands,
+pinned byte for byte: labels, provenance, dominated lines and notes; the
+rules, depths, dimensions and centres of each descent edge.  A refactor
+of the label or descent layers must leave every file under tests/stdout
+unchanged."""
 
 from pathlib import Path
 
@@ -24,3 +26,10 @@ GOLDEN = ROOT / "tests" / "stdout"
 def test_wf_stdout_is_pinned(argv, name, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / (name + ".txt")).read_text()
+
+
+@pytest.mark.parametrize("scenario", ["sl2", "u7h"])
+def test_graph_trace_stdout_is_pinned(scenario, capsys):
+    assert cli.main(["graph", "trace", "--scenario", scenario]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / ("graph_trace_%s.txt" % scenario)).read_text()
