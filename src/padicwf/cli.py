@@ -23,12 +23,12 @@ from . import wavefront as wf
 VERSION = "0.1.0"
 
 MODELS = {
-    "sl2": lambda q: bd.sl2_model(q),
-    "sl3": lambda q: bd.sl3_model(q),
-    "u6": lambda q: bd.u6_model(q),
-    "u6hyp": lambda q: bd.u6_hyp_model(q),
-    "u7": lambda q: bd.u7_model(q),
-    "u7h": lambda q: bd.u7_h_model(q),
+    "sl2": bd.sl2_model,
+    "sl3": bd.sl3_model,
+    "u6": bd.u6_model,
+    "u6hyp": bd.u6_hyp_model,
+    "u7": bd.u7_model,
+    "u7h": bd.u7_h_model,
 }
 
 GROUP_DATA = {
@@ -46,18 +46,18 @@ class CliError(Exception):
 # -- manifest and result files -------------------------------------------
 
 
-def manifest(args, input_text=None, extra=None):
-    data = {
-        "version": VERSION,
-        "input_hash": hashlib.sha256(
-            (input_text or "").encode()).hexdigest(),
-        "seed": getattr(args, "seed", 0),
-    }
-    for key in ("q", "window", "override_char_bound", "mode",
-                "coeff", "model", "variant", "scenario"):
-        if getattr(args, key, None) is not None:
-            data[key] = getattr(args, key)
-    data.update(extra or {})
+# Parsed arguments a manifest leaves out: the result path, and the input
+# file paths, whose content the input hash covers.
+UNRECORDED = ("out", "input", "spec")
+
+
+def manifest(args, input_text=None):
+    """Every parsed argument but the UNRECORDED ones, with the version
+    and the hash of the input text."""
+    data = {k: v for k, v in vars(args).items() if k not in UNRECORDED}
+    data["version"] = VERSION
+    data["input_hash"] = hashlib.sha256(
+        (input_text or "").encode()).hexdigest()
     return data
 
 
@@ -122,7 +122,7 @@ def _tokenize_sections(text):
     return sections
 
 
-def _section_map(items, lineno_hint):
+def _section_map(items):
     out = {}
     rows = []
     for lineno, key, val in items:
@@ -145,8 +145,8 @@ def parse_input(text, override=False):
     for required in ("field", "group"):
         if required not in names:
             raise CliError("missing [%s] section" % required)
-    field_kv, _ = _section_map(dict(sections)["field"], 0)
-    group_kv, _ = _section_map(dict(sections)["group"], 0)
+    field_kv, _ = _section_map(dict(sections)["field"])
+    group_kv, _ = _section_map(dict(sections)["group"])
     try:
         q = int(field_kv.get("q", (0, "23"))[1])
     except ValueError:
@@ -173,7 +173,7 @@ def parse_input(text, override=False):
     for name, items in sections:
         if not name.startswith("gamma"):
             continue
-        kv, rows = _section_map(items, 0)
+        kv, rows = _section_map(items)
         if "depth" not in kv:
             raise CliError("section [%s] missing depth" % name)
         depth = Fraction(kv["depth"][1])
@@ -206,7 +206,7 @@ def parse_input(text, override=False):
 
     options = {}
     if "options" in names:
-        kv, _ = _section_map(dict(sections)["options"], 0)
+        kv, _ = _section_map(dict(sections)["options"])
         options = {k: v for k, (_, v) in kv.items()}
     options["model"] = model_name
 
@@ -238,8 +238,7 @@ def cmd_wf(args):
         for title, res in results:
             print_wf_result(res, title)
         if args.out:
-            mani = manifest(args, extra={"example": args.name})
-            write_result(args.out, mani, {
+            write_result(args.out, manifest(args), {
                 "runs": [dict(wf_result_record(r), title=t)
                          for t, r in results]})
         return 0
@@ -251,6 +250,9 @@ def cmd_wf(args):
     model = MODELS[options["model"]](spec.q)
     seed_name = options.get("seed-datum")
     if seed_name == "u6":
+        if options["model"] not in ("u6", "u6hyp"):
+            raise CliError("seed-datum u6 lives in the u6 model, not in "
+                           "model %r" % options["model"])
         seed = wf.u6_seed()
     elif seed_name is None:
         if len(chain.pieces) > 1:

@@ -178,21 +178,19 @@ def fiber_basis(v, below):
     quot = mpq.GradedQuotient(model, model.point(bx), brr)
     fx, fr = facet_center(v.facet)
     wf = model.point(fx)
-    units = [B for B in mpq._grade_unit_lifts(quot, brr)
-             if bd.mp_member(model, B, wf, fr, strict=True)]
+    units, lifts = [], []
+    for U in mpq._grade_units(quot, brr):
+        B = mpq.monomial_lift(quot, U, brr)
+        if bd.mp_member(model, B, wf, fr, strict=True):
+            units.append(U)
+            lifts.append(B)
     if not units:
         return []
-    factor = mpq._local_factor(model)
-    zero = la.zero_mat(model.field, model.n)
-    defects = [factor.lie_defect(B) or zero for B in units]
-    rows, _ = mpq._local_system(defects, [zero], kres)
-    if not rows:
-        kern = [tuple(la.fone(kp) if i == j else la.fzero(kp)
-                      for i in range(len(units)))
-                for j in range(len(units))]
-    else:
-        kern = la.kernel_basis(la.mat(rows), kp)
-    return [mpq._combine(units, vco, model.field, model.n) for vco in kern]
+    rows = mpq._lie_rows(model, lifts)
+    kern = la.kernel_basis(rows, kp) if rows else \
+        la.identity(kp, len(units))
+    return [mpq.monomial_lift(quot, la.mat_comb(vco, units, kres, model.n),
+                              brr) for vco in kern]
 
 
 def out_edges_rule1(v, below):

@@ -6,10 +6,14 @@ algebra condition is sigma(X)^T G + G X = 0 where sigma is entrywise conj
 for unitary factors and the identity otherwise.
 
 Over finite fields this module provides Jordan types and decompositions,
-centralizers, constructive Jacobson-Morozov sl2-triples, cocharacter
-gradings, and the Levi data of a semisimple part needed for induction of
-nilpotent orbits.  Over the local-field model it provides the goodness test
-(all nonzero root values of fixed valuation).
+centralizers, sl2-triples, cocharacter gradings, and the Levi data of a
+semisimple part needed for induction of nilpotent orbits.  One
+constructive Jacobson-Morozov routine, `jacobson_morozov`, finds every
+sl2-triple: `sl2_complete` runs it over a factor's Lie algebra basis, and
+`mpquotient.lift_triple` over the residue units of a graded Moy-Prasad
+piece cut down by the Lie-algebra rows.  Over the local-field model this
+module provides the goodness test (all nonzero root values of fixed
+valuation).
 """
 
 from fractions import Fraction
@@ -93,10 +97,6 @@ class Factor:
 
     # -- finite-field structure ----------------------------------------
 
-    def flatten_mat(self, X):
-        """Entries of X over the prime subfield, row by row."""
-        return [c for row in X for e in row for c in self.field.coords(e)]
-
     def algebra_basis(self):
         """Basis matrices of the Lie algebra over the prime subfield."""
         assert not self.is_local()
@@ -113,9 +113,9 @@ class Factor:
         if self.kind == "gl":
             self._basis = gens
             return gens
-        cols = [self.flatten_mat(self.lie_defect(E)) for E in gens]
-        M = la.transpose(la.mat(cols))
-        ker = la.kernel_basis(M, f.base_or_self())
+        ker = la.kernel_basis(
+            _linear_rows([self.lie_defect(E) for E in gens], f, n),
+            f.base_or_self())
         basis = []
         k2 = len(f.basis)
         for v in ker:
@@ -137,12 +137,8 @@ class Factor:
         return len(self.algebra_basis())
 
     def from_coords(self, coeffs):
-        basis = self.algebra_basis()
-        X = la.zero_mat(self.field, self.n)
-        for c, B in zip(coeffs, basis):
-            if c:
-                X = la.mat_add(X, la.mat_scale(c, B))
-        return X
+        return la.mat_comb(coeffs, self.algebra_basis(), self.field,
+                           self.n)
 
     def __repr__(self):
         return "%s_%d(%r)" % (self.kind, self.n, self.field)
@@ -208,11 +204,24 @@ def jordan_decomposition(X, field):
     return s, xn
 
 
+def _flat(X, field):
+    """Entries of X over the prime subfield, row by row."""
+    return [a for row in X for e in row for a in field.coords(e)]
+
+
+def _linear_rows(images, field, n):
+    """Matrix over the prime subfield of x -> sum_k x_k images[k], for
+    n x n images: one row per entry coordinate, one column per image."""
+    flats = [_flat(X, field) for X in images]
+    return [[f[i] for f in flats] for i in range(n * n * len(field.basis))]
+
+
 def centralizer_basis(X, factor):
     basis = factor.algebra_basis()
-    cols = [factor.flatten_mat(la.bracket(X, B)) for B in basis]
-    M = la.transpose(la.mat(cols))
-    ker = la.kernel_basis(M, factor.field.base_or_self())
+    ker = la.kernel_basis(
+        _linear_rows([la.bracket(X, B) for B in basis], factor.field,
+                     factor.n),
+        factor.field.base_or_self())
     return [factor.from_coords(v) for v in ker]
 
 
@@ -229,50 +238,55 @@ class Sl2Triple:
         return ok
 
 
-def sl2_complete(c, factor):
-    """Complete a nonzero nilpotent c to an sl2-triple (c, h, d).
+def jacobson_morozov(c, basis, field, rows=()):
+    """Constructive Jacobson-Morozov over a finite field.
 
-    Constructive Jacobson-Morozov: solve ad(c)^2 d0 = -2c, set h = [c,d0],
-    then correct d0 by an element of ker(ad c) so that [h,d] = -2d.
+    Completes a nonzero nilpotent c to a triple (c, h, d) with d in the
+    span of the matrices `basis` over the prime subfield, cut down by
+    the linear `rows` (right-hand side zero) on the coordinates of that
+    span.  Solves ad(c)^2 d0 = -2c, sets h = [c, d0], then corrects d0 by
+    an element of ker(ad c) in the same span so that [h, d] = -2d.
+    Raises ValueError("characteristic too small") if a linear system is
+    singular; the triple itself is left to the caller to check.
+    """
+    n = len(c)
+    kp = field.base_or_self()
+    rows = list(rows)
+    two = la.fone(field) + la.fone(field)
+    ad1 = [la.bracket(c, B) for B in basis]
+    sol = la.solve(
+        _linear_rows([la.bracket(c, A) for A in ad1], field, n) + rows,
+        _flat(la.mat_scale(-two, c), field) + [la.fzero(kp)] * len(rows),
+        kp)
+    if sol is None:
+        raise ValueError("characteristic too small")
+    d0 = la.mat_comb(sol, basis, field, n)
+    h = la.bracket(c, d0)
+    defect = la.mat_add(la.bracket(h, d0), la.mat_scale(two, d0))
+    if all(not e for row in defect for e in row):
+        return Sl2Triple(c, h, d0)
+    zc = [la.mat_comb(v, basis, field, n) for v in
+          la.kernel_basis(_linear_rows(ad1, field, n) + rows, kp)]
+    imgs = [la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z))
+            for Z in zc]
+    sol2 = la.solve(_linear_rows(imgs, field, n), _flat(defect, field), kp)
+    if sol2 is None:
+        raise ValueError("characteristic too small")
+    return Sl2Triple(c, h, la.mat_sub(d0, la.mat_comb(sol2, zc, field, n)))
+
+
+def sl2_complete(c, factor):
+    """Complete a nonzero nilpotent c to an sl2-triple (c, h, d) with d in
+    the factor's Lie algebra, by `jacobson_morozov` over its basis.
     Raises ValueError("characteristic too small") if the linear systems
-    are singular.
+    are singular or the triple fails its check.
     """
     field = factor.field
-    n = factor.n
     if all(not e for row in c for e in row):
         raise ValueError("zero element has no sl2-triple")
     if not is_nilpotent(c, field):
         raise ValueError("not nilpotent")
-    basis = factor.algebra_basis()
-    two = la.fone(field) + la.fone(field)
-    # ad(c)^2 b for each basis element
-    cols = [factor.flatten_mat(la.bracket(c, la.bracket(c, B)))
-            for B in basis]
-    M = la.transpose(la.mat(cols))
-    rhs = factor.flatten_mat(la.mat_scale(-two, c))
-    sol = la.solve(M, rhs, field.base_or_self())
-    if sol is None:
-        raise ValueError("characteristic too small")
-    d0 = factor.from_coords(sol)
-    h = la.bracket(c, d0)
-    defect = la.mat_add(la.bracket(h, d0), la.mat_scale(two, d0))
-    if all(not e for row in defect for e in row):
-        trip = Sl2Triple(c, h, d0)
-    else:
-        zc = centralizer_basis(c, factor)
-        cols = [factor.flatten_mat(
-            la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z)))
-            for Z in zc]
-        M2 = la.transpose(la.mat(cols))
-        sol2 = la.solve(M2, factor.flatten_mat(defect),
-                        field.base_or_self())
-        if sol2 is None:
-            raise ValueError("characteristic too small")
-        u = la.zero_mat(field, n)
-        for coef, Z in zip(sol2, zc):
-            if coef:
-                u = la.mat_add(u, la.mat_scale(coef, Z))
-        trip = Sl2Triple(c, h, la.mat_sub(d0, u))
+    trip = jacobson_morozov(c, factor.algebra_basis(), field)
     if not trip.check(field):
         raise ValueError("characteristic too small")
     return trip

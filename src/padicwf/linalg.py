@@ -103,9 +103,14 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def transpose(a):
-    return tuple(tuple(a[i][j] for i in range(len(a)))
-                 for j in range(len(a[0])))
+def mat_comb(coeffs, mats, field, n):
+    """The n x n matrix sum_k coeffs[k] * mats[k], over the nonzero
+    coefficients."""
+    X = zero_mat(field, n)
+    for c, M in zip(coeffs, mats):
+        if c:
+            X = mat_add(X, mat_scale(c, M))
+    return X
 
 
 def trace(a):

@@ -6,7 +6,10 @@ residue field: each matrix position contributes the residue coefficient
 at its threshold valuation r + w_j - w_i.  Collecting these residues in
 an n x n "club" matrix makes the graded bracket ordinary matrix
 commutator, so Jordan types, sl2-triples and orbit induction can all be
-read off with the finite-field linear algebra of liealg.
+read off with the finite-field linear algebra of liealg.  In particular
+lift_triple solves for its triple on the residue matrix and lifts the
+result monomially to levels r, 0 and -r only at the end; the exact
+bracket identities over the field certify the lift.
 
 The level-0 piece is the reductive quotient; its block decomposition
 (heart_structure) drives the induced-label computation for elements
@@ -118,18 +121,13 @@ def project(model, gamma, w, r):
     return GradedQuotient(model, w, r).project(gamma)
 
 
-def monomial_lift(c):
-    """Exact local lift of a coset: one monomial per nonzero residue."""
-    quot = c.quot
+def monomial_lift(quot, mat, level):
+    """Exact local lift of a residue matrix to a level of the grading of
+    quot: one monomial per nonzero residue, at its threshold valuation."""
     E = quot.model.field
-    n = quot.model.n
-    out = [[E.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cf = c.mat[i][j]
-            if cf:
-                out[i][j] = E.scalar({quot.threshold(i, j): cf})
-    return la.mat(out)
+    return la.mat([[E.scalar({quot.threshold(i, j, level): cf}) if cf
+                    else E.zero() for j, cf in enumerate(row)]
+                   for i, row in enumerate(mat)])
 
 
 # -- labels --------------------------------------------------------------
@@ -192,63 +190,27 @@ def n_label(c):
 # -- graded sl2 lifting --------------------------------------------------
 
 
-def _grade_unit_lifts(quot, level):
-    """Monomial matrices spanning the masked level piece (before the
-    Lie-algebra constraint)."""
+def _grade_units(quot, level):
+    """Residue matrices b E_ij spanning the masked level piece (before the
+    Lie-algebra constraint): one per matrix position on the coupling grid
+    and element b of the residue basis."""
     model = quot.model
-    E = model.field
     kres = quot.residue_field()
+    n = model.n
     out = []
-    for i in range(model.n):
-        for j in range(model.n):
+    for i in range(n):
+        for j in range(n):
             pc = model.position_class(i, j)
             if pc is None:
                 continue
             cls, s = pc
-            thr = quot.threshold(i, j, level)
-            if not cls.allows(thr - s):
+            if not cls.allows(quot.threshold(i, j, level) - s):
                 continue
             for b in kres.basis:
-                M = [[E.zero()] * model.n for _ in range(model.n)]
-                M[i][j] = E.scalar({thr: b})
+                M = [[kres.zero] * n for _ in range(n)]
+                M[i][j] = b
                 out.append(la.mat(M))
     return out
-
-
-def _coeff_at(e, v):
-    for vv, cf in e.terms:
-        if vv == v:
-            return cf
-    return None
-
-
-def _local_system(images, targets, kres):
-    """Rows of the linear system sum_k x_k images[k] = each target,
-    flattened over the prime residue field; returns (rows, rhs list)."""
-    keys = set()
-    for M in list(images) + list(targets):
-        for i, row in enumerate(M):
-            for j, e in enumerate(row):
-                for v, _ in e.terms:
-                    keys.add((i, j, v))
-    keys = sorted(keys)
-    nco = len(kres.basis)
-    rows, rhs = [], [[] for _ in targets]
-    z = kres.zero
-    for (i, j, v) in keys:
-        cells = []
-        for M in images:
-            cf = _coeff_at(M[i][j], v)
-            cells.append(kres.coords(cf if cf is not None else z))
-        tcells = []
-        for T in targets:
-            cf = _coeff_at(T[i][j], v)
-            tcells.append(kres.coords(cf if cf is not None else z))
-        for ci in range(nco):
-            rows.append([cell[ci] for cell in cells])
-            for ti, tc in enumerate(tcells):
-                rhs[ti].append(tc[ci])
-    return rows, rhs
 
 
 def _local_factor(model):
@@ -257,63 +219,51 @@ def _local_factor(model):
     return lie.Factor.gl(model.n, model.field)
 
 
-def _combine(basis, coeffs, E, n):
-    X = la.zero_mat(E, n)
-    for cf, B in zip(coeffs, basis):
-        if cf:
-            X = la.mat_add(X, la.mat_scale(E.from_residue(cf), B))
-    return X
+def _lie_rows(model, lifts):
+    """Rows over the prime residue field of the Lie-algebra condition on
+    sum_k x_k lifts[k], read from the residues of each lift's lie_defect:
+    one row per residue coordinate of each (position, valuation) term."""
+    kres = model.field.residue
+    factor = _local_factor(model)
+    cells = {}
+    for k, B in enumerate(lifts):
+        for i, row in enumerate(factor.lie_defect(B) or ()):
+            for j, e in enumerate(row):
+                for v, cf in e.terms:
+                    cells.setdefault((i, j, v),
+                                     [kres.zero] * len(lifts))[k] = cf
+    rows = []
+    for cell in cells.values():
+        coords = [kres.coords(cf) for cf in cell]
+        rows.extend([co[a] for co in coords]
+                    for a in range(len(kres.basis)))
+    return rows
 
 
 def lift_triple(c):
     """Lift a nilpotent coset to an exact sl2-triple over the field.
 
-    The lift is graded: c at level r, the semisimple member at level 0,
-    the opposite nilpotent at level -r, all with monomial entries, so
-    the bracket identities hold exactly.
+    The graded bracket is the residue-matrix commutator, so the triple is
+    solved on the coset's residue matrix by `liealg.jacobson_morozov`,
+    with d ranging over the residue units of the level -r piece cut down
+    by the Lie-algebra rows.  The lift is graded: c at level r, h at
+    level 0, d at level -r, all with monomial entries, and the bracket
+    identities are checked exactly over the field.
     """
     quot = c.quot
-    model = quot.model
-    E = model.field
-    kres = quot.residue_field()
-    kp = kres.base_or_self()
-    n = model.n
+    r = quot.r
     if c.is_zero():
         raise ValueError("zero element has no sl2-triple")
     if not c.is_nilpotent():
         raise ValueError("not nilpotent")
-    chat = monomial_lift(c)
-    factor = _local_factor(model)
-    basis = _grade_unit_lifts(quot, -quot.r)
-    zero = la.zero_mat(E, n)
-    defects = [factor.lie_defect(B) or zero for B in basis]
-    ad1 = [la.bracket(chat, B) for B in basis]
-    ad2 = [la.bracket(chat, A) for A in ad1]
-    two = E.from_int(2)
-    target = la.mat_scale(E.from_int(-2), chat)
-    rows_a, rhs_a = _local_system(ad2, [target], kres)
-    rows_d, rhs_d = _local_system(defects, [zero], kres)
-    sol = la.solve(rows_a + rows_d, rhs_a[0] + rhs_d[0], kp)
-    if sol is None:
-        raise ValueError("characteristic too small")
-    d0 = _combine(basis, sol, E, n)
-    h = la.bracket(chat, d0)
-    defect = la.mat_add(la.bracket(h, d0), la.mat_scale(two, d0))
-    d = d0
-    if any(e.terms for row in defect for e in row):
-        rows_k, _ = _local_system(ad1, [zero], kres)
-        kern = la.kernel_basis(la.mat(rows_k + rows_d), kp)
-        Zs = [_combine(basis, v, E, n) for v in kern]
-        imgs = [la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z))
-                for Z in Zs]
-        rows_c, rhs_c = _local_system(imgs, [defect], kres)
-        sol2 = la.solve(rows_c, rhs_c[0], kp)
-        if sol2 is None:
-            raise ValueError("characteristic too small")
-        u = _combine(Zs, sol2, E, n)
-        d = la.mat_sub(d0, u)
-    trip = lie.Sl2Triple(chat, h, d)
-    if not trip.check(E):
+    units = _grade_units(quot, -r)
+    rows = _lie_rows(quot.model,
+                     [monomial_lift(quot, U, -r) for U in units])
+    res = lie.jacobson_morozov(c.mat, units, quot.residue_field(), rows)
+    trip = lie.Sl2Triple(monomial_lift(quot, res.c, r),
+                         monomial_lift(quot, res.h, 0),
+                         monomial_lift(quot, res.d, -r))
+    if not trip.check(quot.model.field):
         raise ValueError("characteristic too small")
     return trip
 
@@ -345,7 +295,7 @@ def shift_check(c, lam, ell, t):
                 raise ValueError("coset not in the requested weight piece")
     if t == 0:
         return True
-    chat = monomial_lift(c)
+    chat = monomial_lift(quot, c.mat, quot.r)
     w2 = tuple(wi + t * li for wi, li in zip(quot.w, Lam))
     c2 = project(model, chat, w2, quot.r + ell * t)
     return n_label(c) == n_label(c2)

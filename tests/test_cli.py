@@ -107,6 +107,41 @@ def test_wf_compute_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+SL3_CHAIN_WITH_U6_SEED = """\
+[field]
+q = 23
+
+[group]
+model = sl3
+
+[gamma.1]
+depth = 0
+row = 1, 0, 0
+row = 0, 2, 0
+row = 0, 0, -3
+
+[gamma.2]
+depth = -1
+row = t^-1, 0, 0
+row = 0, -t^-1, 0
+row = 0, 0, 0
+
+[options]
+seed-datum = u6
+"""
+
+
+def test_wf_compute_u6_seed_needs_a_u6_model(tmp_path, capsys):
+    # the u6 seed's entries live in the rank-6 unitary model; on sl3
+    # they used to die on an internal assert
+    path = tmp_path / "sl3.ini"
+    path.write_text(SL3_CHAIN_WITH_U6_SEED)
+    code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == \
+        "seed-datum u6 lives in the u6 model, not in model 'sl3'"
+
+
 def test_wf_example_u6(capsys):
     code, text, _ = run(["wf", "example", "u6"], capsys)
     assert code == 0
@@ -412,3 +447,33 @@ def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
                capsys)[0] == 0
     assert json.loads(first.read_text())["manifest"]["seed"] == 5
     assert json.loads(second.read_text())["manifest"]["seed"] == 0
+
+
+def _manifest(argv, path, capsys):
+    assert run(argv + ["--out", str(path)], capsys)[0] == 0
+    return json.loads(path.read_text())["manifest"]
+
+
+@pytest.mark.parametrize("argv, flag, values", [
+    (["facets", "--model", "sl2", "--window", "0,1"], "--rmax", ("1", "2")),
+    (["lab", "curve", "--coeff", "1", "--q", "5"], "--deg", ("1", "2")),
+])
+def test_manifest_records_every_parsed_argument(argv, flag, values,
+                                                tmp_path, capsys):
+    # 49 facets against 71, and 0 points against 8: the two runs of
+    # each pair differ in their results, so they must in their manifests
+    first, second = (_manifest(argv + [flag, v], tmp_path / (v + ".json"),
+                               capsys) for v in values)
+    assert first != second
+    key = flag[2:]
+    assert (str(first[key]), str(second[key])) == values
+
+
+def test_manifest_leaves_out_paths_and_unparsed_keys(tmp_path, capsys):
+    mani = _manifest(["facets", "--model", "sl2", "--window", "0,1"],
+                     tmp_path / "f.json", capsys)
+    assert mani["rmin"] == "-1" and mani["rmax"] == "2"
+    assert not {"seed", "variant", "out"} & set(mani)
+    mani = _manifest(["wf", "compute", "--input",
+                      str(INPUTS / "toral.ini")], tmp_path / "w.json", capsys)
+    assert "input" not in mani and len(mani["input_hash"]) == 64

@@ -1,9 +1,13 @@
+import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padicwf import building as bd
 from padicwf import graph as gr
+from padicwf import mpquotient as mpq
 
 
 def zmat(field, n):
@@ -127,6 +131,69 @@ def test_fiber_too_large():
         gr.out_edges_rule1(last.src, below)
     assert ei.value.dim == 11
     assert isinstance(ei.value, ValueError)
+
+
+@st.composite
+def sl2_nilpotent_cosets(draw):
+    """A face of a random sl2 sub-window of x in [0, 1], r in [-1, 2]
+    (endpoints in 1/4 steps) and a matrix whose coset at the face centre
+    is a nonzero nilpotent: a unit times t^threshold in one off-diagonal
+    position whose threshold is integral, and deeper terms elsewhere."""
+    x0, x1 = sorted(draw(st.integers(0, 4)) for _ in range(2))
+    r0, r1 = sorted(draw(st.integers(-4, 8)) for _ in range(2))
+    m = bd.sl2_model(3)
+    win = bd.Window([(Fr(x0, 4), Fr(x1, 4))], Fr(r0, 4), Fr(r1, 4))
+    faces = []
+    for f in bd.Arrangement(m, win).faces:
+        (x,), r = gr.facet_center(f)
+        thr = {(0, 1): r - 2 * x, (1, 0): r + 2 * x}
+        live = sorted(pos for pos, t in thr.items() if t.denominator == 1)
+        if live:
+            faces.append((f, thr, live))
+    assume(faces)
+    f, thr, live = draw(st.sampled_from(faces))
+    pos = draw(st.sampled_from(live))
+    E = m.field
+    g = zmat(E, 2)
+    for ij, t in thr.items():
+        if ij == pos:
+            g[ij[0]][ij[1]] = E.scalar({t: draw(st.integers(1, 2))})
+        else:
+            g[ij[0]][ij[1]] = E.scalar({math.floor(t) + 1:
+                                        draw(st.integers(0, 2))})
+    (x,), r = gr.facet_center(f)
+    diag = E.scalar({math.floor(r) + 1: draw(st.integers(0, 2))})
+    g[0][0], g[1][1] = diag, -diag
+    return m, f, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(sl2_nilpotent_cosets())
+def test_graded_triple_and_fiber_split_on_random_sl2_cosets(case):
+    m, f, g = case
+    v = gr.GraphVertex(m, f, g)
+    c = v.coset()
+    assert c.is_nilpotent() and not c.is_zero()
+    quot = c.quot
+    # the lifted triple is graded and exact
+    trip = mpq.lift_triple(c)
+    assert bd.mp_member(m, trip.c, quot.w, quot.r)
+    assert bd.mp_member(m, trip.h, quot.w, 0)
+    assert bd.mp_member(m, trip.d, quot.w, -quot.r)
+    assert trip.check(m.field)
+    assert quot.project(trip.c) == c
+    # the fiber over each facet below splits the coset into q^dim
+    # distinct cosets there
+    if f.is_horizontal():
+        return
+    try:
+        below = bd.facets_below(f)
+    except ValueError:
+        return
+    for b in below:
+        basis = gr.fiber_basis(v, b)
+        outs = gr.out_edges_rule1(v, b)
+        assert len({o.key() for o in outs}) == 3 ** len(basis)
 
 
 # -- adjacency helpers ---------------------------------------------------

@@ -232,6 +232,164 @@ def test_lift_triple_rejects():
         mpq.lift_triple(mpq.project(m, u7_gamma_0(m), w, 0))
 
 
+# -- reference: the Jacobson-Morozov solve on local matrices -------------
+#
+# The route lift_triple took before the graded solve: bracket the exact
+# monomial lifts over the local field, flatten every (position,
+# valuation) coefficient of the images into rows over the prime residue
+# field, and combine the solutions back into local matrices.  The graded
+# solve must give the same triple entry by entry, terms and precision.
+
+
+def _reference_unit_lifts(quot, level):
+    model = quot.model
+    E = model.field
+    out = []
+    for i in range(model.n):
+        for j in range(model.n):
+            pc = model.position_class(i, j)
+            if pc is None:
+                continue
+            cls, s = pc
+            thr = quot.threshold(i, j, level)
+            if not cls.allows(thr - s):
+                continue
+            for b in quot.residue_field().basis:
+                M = [[E.zero()] * model.n for _ in range(model.n)]
+                M[i][j] = E.scalar({thr: b})
+                out.append(la.mat(M))
+    return out
+
+
+def _reference_system(images, targets, kres):
+    """Rows of sum_k x_k images[k] = each target over the prime residue
+    field, one per coordinate of each (i, j, valuation) term."""
+    keys = sorted({(i, j, v) for M in list(images) + list(targets)
+                   for i, row in enumerate(M) for j, e in enumerate(row)
+                   for v, _ in e.terms})
+
+    def coeff(e, v):
+        return next((cf for w, cf in e.terms if w == v), kres.zero)
+
+    rows, rhs = [], [[] for _ in targets]
+    for i, j, v in keys:
+        cells = [kres.coords(coeff(M[i][j], v)) for M in images]
+        tcells = [kres.coords(coeff(T[i][j], v)) for T in targets]
+        for ci in range(len(kres.basis)):
+            rows.append([cell[ci] for cell in cells])
+            for ti, tc in enumerate(tcells):
+                rhs[ti].append(tc[ci])
+    return rows, rhs
+
+
+def _reference_combine(basis, coeffs, E, n):
+    X = la.zero_mat(E, n)
+    for cf, B in zip(coeffs, basis):
+        if cf:
+            X = la.mat_add(X, la.mat_scale(E.from_residue(cf), B))
+    return X
+
+
+def reference_lift_triple(c):
+    quot = c.quot
+    model = quot.model
+    E = model.field
+    kres = quot.residue_field()
+    kp = kres.base_or_self()
+    n = model.n
+    if c.is_zero():
+        raise ValueError("zero element has no sl2-triple")
+    if not c.is_nilpotent():
+        raise ValueError("not nilpotent")
+    chat = mpq.monomial_lift(quot, c.mat, quot.r)
+    factor = mpq._local_factor(model)
+    basis = _reference_unit_lifts(quot, -quot.r)
+    zero = la.zero_mat(E, n)
+    defects = [factor.lie_defect(B) or zero for B in basis]
+    ad1 = [la.bracket(chat, B) for B in basis]
+    ad2 = [la.bracket(chat, A) for A in ad1]
+    two = E.from_int(2)
+    rows_a, rhs_a = _reference_system(ad2, [la.mat_scale(-two, chat)], kres)
+    rows_d, rhs_d = _reference_system(defects, [zero], kres)
+    sol = la.solve(rows_a + rows_d, rhs_a[0] + rhs_d[0], kp)
+    if sol is None:
+        raise ValueError("characteristic too small")
+    d0 = _reference_combine(basis, sol, E, n)
+    h = la.bracket(chat, d0)
+    defect = la.mat_add(la.bracket(h, d0), la.mat_scale(two, d0))
+    d = d0
+    if any(e.terms for row in defect for e in row):
+        rows_k, _ = _reference_system(ad1, [zero], kres)
+        kern = la.kernel_basis(la.mat(rows_k + rows_d), kp)
+        Zs = [_reference_combine(basis, v, E, n) for v in kern]
+        imgs = [la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z))
+                for Z in Zs]
+        rows_c, rhs_c = _reference_system(imgs, [defect], kres)
+        sol2 = la.solve(rows_c, rhs_c[0], kp)
+        if sol2 is None:
+            raise ValueError("characteristic too small")
+        d = la.mat_sub(d0, _reference_combine(Zs, sol2, E, n))
+    trip = lie.Sl2Triple(chat, h, d)
+    if not trip.check(E):
+        raise ValueError("characteristic too small")
+    return trip
+
+
+def _outcome(fn, c):
+    """(terms, prec) of every entry of c, h and d, or the error message."""
+    try:
+        trip = fn(c)
+    except ValueError as err:
+        return "ValueError: %s" % err
+    return [[[(e.terms, e.prec) for e in row] for row in M]
+            for M in (trip.c, trip.h, trip.d)]
+
+
+def _graph_cosets():
+    """Every coset lift_triple is called on in graph trace and graph
+    reach for the sl2 and u7h scenarios, in call order."""
+    from padicwf import cli
+    seen = []
+    real = mpq.lift_triple
+
+    def record(c):
+        seen.append(c)
+        return real(c)
+    mpq.lift_triple = record
+    try:
+        for scenario in ("sl2", "u7h"):
+            for cmd in ("trace", "reach"):
+                cli.main(["graph", cmd, "--scenario", scenario])
+    finally:
+        mpq.lift_triple = real
+    return seen
+
+
+def test_lift_triple_matches_the_local_reference(capsys):
+    cosets = _graph_cosets()
+    capsys.readouterr()
+    outcomes = [(_outcome(mpq.lift_triple, c),
+                 _outcome(reference_lift_triple, c)) for c in cosets]
+    # 73 calls on 29 distinct cosets; 25 calls raise
+    assert len(outcomes) == 73 and len({c.key() for c in cosets}) == 29
+    assert sum(isinstance(ref, str) for _, ref in outcomes) == 25
+    for got, ref in outcomes:
+        assert got == ref
+
+
+def test_lift_triple_test_cosets_match_the_local_reference():
+    m2, m6, m7 = bd.sl2_model(3), bd.u6_model(23), bd.u7_model(23)
+    g = zmat(m2.field, 2)
+    g[1][0] = m2.field.uniformizer()
+    cosets = [mpq.project(m2, g, (0, 0), 1),
+              mpq.project(m6, u6_c_n(m6), bd.U6_Z, -1),
+              mpq.project(m7, u7_chain_z(m7), m7.point(U7_Z), 0)]
+    for c in cosets:
+        got = _outcome(mpq.lift_triple, c)
+        assert not isinstance(got, str)
+        assert got == _outcome(reference_lift_triple, c)
+
+
 # -- base-point shifts ---------------------------------------------------
 
 
@@ -277,8 +435,8 @@ def test_bracket_respects_grading():
     w = bd.U6_Z
     qa = mpq.GradedQuotient(m, w, -1)
     qb = mpq.GradedQuotient(m, w, 1)
-    A = mpq._grade_unit_lifts(qa, -1)
-    B = mpq._grade_unit_lifts(qb, 1)
+    A = [mpq.monomial_lift(qa, U, -1) for U in mpq._grade_units(qa, -1)]
+    B = [mpq.monomial_lift(qb, U, 1) for U in mpq._grade_units(qb, 1)]
     for X in A[:6]:
         for Y in B[:6]:
             assert bd.mp_member(m, la.bracket(X, Y), w, 0)

@@ -1,8 +1,9 @@
-"""The full standard output of the wave-front and path-trace commands,
-pinned byte for byte: labels, provenance, dominated lines and notes; the
-rules, depths, dimensions and centres of each descent edge.  A refactor
-of the label or descent layers must leave every file under tests/stdout
-unchanged."""
+"""The full standard output of the wave-front, path-trace and reach
+commands, pinned byte for byte: labels, provenance, dominated lines and
+notes; the rules, depths, dimensions and centres of each descent edge;
+the backward reachable set, and the error record of the u7h reach,
+which stops at its vertex limit.  A refactor of the label or descent
+layers must leave every file under tests/stdout unchanged."""
 
 from pathlib import Path
 
@@ -33,3 +34,18 @@ def test_graph_trace_stdout_is_pinned(scenario, capsys):
     assert cli.main(["graph", "trace", "--scenario", scenario]) == 0
     assert capsys.readouterr().out == \
         (GOLDEN / ("graph_trace_%s.txt" % scenario)).read_text()
+
+
+def test_graph_reach_sl2_stdout_is_pinned(capsys):
+    assert cli.main(["graph", "reach", "--scenario", "sl2"]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "graph_reach_sl2.txt").read_text()
+
+
+def test_graph_reach_u7h_stderr_is_pinned(capsys):
+    # reach lifts a triple for every rule-2 candidate, the ones that
+    # raise included, before it stops at the limit
+    assert cli.main(["graph", "reach", "--scenario", "u7h"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (GOLDEN / "graph_reach_u7h.stderr.txt").read_text()
