@@ -78,7 +78,8 @@ class EntryClass:
 
 
 def _monomial_gram(gram):
-    """Extract (sigma, units, valuations) from a monomial Gram matrix."""
+    """(sigma, valuations, units) of a monomial Gram matrix: row i has the
+    one entry gram[i][sigma[i]] = units[i] * t^valuations[i]."""
     n = len(gram)
     sigma, vals, units = [None] * n, [None] * n, [None] * n
     for i in range(n):
@@ -143,7 +144,8 @@ class Model:
     weight_funcs: per matrix index an affine function of the d free
     apartment coordinates, given as (coefficient tuple, constant).
     Models without a chart (d = 0) are evaluated at explicit weight
-    vectors only.
+    vectors only.  form: (sigma, valuations, units) of the monomial Gram
+    matrix, as read by _monomial_gram; None without one.
     """
 
     def __init__(self, name, n, field, classes, weight_funcs=None,
@@ -154,6 +156,7 @@ class Model:
         self.classes = classes
         self.weight_funcs = weight_funcs
         self.gram = gram
+        self.form = None if gram is None else _monomial_gram(gram)
         self.kind = kind
         self.d = len(weight_funcs[0][0]) if weight_funcs else 0
         self.club_indices = tuple(range(n))

@@ -169,8 +169,8 @@ def out_edge_rule2(v):
 
 def fiber_basis(v, below):
     """Matrices spanning g_{>facet} / g_{>below}, over the prime residue
-    field: the level-dep(facet) monomials strictly above the facet,
-    intersected with the Lie algebra."""
+    field: the level-dep(below) units whose thresholds lie strictly above
+    the facet's, intersected with the Lie algebra."""
     model = v.model
     kres = model.field.residue
     kp = kres.base_or_self()
@@ -178,18 +178,15 @@ def fiber_basis(v, below):
     quot = mpq.GradedQuotient(model, model.point(bx), brr)
     fx, fr = facet_center(v.facet)
     wf = model.point(fx)
-    units, lifts = [], []
-    for U in mpq._grade_units(quot, brr):
-        B = mpq.monomial_lift(quot, U, brr)
-        if bd.mp_member(model, B, wf, fr, strict=True):
-            units.append(U)
-            lifts.append(B)
-    if not units:
-        return []
-    rows = mpq._lie_rows(model, lifts)
+    units = mpq._grade_units(quot, brr)
+    keep = [k for k, (i, j, _) in enumerate(units)
+            if quot.threshold(i, j) > fr + wf[j] - wf[i]]
+    rows = [[row[k] for k in keep]
+            for row in mpq._lie_relations(quot, brr, units)]
     kern = la.kernel_basis(rows, kp) if rows else \
-        la.identity(kp, len(units))
-    return [mpq.monomial_lift(quot, la.mat_comb(vco, units, kres, model.n),
+        la.identity(kp, len(keep))
+    basis = la.unit_mats(kres, model.n, [units[k] for k in keep])
+    return [mpq.monomial_lift(quot, la.mat_comb(vco, basis, kres, model.n),
                               brr) for vco in kern]
 
 

@@ -11,9 +11,10 @@ semisimple part needed for induction of nilpotent orbits.  One
 constructive Jacobson-Morozov routine, `jacobson_morozov`, finds every
 sl2-triple: `sl2_complete` runs it over a factor's Lie algebra basis, and
 `mpquotient.lift_triple` over the residue units of a graded Moy-Prasad
-piece cut down by the Lie-algebra rows.  Over the local-field model this
+piece cut down by Lie-algebra rows that mpquotient writes in closed form
+from the model's monomial Gram matrix.  Over the local-field model this
 module provides the goodness test (all nonzero root values of fixed
-valuation).
+valuation) and the Lie-algebra membership test `Factor.is_lie`.
 """
 
 from fractions import Fraction
@@ -100,35 +101,17 @@ class Factor:
     def algebra_basis(self):
         """Basis matrices of the Lie algebra over the prime subfield."""
         assert not self.is_local()
-        if self._basis is not None:
-            return self._basis
-        n, f = self.n, self.field
-        gens = []
-        for i in range(n):
-            for j in range(n):
-                for b in f.basis:
-                    E = [[f.zero] * n for _ in range(n)]
-                    E[i][j] = b
-                    gens.append(la.mat(E))
-        if self.kind == "gl":
+        if self._basis is None:
+            n, f = self.n, self.field
+            gens = la.unit_mats(f, n, [(i, j, b) for i in range(n)
+                                       for j in range(n) for b in f.basis])
+            if self.kind != "gl":
+                ker = la.kernel_basis(
+                    _linear_rows([self.lie_defect(E) for E in gens], f, n),
+                    f.base_or_self())
+                gens = [la.mat_comb(v, gens, f, n) for v in ker]
             self._basis = gens
-            return gens
-        ker = la.kernel_basis(
-            _linear_rows([self.lie_defect(E) for E in gens], f, n),
-            f.base_or_self())
-        basis = []
-        k2 = len(f.basis)
-        for v in ker:
-            X = [[f.zero] * n for _ in range(n)]
-            for idx, coef in enumerate(v):
-                if not coef:
-                    continue
-                pos, b = divmod(idx, k2)
-                i, j = divmod(pos, n)
-                X[i][j] = X[i][j] + f.basis[b] * coef
-            basis.append(la.mat(X))
-        self._basis = basis
-        return basis
+        return self._basis
 
     def dim(self):
         """Dimension over the prime subfield."""

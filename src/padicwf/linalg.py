@@ -61,6 +61,13 @@ def identity(field, n):
                  for i in range(n))
 
 
+def unit_mats(field, n, units):
+    """The n x n matrices b E_ij of units given as (i, j, b)."""
+    z = fzero(field)
+    return [tuple(tuple(b if (r, c) == (i, j) else z for c in range(n))
+                  for r in range(n)) for i, j, b in units]
+
+
 def mat_add(a, b):
     return tuple(tuple((x + y if y else x) if x else y
                        for x, y in zip(ra, rb))

@@ -9,7 +9,10 @@ commutator, so Jordan types, sl2-triples and orbit induction can all be
 read off with the finite-field linear algebra of liealg.  In particular
 lift_triple solves for its triple on the residue matrix and lifts the
 result monomially to levels r, 0 and -r only at the end; the exact
-bracket identities over the field certify the lift.
+bracket identities over the field certify the lift.  The Lie-algebra
+condition on the residue units of a level piece is written in closed
+form from the monomial Gram matrix, two monomials per unit, so no
+product over the field comes before that certificate.
 
 The level-0 piece is the reductive quotient; its block decomposition
 (heart_structure) drives the induced-label computation for elements
@@ -191,47 +194,47 @@ def n_label(c):
 
 
 def _grade_units(quot, level):
-    """Residue matrices b E_ij spanning the masked level piece (before the
-    Lie-algebra constraint): one per matrix position on the coupling grid
-    and element b of the residue basis."""
+    """Residue units b E_ij spanning the masked level piece (before the
+    Lie-algebra constraint), as (i, j, b): one per matrix position on the
+    coupling grid and element b of the residue basis."""
     model = quot.model
-    kres = quot.residue_field()
-    n = model.n
     out = []
-    for i in range(n):
-        for j in range(n):
+    for i in range(model.n):
+        for j in range(model.n):
             pc = model.position_class(i, j)
             if pc is None:
                 continue
             cls, s = pc
-            if not cls.allows(quot.threshold(i, j, level) - s):
-                continue
-            for b in kres.basis:
-                M = [[kres.zero] * n for _ in range(n)]
-                M[i][j] = b
-                out.append(la.mat(M))
+            if cls.allows(quot.threshold(i, j, level) - s):
+                out.extend((i, j, b) for b in quot.residue_field().basis)
     return out
 
 
-def _local_factor(model):
-    if model.kind == "u":
-        return lie.Factor.u(model.n, model.field, model.gram)
-    return lie.Factor.gl(model.n, model.field)
-
-
-def _lie_rows(model, lifts):
+def _lie_relations(quot, level, units):
     """Rows over the prime residue field of the Lie-algebra condition on
-    sum_k x_k lifts[k], read from the residues of each lift's lie_defect:
-    one row per residue coordinate of each (position, valuation) term."""
-    kres = model.field.residue
-    factor = _local_factor(model)
+    sum_k x_k X_k, X_k the monomial lift to `level` of units[k] = (i, j, b).
+
+    With gram[i][sigma(i)] = u_i t^{g_i}, the defect conj(X)^T G + G X of
+    X = b t^th E_ij has two monomials: eps conj(b) u_i t^(th + g_i) at
+    (j, sigma(i)) and u_sigma(i) b t^(th + g_sigma(i)) at (sigma(i), j),
+    where eps = -1 when conj negates t^th (ramified field, 2 th odd).
+    One row per residue coordinate of each (position, valuation) cell;
+    no rows for a model without a form.
+    """
+    if quot.model.form is None:
+        return []
+    sigma, gv, gu = quot.model.form
+    kres = quot.residue_field()
+    ram = quot.model.field.kind == "ram"
     cells = {}
-    for k, B in enumerate(lifts):
-        for i, row in enumerate(factor.lie_defect(B) or ()):
-            for j, e in enumerate(row):
-                for v, cf in e.terms:
-                    cells.setdefault((i, j, v),
-                                     [kres.zero] * len(lifts))[k] = cf
+    for k, (i, j, b) in enumerate(units):
+        th = quot.threshold(i, j, level)
+        cb = -b if ram and (2 * th) % 2 else b.conj()
+        si = sigma[i]
+        for cell, cf in (((j, si, th + gv[i]), cb * gu[i]),
+                         ((si, j, th + gv[si]), gu[si] * b)):
+            col = cells.setdefault(cell, [kres.zero] * len(units))
+            col[k] = col[k] + cf
     rows = []
     for cell in cells.values():
         coords = [kres.coords(cf) for cf in cell]
@@ -246,9 +249,10 @@ def lift_triple(c):
     The graded bracket is the residue-matrix commutator, so the triple is
     solved on the coset's residue matrix by `liealg.jacobson_morozov`,
     with d ranging over the residue units of the level -r piece cut down
-    by the Lie-algebra rows.  The lift is graded: c at level r, h at
-    level 0, d at level -r, all with monomial entries, and the bracket
-    identities are checked exactly over the field.
+    by the Lie-algebra rows, which are read off the monomial form in
+    closed form.  The lift is graded: c at level r, h at level 0, d at
+    level -r, all with monomial entries.  The exact check of the bracket
+    identities over the field makes the lift's only products there.
     """
     quot = c.quot
     r = quot.r
@@ -257,9 +261,10 @@ def lift_triple(c):
     if not c.is_nilpotent():
         raise ValueError("not nilpotent")
     units = _grade_units(quot, -r)
-    rows = _lie_rows(quot.model,
-                     [monomial_lift(quot, U, -r) for U in units])
-    res = lie.jacobson_morozov(c.mat, units, quot.residue_field(), rows)
+    kres = quot.residue_field()
+    basis = la.unit_mats(kres, quot.model.n, units)
+    res = lie.jacobson_morozov(c.mat, basis, kres,
+                               _lie_relations(quot, -r, units))
     trip = lie.Sl2Triple(monomial_lift(quot, res.c, r),
                          monomial_lift(quot, res.h, 0),
                          monomial_lift(quot, res.d, -r))

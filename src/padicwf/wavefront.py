@@ -151,7 +151,8 @@ def compute_wf(chain, seed, mode="exact"):
     """Run the descent over the chain starting from the innermost
     spectral datum.  Each piece at the seed's depth is added by the
     descent step; deeper transfers between levels require explicit
-    facet data and are outside the generic driver."""
+    facet data and are refused here with a ValueError, as is a chain
+    with no piece at the seed's depth."""
     assert mode in ("exact", "bound")
     datum = seed
     applied = False
@@ -159,12 +160,15 @@ def compute_wf(chain, seed, mode="exact"):
         if r > datum.depth:
             continue  # consumed by the black-box seed datum
         if r != datum.depth:
-            raise NotImplementedError(
-                "level transfer from depth %s to %s requires explicit "
-                "facet data" % (datum.depth, r))
+            raise ValueError("piece %r at depth %s lies below the seed "
+                             "depth %s: the level transfer needs explicit "
+                             "facet data" % (name, r, datum.depth))
         datum = descend(datum, fn)
         applied = True
-    assert applied, "no piece matches the seed depth"
+    if not applied:
+        raise ValueError("no piece at the seed depth %s: %s" % (
+            datum.depth, ", ".join("piece %r at depth %s" % (name, r)
+                                   for name, _, r in chain.pieces)))
     if chain.tail is not None:
         datum = descend(datum, chain.tail)
     notes = []

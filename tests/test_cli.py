@@ -142,6 +142,37 @@ def test_wf_compute_u6_seed_needs_a_u6_model(tmp_path, capsys):
         "seed-datum u6 lives in the u6 model, not in model 'sl3'"
 
 
+U6_CHAIN = (INPUTS / "u6_chain.ini").read_text()
+
+U6_DEPTH_MINUS_2 = "[gamma.3]\ndepth = -2\n" + "".join(
+    "row = %s\n" % ", ".join("(%d*s)*t^-2" % (i + 7) if j == i else "0"
+                             for j in range(6))
+    for i in range(6)) + "\n"
+
+
+def test_wf_compute_piece_below_the_seed_depth(tmp_path, capsys):
+    # the u6 seed sits at depth -1; a piece at -2 needs a level transfer
+    path = tmp_path / "deep.ini"
+    path.write_text(U6_CHAIN.replace("[options]",
+                                     U6_DEPTH_MINUS_2 + "[options]"))
+    code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == (
+        "piece 'gamma.3' at depth -2 lies below the seed depth -1: the "
+        "level transfer needs explicit facet data")
+
+
+def test_wf_compute_no_piece_at_the_seed_depth(tmp_path, capsys):
+    # only the depth-0 piece: nothing meets the u6 seed at depth -1
+    path = tmp_path / "shallow.ini"
+    path.write_text(U6_CHAIN.split("[gamma.2]")[0] + "[options]" +
+                    U6_CHAIN.split("[options]")[1])
+    code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == \
+        "no piece at the seed depth -1: piece 'gamma.1' at depth 0"
+
+
 def test_wf_example_u6(capsys):
     code, text, _ = run(["wf", "example", "u6"], capsys)
     assert code == 0

@@ -2,12 +2,13 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from padicwf import building as bd
 from padicwf import graph as gr
 from padicwf import mpquotient as mpq
+from padicwf import orbits as ob
 
 
 def zmat(field, n):
@@ -134,17 +135,20 @@ def test_fiber_too_large():
 
 
 @st.composite
-def sl2_nilpotent_cosets(draw):
+def sl2_nilpotent_cosets(draw, horizontal=False):
     """A face of a random sl2 sub-window of x in [0, 1], r in [-1, 2]
     (endpoints in 1/4 steps) and a matrix whose coset at the face centre
     is a nonzero nilpotent: a unit times t^threshold in one off-diagonal
-    position whose threshold is integral, and deeper terms elsewhere."""
+    position whose threshold is integral, and deeper terms elsewhere.
+    With `horizontal`, only horizontal faces are drawn."""
     x0, x1 = sorted(draw(st.integers(0, 4)) for _ in range(2))
     r0, r1 = sorted(draw(st.integers(-4, 8)) for _ in range(2))
     m = bd.sl2_model(3)
     win = bd.Window([(Fr(x0, 4), Fr(x1, 4))], Fr(r0, 4), Fr(r1, 4))
     faces = []
     for f in bd.Arrangement(m, win).faces:
+        if horizontal and not f.is_horizontal():
+            continue
         (x,), r = gr.facet_center(f)
         thr = {(0, 1): r - 2 * x, (1, 0): r + 2 * x}
         live = sorted(pos for pos, t in thr.items() if t.denominator == 1)
@@ -167,6 +171,22 @@ def sl2_nilpotent_cosets(draw):
     return m, f, g
 
 
+def check_edge(src, dst, rule):
+    """Criterion 8 on one descent edge: strictly up in the order, the
+    lower facet in the closure of the upper one, and on rule-1 edges to a
+    nilpotent coset the label up in dominance (a fiber coset off the
+    nilpotent cone need not respect the reductive-quotient blocks, and
+    then has no label)."""
+    assert bd.precede(src.facet, dst.facet)
+    assert not bd.precede(dst.facet, src.facet)
+    if rule == 2:
+        assert gr.in_closure(src.facet, dst.facet)
+    else:
+        assert gr.in_closure(dst.facet, src.facet)
+        if dst.is_nilpotent():
+            assert ob.dominance_leq(src.label(), dst.label())
+
+
 @settings(max_examples=60, deadline=None)
 @given(sl2_nilpotent_cosets())
 def test_graded_triple_and_fiber_split_on_random_sl2_cosets(case):
@@ -183,7 +203,8 @@ def test_graded_triple_and_fiber_split_on_random_sl2_cosets(case):
     assert trip.check(m.field)
     assert quot.project(trip.c) == c
     # the fiber over each facet below splits the coset into q^dim
-    # distinct cosets there
+    # distinct cosets there, each reached by an edge that meets
+    # criterion 8
     if f.is_horizontal():
         return
     try:
@@ -194,6 +215,31 @@ def test_graded_triple_and_fiber_split_on_random_sl2_cosets(case):
         basis = gr.fiber_basis(v, b)
         outs = gr.out_edges_rule1(v, b)
         assert len({o.key() for o in outs}) == 3 ** len(basis)
+        for o in outs:
+            check_edge(v, o, 1)
+
+
+# Most draws end at the window: the trace walks out of it, stops on its
+# boundary, or the face already sits at the top.  Those are filtered.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(sl2_nilpotent_cosets(horizontal=True), st.data())
+def test_path_trace_edges_on_random_sl2_windows(case, data):
+    # every edge of a trace from a horizontal face to a depth inside the
+    # window meets criterion 8
+    m, f, g = case
+    win = f.window
+    depths = [Fr(k, 4) for k in range(-4, 9)
+              if f.depth() < Fr(k, 4) <= win.rmax]
+    assume(depths)
+    to_depth = data.draw(st.sampled_from(depths))
+    try:
+        edges = gr.path_trace(gr.GraphVertex(m, f, g), to_depth)
+    except ValueError:
+        assume(False)
+    assert edges
+    for e in edges:
+        check_edge(e.src, e.dst, e.rule)
 
 
 # -- adjacency helpers ---------------------------------------------------

@@ -1,8 +1,10 @@
 from fractions import Fraction as Fr
+from functools import lru_cache
 
 import pytest
 
 from padicwf import building as bd
+from padicwf import graph as gr
 from padicwf import liealg as lie
 from padicwf import linalg as la
 from padicwf import mpquotient as mpq
@@ -75,6 +77,25 @@ def u7_chain_y(model):
     g[4][3] = E.from_int(-1)
     g[5][4] = E.from_int(-1)
     return g
+
+
+def u7_z_rows_guard(model):
+    """Nilpotent at U7_Z, level -3/4: two level pieces of the chart's
+    residue units, at valuations -1 and -3/2.  The particular solution
+    of the Jacobson-Morozov system leaves the unitary Lie algebra here
+    unless the Lie rows cut it down."""
+    E = model.field
+    g = zmat(E, 7)
+    g[2][3] = E.parse("-w^-2")
+    g[3][4] = E.parse("w^-2")
+    g[1][3] = E.parse("w^-3")
+    g[3][5] = E.parse("w^-3")
+    return g
+
+
+def unit_mats(quot, units):
+    """The residue matrices b E_ij of a quotient's units (i, j, b)."""
+    return la.unit_mats(quot.residue_field(), quot.model.n, units)
 
 
 def madd(a, b):
@@ -223,6 +244,23 @@ def test_lift_triple_u7():
         c.quot.project(trip.c).club(), m.field.residue)
 
 
+def test_lift_triple_uses_the_lie_rows():
+    m = bd.u7_model(23)
+    c = mpq.project(m, u7_z_rows_guard(m), m.point(U7_Z), Fr(-3, 4))
+    assert c.is_nilpotent()
+    trip = mpq.lift_triple(c)
+    check_graded_triple(m, c.quot, trip)
+    f = lie.Factor.u(m.n, m.field, m.gram)
+    assert f.is_lie(trip.d)
+    # the same solve without the rows: d leaves the Lie algebra
+    quot = c.quot
+    units = mpq._grade_units(quot, -quot.r)
+    free = lie.jacobson_morozov(c.mat, unit_mats(quot, units),
+                                quot.residue_field())
+    d = mpq.monomial_lift(quot, free.d, -quot.r)
+    assert d != trip.d and not f.is_lie(d)
+
+
 def test_lift_triple_rejects():
     m = bd.u7_model(23)
     w = m.point(U7_Z)
@@ -239,6 +277,12 @@ def test_lift_triple_rejects():
 # valuation) coefficient of the images into rows over the prime residue
 # field, and combine the solutions back into local matrices.  The graded
 # solve must give the same triple entry by entry, terms and precision.
+
+
+def reference_local_factor(model):
+    if model.kind == "u":
+        return lie.Factor.u(model.n, model.field, model.gram)
+    return lie.Factor.gl(model.n, model.field)
 
 
 def _reference_unit_lifts(quot, level):
@@ -302,7 +346,7 @@ def reference_lift_triple(c):
     if not c.is_nilpotent():
         raise ValueError("not nilpotent")
     chat = mpq.monomial_lift(quot, c.mat, quot.r)
-    factor = mpq._local_factor(model)
+    factor = reference_local_factor(model)
     basis = _reference_unit_lifts(quot, -quot.r)
     zero = la.zero_mat(E, n)
     defects = [factor.lie_defect(B) or zero for B in basis]
@@ -335,6 +379,61 @@ def reference_lift_triple(c):
     return trip
 
 
+# -- reference: the Lie rows read from local lie_defect products --------
+#
+# The rows lift_triple and fiber_basis took before the closed form: the
+# monomial lift of every unit, its lie_defect over the local field, and
+# one row per residue coordinate of each (position, valuation) term.  The
+# closed form must give the same row space, hence the same solutions.
+
+
+def reference_lie_rows(model, lifts):
+    kres = model.field.residue
+    factor = reference_local_factor(model)
+    cells = {}
+    for k, B in enumerate(lifts):
+        for i, row in enumerate(factor.lie_defect(B) or ()):
+            for j, e in enumerate(row):
+                for v, cf in e.terms:
+                    cells.setdefault((i, j, v),
+                                     [kres.zero] * len(lifts))[k] = cf
+    rows = []
+    for cell in cells.values():
+        coords = [kres.coords(cf) for cf in cell]
+        rows.extend([co[a] for co in coords]
+                    for a in range(len(kres.basis)))
+    return rows
+
+
+def reference_fiber_basis(v, below):
+    """graph.fiber_basis with each unit lifted and tested by mp_member and
+    the rows read by reference_lie_rows."""
+    model = v.model
+    kres = model.field.residue
+    kp = kres.base_or_self()
+    bx, brr = gr.facet_center(below)
+    quot = mpq.GradedQuotient(model, model.point(bx), brr)
+    fx, fr = gr.facet_center(v.facet)
+    wf = model.point(fx)
+    units, lifts = [], []
+    for U in unit_mats(quot, mpq._grade_units(quot, brr)):
+        B = mpq.monomial_lift(quot, U, brr)
+        if bd.mp_member(model, B, wf, fr, strict=True):
+            units.append(U)
+            lifts.append(B)
+    if not units:
+        return []
+    rows = reference_lie_rows(model, lifts)
+    kern = la.kernel_basis(rows, kp) if rows else \
+        la.identity(kp, len(units))
+    return [mpq.monomial_lift(quot, la.mat_comb(vco, units, kres, model.n),
+                              brr) for vco in kern]
+
+
+def _same_row_space(a, b):
+    return la.rank(a) == la.rank(b) == la.rank(a + b)
+
+
 def _outcome(fn, c):
     """(terms, prec) of every entry of c, h and d, or the error message."""
     try:
@@ -345,28 +444,60 @@ def _outcome(fn, c):
             for M in (trip.c, trip.h, trip.d)]
 
 
-def _graph_cosets():
-    """Every coset lift_triple is called on in graph trace and graph
-    reach for the sl2 and u7h scenarios, in call order."""
+@lru_cache(maxsize=None)
+def _graph_runs():
+    """Every coset lift_triple is called on, and every (quotient, level,
+    units) the Lie rows are written for, in graph trace and graph reach
+    for the sl2 and u7h scenarios, in call order."""
     from padicwf import cli
-    seen = []
-    real = mpq.lift_triple
+    cosets, pieces = [], []
+    lift, rows = mpq.lift_triple, mpq._lie_relations
 
     def record(c):
-        seen.append(c)
-        return real(c)
-    mpq.lift_triple = record
+        cosets.append(c)
+        return lift(c)
+
+    def record_rows(quot, level, units):
+        pieces.append((quot, level, units))
+        return rows(quot, level, units)
+    mpq.lift_triple, mpq._lie_relations = record, record_rows
     try:
         for scenario in ("sl2", "u7h"):
             for cmd in ("trace", "reach"):
                 cli.main(["graph", cmd, "--scenario", scenario])
     finally:
-        mpq.lift_triple = real
-    return seen
+        mpq.lift_triple, mpq._lie_relations = lift, rows
+    return cosets, pieces
+
+
+def _test_cosets():
+    """The cosets of the test_lift_triple_* tests."""
+    m2, m6, m7 = bd.sl2_model(3), bd.u6_model(23), bd.u7_model(23)
+    g = zmat(m2.field, 2)
+    g[1][0] = m2.field.uniformizer()
+    return [mpq.project(m2, g, (0, 0), 1),
+            mpq.project(m6, u6_c_n(m6), bd.U6_Z, -1),
+            mpq.project(m7, u7_chain_z(m7), m7.point(U7_Z), 0),
+            mpq.project(m7, u7_z_rows_guard(m7), m7.point(U7_Z),
+                        Fr(-3, 4))]
+
+
+def _fiber_cases():
+    """(vertex, facet below) for every rule-1 step of the sl2 and u7h
+    scenario paths and every facet below it: the fibers the graph tests
+    split."""
+    from padicwf import cli
+    out = []
+    for scenario in ("sl2", "u7h"):
+        v, depth = cli._scenario_vertex(scenario)
+        for e in gr.path_trace(v, depth):
+            if e.rule == 1:
+                out.extend((e.src, b) for b in bd.facets_below(e.src.facet))
+    return out
 
 
 def test_lift_triple_matches_the_local_reference(capsys):
-    cosets = _graph_cosets()
+    cosets, _ = _graph_runs()
     capsys.readouterr()
     outcomes = [(_outcome(mpq.lift_triple, c),
                  _outcome(reference_lift_triple, c)) for c in cosets]
@@ -378,16 +509,66 @@ def test_lift_triple_matches_the_local_reference(capsys):
 
 
 def test_lift_triple_test_cosets_match_the_local_reference():
-    m2, m6, m7 = bd.sl2_model(3), bd.u6_model(23), bd.u7_model(23)
-    g = zmat(m2.field, 2)
-    g[1][0] = m2.field.uniformizer()
-    cosets = [mpq.project(m2, g, (0, 0), 1),
-              mpq.project(m6, u6_c_n(m6), bd.U6_Z, -1),
-              mpq.project(m7, u7_chain_z(m7), m7.point(U7_Z), 0)]
-    for c in cosets:
+    for c in _test_cosets():
         got = _outcome(mpq.lift_triple, c)
         assert not isinstance(got, str)
         assert got == _outcome(reference_lift_triple, c)
+
+
+def _entries(mats):
+    return [[[(e.terms, e.prec) for e in row] for row in M] for M in mats]
+
+
+def test_fiber_basis_matches_the_local_reference():
+    cases = _fiber_cases()
+    assert len(cases) == 7
+    for v, below in cases:
+        assert _entries(gr.fiber_basis(v, below)) == \
+            _entries(reference_fiber_basis(v, below))
+
+
+def test_lie_rows_match_the_local_reference(capsys):
+    _, pieces = _graph_runs()
+    capsys.readouterr()
+    pieces = list(pieces)
+    for c in _test_cosets():
+        quot = c.quot
+        pieces.append((quot, -quot.r, mpq._grade_units(quot, -quot.r)))
+    for _, below in _fiber_cases():
+        bx, brr = gr.facet_center(below)
+        quot = mpq.GradedQuotient(below.model, below.model.point(bx), brr)
+        pieces.append((quot, brr, mpq._grade_units(quot, brr)))
+    short = []
+    for quot, level, units in pieces:
+        rows = mpq._lie_relations(quot, level, units)
+        lifts = [mpq.monomial_lift(quot, U, level)
+                 for U in unit_mats(quot, units)]
+        assert _same_row_space(rows, reference_lie_rows(quot.model, lifts))
+        if len(units) - la.rank(rows) != quot.dim(level):
+            short.append((quot.key(), level))
+    # the kernel is the graded piece everywhere but on the u6 quotient of
+    # test_u6_monomial_kernel_is_smaller_than_the_graded_piece
+    assert short == [(("u6", tuple(bd.U6_Z), Fr(-1)), Fr(1))]
+
+
+def test_u6_monomial_kernel_is_smaller_than_the_graded_piece():
+    # At U6_Z, level 1, the partners of (0,5), (5,0), (1,5) and (5,1) sit
+    # one valuation above their thresholds: a monomial lift cannot carry
+    # them, so the Lie rows force those residues to zero.  The monomial
+    # kernel has dimension 14, the graded piece 18.
+    m = bd.u6_model(23)
+    quot = mpq.GradedQuotient(m, bd.U6_Z, -1)
+    units = mpq._grade_units(quot, 1)
+    rows = mpq._lie_relations(quot, 1, units)
+    kp = quot.residue_field().base_or_self()
+    kern = la.kernel_basis(rows, kp)
+    assert len(kern) == 14 and quot.dim(1) == 18
+    forced = {(0, 5), (5, 0), (1, 5), (5, 1)}
+    assert all(not v[k] for v in kern for k, (i, j, _) in enumerate(units)
+               if (i, j) in forced)
+    lifts = [mpq.monomial_lift(quot, U, 1)
+             for U in unit_mats(quot, units)]
+    assert _same_row_space(rows, reference_lie_rows(m, lifts))
 
 
 # -- base-point shifts ---------------------------------------------------
@@ -435,8 +616,10 @@ def test_bracket_respects_grading():
     w = bd.U6_Z
     qa = mpq.GradedQuotient(m, w, -1)
     qb = mpq.GradedQuotient(m, w, 1)
-    A = [mpq.monomial_lift(qa, U, -1) for U in mpq._grade_units(qa, -1)]
-    B = [mpq.monomial_lift(qb, U, 1) for U in mpq._grade_units(qb, 1)]
+    A = [mpq.monomial_lift(qa, U, -1)
+         for U in unit_mats(qa, mpq._grade_units(qa, -1))]
+    B = [mpq.monomial_lift(qb, U, 1)
+         for U in unit_mats(qb, mpq._grade_units(qb, 1))]
     for X in A[:6]:
         for Y in B[:6]:
             assert bd.mp_member(m, la.bracket(X, Y), w, 0)

@@ -2,7 +2,8 @@
 commands, pinned byte for byte: labels, provenance, dominated lines and
 notes; the rules, depths, dimensions and centres of each descent edge;
 the backward reachable set, and the error record of the u7h reach,
-which stops at its vertex limit.  A refactor of the label or descent
+which stops at its vertex limit; the oracle suite, which lifts triples
+on the u6, u7, sl2 and u7h paths.  A refactor of the label or descent
 layers must leave every file under tests/stdout unchanged."""
 
 from pathlib import Path
@@ -49,3 +50,9 @@ def test_graph_reach_u7h_stderr_is_pinned(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (GOLDEN / "graph_reach_u7h.stderr.txt").read_text()
+
+
+def test_oracle_all_stdout_is_pinned(capsys):
+    assert cli.main(["oracle", "all"]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "oracle_all.txt").read_text()

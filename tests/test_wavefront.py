@@ -96,8 +96,11 @@ def test_compute_wf_requires_matching_depth():
                           ("g-2", wf.toral_gamma, -2)])
     seed = wf.SpectralDatum(0, [wf.Entry("y", m, bd.U6_Y,
                                          wf.zmat(m.field, 6))])
-    with pytest.raises(NotImplementedError, match="level transfer"):
+    with pytest.raises(ValueError) as err:
         wf.compute_wf(chain, seed)
+    assert str(err.value) == (
+        "piece 'g-2' at depth -2 lies below the seed depth 0: the level "
+        "transfer needs explicit facet data")
 
 
 # -- the unitary rank-6 reproduction -------------------------------------
