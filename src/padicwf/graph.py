@@ -124,20 +124,21 @@ def _walk_step(model, window, x, r, lam, slope):
             t = (pl.eval_f(x) - r) / den
             if t > 0:
                 ts.append(t)
+    walls = []
     for k, (a, b) in enumerate(window.xranges):
         if lam[k] > 0:
-            ts.append((b - x[k]) / lam[k])
+            walls.append((b - x[k]) / lam[k])
         elif lam[k] < 0:
-            ts.append((a - x[k]) / lam[k])
+            walls.append((a - x[k]) / lam[k])
     if slope > 0:
-        ts.append((window.rmax - r) / slope)
+        walls.append((window.rmax - r) / slope)
     elif slope < 0:
-        ts.append((window.rmin - r) / slope)
-    ts = [t for t in ts if t > 0]
-    if not ts:
+        walls.append((window.rmin - r) / slope)
+    # a wall at distance 0: the walk starts on it, heading outward
+    if 0 in walls or not ts + walls:
         raise ValueError("no room to walk inside the window from x=%s, "
                          "r=%s" % (tuple(str(xi) for xi in x), r))
-    return min(ts) / 2
+    return min(ts + walls) / 2
 
 
 def _walk_target(v):

@@ -3,9 +3,11 @@
 Everything here is finite and exact: functions on a graded piece are
 integer vectors in the basis of p-th roots of unity, Fourier transforms
 are axis-wise character sums, and the test functions are orbit sums of
-Slodowy-slice indicators built by exhaustive group enumeration.  The
-flag-variety point counts parameterize complete isotropic flags
-directly, one projective choice at a time.
+Slodowy-slice indicators built by exhaustive group enumeration, one
+orbit at a time.  The flag-variety point counts parameterize complete
+isotropic flags directly: every flag of a field is enumerated in bulk
+as arrays of element codes, and the pattern conditions that read only
+the first two flag vectors are tested on all flags at once.
 """
 
 import random
@@ -62,10 +64,14 @@ class MatContext:
         return self.p ** self.dim
 
     def all_matrices(self):
+        return self._matrices(0, self.size())
+
+    def _matrices(self, lo, hi):
+        """The matrices with row-major base-p indices lo to hi - 1."""
         if self.size() > self.CAP:
             raise ValueError("group too large (%d matrices)" % self.size())
         n, p = self.n, self.p
-        idx = np.arange(self.size())
+        idx = np.arange(lo, hi)
         digits = []
         for k in range(self.dim):
             digits.append(idx % p)
@@ -78,22 +84,22 @@ class MatContext:
         powers = self.p ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
         return (flat % self.p) @ powers
 
-    def det_mod(self, mats):
-        """Determinants mod p of a stack of k x k matrices, k <= 3."""
-        m = np.asarray(mats) % self.p
-        k = m.shape[-1]
+    def det_mod(self, mats, rows=None, cols=None):
+        """Determinants mod p of a stack of k x k matrices, k <= 3, or of
+        their minors on the given index lists of rows and columns."""
+        m = np.asarray(mats)
+        rows = range(m.shape[-2]) if rows is None else rows
+        cols = range(m.shape[-1]) if cols is None else cols
+        e = lambda a, b: m[..., rows[a], cols[b]]
+        k = len(rows)
         if k == 1:
-            return m[..., 0, 0]
+            return e(0, 0) % self.p
         if k == 2:
-            return (m[..., 0, 0] * m[..., 1, 1]
-                    - m[..., 0, 1] * m[..., 1, 0]) % self.p
+            return (e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0)) % self.p
         if k == 3:
-            d = (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2]
-                                 - m[..., 1, 2] * m[..., 2, 1])
-                 - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2]
-                                   - m[..., 1, 2] * m[..., 2, 0])
-                 + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1]
-                                   - m[..., 1, 1] * m[..., 2, 0]))
+            d = (e(0, 0) * (e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1))
+                 - e(0, 1) * (e(1, 0) * e(2, 2) - e(1, 2) * e(2, 0))
+                 + e(0, 2) * (e(1, 0) * e(2, 1) - e(1, 1) * e(2, 0)))
             return d % self.p
         raise ValueError("determinant formula only for n <= 3")
 
@@ -108,15 +114,22 @@ class MatContext:
         adj = np.empty_like(m)
         for i in range(n):
             for j in range(n):
-                minor = np.delete(np.delete(m, j, axis=-2), i, axis=-1)
-                adj[..., i, j] = (-1) ** (i + j) * self.det_mod(minor)
-        return adj * recip[det][..., None, None] % p
+                minor = self.det_mod(m, [r for r in range(n) if r != j],
+                                     [c for c in range(n) if c != i])
+                adj[..., i, j] = minor if (i + j) % 2 == 0 else -minor
+        adj *= recip[det][..., None, None]
+        adj %= p
+        return adj
 
     def group(self):
-        """All of GL_n(F_p) with precomputed inverses."""
+        """All of GL_n(F_p) with precomputed inverses, enumerated one
+        first row at a time."""
         if self._group is None:
-            mats = self.all_matrices()
-            keep = mats[self.det_mod(mats) != 0]
+            rest = self.p ** (self.dim - self.n)
+            keep = np.concatenate([
+                mats[self.det_mod(mats) != 0]
+                for mats in (self._matrices(top * rest, (top + 1) * rest)
+                             for top in range(self.p ** self.n))])
             self._group = (keep, self.inv_mod(keep))
         return self._group
 
@@ -283,16 +296,24 @@ def slice_points(ctx, c, d):
 
 def test_fn(ctx, c, h, d):
     """The orbit sum of the Slodowy-slice indicator: counts, for each x,
-    the group elements g with Ad(g)x inside c + Z(d)."""
+    the pairs (g, s) of a group element and a slice point s in c + Z(d)
+    with Ad(g)s = x.  Built one orbit at a time: each slice point s' in
+    an orbit O contributes |Z_G(s')| 1_O, which is the histogram of
+    Ad(g)s over the whole group for any one s in O."""
     gs, ginvs = ctx.group()
     if not np.asarray(c).any() and not np.asarray(d).any():
         return FnOnPiece.from_ints(
             ctx.p, ctx.dim, np.full(ctx.size(), len(gs), dtype=np.int64))
     pts = slice_points(ctx, c, d)
+    codes = ctx.encode(pts)
     table = np.zeros(ctx.size(), dtype=np.int64)
-    for g, gi in zip(gs, ginvs):
-        moved = np.matmul(np.matmul(g, pts), gi) % ctx.p
-        np.add.at(table, ctx.encode(moved), 1)
+    todo = np.ones(len(pts), dtype=bool)
+    while todo.any():
+        moved = ctx.encode(gs @ pts[np.argmax(todo)] @ ginvs)
+        hit = np.isin(codes, moved)
+        table += np.count_nonzero(hit) * np.bincount(moved,
+                                                     minlength=ctx.size())
+        todo &= ~hit
     return FnOnPiece.from_ints(ctx.p, ctx.dim, table)
 
 
@@ -687,34 +708,64 @@ def isotropic_points(K, gram):
     return out
 
 
-def _flag_pairs(K, gram):
-    """All (v0, v1) spanning a complete isotropic flag: v0 isotropic,
-    v1 isotropic and orthogonal to v0, taken projectively mod v0."""
+def _flags(K, gram):
+    """All (v0, v1) spanning a complete isotropic flag, as two (n, F)
+    arrays of element codes: v0 an isotropic point, v1 an isotropic
+    point of a complement of v0 inside its perp space, in the basis
+    below.  Ordered by v0, then by v1's coordinates in P^(k-1).
+
+    The complement basis is in closed form.  With pivot pi and
+    normalised row r of G v0, the kernel of G v0 has the basis
+    w_f = e_f - r_f e_pi for f != pi, or every e_f when G v0 = 0; the
+    complement drops w_f* for f* the last free index at which v0 is
+    nonzero, the one w_f that lies in the span of v0 and the w_f before
+    it.  Isotropy is tested for all v0 at once against one chunk of
+    P^(k-1) at a time."""
+    add, mul, neg = K.arrays()
+    inv = np.array(K.inv, dtype=add.dtype)
     n = len(gram)
-    spaces = {}  # the projective space of each complement dimension
-    for v0 in isotropic_points(K, gram):
-        gv0 = _mat_vec(K, gram, v0)
-        comp = la.kernel_basis([gv0], K, K.ops)
-        # basis of a complement of v0 inside its perp space
-        basis = []
-        span = [v0]
-        for w in comp:
-            cand = span + [w]
-            if la.rank(cand, K.ops) == len(cand):
-                span = cand
-                basis.append(w)
-        if not basis:
+    P0 = np.array(isotropic_points(K, gram),
+                  dtype=add.dtype).reshape(-1, n).T
+    G0 = _mat_vecs(K, gram, P0)
+    cols = np.arange(P0.shape[1])
+    rowed = G0.any(axis=0)
+    pivot = (G0 != 0).argmax(axis=0)
+    r = mul[G0, inv[G0[pivot, cols]]]
+    free = np.ones(P0.shape, dtype=bool)
+    free[pivot[rowed], cols[rowed]] = False
+    last = n - 1 - ((P0 != 0) & free)[::-1].argmax(axis=0)
+    free[last, cols] = False
+    k_of = free.sum(axis=0)
+    v0_idx, v1s = [], []
+    for k in range(1, n):
+        sel = cols[k_of == k]
+        if not len(sel):
             continue
-        qgram = [[_dot(K, a, _mat_vec(K, gram, b)) for b in basis]
-                 for a in basis]
-        if len(basis) not in spaces:
-            spaces[len(basis)] = np.concatenate(
-                list(_projective_chunks(K, len(basis))), axis=1)
-        for a in _isotropic(K, qgram, spaces[len(basis)]).T.tolist():
-            v1 = [0] * n
-            for t, w in zip(a, basis):
-                v1 = _vec_add(K, v1, _vec_scale(K, t, w))
-            yield v0, v1
+        kept = np.nonzero(free[:, sel].T)[1].reshape(-1, k).T
+        W = np.zeros((k, n, len(sel)), dtype=add.dtype)
+        at = np.arange(len(sel))
+        for t in range(k):
+            W[t, pivot[sel], at] = neg[r[kept[t], sel]]
+            W[t, kept[t], at] = 1
+        GW = [_mat_vecs(K, gram, w) for w in W]
+        Q = [[_dots(K, ws, gw) for gw in GW] for ws in W]
+        for A in _projective_chunks(K, k):
+            val = np.zeros((len(sel), A.shape[1]), dtype=add.dtype)
+            for s in range(k):
+                for t in range(k):
+                    val = add[val, mul[Q[s][t][:, None],
+                                       mul[A[s], A[t]][None, :]]]
+            i, j = np.nonzero(val == 0)
+            v1 = np.zeros((n, len(i)), dtype=add.dtype)
+            for t in range(k):
+                v1 = add[v1, mul[A[t, j], W[t][:, i]]]
+            v0_idx.append(sel[i])
+            v1s.append(v1)
+    if not v0_idx:
+        return np.zeros((2, n, 0), dtype=add.dtype)
+    v0_idx = np.concatenate(v0_idx)
+    order = np.argsort(v0_idx, kind="stable")
+    return P0[:, v0_idx[order]], np.concatenate(v1s, axis=1)[:, order]
 
 
 def _adapted_basis(K, gram, v0, v1):
@@ -770,28 +821,26 @@ def point_count(spec, degrees=(1,)):
                 for i in range(n) for j in range(n)
                 if spec.pattern[i][j] != "*"]
         cons.sort(key=lambda t: max(t[1], n - 1 - t[0]))
+        GX = _mat_vecs(K, gram, np.array(X, dtype=K.arrays()[0].dtype))
+        flags = _flags(K, gram)
+        ok = np.ones(flags[0].shape[1], dtype=bool)
+        # the constraints read off v0 and v1 alone, for all flags at once
+        while cons and max(cons[0][1], n - 1 - cons[0][0]) <= 1:
+            i, j, kind = cons.pop(0)
+            val = _dots(K, flags[n - 1 - i], _mat_vecs(K, GX, flags[j]))
+            ok &= (val == 0) == (kind == "0")
+        if not cons:
+            out[deg] = int(np.count_nonzero(ok))
+            continue
+        GX = GX.tolist()
         count = 0
-        for v0, v1 in _flag_pairs(K, gram):
-            basis = None
-            dual = None
-            ok = True
-            for i, j, kind in cons:
-                need = max(j, n - 1 - i)
-                if need <= 1:
-                    vj = (v0, v1)[j]
-                    wi = (v0, v1)[n - 1 - i]
-                else:
-                    if basis is None:
-                        basis = _adapted_basis(K, gram, v0, v1)
-                        dual = basis[::-1]
-                    vj = basis[j]
-                    wi = dual[i]
-                val = _dot(K, wi, _mat_vec(K, gram, _mat_vec(K, X, vj)))
-                if (kind == "0") != (val == 0):
-                    ok = False
-                    break
-            if ok:
-                count += 1
+        for v0, v1 in zip(*(f[:, ok].T.tolist() for f in flags)):
+            basis = _adapted_basis(K, gram, v0, v1)
+            dual = basis[::-1]
+            count += all(
+                (kind == "0") == (_dot(K, dual[i],
+                                       _mat_vec(K, GX, basis[j])) == 0)
+                for i, j, kind in cons)
         out[deg] = count
     return out
 

@@ -288,6 +288,20 @@ def test_path_trace_rejects_non_nilpotent():
         gr.path_trace(gr.GraphVertex(m, v.facet, g), Fr(1, 2))
 
 
+def test_path_trace_from_window_edge_heading_outward():
+    # the face at x = 1/4 sits on the window's right wall and the walk
+    # (lambda = (1,)) heads out through it at distance 0
+    m = bd.sl2_model(3)
+    win = bd.Window(((Fr(0), Fr(1, 4)),), Fr(0), Fr(1))
+    c = zmat(m.field, 2)
+    c[0][1] = m.field.one()
+    f = bd.facet_of(m, win, (Fr(1, 4),), Fr(1, 2))
+    assert f.is_horizontal()
+    with pytest.raises(ValueError,
+                       match="no room to walk inside the window"):
+        gr.path_trace(gr.GraphVertex(m, f, c), Fr(1))
+
+
 def test_path_trace_u7_twelve_edges():
     m, win, c, v = u7h_setup()
     assert v.label() == (4, 1)

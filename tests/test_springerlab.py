@@ -97,6 +97,25 @@ def test_group_inverses(gl2, gl3):
         assert (prod == np.eye(ctx.n, dtype=np.int64)).all()
 
 
+def test_group_matches_filtered_enumeration(gl3):
+    # the row-by-row enumeration keeps the order of all_matrices
+    mats = gl3.all_matrices()
+    assert np.array_equal(gl3.group()[0], mats[gl3.det_mod(mats) != 0])
+
+
+def test_group_enumeration_memory():
+    # peak of the enumeration stays near its result, 1.6 MB for GL_3(F_3)
+    import tracemalloc
+    ctx = sl.MatContext(3, 3)
+    tracemalloc.start()
+    try:
+        ctx.group()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
+
+
 def test_group_too_large():
     big = sl.MatContext(3, 5)
     with pytest.raises(ValueError, match="group too large"):
@@ -148,6 +167,29 @@ def test_test_fn_counts_slice_meetings(gl2):
     assert f.vals[idx, 0] > 0
     # the zero matrix never conjugates into the regular slice
     assert f.vals[0, 0] == 0
+
+
+def _test_fn_reference(ctx, c, h, d):
+    # one group element at a time over the whole slice
+    gs, ginvs = ctx.group()
+    if not c.any() and not d.any():
+        return np.full(ctx.size(), len(gs), dtype=np.int64)
+    pts = sl.slice_points(ctx, c, d)
+    table = np.zeros(ctx.size(), dtype=np.int64)
+    for g, gi in zip(gs, ginvs):
+        np.add.at(table, ctx.encode(g @ pts @ gi % ctx.p), 1)
+    return table
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (2, 7), (3, 3)])
+def test_test_fn_matches_per_element_reference(n, p):
+    # every triple, the (3,) triple over F_3 that fails conilpotent
+    # support included
+    ctx = sl.MatContext(n, p)
+    for _, c, h, d in sl.sl2_reps(ctx):
+        f = sl.test_fn(ctx, c, h, d)
+        assert not f.vals[:, 1:].any()
+        assert np.array_equal(f.vals[:, 0], _test_fn_reference(ctx, c, h, d))
 
 
 def test_transform_supported_on_nilpotent_cone_gl2(gl2, gl2_xis):
@@ -514,6 +556,115 @@ def test_isotropic_points_match_direct_scan(case):
     p, gram = case
     assert (sl.isotropic_points(sl.ExtField(p, 1), gram)
             == _isotropic_by_direct_scan(p, gram))
+
+
+def _flag_pairs_reference(K, gram):
+    # per v0: kernel of G v0 by elimination, a complement of v0 in it by
+    # a greedy pass of independent vectors, then its isotropic points
+    n = len(gram)
+    spaces = {}
+    for v0 in sl.isotropic_points(K, gram):
+        gv0 = sl._mat_vec(K, gram, v0)
+        basis = []
+        span = [v0]
+        for w in la.kernel_basis([gv0], K, K.ops):
+            cand = span + [w]
+            if la.rank(cand, K.ops) == len(cand):
+                span = cand
+                basis.append(w)
+        if not basis:
+            continue
+        qgram = [[sl._dot(K, a, sl._mat_vec(K, gram, b)) for b in basis]
+                 for a in basis]
+        if len(basis) not in spaces:
+            spaces[len(basis)] = np.concatenate(
+                list(sl._projective_chunks(K, len(basis))), axis=1)
+        for a in sl._isotropic(K, qgram, spaces[len(basis)]).T.tolist():
+            v1 = [0] * n
+            for t, w in zip(a, basis):
+                v1 = sl._vec_add(K, v1, sl._vec_scale(K, t, w))
+            yield v0, v1
+
+
+def _flags_as_pairs(K, gram):
+    v0s, v1s = sl._flags(K, gram)
+    return list(zip(v0s.T.tolist(), v1s.T.tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_grams())
+def test_flags_match_reference_enumeration(case):
+    p, gram = case
+    K = sl.ExtField(p, 1)
+    assert _flags_as_pairs(K, gram) == list(_flag_pairs_reference(K, gram))
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_flags_match_reference_on_split_form(p, d):
+    K = sl.ExtField(p, d)
+    gram = sl.curve_spec(1, p).gram
+    pairs = _flags_as_pairs(K, gram)
+    assert len(pairs) == sl.flag_total(K.q)
+    assert pairs == list(_flag_pairs_reference(K, gram))
+
+
+def _point_count_reference(spec, deg):
+    # one flag at a time, constraints in order of basis demand
+    K = sl.ExtField(spec.p, deg)
+    gram = [[K.embed(x) for x in row] for row in spec.gram]
+    X = [[K.embed(x) for x in row] for row in spec.X]
+    n = len(gram)
+    cons = sorted(((i, j, spec.pattern[i][j]) for i in range(n)
+                   for j in range(n) if spec.pattern[i][j] != "*"),
+                  key=lambda t: max(t[1], n - 1 - t[0]))
+    count = 0
+    for v0, v1 in _flag_pairs_reference(K, gram):
+        basis = None
+        for i, j, kind in cons:
+            if max(j, n - 1 - i) <= 1:
+                vj, wi = (v0, v1)[j], (v0, v1)[n - 1 - i]
+            else:
+                if basis is None:
+                    basis = sl._adapted_basis(K, gram, v0, v1)
+                vj, wi = basis[j], basis[::-1][i]
+            val = sl._dot(K, wi, sl._mat_vec(K, gram,
+                                             sl._mat_vec(K, X, vj)))
+            if (kind == "0") != (val == 0):
+                break
+        else:
+            count += 1
+    return count
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+@st.composite
+def count_specs(draw):
+    p = draw(st.sampled_from([3, 5]))
+    ints = st.integers(0, p - 1)
+    gram = draw(st.sampled_from([
+        sl.curve_spec(1, p).gram,
+        [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)],
+        [[1 if i + j == 4 and i != 2 else 0 for j in range(5)]
+         for i in range(5)]]))
+    X = [[draw(ints) for _ in range(5)] for _ in range(5)]
+    cells = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    cons = draw(st.dictionaries(cells, st.sampled_from("0!"), max_size=6))
+    pattern = ["".join(cons.get((i, j), "*") for j in range(5))
+               for i in range(5)]
+    return sl.VarietySpec(gram, X, pattern, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(count_specs())
+def test_point_count_matches_per_flag_reference(spec):
+    assert (_outcome(lambda: sl.point_count(spec)[1])
+            == _outcome(lambda: _point_count_reference(spec, 1)))
 
 
 @pytest.mark.parametrize("p,d,message", [
