@@ -347,14 +347,6 @@ class Plane:
     def horizontal(self):
         return not any(self.coeffs)
 
-    def eval_f(self, x):
-        return sum((c * Fraction(xi) for c, xi in zip(self.coeffs, x)),
-                   self.const)
-
-    def sign_at(self, x, r):
-        d = Fraction(r) - self.eval_f(x)
-        return 0 if d == 0 else (1 if d > 0 else -1)
-
     def functional(self):
         """(coeffs over (x, r), bound) with the plane as {a.y = b}:
         r - f(x) = 0, i.e. (-coeffs, 1) . (x, r) = const."""
@@ -380,9 +372,9 @@ def _frange(coeffs, const, window):
     return lo, hi
 
 
-# Plane lists of the most recent (model, window) pairs, oldest first.  A
-# query reads one window many times; a stream of queries on new windows
-# must not keep them all.
+# Plane lists of the most recent (model, window) pairs, oldest first,
+# each with the planes' integer forms.  A query reads one window many
+# times; a stream of queries on new windows must not keep them all.
 _PLANE_CACHE = {}
 _PLANE_CACHE_SIZE = 16
 
@@ -396,7 +388,7 @@ def critical_hyperplanes(model, window):
     """
     ck = (model.name, id(model), window.key())
     if ck in _PLANE_CACHE:
-        return _PLANE_CACHE[ck]
+        return _PLANE_CACHE[ck][0]
     if model.weight_funcs is None:
         raise ValueError("model %s has no apartment chart" % model.name)
     planes = {}
@@ -418,25 +410,31 @@ def critical_hyperplanes(model, window):
     out = sorted(planes.values(), key=lambda p: p.key())
     if len(_PLANE_CACHE) >= _PLANE_CACHE_SIZE:
         del _PLANE_CACHE[next(iter(_PLANE_CACHE))]
-    _PLANE_CACHE[ck] = out
+    _PLANE_CACHE[ck] = out, [_integral(*pl.functional()) for pl in out]
     return out
+
+
+def plane_forms(model, window):
+    """The critical hyperplanes as integers (A, -B), as `_integral` gives
+    them, from the same cache entry: A.(x, r) - B has the sign of
+    r - f(x) at every point."""
+    critical_hyperplanes(model, window)
+    return _PLANE_CACHE[(model.name, id(model), window.key())][1]
 
 
 class AugFacet:
     """An augmented facet: sign vector against the window's planes.
 
     verts, when given, are the exact vertices of the facet's closure in
-    the window; otherwise they are read off its closed cell on first
-    use."""
+    the window; otherwise they are read off its closed cell, which is
+    computed once, on first use."""
 
     def __init__(self, model, window, signs, verts=None):
         self.model = model
         self.window = window
         self.signs = tuple(signs)
         self._verts = verts
-
-    def planes(self):
-        return critical_hyperplanes(self.model, self.window)
+        self._cell = None
 
     def __eq__(self, other):
         return isinstance(other, AugFacet) and self.signs == other.signs \
@@ -449,9 +447,10 @@ class AugFacet:
         """The closure of the facet: the window box cut by every plane on
         the side of its sign, as `cell_vertices` gives it (mask bit k:
         plane k)."""
-        return cell_vertices(self.window, [
-            pl.functional() + (s,) for pl, s in zip(self.planes(),
-                                                    self.signs)])
+        if self._cell is None:
+            self._cell = cell_vertices(self.window, list(zip(
+                plane_forms(self.model, self.window), self.signs)))
+        return self._cell
 
     def vertices(self):
         if self._verts is None:
@@ -484,9 +483,9 @@ def facet_of(model, window, x, r):
     r = Fraction(r)
     if not window.contains(x, r):
         raise ValueError("outside window")
-    planes = critical_hyperplanes(model, window)
-    signs = [pl.sign_at(x, r) for pl in planes]
-    return AugFacet(model, window, signs)
+    h = _homogeneous(x + (r,))
+    vals = (sum(map(mul, form, h)) for form in plane_forms(model, window))
+    return AugFacet(model, window, [(v > 0) - (v < 0) for v in vals])
 
 
 # -- the exact cut -----------------------------------------------------
@@ -563,19 +562,21 @@ def _zero_sets(masks):
 
 
 def cell_vertices(window, cuts):
-    """Vertices of the window box cut by each constraint (a, b, s) in
-    turn, keeping the side where a.y - b has sign s or is 0 (for s = 0,
-    the plane a.y = b).
+    """Vertices of the window box cut by each constraint (c, s), keeping
+    the side where a.y - b has sign s or is 0 (for s = 0, the plane
+    a.y = b); c is the integer form of a.y = b that `_integral` gives.
+    The equalities cut first, so the inequalities cut a polytope of the
+    lowest dimension.
 
     Returns (point, mask) pairs, where mask bit k is set when cut k is
     tight at the point; empty when the cell is.
     """
     box = window.box_constraints()
-    rank = _ranker([a for a, _ in box] + [a for a, _, _ in cuts])
+    rank = _ranker([a for a, _ in box] + [c[:-1] for c, _ in cuts])
     verts = _box_vertices(window)
-    for k, (a, b, s) in enumerate(cuts):
-        vals, verts, cut = _cut(verts, _integral(a, b),
-                                1 << len(box) + k, rank)
+    for k in sorted(range(len(cuts)), key=lambda k: cuts[k][1] != 0):
+        c, s = cuts[k]
+        vals, verts, cut = _cut(verts, c, 1 << len(box) + k, rank)
         verts = _side(verts, vals, s) + cut
     return [(_point(h), m >> len(box)) for h, m in verts]
 
@@ -604,7 +605,7 @@ class Arrangement:
     """
 
     def __init__(self, model, window):
-        planes = critical_hyperplanes(model, window)
+        forms = plane_forms(model, window)
         if len(window.xranges) != model.d:
             raise ValueError("window has %d axis ranges; model %s has %d "
                              "chart coordinates" % (len(window.xranges),
@@ -612,14 +613,12 @@ class Arrangement:
         self.model, self.window = model, window
         box = window.box_constraints()
         self._nbox = len(box)
-        self._rank = _ranker([a for a, _ in box] +
-                             [pl.functional()[0] for pl in planes])
+        self._rank = _ranker([a for a, _ in box] + [c[:-1] for c in forms])
         self.work = 0
         cells = [(0, 0, _box_vertices(window))]
-        for k, pl in enumerate(planes):
-            cells = self._insert(cells, 1 << (self._nbox + k),
-                                 _integral(*pl.functional()))
-        self.faces = self._faces(cells, len(planes))
+        for k, c in enumerate(forms):
+            cells = self._insert(cells, 1 << (self._nbox + k), c)
+        self.faces = self._faces(cells, len(forms))
 
     def _spend(self):
         self.work += 1
@@ -782,8 +781,8 @@ def dep_element(model, gamma, window):
             coeffs, const = model.weight_diff(i, j)
             if not e.terms:
                 fuzzy |= 1 << len(cuts)
-            cuts.append((tuple(-c for c in coeffs) + (Fraction(1),),
-                         v + const, -1))
+            cuts.append((_integral(tuple(-c for c in coeffs) +
+                                   (Fraction(1),), v + const), -1))
     verts = cell_vertices(window, cuts)
     if not verts:
         raise ValueError("no admissible point in window")

@@ -15,6 +15,7 @@ targeted membership tests.
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from . import building as bd
 from . import linalg as la
@@ -116,14 +117,15 @@ def _walk_direction(v):
 
 def _walk_step(model, window, x, r, lam, slope):
     """Largest safe parameter: half the first plane or wall crossing."""
-    planes = bd.critical_hyperplanes(model, window)
+    # along (x, r) + t (lam, slope) a plane's form reads v0 / W + t dv / L
+    h = bd._homogeneous(x + (r,))
+    ld = bd._homogeneous(lam + (slope,))
     ts = []
-    for pl in planes:
-        den = slope - sum(c * l for c, l in zip(pl.coeffs, lam))
-        if den:
-            t = (pl.eval_f(x) - r) / den
-            if t > 0:
-                ts.append(t)
+    for form in bd.plane_forms(model, window):
+        v0 = sum(map(mul, form, h))
+        dv = sum(map(mul, form, ld[:-1]))
+        if v0 * dv < 0:
+            ts.append(Fraction(-v0 * ld[-1], dv * h[-1]))
     walls = []
     for k, (a, b) in enumerate(window.xranges):
         if lam[k] > 0:

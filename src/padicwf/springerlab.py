@@ -768,6 +768,11 @@ def _flags(K, gram):
     return P0[:, v0_idx[order]], np.concatenate(v1s, axis=1)[:, order]
 
 
+def _degenerate(K):
+    return ValueError("degenerate gram: no basis with the standard "
+                      "antidiagonal form extends the flag over F_%d" % K.q)
+
+
 def _adapted_basis(K, gram, v0, v1):
     """Complete (v0, v1) to a basis with the standard antidiagonal gram
     and determinant 1; entries of Ad(g)X can then be read off through
@@ -790,11 +795,15 @@ def _adapted_basis(K, gram, v0, v1):
     gv2 = _mat_vec(K, gram, v2)
     # v3: pairs with v1, isotropic
     w0 = la.solve([gv0, gv1, gv2], [0, 1, 0], K, K.ops)
+    if w0 is None:
+        raise _degenerate(K)
     b = K.mul[K.neg[_dot(K, w0, _mat_vec(K, gram, w0))]][K.inv[K.embed(2)]]
     v3 = _vec_add(K, w0, _vec_scale(K, b, v1))
     gv3 = _mat_vec(K, gram, v3)
     # v4: pairs with v0, isotropic
     u0 = la.solve([gv0, gv1, gv2, gv3], [1, 0, 0, 0], K, K.ops)
+    if u0 is None:
+        raise _degenerate(K)
     a = K.mul[K.neg[_dot(K, u0, _mat_vec(K, gram, u0))]][
         K.inv[K.embed(2)]]
     v4 = _vec_add(K, u0, _vec_scale(K, a, v0))

@@ -106,7 +106,8 @@ def test_criterion_3_u7_pipeline():
     for pl in bd.critical_hyperplanes(m, win):
         den = slope - sum(a * l for a, l in zip(pl.coeffs, lam))
         if den:
-            s = pl.eval_f(z) / den
+            fz = pl.const + sum(a * zi for a, zi in zip(pl.coeffs, z))
+            s = fz / den
             if 0 < s <= s_end:
                 breaks.add(s)
     breaks = sorted(breaks)

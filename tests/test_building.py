@@ -32,8 +32,10 @@ def test_qrank():
 
 
 def cell(window, cuts):
-    """The one-cell route's vertices, each with its mask of tight cuts."""
-    return dict(bd.cell_vertices(window, cuts))
+    """The one-cell route's vertices, each with its mask of tight cuts,
+    for constraints (a, b, s) over Q."""
+    return dict(bd.cell_vertices(
+        window, [(bd._integral(a, b), s) for a, b, s in cuts]))
 
 
 def test_cell_vertices_triangle():
@@ -165,7 +167,7 @@ def sl2_grid_vertices(model, win):
     for i in range(int(x0 * 8), int(x1 * 8) + 1):
         for j in range(int(win.rmin * 8), int(win.rmax * 8) + 1):
             x, r = Fr(i, 8), Fr(j, 8)
-            signs = tuple(pl.sign_at((x,), r) for pl in planes)
+            signs = tuple(sign_at(pl, (x,), r) for pl in planes)
             rows = [(-pl.coeffs[0], 1)
                     for pl, s in zip(planes, signs) if s == 0]
             rows += [(1, 0)] * (x in (x0, x1)) + \
@@ -310,6 +312,90 @@ def test_u7_descent_step():
     assert f.depth() == Fr(1, 10)
     assert len(below) == 1
     assert facet_center(below[0]) == ((Fr(3, 5), Fr(1, 5)), Fr(1, 10))
+
+
+# -- integer plane forms against the Fraction route ---------------------
+
+
+def sign_at(pl, x, r):
+    """The sign of r - f(x) at (x, r) for the plane {r = f(x)}, in
+    Fractions: the reference for the integer signs of `facet_of`."""
+    d = Fr(r) - pl.const - sum(c * Fr(xi) for c, xi in zip(pl.coeffs, x))
+    return (d > 0) - (d < 0)
+
+
+# sl2, sl3 and the u7h window of the descent trace (85 planes)
+PROPERTY_WINDOWS = [
+    (bd.sl2_model(3), bd.Window([(0, 1)], -1, 2)),
+    (bd.sl3_model(3), bd.Window([(0, Fr(1, 2))] * 2, 0, Fr(1, 2))),
+    (bd.u7_h_model(23), bd.Window([(0, 1), (0, 1)], -1, 1)),
+]
+
+
+@st.composite
+def window_points(draw):
+    """A model, a window and a point of it, on a grid fine enough that
+    the point often lies on planes, their crossings and the box."""
+    model, win = draw(st.sampled_from(PROPERTY_WINDOWS))
+    den = draw(st.sampled_from([1, 2, 4, 6, 8, 12, 20, 60]))
+
+    def coord(a, b):
+        return Fr(draw(st.integers(math.ceil(a * den),
+                                   math.floor(b * den))), den)
+
+    x = tuple(coord(a, b) for a, b in win.xranges)
+    return model, win, x, coord(win.rmin, win.rmax)
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_points())
+def test_facet_of_signs_match_the_fraction_route(case):
+    model, win, x, r = case
+    want = tuple(sign_at(pl, x, r)
+                 for pl in bd.critical_hyperplanes(model, win))
+    assert bd.facet_of(model, win, x, r).signs == want
+
+
+def test_plane_forms_share_the_plane_cache_entry():
+    model, win = PROPERTY_WINDOWS[2]
+    planes = bd.critical_hyperplanes(model, win)
+    forms = bd.plane_forms(model, win)
+    assert bd.plane_forms(model, win) is forms  # read, not rebuilt
+    assert len(forms) == len(planes) == 85
+    assert forms == [bd._integral(*pl.functional()) for pl in planes]
+
+
+def cell_in_order(window, cuts):
+    """The cut loop of `cell_vertices` with the cuts applied in the order
+    given, inequalities possibly before equalities."""
+    box = window.box_constraints()
+    rank = bd._ranker([a for a, _ in box] + [c[:-1] for c, _ in cuts])
+    verts = bd._box_vertices(window)
+    for k, (c, s) in enumerate(cuts):
+        vals, verts, cut = bd._cut(verts, c, 1 << len(box) + k, rank)
+        verts = bd._side(verts, vals, s) + cut
+    return {bd._point(h): m >> len(box) for h, m in verts}
+
+
+@settings(max_examples=40, deadline=None)
+@given(window_points(), st.randoms(use_true_random=False))
+def test_cell_vertices_whatever_the_cut_order(case, rnd):
+    """A facet's closed cell: the same points and masks with the cuts in
+    any order, and each mask is the set of planes through its point."""
+    model, win, x, r = case
+    forms = bd.plane_forms(model, win)
+    cuts = list(zip(forms, bd.facet_of(model, win, x, r).signs))
+    want = dict(bd.cell_vertices(win, cuts))
+    assert want
+    for y, m in want.items():
+        h = bd._homogeneous(y)
+        assert m == sum(1 << k for k, c in enumerate(forms)
+                        if sum(a * b for a, b in zip(c, h)) == 0)
+    order = list(range(len(cuts)))
+    rnd.shuffle(order)
+    got = cell_in_order(win, [cuts[k] for k in order])
+    assert {y: sum(1 << k for i, k in enumerate(order) if m >> i & 1)
+            for y, m in got.items()} == want
 
 
 # -- membership and depth ------------------------------------------------

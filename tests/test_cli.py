@@ -407,6 +407,19 @@ def test_lab_count_non_split_gram_over_square_extension(tmp_path, capsys):
     assert "degree 2 (q = 9): 8 points" in text
 
 
+def test_lab_count_degenerate_gram(tmp_path, capsys):
+    # rank-3 gram: no vector pairs with v0 under the form
+    gram = [[0, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+            [0, 1, 0, 0, 0], [0, 0, 0, 0, 0]]
+    pattern = ["**!**", "*****", "****0", "*****", "***0*"]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_curve_spec_data(gram=gram, pattern=pattern,
+                                                degrees=[1])))
+    code, out, err = run(["lab", "count", "--spec", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].startswith("degenerate gram")
+
+
 # -- oracle and plumbing -------------------------------------------------
 
 

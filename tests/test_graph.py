@@ -10,6 +10,8 @@ from padicwf import graph as gr
 from padicwf import mpquotient as mpq
 from padicwf import orbits as ob
 
+from test_building import window_points
+
 
 def zmat(field, n):
     return [[field.zero() for _ in range(n)] for _ in range(n)]
@@ -84,6 +86,47 @@ def test_rule2_direction_from_lifted_triple():
     m, win, c, v = sl2_setup()
     lam, weights = gr._walk_direction(v)
     assert lam == (Fr(1),) and weights == (Fr(1), Fr(-1))
+
+
+def walk_step_reference(model, window, x, r, lam, slope):
+    """`_walk_step` with each plane's f evaluated in Fractions."""
+    ts = []
+    for pl in bd.critical_hyperplanes(model, window):
+        den = slope - sum(c * l for c, l in zip(pl.coeffs, lam))
+        if den:
+            fx = pl.const + sum(c * xi for c, xi in zip(pl.coeffs, x))
+            t = (fx - r) / den
+            if t > 0:
+                ts.append(t)
+    walls = []
+    for k, (a, b) in enumerate(window.xranges):
+        if lam[k] > 0:
+            walls.append((b - x[k]) / lam[k])
+        elif lam[k] < 0:
+            walls.append((a - x[k]) / lam[k])
+    if slope > 0:
+        walls.append((window.rmax - r) / slope)
+    elif slope < 0:
+        walls.append((window.rmin - r) / slope)
+    if 0 in walls or not ts + walls:
+        raise ValueError("no room to walk inside the window")
+    return min(ts + walls) / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_points(), st.data())
+def test_walk_step_matches_the_fraction_route(case, data):
+    model, win, x, r = case
+    small = st.builds(Fr, st.integers(-4, 4), st.integers(1, 3))
+    lam = tuple(data.draw(small) for _ in x)
+    slope = data.draw(small)
+    try:
+        want = walk_step_reference(model, win, x, r, lam, slope)
+    except ValueError:
+        with pytest.raises(ValueError, match="no room to walk"):
+            gr._walk_step(model, win, x, r, lam, slope)
+        return
+    assert gr._walk_step(model, win, x, r, lam, slope) == want
 
 
 def test_rule2_requires_nilpotent():
@@ -318,6 +361,20 @@ def test_path_trace_u7_twelve_edges():
     assert stops[-1] == ((Fr(0), Fr(0)), Fr(1, 2))
     # the label never moves along this path
     assert all(e.dst.label() == (4, 1) for e in edges)
+
+
+def test_path_trace_u7_computes_each_cell_once(monkeypatch):
+    # one cell per distinct facet: the start and the six walk targets,
+    # whose cells also serve `facets_below`
+    calls = []
+    cell_vertices = bd.cell_vertices
+    monkeypatch.setattr(bd, "cell_vertices",
+                        lambda *a: calls.append(1) or cell_vertices(*a))
+    m, win, c, v = u7h_setup()
+    edges = gr.path_trace(v, Fr(1, 2))
+    assert len(calls) == 7
+    assert len({e.src.facet.signs for e in edges} |
+               {e.dst.facet.signs for e in edges}) == 13
 
 
 def test_path_edges_strictly_increase_order():
