@@ -13,7 +13,11 @@ compatibility checks cheap.
 
 Each field fixes how its elements are written over the prime field: `basis`
 is (1,) or (1, s), and `coords(a)` gives the prime-field coordinates of a in
-that basis.  Other modules flatten residues only through these two.
+that basis.  `block(v)` is the matrix over the prime field, as integers, of
+multiplication by the element of value v in that basis (its regular
+representation); its first column is the coordinates, and `from_coords`
+reads an element back from them.  Other modules flatten residues only
+through these.
 """
 
 from functools import lru_cache
@@ -196,6 +200,12 @@ class PrimeField:
     def coords(self, a):
         return [a]
 
+    def block(self, v):
+        return ((v,),)
+
+    def from_coords(self, xs):
+        return FFElt(self, xs[0] % self.p)
+
     def trace(self, a):
         return a
 
@@ -282,6 +292,14 @@ class QuadField:
     def coords(self, a):
         """Coordinates of a over the base field in the basis (1, s)."""
         return [FFElt(self.base, a.v[0]), FFElt(self.base, a.v[1])]
+
+    def block(self, v):
+        """Multiplication by a + b*s on the basis (1, s)."""
+        a, b = v
+        return ((a, (self.n * b) % self.p), (b, a))
+
+    def from_coords(self, xs):
+        return FFElt(self, (xs[0] % self.p, xs[1] % self.p))
 
     def trace(self, a):
         """Trace to the base field."""

@@ -56,6 +56,7 @@ class GraphVertex:
         self.facet = facet
         self.cmat = la.mat(cmat)
         self._coset = None
+        self._label = None
 
     def quot(self):
         x, r = facet_center(self.facet)
@@ -71,7 +72,9 @@ class GraphVertex:
         return self.coset().is_nilpotent()
 
     def label(self):
-        return mpq.n_label(self.coset())
+        if self._label is None:
+            self._label = mpq.n_label(self.coset())
+        return self._label
 
     def key(self):
         return (self.facet.signs, self.coset().mat)
@@ -240,8 +243,9 @@ def path_trace(v, to_depth):
         below = bd.facets_below(u.facet)
         nxt = GraphVertex(v.model, below[0], u.cmat)
         assert bd.precede(u.facet, nxt.facet)
-        assert ob.dominance_leq(label, nxt.label())
-        label = nxt.label()
+        nxt_label = nxt.label()
+        assert ob.dominance_leq(label, nxt_label)
+        label = nxt_label
         edges.append(PathEdge(u, nxt, 1))
         v = nxt
     return edges

@@ -12,7 +12,12 @@ constructive Jacobson-Morozov routine, `jacobson_morozov`, finds every
 sl2-triple: `sl2_complete` runs it over a factor's Lie algebra basis, and
 `mpquotient.lift_triple` over the residue units of a graded Moy-Prasad
 piece cut down by Lie-algebra rows that mpquotient writes in closed form
-from the model's monomial Gram matrix.  Over the local-field model this
+from the model's monomial Gram matrix.  It and `centralizer_basis` take
+and return ffield matrices but work on sparse integer codes over the
+prime field, an F_{p^2} entry written as the 2 x 2 block of its regular
+representation, and reduce every linear system with `linalg.rref` mod p;
+reduced row echelon forms are unique, so the triples are those of the
+same solve on ffield matrices.  Over the local-field model this
 module provides the goodness test (all nonzero root values of fixed
 valuation) and the Lie-algebra membership test `Factor.is_lie`.
 """
@@ -119,10 +124,6 @@ class Factor:
             return self.n * self.n * self.field.degree
         return len(self.algebra_basis())
 
-    def from_coords(self, coeffs):
-        return la.mat_comb(coeffs, self.algebra_basis(), self.field,
-                           self.n)
-
     def __repr__(self):
         return "%s_%d(%r)" % (self.kind, self.n, self.field)
 
@@ -199,13 +200,101 @@ def _linear_rows(images, field, n):
     return [[f[i] for f in flats] for i in range(n * n * len(field.basis))]
 
 
+# -- sparse codes over the prime field ---------------------------------
+#
+# The Jacobson-Morozov solve and the centralizer work on codes: a matrix
+# over the residue field held as {(row, col): x}, its nonzero entries
+# over the prime field F_p as integers 0 < x < p.  Over F_{p^2} an entry
+# becomes the 2 x 2 block of its regular representation (`field.block`),
+# a ring homomorphism, so brackets of codes are the codes of brackets;
+# the entry's coordinates over F_p are the first column of its block.
+
+
+def _codes(X, field):
+    """The codes of the matrix X over `field`."""
+    d, z = field.degree, field.zero.v
+    out = {}
+    for i, row in enumerate(X):
+        for j, e in enumerate(row):
+            if e.v != z:
+                for r, brow in enumerate(field.block(e.v)):
+                    for s, x in enumerate(brow):
+                        if x:
+                            out[d * i + r, d * j + s] = x
+    return out
+
+
+def _from_codes(S, field, n):
+    """The n x n matrix over `field` with the codes S."""
+    d = field.degree
+    X = [[field.zero] * n for _ in range(n)]
+    for i, j in {(r // d, s // d) for r, s in S}:
+        X[i][j] = field.from_coords([S.get((d * i + t, d * j), 0)
+                                     for t in range(d)])
+    return la.mat(X)
+
+
+def _reduce(S, p):
+    return {key: x % p for key, x in S.items() if x % p}
+
+
+def _comb(coeffs, mats, p):
+    """sum_k coeffs[k] mats[k] on codes mod p."""
+    out = {}
+    for cf, M in zip(coeffs, mats):
+        if cf:
+            for key, x in M.items():
+                out[key] = out.get(key, 0) + cf * x
+    return _reduce(out, p)
+
+
+def _ad(a, p):
+    """The map X -> [a, X] on codes mod p.  An entry x of X at (i, j)
+    meets only column i and row j of a."""
+    rows, cols = {}, {}
+    for (i, j), x in a.items():
+        rows.setdefault(i, []).append((j, x))
+        cols.setdefault(j, []).append((i, x))
+
+    def ad(X):
+        out = {}
+        for (i, j), x in X.items():
+            for k, y in cols.get(i, ()):
+                out[k, j] = out.get((k, j), 0) + y * x
+            for k, y in rows.get(j, ()):
+                out[i, k] = out.get((i, k), 0) - x * y
+        return _reduce(out, p)
+    return ad
+
+
+def _system(images, d, target):
+    """Rows over F_p of sum_k x_k images[k] = target on codes, with the
+    right-hand side: one row per coordinate cell (a code at a column
+    divisible by the degree d) that some image or the target reaches.
+    With no such cell, one zero row keeps the number of unknowns."""
+    cells = {}
+    for k, M in enumerate(images):
+        for (r, s), x in M.items():
+            if not s % d:
+                cells.setdefault((r, s), {})[k] = x
+    for (r, s), x in target.items():
+        if not s % d:
+            cells.setdefault((r, s), {})[None] = x
+    if not cells:
+        return [[0] * len(images)], [0]
+    return ([[cell.get(k, 0) for k in range(len(images))]
+             for cell in cells.values()],
+            [cell.get(None, 0) for cell in cells.values()])
+
+
 def centralizer_basis(X, factor):
-    basis = factor.algebra_basis()
-    ker = la.kernel_basis(
-        _linear_rows([la.bracket(X, B) for B in basis], factor.field,
-                     factor.n),
-        factor.field.base_or_self())
-    return [factor.from_coords(v) for v in ker]
+    field, p = factor.field, factor.field.p
+    fp = la._mod_p(p)
+    ad = _ad(_codes(X, field), p)
+    bs = [_codes(B, field) for B in factor.algebra_basis()]
+    rows, _ = _system([ad(B) for B in bs], field.degree, {})
+    return [_from_codes(_comb(v, bs, p), field, factor.n)
+            for v in la.kernel_basis(rows, fp, fp.ops)]
 
 
 class Sl2Triple:
@@ -231,31 +320,38 @@ def jacobson_morozov(c, basis, field, rows=()):
     an element of ker(ad c) in the same span so that [h, d] = -2d.
     Raises ValueError("characteristic too small") if a linear system is
     singular; the triple itself is left to the caller to check.
+
+    Every step runs on the codes of c and the basis over F_p; the
+    systems keep the basis order as their column order, so their
+    reduced row echelon forms, and with them d0, h and d, are those of
+    the same solve on the matrices themselves.
     """
-    n = len(c)
-    kp = field.base_or_self()
-    rows = list(rows)
-    two = la.fone(field) + la.fone(field)
-    ad1 = [la.bracket(c, B) for B in basis]
-    sol = la.solve(
-        _linear_rows([la.bracket(c, A) for A in ad1], field, n) + rows,
-        _flat(la.mat_scale(-two, c), field) + [la.fzero(kp)] * len(rows),
-        kp)
+    n, d, p = len(c), field.degree, field.p
+    fp = la._mod_p(p)
+    lie_rows = [[x.v for x in row] for row in rows]
+    bs = [_codes(B, field) for B in basis]
+    cs = _codes(c, field)
+    ad_c = _ad(cs, p)
+    ad1 = [ad_c(B) for B in bs]
+    a, rhs = _system([ad_c(A) for A in ad1], d, _comb((-2,), (cs,), p))
+    sol = la.solve(a + lie_rows, rhs + [0] * len(lie_rows), fp, fp.ops)
     if sol is None:
         raise ValueError("characteristic too small")
-    d0 = la.mat_comb(sol, basis, field, n)
-    h = la.bracket(c, d0)
-    defect = la.mat_add(la.bracket(h, d0), la.mat_scale(two, d0))
-    if all(not e for row in defect for e in row):
-        return Sl2Triple(c, h, d0)
-    zc = [la.mat_comb(v, basis, field, n) for v in
-          la.kernel_basis(_linear_rows(ad1, field, n) + rows, kp)]
-    imgs = [la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z))
-            for Z in zc]
-    sol2 = la.solve(_linear_rows(imgs, field, n), _flat(defect, field), kp)
-    if sol2 is None:
-        raise ValueError("characteristic too small")
-    return Sl2Triple(c, h, la.mat_sub(d0, la.mat_comb(sol2, zc, field, n)))
+    d0 = _comb(sol, bs, p)
+    h = ad_c(d0)
+    ad_h = _ad(h, p)
+    defect = _comb((1, 2), (ad_h(d0), d0), p)
+    if defect:
+        kern, _ = _system(ad1, d, {})
+        zc = [_comb(v, bs, p)
+              for v in la.kernel_basis(kern + lie_rows, fp, fp.ops)]
+        a, rhs = _system([_comb((1, 2), (ad_h(Z), Z), p) for Z in zc], d,
+                         defect)
+        sol2 = la.solve(a, rhs, fp, fp.ops)
+        if sol2 is None:
+            raise ValueError("characteristic too small")
+        d0 = _comb((1,) + tuple(-y for y in sol2), [d0] + zc, p)
+    return Sl2Triple(c, _from_codes(h, field, n), _from_codes(d0, field, n))
 
 
 def sl2_complete(c, factor):

@@ -16,8 +16,10 @@ Every row reduction in the package goes through one Gauss-Jordan kernel,
 `rref`.  It touches entries only through the field operations it is
 given, ops = (sub, mul, inv), and tests them for zero by truth value, so
 one code path serves every element representation: ffield elements
-(`FF_OPS`, the default), integers and Fractions over Q (`Q_OPS`) and
-the integer codes of `springerlab.ExtField` (its table-driven `ops`).
+(`FF_OPS`, the default), integers and Fractions over Q (`Q_OPS`),
+integers mod p (`_mod_p(p).ops`, with `_mod_p(p)` as the field of
+`solve` and `kernel_basis`) and the integer codes of
+`springerlab.ExtField` (its table-driven `ops`).
 It returns the reduced rows, the pivot columns and, for square input,
 the determinant; `rank`, `kernel_basis`, `solve` and `mat_inv` are read
 off it.
@@ -32,7 +34,8 @@ by Cantor-Zassenhaus.
 import operator
 import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from types import SimpleNamespace
 
 
 def fzero(field):
@@ -146,6 +149,15 @@ FF_OPS = (operator.sub, operator.mul, operator.methodcaller("inv"))
 # The arithmetic of Q on integers and Fractions: an inverse is
 # Fraction(1, x), as 1 / x would be a float for an integer.
 Q_OPS = (operator.sub, operator.mul, partial(Fraction, 1))
+
+
+@lru_cache(maxsize=None)
+def _mod_p(p):
+    """Z/p on the integers 0..p-1: its zero, one and ops, every result
+    reduced mod p."""
+    return SimpleNamespace(zero=0, one=1, ops=(
+        lambda a, b: (a - b) % p, lambda a, b: a * b % p,
+        lambda a: pow(a, p - 2, p)))
 
 
 def rref(rows, ops=FF_OPS):

@@ -458,6 +458,23 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_descent_commands_leave_numpy_unloaded():
+    # the descent path runs on ffield objects and integer codes only;
+    # numpy would add its import time and about 15 MB of memory to every
+    # trace and wave-front query
+    code = ("import contextlib, io, sys\n"
+            "from padicwf import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['graph', 'trace', '--scenario', 'u7h']) "
+            "== 0\n"
+            "    assert cli.main(['wf', 'example', 'u6']) == 0\n"
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_inert_options_are_gone(tmp_path, capsys):
     # no computation reads a thread count, a denominator bound or a
     # precision, so none is an option or a manifest key; only lab spr

@@ -377,6 +377,20 @@ def test_path_trace_u7_computes_each_cell_once(monkeypatch):
                {e.dst.facet.signs for e in edges}) == 13
 
 
+def test_path_trace_u7_labels_each_vertex_once(monkeypatch):
+    # the start and the six rule-1 targets carry labels; a vertex keeps
+    # its label, and the trace asks for each one once
+    calls = []
+    n_label = mpq.n_label
+    monkeypatch.setattr(mpq, "n_label",
+                        lambda c: calls.append(1) or n_label(c))
+    m, win, c, v = u7h_setup()
+    edges = gr.path_trace(v, Fr(1, 2))
+    assert len(calls) == 7
+    labels = [e.dst.label() for e in edges if e.rule == 1]
+    assert len(labels) == 6 and len(calls) == 7
+
+
 def test_path_edges_strictly_increase_order():
     m, win, c, v = u7h_setup()
     edges = gr.path_trace(v, Fr(1, 2))

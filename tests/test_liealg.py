@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -146,44 +148,57 @@ def test_centralizer_dim():
 # -- sl2 completion ----------------------------------------------------
 
 
-def test_sl2_complete_gl():
+def chain_nilpotents():
+    """(F, factor, lam, X) for X the chain-aligned nilpotent of each
+    non-trivial Jordan type lam in gl_2 and gl_3 over F_3 and F_5."""
     for p in (3, 5):
         F = prime_field(p)
         for n in (2, 3):
             fac = lg.Factor.gl(n, F)
-            seen = 0
             for lam in ob.partitions_of(n):
                 if lam == (1,) * n:
                     continue
-                # chain-aligned nilpotent of type lam
                 X = [[F.zero] * n for _ in range(n)]
                 pos = 0
                 for part in lam:
                     for i in range(part - 1):
                         X[pos + i][pos + i + 1] = F.one
                     pos += part
-                X = la.mat(X)
-                if max(lam) > p:
-                    continue  # characteristic too small for the chain
-                trip = lg.sl2_complete(X, fac)
-                assert trip.check(F)
-                seen += 1
-            assert seen > 0
+                yield F, fac, lam, la.mat(X)
 
 
-def test_sl2_complete_sp4():
+def sp4_nilpotents():
+    """(F, factor, X) for the nonzero nilpotents among 200 random
+    elements of sp_4 over F_5."""
     F = prime_field(5)
     fac = lg.Factor.sp(4, F)
     rng = random.Random(3)
-    found = 0
     for _ in range(200):
-        X = fac.from_coords([F.random(rng) for _ in fac.algebra_basis()])
+        X = la.mat_comb([F.random(rng) for _ in fac.algebra_basis()],
+                        fac.algebra_basis(), F, 4)
         if not lg.is_nilpotent(X, F):
             continue
         if all(not e for row in X for e in row):
             continue
         if max(lg.jordan_type(X, F)) > 5:
             continue
+        yield F, fac, X
+
+
+def test_sl2_complete_gl():
+    seen = 0
+    for F, fac, lam, X in chain_nilpotents():
+        if max(lam) > F.p:
+            continue  # characteristic too small for the chain
+        trip = lg.sl2_complete(X, fac)
+        assert trip.check(F)
+        seen += 1
+    assert seen == 6
+
+
+def test_sl2_complete_sp4():
+    found = 0
+    for F, fac, X in sp4_nilpotents():
         trip = lg.sl2_complete(X, fac)
         assert trip.check(F)
         assert fac.is_lie(trip.h) and fac.is_lie(trip.d)
@@ -208,6 +223,191 @@ def test_sl2_regular_small_characteristic():
     X = mk(F, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
     trip = lg.sl2_complete(X, fac)
     assert trip.check(F)
+
+
+# -- reference: the Jacobson-Morozov solve on FFElt matrices -----------
+#
+# The route jacobson_morozov and centralizer_basis took before the
+# integer codes: brackets of dense ffield matrices, and one row per
+# prime-field coordinate of every entry.  The solve on codes must give
+# the same triple entry by entry, and fail where this one fails.
+
+
+def reference_jacobson_morozov(c, basis, field, rows=()):
+    n = len(c)
+    kp = field.base_or_self()
+    rows = list(rows)
+    two = la.fone(field) + la.fone(field)
+    ad1 = [la.bracket(c, B) for B in basis]
+    sol = la.solve(
+        lg._linear_rows([la.bracket(c, A) for A in ad1], field, n) + rows,
+        lg._flat(la.mat_scale(-two, c), field) + [la.fzero(kp)] * len(rows),
+        kp)
+    if sol is None:
+        raise ValueError("characteristic too small")
+    d0 = la.mat_comb(sol, basis, field, n)
+    h = la.bracket(c, d0)
+    defect = la.mat_add(la.bracket(h, d0), la.mat_scale(two, d0))
+    if all(not e for row in defect for e in row):
+        return lg.Sl2Triple(c, h, d0)
+    zc = [la.mat_comb(v, basis, field, n) for v in
+          la.kernel_basis(lg._linear_rows(ad1, field, n) + rows, kp)]
+    imgs = [la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z))
+            for Z in zc]
+    sol2 = la.solve(lg._linear_rows(imgs, field, n), lg._flat(defect, field),
+                    kp)
+    if sol2 is None:
+        raise ValueError("characteristic too small")
+    return lg.Sl2Triple(c, h, la.mat_sub(d0, la.mat_comb(sol2, zc, field, n)))
+
+
+def reference_centralizer_basis(X, factor):
+    ker = la.kernel_basis(
+        lg._linear_rows([la.bracket(X, B) for B in factor.algebra_basis()],
+                        factor.field, factor.n),
+        factor.field.base_or_self())
+    return [la.mat_comb(v, factor.algebra_basis(), factor.field, factor.n)
+            for v in ker]
+
+
+def jm_outcome(solver, c, basis, field, rows=()):
+    """The triple a solver returns, or the message of its ValueError."""
+    try:
+        trip = solver(c, basis, field, rows)
+    except ValueError as err:
+        return str(err)
+    return trip.c, trip.h, trip.d
+
+
+def assert_same_jm(c, basis, field, rows=()):
+    got = jm_outcome(lg.jacobson_morozov, c, basis, field, rows)
+    assert got == jm_outcome(reference_jacobson_morozov, c, basis, field,
+                             rows)
+    if not isinstance(got, str):
+        assert all(e.field is field for M in got for row in M for e in row)
+    return got
+
+
+def record_jm_calls(run):
+    """The arguments of every jacobson_morozov call that run() makes."""
+    calls = []
+    solve = lg.jacobson_morozov
+
+    def record(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lg, "jacobson_morozov", record)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            run()
+    return calls
+
+
+def test_jm_codes_match_the_reference_on_graph_commands():
+    from padicwf import cli
+
+    def run():
+        for scenario, cmd, code in (("u7h", "trace", 0), ("sl2", "trace", 0),
+                                    ("sl2", "reach", 0), ("u7h", "reach", 2)):
+            assert cli.main(["graph", cmd, "--scenario", scenario]) == code
+
+    calls = record_jm_calls(run)
+    # every call solves; the u7h lifts over F_23 with Lie rows, the sl2
+    # lifts over F_3 without
+    assert len(calls) == 48
+    assert {(field.p, bool(rows)) for _, _, field, rows in calls} == \
+        {(23, True), (3, False)}
+    for c, basis, field, rows in calls:
+        assert not isinstance(assert_same_jm(c, basis, field, rows), str)
+
+
+def test_jm_codes_match_the_reference_on_the_lift_test_cosets():
+    from padicwf import mpquotient as mpq
+    from test_mpquotient import _test_cosets
+
+    calls = record_jm_calls(
+        lambda: [mpq.lift_triple(c) for c in _test_cosets()])
+    # the u6 coset lifts over F_{23^2} with Lie rows
+    assert [(field.q, bool(rows)) for _, _, field, rows in calls] == \
+        [(3, False), (23 ** 2, True), (23, True), (23, True)]
+    for c, basis, field, rows in calls:
+        assert not isinstance(assert_same_jm(c, basis, field, rows), str)
+
+
+def test_jm_codes_match_the_reference_on_sl2_complete_cases():
+    outcomes = []
+    for F, fac, lam, X in chain_nilpotents():
+        outcomes.append(assert_same_jm(X, fac.algebra_basis(), F))
+    for F, fac, X in sp4_nilpotents():
+        outcomes.append(assert_same_jm(X, fac.algebra_basis(), F))
+    F = prime_field(3)
+    X = mk(F, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    outcomes.append(assert_same_jm(X, lg.Factor.gl(4, F).algebra_basis(), F))
+    assert len(outcomes) > 12
+
+
+@st.composite
+def upper_nilpotents(draw):
+    """(F, n, X): X strictly upper triangular in gl_n, n = 3 or 4, over
+    F_3, F_5 or F_{3^2}."""
+    F = draw(st.sampled_from([prime_field(3), prime_field(5),
+                              quad_field(3)]))
+    n = draw(st.sampled_from([3, 4]))
+    elts = list(F.elements())
+    X = [[F.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            X[i][j] = draw(st.sampled_from(elts))
+    return F, n, la.mat(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(upper_nilpotents())
+def test_jm_codes_match_the_reference_on_upper_nilpotents(case):
+    F, n, X = case
+    fac = lg.Factor.gl(n, F)
+    assert_same_jm(X, fac.algebra_basis(), F)
+    assert lg.centralizer_basis(X, fac) == \
+        reference_centralizer_basis(X, fac)
+
+
+def test_jm_and_centralizer_make_no_ffield_matrix_products(monkeypatch):
+    cases = [(prime_field(5), mk(prime_field(5), [[0, 1, 0], [0, 0, 1],
+                                                  [0, 0, 0]])),
+             (quad_field(3), la.mat([[quad_field(3).zero, quad_field(3).gen],
+                                     [quad_field(3).zero] * 2]))]
+    facs = [lg.Factor.gl(len(X), F) for F, X in cases]
+    for fac in facs:
+        fac.algebra_basis()
+
+    def product(*args):
+        raise AssertionError("matrix product over ffield elements")
+
+    for name in ("bracket", "mat_mul", "mat_add", "mat_sub", "mat_scale"):
+        monkeypatch.setattr(la, name, product)
+    for (F, X), fac in zip(cases, facs):
+        lg.jacobson_morozov(X, fac.algebra_basis(), F)
+        lg.centralizer_basis(X, fac)
+
+
+def test_jm_codes_raise_where_the_reference_does():
+    F = prime_field(3)
+    # ad(c)^2 d0 = -2c has no solution in the span of E_02, E_12, E_20
+    c = mk(F, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    basis = la.unit_mats(F, 3, [(0, 2, F.one), (1, 2, F.one),
+                                (2, 0, F.one)])
+    assert assert_same_jm(c, basis, F) == "characteristic too small"
+    # d0 exists, but no element of ker(ad c) in the span corrects it
+    c = mk(F, [[0, 2, 0, 2], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
+    units = [(0, 0), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1),
+             (2, 2), (3, 1), (3, 2)]
+    basis = la.unit_mats(F, 4, [(i, j, F.one) for i, j in units])
+    assert la.solve(lg._linear_rows([la.bracket(c, la.bracket(c, B))
+                                     for B in basis], F, 4),
+                    lg._flat(la.mat_scale(F(-2), c), F), F) is not None
+    assert assert_same_jm(c, basis, F) == "characteristic too small"
 
 
 # -- levi data and induced labels --------------------------------------
