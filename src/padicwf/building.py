@@ -11,9 +11,12 @@ The form couples matrix positions into classes sharing one free scalar
 parameter; each class records its member positions (with valuation
 shifts coming from the Gram matrix), the set of valuations its parameter
 can take, and the residue dimension per valuation.  All the geometry of
-the augmented apartment A x R -- critical hyperplanes, facet sign
-vectors, depth, facets below -- is derived from these thresholds by
-exact rational arithmetic.
+the augmented apartment A x R -- critical hyperplanes, facets, depth,
+facets below -- is derived from these thresholds by exact arithmetic.
+A critical hyperplane is held as an integer form, dotted with the
+homogeneous integer coordinates of a point; a facet is held as the bit
+masks of the planes it lies above and below, and its sign vector is
+derived from them where an order or an output needs it.
 """
 
 from fractions import Fraction
@@ -336,31 +339,6 @@ class Window:
         return (self.xranges, self.rmin, self.rmax)
 
 
-class Plane:
-    """Critical hyperplane {r = f(x)} with f affine; horizontal iff f
-    is constant."""
-
-    def __init__(self, coeffs, const):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        self.const = Fraction(const)
-
-    def horizontal(self):
-        return not any(self.coeffs)
-
-    def functional(self):
-        """(coeffs over (x, r), bound) with the plane as {a.y = b}:
-        r - f(x) = 0, i.e. (-coeffs, 1) . (x, r) = const."""
-        return tuple(-c for c in self.coeffs) + (Fraction(1),), self.const
-
-    def key(self):
-        return self.coeffs, self.const
-
-    def __repr__(self):
-        if self.horizontal():
-            return "Plane(r = %s)" % self.const
-        return "Plane(r = %s + %s . x)" % (self.const, list(self.coeffs))
-
-
 def _frange(coeffs, const, window):
     """Range of an affine function over the window box."""
     lo = hi = const
@@ -372,9 +350,9 @@ def _frange(coeffs, const, window):
     return lo, hi
 
 
-# Plane lists of the most recent (model, window) pairs, oldest first,
-# each with the planes' integer forms.  A query reads one window many
-# times; a stream of queries on new windows must not keep them all.
+# Plane lists of the most recent (model, window) pairs, oldest first.
+# A query reads one window many times; a stream of queries on new
+# windows must not keep them all.
 _PLANE_CACHE = {}
 _PLANE_CACHE_SIZE = 16
 
@@ -384,14 +362,18 @@ def critical_hyperplanes(model, window):
 
     One plane per (class member, allowed parameter valuation) whose
     graph {r = v + shift + w_i(x) - w_j(x)} meets the window; planes
-    with constant f are the horizontal (torus-jump) planes.
+    with constant f are the horizontal (torus-jump) planes.  A plane
+    {r = f(x)} is held as its integer form: the integers (A, -B) that
+    `_integral` gives for (-coeffs, 1).(x, r) = const, so that
+    A.(x, r) - B has the sign of r - f(x) at every point.  The list is
+    sorted by the planes' (coeffs, const).
     """
     ck = (model.name, id(model), window.key())
     if ck in _PLANE_CACHE:
-        return _PLANE_CACHE[ck][0]
+        return _PLANE_CACHE[ck]
     if model.weight_funcs is None:
         raise ValueError("model %s has no apartment chart" % model.name)
-    planes = {}
+    planes = set()
     for cls in model.classes:
         for i, j, s in cls.members:
             coeffs, const = model.weight_diff(i, j)
@@ -404,52 +386,55 @@ def critical_hyperplanes(model, window):
                 v = cls.offset + k * cls.step
                 if v > vhi:
                     break
-                pl = Plane(coeffs, v + s + const)
-                planes[pl.key()] = pl
+                planes.add((coeffs, v + s + const))
                 k += 1
-    out = sorted(planes.values(), key=lambda p: p.key())
+    out = [_integral(tuple(-c for c in coeffs) + (Fraction(1),), const)
+           for coeffs, const in sorted(planes)]
     if len(_PLANE_CACHE) >= _PLANE_CACHE_SIZE:
         del _PLANE_CACHE[next(iter(_PLANE_CACHE))]
-    _PLANE_CACHE[ck] = out, [_integral(*pl.functional()) for pl in out]
+    _PLANE_CACHE[ck] = out
     return out
 
 
-def plane_forms(model, window):
-    """The critical hyperplanes as integers (A, -B), as `_integral` gives
-    them, from the same cache entry: A.(x, r) - B has the sign of
-    r - f(x) at every point."""
-    critical_hyperplanes(model, window)
-    return _PLANE_CACHE[(model.name, id(model), window.key())][1]
-
-
 class AugFacet:
-    """An augmented facet: sign vector against the window's planes.
+    """An augmented facet: the masks `pos` and `neg` of the critical
+    hyperplanes it lies above and below (bit k: the k-th plane of
+    `critical_hyperplanes`, whose integer forms it is handed as
+    `forms`); it lies on the others.
 
     verts, when given, are the exact vertices of the facet's closure in
     the window; otherwise they are read off its closed cell, which is
     computed once, on first use."""
 
-    def __init__(self, model, window, signs, verts=None):
+    def __init__(self, model, window, forms, pos, neg, verts=None):
         self.model = model
         self.window = window
-        self.signs = tuple(signs)
+        self.forms = forms
+        self.pos, self.neg = pos, neg
         self._verts = verts
         self._cell = None
 
     def __eq__(self, other):
-        return isinstance(other, AugFacet) and self.signs == other.signs \
+        return isinstance(other, AugFacet) and self.pos == other.pos \
+            and self.neg == other.neg \
             and self.window.key() == other.window.key()
 
     def __hash__(self):
-        return hash((self.signs, self.window.key()))
+        return hash((self.pos, self.neg, self.window.key()))
+
+    @property
+    def signs(self):
+        """The sign vector: per plane, 1 above it, -1 below, 0 on it."""
+        return tuple((self.pos >> k & 1) - (self.neg >> k & 1)
+                     for k in range(len(self.forms)))
 
     def cell(self):
         """The closure of the facet: the window box cut by every plane on
         the side of its sign, as `cell_vertices` gives it (mask bit k:
         plane k)."""
         if self._cell is None:
-            self._cell = cell_vertices(self.window, list(zip(
-                plane_forms(self.model, self.window), self.signs)))
+            self._cell = cell_vertices(self.window,
+                                       list(zip(self.forms, self.signs)))
         return self._cell
 
     def vertices(self):
@@ -484,8 +469,15 @@ def facet_of(model, window, x, r):
     if not window.contains(x, r):
         raise ValueError("outside window")
     h = _homogeneous(x + (r,))
-    vals = (sum(map(mul, form, h)) for form in plane_forms(model, window))
-    return AugFacet(model, window, [(v > 0) - (v < 0) for v in vals])
+    forms = critical_hyperplanes(model, window)
+    pos = neg = 0
+    for k, form in enumerate(forms):
+        v = sum(map(mul, form, h))
+        if v > 0:
+            pos |= 1 << k
+        elif v < 0:
+            neg |= 1 << k
+    return AugFacet(model, window, forms, pos, neg)
 
 
 # -- the exact cut -----------------------------------------------------
@@ -598,14 +590,13 @@ class Arrangement:
     A cell is the masks of the planes inserted so far that it lies above
     and below, and its vertices with their tight masks.  A new plane
     splits only the cells it crosses (`_cut`).  The faces of a closed
-    cell are cut out by its zero sets (`_zero_sets`); a face's sign
-    vector is the cell's with zeros on the planes containing it.
-    `faces` lists each facet once, as an AugFacet with its vertices
-    filled in.
+    cell are cut out by its zero sets (`_zero_sets`); a face's masks
+    are the cell's without the planes containing it.  `faces` lists
+    each facet once, as an AugFacet with its vertices filled in.
     """
 
     def __init__(self, model, window):
-        forms = plane_forms(model, window)
+        forms = critical_hyperplanes(model, window)
         if len(window.xranges) != model.d:
             raise ValueError("window has %d axis ranges; model %s has %d "
                              "chart coordinates" % (len(window.xranges),
@@ -618,7 +609,7 @@ class Arrangement:
         cells = [(0, 0, _box_vertices(window))]
         for k, c in enumerate(forms):
             cells = self._insert(cells, 1 << (self._nbox + k), c)
-        self.faces = self._faces(cells, len(forms))
+        self.faces = self._faces(cells, forms)
 
     def _spend(self):
         self.work += 1
@@ -643,12 +634,10 @@ class Arrangement:
             out.append((pos, neg | bit, _side(verts, vals, -1) + cut))
         return out
 
-    def _faces(self, cells, nplanes):
-        """One AugFacet per distinct face of the closed cells.  Sign
-        vectors are held as bit masks of the planes with sign +1 and -1
-        until a face is new."""
-        bits = [1 << (self._nbox + k) for k in range(nplanes)]
-        box = (1 << self._nbox) - 1
+    def _faces(self, cells, forms):
+        """One AugFacet per distinct face of the closed cells."""
+        nbox = self._nbox
+        box = (1 << nbox) - 1
         faces = {}
         points = {}
         for pos, neg, verts in cells:
@@ -663,9 +652,8 @@ class Arrangement:
                         if h not in points:
                             points[h] = _point(h)
                         fv.append(points[h])
-                signs = tuple(1 if key[0] & b else -1 if key[1] & b else 0
-                              for b in bits)
-                faces[key] = AugFacet(self.model, self.window, signs, fv)
+                faces[key] = AugFacet(self.model, self.window, forms,
+                                      key[0] >> nbox, key[1] >> nbox, fv)
         return list(faces.values())
 
 
@@ -718,7 +706,7 @@ def precede(f1, f2):
 def facets_below(facet):
     """Horizontal facets in the closure of a facet at its depth, by
     dimension and then sign vector: the faces of its closed cell whose
-    vertices all lie at its depth."""
+    vertices all lie at its depth, each off the planes of its zero set."""
     if facet.is_horizontal():
         raise ValueError("facet is horizontal")
     dep = facet.depth()
@@ -727,9 +715,8 @@ def facets_below(facet):
     for z in _zero_sets(m for _, m in verts):
         fv = [y for y, m in verts if m & z == z]
         if all(y[-1] == dep for y in fv):
-            signs = tuple(0 if z >> k & 1 else s
-                          for k, s in enumerate(facet.signs))
-            out.append(AugFacet(facet.model, facet.window, signs, fv))
+            out.append(AugFacet(facet.model, facet.window, facet.forms,
+                                facet.pos & ~z, facet.neg & ~z, fv))
     if not out:
         raise ValueError("no horizontal facet below the facet at depth %s: "
                          "its top lies on the window's boundary" % dep)

@@ -34,6 +34,12 @@ def is_prime(n):
     return True
 
 
+def check_odd_prime(p):
+    """Raise ValueError unless p is an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("p = %d is not an odd prime" % p)
+
+
 def least_nonresidue(p):
     """Smallest quadratic non-residue mod the odd prime p."""
     for n in range(2, p):
@@ -164,7 +170,7 @@ class PrimeField:
     """The prime field Z/p, p an odd prime."""
 
     def __init__(self, p):
-        assert is_prime(p) and p % 2 == 1, "p must be an odd prime"
+        check_odd_prime(p)
         self.p = p
         self.q = p
         self.degree = 1
@@ -218,13 +224,6 @@ class PrimeField:
 
     def random(self, rng):
         return FFElt(self, rng.randrange(self.p))
-
-    def sqrt(self, a):
-        """A square root of a, or None if a is a non-residue."""
-        for x in self.elements():
-            if x * x == a:
-                return x
-        return None
 
     def fmt(self, v):
         return str(v)
@@ -316,12 +315,6 @@ class QuadField:
 
     def random(self, rng):
         return FFElt(self, (rng.randrange(self.p), rng.randrange(self.p)))
-
-    def sqrt(self, a):
-        for x in self.elements():
-            if x * x == a:
-                return x
-        return None
 
     def fmt(self, v):
         a, b = v

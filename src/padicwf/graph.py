@@ -44,8 +44,7 @@ def facet_center(facet):
 
 def in_closure(inner, outer):
     """Whether the facet `inner` lies in the closure of `outer`."""
-    return all(si == so or si == 0
-               for so, si in zip(outer.signs, inner.signs))
+    return not (inner.pos & ~outer.pos or inner.neg & ~outer.neg)
 
 
 class GraphVertex:
@@ -77,7 +76,7 @@ class GraphVertex:
         return self._label
 
     def key(self):
-        return (self.facet.signs, self.coset().mat)
+        return (self.facet.pos, self.facet.neg, self.coset().mat)
 
     def __eq__(self, other):
         return isinstance(other, GraphVertex) and self.key() == other.key()
@@ -124,7 +123,7 @@ def _walk_step(model, window, x, r, lam, slope):
     h = bd._homogeneous(x + (r,))
     ld = bd._homogeneous(lam + (slope,))
     ts = []
-    for form in bd.plane_forms(model, window):
+    for form in bd.critical_hyperplanes(model, window):
         v0 = sum(map(mul, form, h))
         dv = sum(map(mul, form, ld[:-1]))
         if v0 * dv < 0:
@@ -156,7 +155,7 @@ def _walk_target(v):
     eps = _walk_step(model, window, x, r, lam, 2)
     x2 = tuple(xi + eps * l for xi, l in zip(x, lam))
     f2 = bd.facet_of(model, window, x2, r + 2 * eps)
-    if f2.signs == v.facet.signs:
+    if f2 == v.facet:
         raise ValueError("scenario A: the walk stays inside the facet")
     return f2
 
@@ -255,7 +254,7 @@ def facets_above(facet):
     """Facets other than this one with it in their closure."""
     faces = bd.arrangement(facet.model, facet.window).faces
     return [f for f in faces
-            if f.signs != facet.signs and in_closure(facet, f)]
+            if in_closure(facet, f) and f != facet]
 
 
 def closure_horizontals(facet):
@@ -292,7 +291,7 @@ def predecessors(v):
                 continue
             # the walk keeps the matrix, so landing in v's facet lands on
             # v's coset; only then are the target's vertices needed
-            if target.signs == v.facet.signs:
+            if target == v.facet:
                 assert bd.precede(f, v.facet)
                 out.append(cand)
     return out

@@ -61,9 +61,6 @@ class LocalField:
         assert self.kind == "base"
         return LocalField(self.q, "ram", self.default_prec)
 
-    def base(self):
-        return LocalField(self.q, "base", self.default_prec)
-
     # -- constructors ---------------------------------------------------
 
     def scalar(self, terms, prec=None):
@@ -208,14 +205,6 @@ class LocalScalar:
         self.prec = prec
 
     # -- queries --------------------------------------------------------
-
-    def is_zero(self):
-        """Exactly zero (raises if only zero-to-precision)."""
-        if self.terms:
-            return False
-        if self.prec is None:
-            return True
-        raise PrecisionError("zero up to O(t^%s); cannot certify" % self.prec)
 
     def is_zero_weak(self):
         """No visible terms (zero or indistinguishable from it)."""

@@ -20,7 +20,6 @@ with a semisimple part.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from . import building as bd
 from . import liealg as lie
@@ -35,7 +34,6 @@ class GradedQuotient:
         self.model = model
         self.w = tuple(Fraction(wi) for wi in w)
         self.r = Fraction(r)
-        self.order = lcm(self.r.denominator, model.field.e)
         self._heart = None
 
     def residue_field(self):

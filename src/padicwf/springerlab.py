@@ -12,7 +12,6 @@ the first two flag vectors are tested on all flags at once.
 
 import random
 from itertools import product
-from math import isqrt
 
 from . import ffield as ff
 from . import liealg as lie
@@ -471,8 +470,7 @@ def _field_order(p, d):
     """q = p^d for the fields `ExtField` builds: p an odd prime (the
     adapted basis divides by 2) and d one of the degrees with a
     root-free irreducible polynomial."""
-    if p < 3 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
-        raise ValueError("p = %d is not an odd prime" % p)
+    ff.check_odd_prime(p)
     if d not in (1, 2, 3):
         raise ValueError("extension degree %d not supported (1, 2 or 3)"
                          % d)

@@ -21,6 +21,8 @@ from padicwf import springerlab as sl
 from padicwf import wavefront as wf
 from padicwf import cli
 
+from test_building import plane_of
+
 
 def report(num, ok, detail):
     print("criterion %d: %s — %s" % (num, "PASS" if ok else "FAIL",
@@ -103,10 +105,11 @@ def test_criterion_3_u7_pipeline():
     # two planes r = 1/2 - x0 + x1 and r = 1/2 - 2 x1 do), so never
     # crossed.
     breaks = set()
-    for pl in bd.critical_hyperplanes(m, win):
-        den = slope - sum(a * l for a, l in zip(pl.coeffs, lam))
+    for form in bd.critical_hyperplanes(m, win):
+        coeffs, const = plane_of(form)
+        den = slope - sum(a * l for a, l in zip(coeffs, lam))
         if den:
-            fz = pl.const + sum(a * zi for a, zi in zip(pl.coeffs, z))
+            fz = const + sum(a * zi for a, zi in zip(coeffs, z))
             s = fz / den
             if 0 < s <= s_end:
                 breaks.add(s)

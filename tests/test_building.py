@@ -93,10 +93,18 @@ def test_u7_self_coupled_grid():
 SL2_WIN = bd.Window([(0, Fr(1, 2))], 0, 1)
 
 
+def plane_of(form):
+    """(coeffs, const) of the plane {r = f(x)} whose integer form
+    `critical_hyperplanes` gives: a positive multiple w of
+    (-coeffs, 1, -const)."""
+    w = form[-2]
+    return tuple(Fr(-a, w) for a in form[:-2]), Fr(-form[-1], w)
+
+
 def test_sl2_plane_list():
     m = bd.sl2_model(3)
     planes = bd.critical_hyperplanes(m, SL2_WIN)
-    got = {(p.coeffs, p.const) for p in planes}
+    got = {plane_of(c) for c in planes}
     want = {((Fr(0),), Fr(0)), ((Fr(0),), Fr(1)),
             ((Fr(2),), Fr(-1)), ((Fr(2),), Fr(0)), ((Fr(2),), Fr(1)),
             ((Fr(-2),), Fr(0)), ((Fr(-2),), Fr(1)), ((Fr(-2),), Fr(2))}
@@ -106,8 +114,8 @@ def test_sl2_plane_list():
 def test_planes_meet_window():
     m = bd.u7_model(23)
     win = bd.Window([(0, 1), (0, 1)], 0, Fr(1, 2))
-    for p in bd.critical_hyperplanes(m, win):
-        lo, hi = bd._frange(p.coeffs, p.const, win)
+    for c in bd.critical_hyperplanes(m, win):
+        lo, hi = bd._frange(*plane_of(c), win)
         assert lo <= win.rmax and hi >= win.rmin
 
 
@@ -161,15 +169,15 @@ def sl2_grid_vertices(model, win):
     vectors: the points at which the tight lines and box sides have rank
     2.  With window endpoints in 1/4 steps, every vertex is on the grid.
     The closure of a face has for vertices those lying in it."""
-    planes = bd.critical_hyperplanes(model, win)
+    planes = [plane_of(c) for c in bd.critical_hyperplanes(model, win)]
     (x0, x1), = win.xranges
     out = {}
     for i in range(int(x0 * 8), int(x1 * 8) + 1):
         for j in range(int(win.rmin * 8), int(win.rmax * 8) + 1):
             x, r = Fr(i, 8), Fr(j, 8)
             signs = tuple(sign_at(pl, (x,), r) for pl in planes)
-            rows = [(-pl.coeffs[0], 1)
-                    for pl, s in zip(planes, signs) if s == 0]
+            rows = [(-coeffs[0], 1)
+                    for (coeffs, _), s in zip(planes, signs) if s == 0]
             rows += [(1, 0)] * (x in (x0, x1)) + \
                 [(0, 1)] * (r in (win.rmin, win.rmax))
             if any(a * d - b * c for a, b in rows for c, d in rows):
@@ -318,9 +326,11 @@ def test_u7_descent_step():
 
 
 def sign_at(pl, x, r):
-    """The sign of r - f(x) at (x, r) for the plane {r = f(x)}, in
-    Fractions: the reference for the integer signs of `facet_of`."""
-    d = Fr(r) - pl.const - sum(c * Fr(xi) for c, xi in zip(pl.coeffs, x))
+    """The sign of r - f(x) at (x, r) for the plane {r = f(x)} given as
+    (coeffs, const), in Fractions: the reference for the integer signs
+    of `facet_of`."""
+    coeffs, const = pl
+    d = Fr(r) - const - sum(c * Fr(xi) for c, xi in zip(coeffs, x))
     return (d > 0) - (d < 0)
 
 
@@ -351,18 +361,21 @@ def window_points(draw):
 @given(window_points())
 def test_facet_of_signs_match_the_fraction_route(case):
     model, win, x, r = case
-    want = tuple(sign_at(pl, x, r)
-                 for pl in bd.critical_hyperplanes(model, win))
+    want = tuple(sign_at(plane_of(c), x, r)
+                 for c in bd.critical_hyperplanes(model, win))
     assert bd.facet_of(model, win, x, r).signs == want
 
 
 def test_plane_forms_share_the_plane_cache_entry():
     model, win = PROPERTY_WINDOWS[2]
-    planes = bd.critical_hyperplanes(model, win)
-    forms = bd.plane_forms(model, win)
-    assert bd.plane_forms(model, win) is forms  # read, not rebuilt
+    forms = bd.critical_hyperplanes(model, win)
+    assert bd.critical_hyperplanes(model, win) is forms  # read, not rebuilt
+    assert bd._PLANE_CACHE[(model.name, id(model), win.key())] is forms
+    planes = [plane_of(c) for c in forms]
     assert len(forms) == len(planes) == 85
-    assert forms == [bd._integral(*pl.functional()) for pl in planes]
+    assert planes == sorted(set(planes))  # by (coeffs, const), no repeats
+    assert forms == [bd._integral(tuple(-a for a in coeffs) + (Fr(1),),
+                                  const) for coeffs, const in planes]
 
 
 def cell_in_order(window, cuts):
@@ -383,7 +396,7 @@ def test_cell_vertices_whatever_the_cut_order(case, rnd):
     """A facet's closed cell: the same points and masks with the cuts in
     any order, and each mask is the set of planes through its point."""
     model, win, x, r = case
-    forms = bd.plane_forms(model, win)
+    forms = bd.critical_hyperplanes(model, win)
     cuts = list(zip(forms, bd.facet_of(model, win, x, r).signs))
     want = dict(bd.cell_vertices(win, cuts))
     assert want

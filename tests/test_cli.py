@@ -329,6 +329,21 @@ def test_lab_curve_out_of_reach(argv, message, capsys):
     assert json.loads(err)["error"]["message"] == message
 
 
+@pytest.mark.parametrize("argv", [
+    ["lab", "spr", "--n", "2", "--q", "4"],
+    ["facets", "--model", "sl2", "--q", "4"],
+    ["wf", "compute", "--input", "q4.ini"],
+])
+def test_q_not_an_odd_prime(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q4.ini").write_text(
+        (INPUTS / "toral.ini").read_text().replace("q = 23", "q = 4", 1))
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": {"message": "p = 4 is not an odd prime"}}
+
+
 def test_lab_spr_exhaustive_gl2(capsys):
     code, text, _ = run(["lab", "spr", "--n", "2", "--q", "3"], capsys)
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -10,7 +11,7 @@ from padicwf import graph as gr
 from padicwf import mpquotient as mpq
 from padicwf import orbits as ob
 
-from test_building import window_points
+from test_building import plane_of, window_points
 
 
 def zmat(field, n):
@@ -68,6 +69,31 @@ def test_facet_center_lies_in_facet():
     assert bd.facet_of(m, win, x, r).signs == v.facet.signs
 
 
+def closure_by_signs(inner, outer):
+    """The sign-vector definition of closure, the reference for the plane
+    masks of `in_closure`: each sign of `inner` is the sign of `outer`
+    or 0."""
+    return all(si == so or si == 0
+               for so, si in zip(outer.signs, inner.signs))
+
+
+def test_in_closure_matches_the_sign_vectors():
+    sl2 = bd.Arrangement(bd.sl2_model(3), bd.Window([(0, 1)], -1, 2)).faces
+    sl3 = bd.Arrangement(bd.sl3_model(3),
+                         bd.Window([(0, 1)] * 2, -1, 1)).faces
+    assert (len(sl2), len(sl3)) == (71, 1047)
+    rng = random.Random(20000)
+    for pairs in ([(f, g) for f in sl2 for g in sl2],
+                  [(rng.choice(sl3), rng.choice(sl3))
+                   for _ in range(20000)]):
+        got = [gr.in_closure(f, g) for f, g in pairs]
+        assert got == [closure_by_signs(f, g) for f, g in pairs]
+        assert 0 < sum(got) < len(got)
+    for face in sl2 + sl3:
+        x, r = gr.facet_center(face)
+        assert bd.facet_of(face.model, face.window, x, r) == face
+
+
 # -- rule 2: the cocharacter walk ----------------------------------------
 
 
@@ -91,10 +117,11 @@ def test_rule2_direction_from_lifted_triple():
 def walk_step_reference(model, window, x, r, lam, slope):
     """`_walk_step` with each plane's f evaluated in Fractions."""
     ts = []
-    for pl in bd.critical_hyperplanes(model, window):
-        den = slope - sum(c * l for c, l in zip(pl.coeffs, lam))
+    for form in bd.critical_hyperplanes(model, window):
+        coeffs, const = plane_of(form)
+        den = slope - sum(c * l for c, l in zip(coeffs, lam))
         if den:
-            fx = pl.const + sum(c * xi for c, xi in zip(pl.coeffs, x))
+            fx = const + sum(c * xi for c, xi in zip(coeffs, x))
             t = (fx - r) / den
             if t > 0:
                 ts.append(t)
