@@ -299,8 +299,8 @@ def predecessors(v):
 
 # Largest backward reachable set `reachable` builds.  The sl2 scenario
 # has 8 vertices.  The u7h scenario's set, in 3-D, is finite: with the
-# limit lifted it closes at 1,248 vertices after 71 s of predecessor
-# queries on a 2-CPU machine.
+# limit lifted it closes at 1,248 vertices after 11-15 s of predecessor
+# queries (in process, one CPU of a 2-CPU Xeon machine).
 REACH_LIMIT = 100
 
 

@@ -374,15 +374,56 @@ def sl2_complete(c, factor):
 # -- Levi data of a semisimple part, for orbit induction ---------------
 
 
+def _diagonal_blocks(X):
+    """Index lists of the diagonal blocks of X's block-triangular form.
+
+    They are the strongly connected components of the graph with an
+    edge i -> j wherever X[i][j] != 0: listing the components in a
+    topological order of that graph makes X block upper triangular.
+    Reachability sets are bit masks closed by Warshall's loop.
+    """
+    n = len(X)
+    reach = [sum(1 << j for j in range(n) if X[i][j]) | 1 << i
+             for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    blocks = []
+    for i in range(n):
+        if not any(i in block for block in blocks):
+            blocks.append([j for j in range(n)
+                           if reach[i] >> j & 1 and reach[j] >> i & 1])
+    return blocks
+
+
 def primary_parts(X, field):
     """Decompose by irreducible factors of the characteristic polynomial.
 
     Returns a list of (poly, mult, partition) where partition is the
     Jordan type of the nilpotent part on that primary component (a
     partition of mult).
+
+    The characteristic polynomial of a block-triangular matrix is the
+    product of those of its diagonal blocks, so each diagonal block's
+    is factored (`_diagonal_blocks`; a 1x1 block is a linear factor)
+    and the multiplicities of equal factors are summed.  The Jordan type
+    is still read on the whole X: blocks of one eigenvalue can be
+    coupled off the diagonal, as [[a, 1], [0, a]] has two 1x1 blocks and
+    Jordan type (2).
     """
+    parts = []
+    for block in _diagonal_blocks(X):
+        sub = [[X[i][j] for j in block] for i in block]
+        for p, m in la.factor_poly(la.charpoly(sub, field), field):
+            for part in parts:
+                if part[0] == p:
+                    part[1] += m
+                    break
+            else:
+                parts.append([p, m])
     out = []
-    for p, m in la.factor_poly(la.charpoly(X, field), field):
+    for p, m in parts:
         d = la.poly_deg(p)
         pX = la.poly_eval_mat(p, X, field)
         out.append((p, m, _block_sizes(pX, d, d * m)))

@@ -28,7 +28,11 @@ Polynomials are lists of coefficients, constant term first.  Over the
 finite fields of `ffield`, `squarefree_decomposition` is Yun's algorithm
 with one p-th-root recursion for characteristic p; `poly_radical` is the
 product of its parts and `factor_poly` splits each part by degree and then
-by Cantor-Zassenhaus.
+by Cantor-Zassenhaus.  `factor_poly` returns a polynomial of degree 1 at
+once, as its own monic factor with multiplicity 1: `liealg.primary_parts`
+factors the characteristic polynomial of each diagonal block of a
+block-triangular form, and most of those blocks are 1x1.  A constant
+still factors as [].
 """
 
 import operator
@@ -493,8 +497,11 @@ def factor_poly(f, field):
     """Monic irreducible factorization: list of (factor, multiplicity).
 
     Each squarefree part is split by degree, then by Cantor-Zassenhaus
-    from a fixed seed, so the factors come in a reproducible order.
+    from a fixed seed, so the factors come in a reproducible order.  A
+    polynomial of degree 1 is its own monic factor, with multiplicity 1.
     """
+    if poly_deg(f) == 1:
+        return [(poly_monic(f, field), 1)]
     rng = random.Random(12345)
     q = field.q
 

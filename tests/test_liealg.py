@@ -457,9 +457,58 @@ def test_primary_parts_gl():
     F = prime_field(5)
     # diag(1,1,2) + nilpotent linking the two 1s
     X = mk(F, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    # three 1x1 diagonal blocks; the coupled two of eigenvalue 1 make
+    # one Jordan block of size 2
+    assert lg._diagonal_blocks(X) == [[0], [1], [2]]
     parts = lg.primary_parts(X, F)
     got = sorted((la.poly_deg(p), m, mu) for p, m, mu in parts)
     assert got == [(1, 1, (1,)), (1, 2, (2,))]
+
+
+def whole_charpoly_parts(X, F):
+    """Primary parts read off the factors of the whole characteristic
+    polynomial, each with the Jordan type of its primary component."""
+    out = []
+    for p, m in la.factor_poly(la.charpoly(X, F), F):
+        d = la.poly_deg(p)
+        pX = la.poly_eval_mat(p, X, F)
+        out.append((p, m, lg._block_sizes(pX, d, d * m)))
+    return out
+
+
+@st.composite
+def permuted_block_triangular(draw):
+    """A field and a block upper-triangular X, conjugated by a random
+    permutation.  Its first two diagonal blocks are a*I plus a strictly
+    upper-triangular part, so they share the eigenvalue a, and the entry
+    coupling them is nonzero; the other blocks and the entries above the
+    diagonal blocks are random."""
+    F = draw(st.sampled_from([prime_field(3), prime_field(5),
+                              quad_field(3), quad_field(5)]))
+    elts = list(F.elements())
+    a = draw(st.sampled_from(elts))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=4))
+    n = sum(sizes)
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
+    X = [[F.zero] * n for _ in range(n)]
+    for k, (s, size) in enumerate(zip(starts, sizes)):
+        for i in range(s, s + size):
+            for j in range(s, n):
+                X[i][j] = draw(st.sampled_from(elts))
+            if k < 2:
+                X[i][s:i + 1] = [F.zero] * (i - s) + [a]
+    X[starts[1] - 1][starts[1]] = draw(st.sampled_from(elts[1:]))
+    perm = draw(st.permutations(range(n)))
+    return F, la.mat([[X[perm[i]][perm[j]] for j in range(n)]
+                      for i in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_triangular())
+def test_primary_parts_match_whole_charpoly(case):
+    F, X = case
+    assert sorted(lg.primary_parts(X, F), key=repr) == \
+        sorted(whole_charpoly_parts(X, F), key=repr)
 
 
 def test_induced_label_gl():
@@ -476,6 +525,18 @@ def test_induced_label_gl():
     assert lg.induced_label(X, fac) == (4, 1)
     # zero matrix: label [1^5]
     assert lg.induced_label(la.zero_mat(F, 5), fac) == (1, 1, 1, 1, 1)
+
+
+def test_induced_label_gl_diagonal_with_repeats():
+    # a 5x5 diagonal over F_{23^2} with eigenvalues (a, b, c, a, b), the
+    # shape of a gl_5 block of a `wf compute` coset with repeated entries:
+    # Levi GL_1 x GL_2 x GL_2, zero orbits, induced label (3, 2)
+    F = quad_field(23)
+    s = F.gen
+    fac = lg.Factor.gl(5, F)
+    X = la.mat([[v if i == j else F.zero for j in range(5)]
+                for i, v in enumerate((16 * s, s, 17 * s, 16 * s, s))])
+    assert lg.induced_label(X, fac) == (3, 2)
 
 
 def test_induced_label_sp():

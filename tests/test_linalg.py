@@ -158,6 +158,13 @@ def test_poly_gcd_and_radical():
     assert rad == la.poly_monic(g, F)
 
 
+def test_factor_poly_degree_one_and_constant():
+    F = quad_field(23)
+    # 2x + 3 is its own factor, made monic: x + 3/2 = x + 13
+    assert la.factor_poly([F(3), F(2)], F) == [([F(13), F.one], 1)]
+    assert la.factor_poly([F(3)], F) == []
+
+
 SQF_FIELDS = [prime_field(3), prime_field(5), quad_field(3)]
 
 
