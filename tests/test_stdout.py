@@ -2,10 +2,11 @@
 commands, pinned byte for byte: labels, provenance, dominated lines and
 notes; the rules, depths, dimensions and centres of each descent edge;
 the backward reachable set, and the error record of the u7h reach,
-which stops at its vertex limit; the oracle suite, which lifts triples
-on the u6, u7, sl2 and u7h paths; the facet tables and their result
-records.  A refactor of the label, descent or arrangement layers must
-leave every file under tests/stdout unchanged."""
+which stops at its vertex limit; the parabolic identity counts of
+`lab spr` and their result records; the oracle suite, which lifts
+triples on the u6, u7, sl2 and u7h paths; the facet tables and their
+result records.  A refactor of the label, descent, arrangement or lab
+layers must leave every file under tests/stdout unchanged."""
 
 import hashlib
 import json
@@ -53,6 +54,18 @@ def test_graph_reach_u7h_stderr_is_pinned(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (GOLDEN / "graph_reach_u7h.stderr.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--n", "2"], "lab_spr_n2"),
+    (["--n", "3", "--samples", "10", "--seed", "7"], "lab_spr_n3"),
+])
+def test_lab_spr_stdout_and_record_are_pinned(argv, name, tmp_path,
+                                              capsys):
+    out = tmp_path / "spr.json"
+    assert cli.main(["lab", "spr"] + argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / (name + ".txt")).read_text()
+    assert out.read_text() == (GOLDEN / (name + ".out.json")).read_text()
 
 
 def test_oracle_all_stdout_is_pinned(capsys):
