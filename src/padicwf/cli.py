@@ -338,16 +338,11 @@ def _scenario_vertex(name):
         return gr.GraphVertex(m, f0, c), Fraction(1, 2)
     if name == "u7h":
         m = bd.u7_h_model(23)
-        E = m.field
-        c = wf.zmat(E, 7)
-        for i, j in ((2, 1), (4, 2), (5, 4)):
-            c[i][j] = E.uniformizer()
         win = bd.Window(((Fraction(0), Fraction(1)),
                          (Fraction(0), Fraction(1))), Fraction(-1),
                         Fraction(1))
-        f0 = bd.facet_of(m, win, (Fraction(3, 4), Fraction(1, 4)),
-                         Fraction(0))
-        return gr.GraphVertex(m, f0, c), Fraction(1, 2)
+        f0 = bd.facet_of(m, win, wf.U7_Z, Fraction(0))
+        return gr.GraphVertex(m, f0, wf.u7_chain_z(m)), Fraction(1, 2)
     raise CliError("unknown scenario %r" % name)
 
 
@@ -423,30 +418,11 @@ def cmd_lab(args):
         return 0
     # lab spr
     ctx = sl.MatContext(args.n, args.q)
-    xis = [sl.test_fn(ctx, c, h, d) for _, c, h, d in sl.good_reps(ctx)]
-    import numpy as np
-    import random as _random
-    rng = _random.Random(args.seed)
-    checked = failed = 0
-    if args.n == 2:
-        for a in range(args.q):
-            for b in range(args.q):
-                if a == b:
-                    continue
-                x = np.diag([a, b]).astype(np.int64)
-                for lower in (False, True):
-                    ok = sl.verify_spr(ctx, x, (1, 1), lower=lower,
-                                       xis=xis)
-                    checked += 1
-                    failed += not ok
-    else:
-        for _ in range(args.samples):
-            a, b = rng.sample(range(args.q), 2)
-            x = np.array([[a, rng.randrange(args.q), 0], [0, a, 0],
-                          [0, 0, b]], dtype=np.int64)
-            ok = sl.verify_spr(ctx, x, (2, 1), xis=xis)
-            checked += 1
-            failed += not ok
+    xis = sl.test_fns(ctx)
+    instances = sl.spr_instances(ctx, args.samples, args.seed)
+    checked = len(instances)
+    failed = sum(not sl.verify_spr(ctx, x, comp, lower, xis)
+                 for x, comp, lower in instances)
     print("parabolic identity: %d instances checked, %d failures"
           % (checked, failed))
     if args.out:
@@ -456,7 +432,6 @@ def cmd_lab(args):
 
 
 def _oracle_checks():
-    import numpy as np
     checks = []
 
     def add(name, fn):
@@ -473,10 +448,10 @@ def _oracle_checks():
 
     def spr():
         ctx = sl.MatContext(2, 3)
-        xis = [sl.test_fn(ctx, c, h, d)
-               for _, c, h, d in sl.good_reps(ctx)]
-        return all(sl.verify_spr(ctx, np.diag([a, b]), (1, 1), xis=xis)
-                   for a in range(3) for b in range(3) if a != b)
+        xis = sl.test_fns(ctx)
+        instances = sl.spr_instances(ctx, samples=0, seed=0)
+        return all(sl.verify_spr(ctx, x, comp, lower, xis)
+                   for x, comp, lower in instances)
     add("parabolic identity gl2", spr)
 
     def trace():

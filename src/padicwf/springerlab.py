@@ -4,10 +4,13 @@ Everything here is finite and exact: functions on a graded piece are
 integer vectors in the basis of p-th roots of unity, Fourier transforms
 are axis-wise character sums, and the test functions are orbit sums of
 Slodowy-slice indicators built by exhaustive group enumeration, one
-orbit at a time.  The flag-variety point counts parameterize complete
-isotropic flags directly: every flag of a field is enumerated in bulk
-as arrays of element codes, and the pattern conditions that read only
-the first two flag vectors are tested on all flags at once.
+orbit at a time.  gl_n(F_p) is worked on as integer arrays of the codes
+of ExtField(p, 1); `spr_instances` lists the elements `lab spr` checks,
+so the command line builds no lab matrices.  The flag-variety point
+counts parameterize complete isotropic flags directly: every flag of a
+field is enumerated in bulk as arrays of element codes, and the pattern
+conditions that read only the first two flag vectors are tested on all
+flags at once.
 """
 
 import random
@@ -45,12 +48,15 @@ SCAN_CAP = 2 * 10 ** 6
 
 
 class MatContext:
-    """gl_n over the prime field F_p, with exhaustive enumerations of at
-    most CAP matrices."""
+    """gl_n over K = ExtField(p, 1), as integer arrays of its codes
+    0..p-1, with exhaustive enumerations of at most CAP matrices.  Bulk
+    products are numpy matmul mod p, four times faster than K's tables;
+    entries become `FFElt` only at the calls into `liealg`."""
 
     CAP = 10 ** 6
 
     def __init__(self, n, p):
+        self.K = ExtField(p, 1)
         self.n = n
         self.p = p
         self.dim = n * n
@@ -109,14 +115,13 @@ class MatContext:
         m = np.asarray(mats) % p
         det = self.det_mod(m)
         assert np.all(det), "matrix not invertible"
-        recip = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)])
         adj = np.empty_like(m)
         for i in range(n):
             for j in range(n):
                 minor = self.det_mod(m, [r for r in range(n) if r != j],
                                      [c for c in range(n) if c != i])
                 adj[..., i, j] = minor if (i + j) % 2 == 0 else -minor
-        adj *= recip[det][..., None, None]
+        adj *= np.array(self.K.inv)[det][..., None, None]
         adj %= p
         return adj
 
@@ -131,6 +136,18 @@ class MatContext:
                              for top in range(self.p ** self.n))])
             self._group = (keep, self.inv_mod(keep))
         return self._group
+
+    def conjugates(self, x, budget=None, rng=None):
+        """Ad(g)x = g x g^-1 for every g in the group, or for `budget`
+        draws of g from rng (default random.Random(0)) when the group is
+        larger; and whether the whole group was used."""
+        gs, ginvs = self.group()
+        exhausted = budget is None or len(gs) <= budget
+        if not exhausted:
+            rng = rng or random.Random(0)
+            picks = np.array([rng.randrange(len(gs)) for _ in range(budget)])
+            gs, ginvs = gs[picks], ginvs[picks]
+        return gs @ x @ ginvs % self.p, exhausted
 
     def nilpotent_mask(self):
         """Boolean mask over all matrix indices: is the matrix nilpotent."""
@@ -152,8 +169,13 @@ class MatContext:
 
     def nullspace(self, rows):
         """Basis of the kernel of an integer matrix mod p, as int lists."""
-        return self.from_ff(la.kernel_basis(self.to_ff(rows),
-                                            self.field)).tolist()
+        rows = (np.asarray(rows) % self.p).tolist()
+        return [list(v) for v in la.kernel_basis(rows, self.K, self.K.ops)]
+
+    def centralizer(self, d):
+        """Basis of the centralizer of d in gl_n, as a (k, n, n) array."""
+        return np.array([self.from_ff(z) for z in lie.centralizer_basis(
+            self.to_ff(d), self.factor)]).reshape(-1, self.n, self.n)
 
     def jordan_type(self, m):
         return lie.jordan_type(self.to_ff(m), self.field)
@@ -280,40 +302,45 @@ def fourier(f, pairing=None):
 # -- Slodowy-slice test functions ----------------------------------------
 
 
+def _translates(ctx, base, basis):
+    """base + sum_k t_k basis[k] mod p for every coefficient tuple t, in
+    lexicographic order of t, as a (p^k, n, n) array."""
+    k = len(basis)
+    coeffs = np.indices((ctx.p,) * k).reshape(k, ctx.p ** k)
+    return (np.asarray(base, dtype=np.int64)
+            + np.tensordot(coeffs.T, basis, axes=1)) % ctx.p
+
+
 def slice_points(ctx, c, d):
     """All points of c + Z(d) as an (m, n, n) array."""
-    basis = [ctx.from_ff(z)
-             for z in lie.centralizer_basis(ctx.to_ff(d), ctx.factor)]
-    pts = []
-    for coeffs in product(range(ctx.p), repeat=len(basis)):
-        m = np.array(c, dtype=np.int64)
-        for t, b in zip(coeffs, basis):
-            if t:
-                m = m + t * b
-        pts.append(m % ctx.p)
-    return np.stack(pts)
+    return _translates(ctx, c, ctx.centralizer(d))
 
-def test_fn(ctx, c, h, d):
+
+def test_fn(ctx, c, d):
     """The orbit sum of the Slodowy-slice indicator: counts, for each x,
     the pairs (g, s) of a group element and a slice point s in c + Z(d)
     with Ad(g)s = x.  Built one orbit at a time: each slice point s' in
     an orbit O contributes |Z_G(s')| 1_O, which is the histogram of
     Ad(g)s over the whole group for any one s in O."""
-    gs, ginvs = ctx.group()
     if not np.asarray(c).any() and not np.asarray(d).any():
-        return FnOnPiece.from_ints(
-            ctx.p, ctx.dim, np.full(ctx.size(), len(gs), dtype=np.int64))
+        return FnOnPiece.constant(ctx.p, ctx.dim, len(ctx.group()[0]))
     pts = slice_points(ctx, c, d)
     codes = ctx.encode(pts)
     table = np.zeros(ctx.size(), dtype=np.int64)
     todo = np.ones(len(pts), dtype=bool)
     while todo.any():
-        moved = ctx.encode(gs @ pts[np.argmax(todo)] @ ginvs)
+        moved = ctx.encode(ctx.conjugates(pts[np.argmax(todo)])[0])
         hit = np.isin(codes, moved)
         table += np.count_nonzero(hit) * np.bincount(moved,
                                                      minlength=ctx.size())
         todo &= ~hit
     return FnOnPiece.from_ints(ctx.p, ctx.dim, table)
+
+
+def test_fns(ctx):
+    """The test functions of the good triples, the spanning family that
+    `verify_spr` checks against."""
+    return [test_fn(ctx, c, d) for _, c, _, d in good_reps(ctx)]
 
 
 def conil_support_ok(ctx, f, pairing=None):
@@ -326,29 +353,15 @@ def conil_support_ok(ctx, f, pairing=None):
 # -- the parabolic identity ----------------------------------------------
 
 
-def _blocks(comp):
-    edges = [0]
-    for m in comp:
-        edges.append(edges[-1] + m)
-    return edges
-
-
-def _block_of(comp, i):
-    edges = _blocks(comp)
-    for b in range(len(comp)):
-        if edges[b] <= i < edges[b + 1]:
-            return b
-    raise IndexError(i)
+def _block_index(comp):
+    """The Levi block of each row: (2, 1) gives [0, 0, 1]."""
+    return [b for b, m in enumerate(comp) for _ in range(m)]
 
 
 def nilradical_positions(comp, n, lower=False):
-    out = []
-    for i in range(n):
-        for j in range(n):
-            bi, bj = _block_of(comp, i), _block_of(comp, j)
-            if (bi > bj) if lower else (bi < bj):
-                out.append((i, j))
-    return out
+    blk = _block_index(comp)
+    return [(i, j) for i in range(n) for j in range(n)
+            if (blk[i] > blk[j] if lower else blk[i] < blk[j])]
 
 
 def split_for_parabolic(ctx, x, comp):
@@ -356,20 +369,11 @@ def split_for_parabolic(ctx, x, comp):
     of the given composition: the semisimple part must be scalar on each
     Levi block, with distinct scalars across blocks."""
     xs, xn = ctx.jordan_decomposition(x)
-    edges = _blocks(comp)
-    scalars = []
-    for b in range(len(comp)):
-        lo, hi = edges[b], edges[b + 1]
-        a = int(xs[lo][lo])
-        block = np.zeros((ctx.n, ctx.n), dtype=np.int64)
-        for i in range(lo, hi):
-            block[i][i] = a
-        if not np.array_equal(xs[lo:hi, :], block[lo:hi, :]):
-            raise ValueError("x not split for P")
-        if np.any(xs[lo:hi, :lo]) or np.any(xs[lo:hi, hi:]):
-            raise ValueError("x not split for P")
-        scalars.append(a)
-    if len(set(scalars)) != len(scalars):
+    blk = _block_index(comp)
+    scalars = [int(xs[i][i]) for i in range(ctx.n)
+               if i == 0 or blk[i] != blk[i - 1]]
+    if (not np.array_equal(xs, np.diag([scalars[b] for b in blk]))
+            or len(set(scalars)) != len(scalars)):
         raise ValueError("x not split for P")
     return xs, xn
 
@@ -380,21 +384,31 @@ def verify_spr(ctx, x, comp, lower=False, xis=None):
     x = np.asarray(x, dtype=np.int64) % ctx.p
     xs, xn = split_for_parabolic(ctx, x, comp)
     if xis is None:
-        xis = [test_fn(ctx, c, h, d) for _, c, h, d in good_reps(ctx)]
-    positions = nilradical_positions(comp, ctx.n, lower)
-    u_size = ctx.p ** len(positions)
-    xi_at = lambda xi, m: int(xi.vals[int(ctx.encode(m[None])[0]), 0])
-    for xi in xis:
-        lhs = u_size * xi_at(xi, x)
-        rhs = 0
-        for coeffs in product(range(ctx.p), repeat=len(positions)):
-            u = xn.copy()
-            for t, (i, j) in zip(coeffs, positions):
-                u[i][j] = (u[i][j] + t) % ctx.p
-            rhs += xi_at(xi, u)
-        if lhs != rhs:
-            return False
-    return True
+        xis = test_fns(ctx)
+    units = np.eye(ctx.dim, dtype=np.int64)[
+        [i * ctx.n + j for i, j in nilradical_positions(comp, ctx.n, lower)]]
+    at_x = int(ctx.encode(x[None])[0])
+    at_u = ctx.encode(_translates(ctx, xn, units.reshape(-1, ctx.n, ctx.n)))
+    return all(len(at_u) * xi.vals[at_x, 0] == xi.vals[at_u, 0].sum()
+               for xi in xis)
+
+
+def spr_instances(ctx, samples, seed):
+    """The (x, composition, lower) instances that `lab spr` checks.  For
+    gl_2: every diag(a, b) with a != b, against the upper and the lower
+    Borel.  For gl_3: `samples` split elements of the (2, 1) parabolic,
+    [[a, t, 0], [0, a, 0], [0, 0, b]] with a != b, drawn from
+    random.Random(seed)."""
+    p = ctx.p
+    if ctx.n == 2:
+        return [(np.diag([a, b]), (1, 1), lower)
+                for a in range(p) for b in range(p) if a != b
+                for lower in (False, True)]
+    rng = random.Random(seed)
+    draws = (rng.sample(range(p), 2) + [rng.randrange(p)]
+             for _ in range(samples))
+    return [(np.array([[a, t, 0], [0, a, 0], [0, 0, b]]), (2, 1), False)
+            for a, b, t in draws]
 
 
 # -- support triples and witnesses ---------------------------------------
@@ -403,11 +417,8 @@ def verify_spr(ctx, x, comp, lower=False, xis=None):
 def _membership_checker(ctx, c, d):
     """Vectorized test for y in c + Z(d): returns a function on (m,n,n)
     arrays of candidates."""
-    basis = [ctx.from_ff(z).reshape(-1)
-             for z in lie.centralizer_basis(ctx.to_ff(d), ctx.factor)]
-    ann = ctx.nullspace(basis) if basis else \
-        np.eye(ctx.dim, dtype=np.int64).tolist()
-    R = np.array(ann, dtype=np.int64)
+    R = np.array(ctx.nullspace(ctx.centralizer(d).reshape(-1, ctx.dim)),
+                 dtype=np.int64)
     cflat = np.asarray(c).reshape(-1)
 
     def check(ys):
@@ -425,16 +436,11 @@ def support_test(ctx, c, x, budget=20000, rng=None):
     if not ctx.is_nilpotent(c) or ctx.jordan_type(c) != target:
         return "not"
     trip = lie.sl2_complete(ctx.to_ff(c), ctx.factor)
-    d = ctx.from_ff(trip.d)
-    check = _membership_checker(ctx, c, d)
-    gs, ginvs = ctx.group()
-    if len(gs) <= budget:
-        moved = np.matmul(np.matmul(gs, x), ginvs) % ctx.p
-        return "supports" if check(moved).any() else "not"
-    rng = rng or random.Random(0)
-    picks = np.array([rng.randrange(len(gs)) for _ in range(budget)])
-    moved = np.matmul(np.matmul(gs[picks], x), ginvs[picks]) % ctx.p
-    return "supports" if check(moved).any() else "unknown"
+    check = _membership_checker(ctx, c, ctx.from_ff(trip.d))
+    moved, exhausted = ctx.conjugates(x, budget, rng)
+    if check(moved).any():
+        return "supports"
+    return "not" if exhausted else "unknown"
 
 
 def good1_check(ctx, x, lam, ell, c, budget=20000, rng=None):
@@ -447,18 +453,11 @@ def good1_check(ctx, x, lam, ell, c, budget=20000, rng=None):
                     dtype=bool)
     if np.any(c[~high]):
         raise ValueError("c is not concentrated in weight %s" % ell)
-    gs, ginvs = ctx.group()
-    exhaustive = len(gs) <= budget
-    if not exhaustive:
-        rng = rng or random.Random(0)
-        picks = np.array([rng.randrange(len(gs)) for _ in range(budget)])
-        gs, ginvs = gs[picks], ginvs[picks]
-    moved = np.matmul(np.matmul(gs, x), ginvs) % ctx.p
+    moved, exhausted = ctx.conjugates(x, budget, rng)
     diff = (moved - c) % ctx.p
-    hits = ~diff[:, high].any(axis=1)
-    if hits.any():
+    if (~diff[:, high].any(axis=1)).any():
         return True
-    if exhaustive:
+    if exhausted:
         return False
     raise ValueError("witness not found in budget")
 

@@ -78,17 +78,15 @@ class SpectralDatum:
 
 class GoodChain:
     """A sum of commuting good pieces of strictly decreasing integer
-    depth, with an optional nilpotent tail.  Pieces are given as
-    constructors taking the ambient model, so one chain can be read in
-    several coordinate charts."""
+    depth.  Pieces are given as constructors taking the ambient model,
+    so one chain can be read in several coordinate charts."""
 
-    def __init__(self, pieces, tail=None, check_model=None):
+    def __init__(self, pieces, check_model=None):
         self.pieces = [(name, fn, Fraction(r)) for name, fn, r in pieces]
         depths = [r for _, _, r in self.pieces]
         assert depths == sorted(depths, reverse=True), \
             "pieces must be listed by strictly decreasing depth"
         assert len(set(depths)) == len(depths)
-        self.tail = tail
         if check_model is not None:
             self.validate(check_model)
 
@@ -169,8 +167,6 @@ def compute_wf(chain, seed, mode="exact"):
         raise ValueError("no piece at the seed depth %s: %s" % (
             datum.depth, ", ".join("piece %r at depth %s" % (name, r)
                                    for name, _, r in chain.pieces)))
-    if chain.tail is not None:
-        datum = descend(datum, chain.tail)
     notes = []
     if mode == "bound":
         notes.append("upper bound per the replacement heuristic; "

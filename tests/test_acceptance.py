@@ -171,8 +171,8 @@ def test_criterion_4_heart_structure():
 def test_criterion_5_parabolic_identity():
     t0 = time.monotonic()
     gl2 = sl.MatContext(2, 3)
-    xis2 = [sl.test_fn(gl2, c, h, d)
-            for _, c, h, d in sl.good_reps(gl2)]
+    xis2 = [sl.test_fn(gl2, c, d)
+            for _, c, _, d in sl.good_reps(gl2)]
     checked = 0
     for a in range(3):
         for b in range(3):
@@ -183,8 +183,8 @@ def test_criterion_5_parabolic_identity():
             assert sl.verify_spr(gl2, x, (1, 1), lower=True, xis=xis2)
             checked += 2
     gl3 = sl.MatContext(3, 3)
-    xis3 = [sl.test_fn(gl3, c, h, d)
-            for _, c, h, d in sl.good_reps(gl3)]
+    xis3 = [sl.test_fn(gl3, c, d)
+            for _, c, _, d in sl.good_reps(gl3)]
     rng = random.Random(20260823)
     for _ in range(1000):
         a, b = rng.sample(range(3), 2)
@@ -317,10 +317,10 @@ def test_criterion_7_small_group_suite():
 
     # dimension equality: slice functions restricted to the nilpotent
     # cone span one dimension per nilpotent class
-    xis2 = [sl.test_fn(gl2, c, h, d) for _, c, h, d in sl.sl2_reps(gl2)]
+    xis2 = [sl.test_fn(gl2, c, d) for _, c, _, d in sl.sl2_reps(gl2)]
     m2 = gl2.nilpotent_mask()
     assert la.rank([x.vals[m2, 0].tolist() for x in xis2], la.Q_OPS) == 2
-    xis3 = [sl.test_fn(gl3, c, h, d) for _, c, h, d in sl.sl2_reps(gl3)]
+    xis3 = [sl.test_fn(gl3, c, d) for _, c, _, d in sl.sl2_reps(gl3)]
     m3 = gl3.nilpotent_mask()
     assert la.rank([x.vals[m3, 0].tolist() for x in xis3], la.Q_OPS) == 3
 

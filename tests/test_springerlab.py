@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens
+from padicwf import liealg as lie
 from padicwf import linalg as la
 from padicwf import springerlab as sl
 
@@ -26,12 +27,12 @@ def gl3():
 
 @pytest.fixture(scope="module")
 def gl2_xis(gl2):
-    return [sl.test_fn(gl2, c, h, d) for _, c, h, d in sl.sl2_reps(gl2)]
+    return [sl.test_fn(gl2, c, d) for _, c, _, d in sl.sl2_reps(gl2)]
 
 
 @pytest.fixture(scope="module")
 def gl3_xis(gl3):
-    return [sl.test_fn(gl3, c, h, d) for _, c, h, d in sl.good_reps(gl3)]
+    return [sl.test_fn(gl3, c, d) for _, c, _, d in sl.good_reps(gl3)]
 
 
 def e12(n=2):
@@ -122,6 +123,66 @@ def test_group_too_large():
         big.group()
 
 
+def _nullspace_reference(ctx, rows):
+    # the kernel over the FFElt prime field, converted back to residues
+    return ctx.from_ff(la.kernel_basis(ctx.to_ff(rows),
+                                       ctx.field)).tolist()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_nullspace_matches_ffelt_route(p):
+    ctx = sl.MatContext(2, p)
+    rng = random.Random(p)
+    for _ in range(40):
+        k, m = rng.randrange(1, 6), rng.randrange(1, 7)
+        rows = np.array([[rng.randrange(p) if rng.random() < 0.6 else 0
+                          for _ in range(m)] for _ in range(k)])
+        rows[rng.randrange(k)] = 0
+        if k > 1:
+            rows[0] = (rows[0] + 2 * rows[1]) % p
+        assert ctx.nullspace(rows) == _nullspace_reference(ctx, rows)
+    # the centralizer rows the membership test annihilates
+    for _, c, _, d in sl.sl2_reps(ctx):
+        rows = ctx.centralizer(d).reshape(-1, ctx.dim)
+        assert ctx.nullspace(rows) == _nullspace_reference(ctx, rows)
+
+
+def _sampled_conjugates_reference(ctx, x, budget, rng):
+    # the draws support_test and good1_check made before `conjugates`
+    gs, ginvs = ctx.group()
+    picks = np.array([rng.randrange(len(gs)) for _ in range(budget)])
+    return np.matmul(np.matmul(gs[picks], x), ginvs[picks]) % ctx.p
+
+
+def test_conjugates_exhaustive(gl2, gl3):
+    for ctx in (gl2, gl3):
+        gs, ginvs = ctx.group()
+        x = np.arange(ctx.dim).reshape(ctx.n, ctx.n) % ctx.p
+        want = np.matmul(np.matmul(gs, x), ginvs) % ctx.p
+        for budget in (None, len(gs), len(gs) + 1):
+            rng = random.Random(1)
+            moved, exhausted = ctx.conjugates(x, budget, rng)
+            assert exhausted and np.array_equal(moved, want)
+            # no draw is taken from rng
+            assert rng.random() == random.Random(1).random()
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_conjugates_sampled_match_reference_draws(gl2, gl3, budget):
+    for ctx in (gl2, gl3):
+        x = np.arange(ctx.dim).reshape(ctx.n, ctx.n) % ctx.p
+        for seed in range(5):
+            moved, exhausted = ctx.conjugates(x, budget,
+                                              random.Random(seed))
+            assert not exhausted
+            assert np.array_equal(moved, _sampled_conjugates_reference(
+                ctx, x, budget, random.Random(seed)))
+        # without an rng the draws come from random.Random(0)
+        assert np.array_equal(ctx.conjugates(x, budget)[0],
+                              _sampled_conjugates_reference(
+                                  ctx, x, budget, random.Random(0)))
+
+
 def test_nilpotent_mask_count(gl2):
     # nilpotent cone of gl_2(F_q) has q^2 points
     assert int(gl2.nilpotent_mask().sum()) == 9
@@ -152,24 +213,48 @@ def test_good_reps_drops_small_characteristic(gl3):
 # -- test functions and the nilpotent-support property -------------------
 
 
+def _slice_points_reference(ctx, c, d):
+    # one coefficient tuple at a time, over the FFElt centralizer basis
+    basis = [ctx.from_ff(z)
+             for z in lie.centralizer_basis(ctx.to_ff(d), ctx.factor)]
+    pts = []
+    for coeffs in product(range(ctx.p), repeat=len(basis)):
+        m = np.array(c, dtype=np.int64)
+        for t, b in zip(coeffs, basis):
+            if t:
+                m = m + t * b
+        pts.append(m % ctx.p)
+    return np.stack(pts)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (2, 7), (3, 3)])
+def test_slice_points_match_loop_reference(n, p):
+    # every sl2_reps triple, compared point by point in order
+    ctx = sl.MatContext(n, p)
+    for _, c, _, d in sl.sl2_reps(ctx):
+        got = sl.slice_points(ctx, c, d)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _slice_points_reference(ctx, c, d))
+
+
 def test_zero_slice_gives_group_order_times_constant(gl2):
     z = np.zeros((2, 2), dtype=np.int64)
-    f = sl.test_fn(gl2, z, z, z)
+    f = sl.test_fn(gl2, z, z)
     assert (f.vals[:, 0] == goldens.GL2_F3_ORDER).all()
 
 
 def test_test_fn_counts_slice_meetings(gl2):
     # f(x) counts conjugators into the slice; for x in the open orbit
     # of the slice through a regular nilpotent, the count is positive
-    _, c, h, d = sl.sl2_reps(gl2)[0]
-    f = sl.test_fn(gl2, c, h, d)
+    _, c, _, d = sl.sl2_reps(gl2)[0]
+    f = sl.test_fn(gl2, c, d)
     idx = int(gl2.encode(c[None])[0])
     assert f.vals[idx, 0] > 0
     # the zero matrix never conjugates into the regular slice
     assert f.vals[0, 0] == 0
 
 
-def _test_fn_reference(ctx, c, h, d):
+def _test_fn_reference(ctx, c, d):
     # one group element at a time over the whole slice
     gs, ginvs = ctx.group()
     if not c.any() and not d.any():
@@ -186,10 +271,10 @@ def test_test_fn_matches_per_element_reference(n, p):
     # every triple, the (3,) triple over F_3 that fails conilpotent
     # support included
     ctx = sl.MatContext(n, p)
-    for _, c, h, d in sl.sl2_reps(ctx):
-        f = sl.test_fn(ctx, c, h, d)
+    for _, c, _, d in sl.sl2_reps(ctx):
+        f = sl.test_fn(ctx, c, d)
         assert not f.vals[:, 1:].any()
-        assert np.array_equal(f.vals[:, 0], _test_fn_reference(ctx, c, h, d))
+        assert np.array_equal(f.vals[:, 0], _test_fn_reference(ctx, c, d))
 
 
 def test_transform_supported_on_nilpotent_cone_gl2(gl2, gl2_xis):
@@ -206,9 +291,9 @@ def test_small_characteristic_breaks_nilpotent_support(gl3):
     # over F_3 the length-3 chain is outside the valid range, and its
     # slice function genuinely fails the support property: a negative
     # control for the conilpotency check
-    lam, c, h, d = sl.sl2_reps(gl3)[0]
+    lam, c, _, d = sl.sl2_reps(gl3)[0]
     assert lam == (3,)
-    xi = sl.test_fn(gl3, c, h, d)
+    xi = sl.test_fn(gl3, c, d)
     assert not sl.conil_support_ok(gl3, xi)
 
 
@@ -266,6 +351,89 @@ def test_identity_split_regular_gl3(gl3, gl3_xis):
         except ValueError:
             continue  # (1,2) needs matching scalar blocks, may reject
         assert ok
+
+
+def _verify_spr_reference(ctx, x, comp, lower, xis):
+    # the split check block by block, then one nilradical translate at
+    # a time
+    x = np.asarray(x, dtype=np.int64) % ctx.p
+    xs, xn = ctx.jordan_decomposition(x)
+    edges = [0]
+    for m in comp:
+        edges.append(edges[-1] + m)
+    scalars = []
+    for lo, hi in zip(edges, edges[1:]):
+        a = int(xs[lo][lo])
+        if (np.any(xs[lo:hi, :lo]) or np.any(xs[lo:hi, hi:])
+                or not np.array_equal(xs[lo:hi, lo:hi],
+                                      a * np.eye(hi - lo, dtype=np.int64))):
+            raise ValueError("x not split for P")
+        scalars.append(a)
+    if len(set(scalars)) != len(scalars):
+        raise ValueError("x not split for P")
+    block = lambda i: next(b for b in range(len(comp))
+                           if edges[b] <= i < edges[b + 1])
+    positions = [(i, j) for i in range(ctx.n) for j in range(ctx.n)
+                 if (block(i) > block(j) if lower else block(i) < block(j))]
+    xi_at = lambda xi, m: int(xi.vals[int(ctx.encode(m[None])[0]), 0])
+    for xi in xis:
+        rhs = 0
+        for coeffs in product(range(ctx.p), repeat=len(positions)):
+            u = xn.copy()
+            for t, (i, j) in zip(coeffs, positions):
+                u[i][j] = (u[i][j] + t) % ctx.p
+            rhs += xi_at(xi, u)
+        if ctx.p ** len(positions) * xi_at(xi, x) != rhs:
+            return False
+    return True
+
+
+def _same_outcome(ctx, x, comp, lower, xis):
+    try:
+        want = _verify_spr_reference(ctx, x, comp, lower, xis)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            sl.verify_spr(ctx, x, comp, lower, xis)
+        return "raises"
+    assert sl.verify_spr(ctx, x, comp, lower, xis) is want
+    return want
+
+
+def test_verify_spr_matches_loop_reference_gl2(gl2, gl2_xis):
+    # both Borels on every diagonal element, repeated scalars and a
+    # non-split companion matrix included, and the trivial parabolic,
+    # whose nilradical is empty
+    outcomes = []
+    for a, b in product(range(3), repeat=2):
+        for lower in (False, True):
+            outcomes.append(_same_outcome(gl2, np.diag([a, b]), (1, 1),
+                                          lower, gl2_xis))
+    for x in ([[0, 1], [1, 1]], [[1, 1], [0, 1]], [[2, 0], [1, 2]]):
+        for comp in ((1, 1), (2,)):
+            outcomes.append(_same_outcome(gl2, np.array(x), comp, False,
+                                          gl2_xis))
+    assert {True, "raises"} <= set(outcomes)
+
+
+def test_verify_spr_matches_loop_reference_gl3(gl3):
+    # sampled split elements of both (2, 1) parabolics, against every
+    # sl2_reps test function: the (3,) triple is not good over F_3, so
+    # the identity fails on some of them
+    xis = [sl.test_fn(gl3, c, d) for _, c, _, d in sl.sl2_reps(gl3)]
+    rng = random.Random(1)
+    outcomes = []
+    for _ in range(12):
+        a, b = rng.sample(range(3), 2)
+        x = np.array([[a, rng.randrange(3), 0], [0, a, 0], [0, 0, b]])
+        for lower in (False, True):
+            outcomes.append(_same_outcome(gl3, x, (2, 1), lower, xis))
+    # not split: the semisimple part is not scalar on the 2x2 block
+    outcomes.append(_same_outcome(gl3, np.diag([0, 1, 2]), (2, 1), False,
+                                  xis))
+    outcomes.append(_same_outcome(
+        gl3, np.array([[0, 1, 0], [1, 1, 0], [0, 0, 2]]), (2, 1), False,
+        xis))
+    assert {True, False, "raises"} <= set(outcomes)
 
 
 def test_nilradical_positions():
@@ -351,6 +519,31 @@ def test_witness_sweep_gl3(gl3):
         x = np.diag([a, b, cc]).astype(np.int64)
         if sl.support_test(gl3, c, x) == "supports":
             assert sl.good1_check(gl3, x, lam, 2, c)
+
+
+def test_sampled_support_and_witness_use_reference_draws(gl2):
+    # under a small budget both searches see exactly the reference draws
+    # for the same rng
+    c, x = e12(), np.diag([1, 2])
+    trip = lie.sl2_complete(gl2.to_ff(c), gl2.factor)
+    check = sl._membership_checker(gl2, c, gl2.from_ff(trip.d))
+    seen = set()
+    for seed in range(20):
+        moved = _sampled_conjugates_reference(gl2, x, 3,
+                                              random.Random(seed))
+        want = "supports" if check(moved).any() else "unknown"
+        assert sl.support_test(gl2, c, x, budget=3,
+                               rng=random.Random(seed)) == want
+        hit = (~((moved - c) % 3)[:, 0, 1:].any(axis=1)).any()
+        if hit:
+            assert sl.good1_check(gl2, x, (1, -1), 2, c, budget=3,
+                                  rng=random.Random(seed)) is True
+        else:
+            with pytest.raises(ValueError, match="witness not found"):
+                sl.good1_check(gl2, x, (1, -1), 2, c, budget=3,
+                               rng=random.Random(seed))
+        seen.add(want)
+    assert seen == {"supports", "unknown"}
 
 
 # -- slice geometry invariants -------------------------------------------
@@ -442,7 +635,7 @@ def test_restriction_rank_counts_nilpotent_classes(gl2, gl3, gl2_xis):
     m2 = gl2.nilpotent_mask()
     rows = [xi.vals[m2, 0].tolist() for xi in gl2_xis]
     assert la.rank(rows, la.Q_OPS) == 2
-    xis3 = [sl.test_fn(gl3, c, h, d) for _, c, h, d in sl.sl2_reps(gl3)]
+    xis3 = [sl.test_fn(gl3, c, d) for _, c, _, d in sl.sl2_reps(gl3)]
     m3 = gl3.nilpotent_mask()
     rows3 = [xi.vals[m3, 0].tolist() for xi in xis3]
     assert la.rank(rows3, la.Q_OPS) == 3

@@ -129,16 +129,6 @@ def test_u6_labels_incomparable():
     assert not ob.dominance_leq(a, b) and not ob.dominance_leq(b, a)
 
 
-def test_tail_zero_is_noop():
-    res = wf.compute_wf(wf.u6_chain(), wf.u6_seed())
-    chain_t = wf.GoodChain([("gamma0", wf.u6_gamma_zero, 0),
-                            ("gamma-1", wf.u6_gamma_deep, -1)],
-                           tail=lambda m: wf.zmat(m.field, 6))
-    res_t = wf.compute_wf(chain_t, wf.u6_seed())
-    assert res.labels == res_t.labels
-    assert res.provenance == res_t.provenance
-
-
 def test_translated_origin_same_labels():
     # shifting every apartment coordinate by a constant leaves all the
     # pairwise thresholds, hence all labels, unchanged
