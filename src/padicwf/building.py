@@ -148,13 +148,15 @@ class Model:
     apartment coordinates, given as (coefficient tuple, constant).
     Models without a chart (d = 0) are evaluated at explicit weight
     vectors only.  form: (sigma, valuations, units) of the monomial Gram
-    matrix, as read by _monomial_gram; None without one.
+    matrix, as read by _monomial_gram; None without one.  rank: the
+    absolute rank N of the ambient group, n unless given.
     """
 
     def __init__(self, name, n, field, classes, weight_funcs=None,
-                 gram=None, kind=None):
+                 gram=None, kind=None, rank=None):
         self.name = name
         self.n = n
+        self.rank = n if rank is None else rank
         self.field = field
         self.classes = classes
         self.weight_funcs = weight_funcs
@@ -204,7 +206,7 @@ def sl2_model(q):
     L = LocalField(q)
     wf = [((Fraction(1),), ZERO), ((Fraction(-1),), ZERO)]
     return Model("sl2", 2, L, coupling_classes("gl", 2, L),
-                 weight_funcs=wf, kind="gl")
+                 weight_funcs=wf, kind="gl", rank=1)
 
 
 def sl3_model(q):
@@ -212,7 +214,7 @@ def sl3_model(q):
     wf = [((Fraction(1), ZERO), ZERO), ((ZERO, Fraction(1)), ZERO),
           ((Fraction(-1), Fraction(-1)), ZERO)]
     return Model("sl3", 3, L, coupling_classes("gl", 3, L),
-                 weight_funcs=wf, kind="gl")
+                 weight_funcs=wf, kind="gl", rank=2)
 
 
 @lru_cache(maxsize=None)
@@ -678,19 +680,6 @@ def _integral(a, b):
     of it, to be dotted with homogeneous coordinates (y W, W)."""
     w = lcm(*(c.denominator for c in a + (b,)))
     return tuple(int(c * w) for c in a + (-b,))
-
-
-_RECENT = []  # the last Arrangement built by `arrangement`
-
-
-def arrangement(model, window):
-    """The Arrangement of a model and window.  Only the most recent one
-    is kept, so a run of queries on one window builds it once."""
-    for arr in _RECENT:
-        if arr.model is model and arr.window.key() == window.key():
-            return arr
-    _RECENT[:] = [Arrangement(model, window)]
-    return _RECENT[0]
 
 
 def precede(f1, f2):

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import building as bd
 from . import graph as gr
-from . import linalg as la
 from . import orbits as ob
 from . import springerlab as sl
 from . import wavefront as wf
@@ -30,12 +29,6 @@ MODELS = {
     "u7": bd.u7_model,
     "u7h": bd.u7_h_model,
 }
-
-GROUP_DATA = {
-    "sl2": ("A", 2, 1), "sl3": ("A", 3, 2), "u6": ("u", 6, 6),
-    "u6hyp": ("u", 6, 6), "u7": ("u", 7, 7), "u7h": ("u", 7, 7),
-}
-
 
 class CliError(Exception):
     def __init__(self, message, record=None):
@@ -133,8 +126,16 @@ def _section_map(items):
     return out, rows
 
 
+def _fraction(lineno, text):
+    """Fraction(text), or a CliError naming the input line."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise CliError("line %d: %s" % (lineno, err), {"line": lineno})
+
+
 def parse_input(text, override=False):
-    """Parse an input file into (GoodChain, GroupSpec, options).
+    """Parse an input file into (GoodChain, Model, options).
 
     Sections: [field] (q), [group] (model,
     optional override-char-bound), one [gamma.N] per piece (depth and
@@ -162,12 +163,11 @@ def parse_input(text, override=False):
                        % (lineno, model_name, ", ".join(sorted(MODELS))),
                        {"line": lineno})
     model = MODELS[model_name](q)
-    kind, n, rank = GROUP_DATA[model_name]
-    spec = wf.GroupSpec(kind, n, rank, q)
+    n = model.n
     override = override or group_kv.get(
         "override-char-bound", (0, "false"))[1].lower() in ("1", "true",
                                                             "yes")
-    spec.check_char(override=override)
+    wf.check_char(model, override=override)
 
     pieces = []
     for name, items in sections:
@@ -176,7 +176,7 @@ def parse_input(text, override=False):
         kv, rows = _section_map(items)
         if "depth" not in kv:
             raise CliError("section [%s] missing depth" % name)
-        depth = Fraction(kv["depth"][1])
+        depth = _fraction(*kv["depth"])
         if len(rows) != n:
             raise CliError(
                 "section [%s]: expected %d matrix rows, got %d"
@@ -198,8 +198,7 @@ def parse_input(text, override=False):
                         % (lineno, col + 1, e),
                         {"line": lineno, "column": col + 1})
             mat.append(parsed)
-        mat = la.mat(mat)
-        pieces.append((name, (lambda m, _mat=mat: _mat), depth))
+        pieces.append((name, mat, depth))
     if not pieces:
         raise CliError("no [gamma.N] sections: the chain is empty")
     pieces.sort(key=lambda t: t[2], reverse=True)
@@ -208,13 +207,16 @@ def parse_input(text, override=False):
     if "options" in names:
         kv, _ = _section_map(dict(sections)["options"])
         options = {k: v for k, (_, v) in kv.items()}
-    options["model"] = model_name
+        lineno, val = kv.get("point", (0, ""))
+        if val:
+            options["point"] = tuple(_fraction(lineno, x)
+                                     for x in val.split(","))
 
     try:
-        chain = wf.GoodChain(pieces, check_model=model)
+        chain = wf.GoodChain(pieces)
     except ValueError as err:
         raise CliError(str(err))
-    return chain, spec, options
+    return chain, model, options
 
 
 # -- subcommand bodies ---------------------------------------------------
@@ -245,26 +247,21 @@ def cmd_wf(args):
     # wf compute
     with open(args.input) as fh:
         text = fh.read()
-    chain, spec, options = parse_input(
+    chain, model, options = parse_input(
         text, override=args.override_char_bound)
-    model = MODELS[options["model"]](spec.q)
     seed_name = options.get("seed-datum")
     if seed_name == "u6":
-        if options["model"] not in ("u6", "u6hyp"):
+        if model.name not in ("u6", "u6hyp"):
             raise CliError("seed-datum u6 lives in the u6 model, not in "
-                           "model %r" % options["model"])
+                           "model %r" % model.name)
         seed = wf.u6_seed()
     elif seed_name is None:
         if len(chain.pieces) > 1:
             raise CliError(
                 "multi-piece chains need explicit spectral data: set "
                 "seed-datum in [options]")
-        point = options.get("point")
-        if point:
-            coords = tuple(Fraction(x) for x in point.split(","))
-        else:
-            coords = tuple(Fraction(0)
-                           for _ in range(model.d or model.n))
+        coords = options.get("point") or tuple(
+            Fraction(0) for _ in range(model.d or model.n))
         if model.d and len(coords) == model.d:
             coords = model.point(coords)
         if len(coords) != model.n:

@@ -42,6 +42,12 @@ def facet_center(facet):
     return c[:-1], c[-1]
 
 
+def facet_quotient(model, facet):
+    """The graded quotient at the facet's center."""
+    x, r = facet_center(facet)
+    return mpq.GradedQuotient(model, model.point(x), r)
+
+
 def in_closure(inner, outer):
     """Whether the facet `inner` lies in the closure of `outer`."""
     return not (inner.pos & ~outer.pos or inner.neg & ~outer.neg)
@@ -58,8 +64,12 @@ class GraphVertex:
         self._label = None
 
     def quot(self):
-        x, r = facet_center(self.facet)
-        return mpq.GradedQuotient(self.model, self.model.point(x), r)
+        return facet_quotient(self.model, self.facet)
+
+    def in_lattice(self):
+        """Whether the matrix lies in the lattice at the facet's center."""
+        q = self.quot()
+        return bd.mp_member(self.model, self.cmat, q.w, q.r)
 
     def coset(self):
         """Canonical coset representative: residues at the center."""
@@ -179,20 +189,17 @@ def fiber_basis(v, below):
     model = v.model
     kres = model.field.residue
     kp = kres.base_or_self()
-    bx, brr = facet_center(below)
-    quot = mpq.GradedQuotient(model, model.point(bx), brr)
-    fx, fr = facet_center(v.facet)
-    wf = model.point(fx)
-    units = mpq._grade_units(quot, brr)
+    quot, upper = facet_quotient(model, below), v.quot()
+    units = mpq._grade_units(quot, quot.r)
     keep = [k for k, (i, j, _) in enumerate(units)
-            if quot.threshold(i, j) > fr + wf[j] - wf[i]]
+            if quot.threshold(i, j) > upper.threshold(i, j)]
     rows = [[row[k] for k in keep]
-            for row in mpq._lie_relations(quot, brr, units)]
+            for row in mpq._lie_relations(quot, quot.r, units)]
     kern = la.kernel_basis(rows, kp) if rows else \
         la.identity(kp, len(keep))
     basis = la.unit_mats(kres, model.n, [units[k] for k in keep])
     return [mpq.monomial_lift(quot, la.mat_comb(vco, basis, kres, model.n),
-                              brr) for vco in kern]
+                              quot.r) for vco in kern]
 
 
 def out_edges_rule1(v, below):
@@ -250,41 +257,39 @@ def path_trace(v, to_depth):
     return edges
 
 
-def facets_above(facet):
-    """Facets other than this one with it in their closure."""
-    faces = bd.arrangement(facet.model, facet.window).faces
+def facets_above(facet, faces):
+    """Facets among `faces` other than this one with it in their
+    closure."""
     return [f for f in faces
             if in_closure(facet, f) and f != facet]
 
 
-def closure_horizontals(facet):
-    """Horizontal facets contained in the closure of a facet."""
-    faces = bd.arrangement(facet.model, facet.window).faces
+def closure_horizontals(facet, faces):
+    """Horizontal facets among `faces` in the closure of a facet."""
     return [f for f in faces if in_closure(f, facet) and f.is_horizontal()]
 
 
-def predecessors(v):
-    """In-neighbors of a vertex inside its window."""
+def predecessors(v, faces):
+    """In-neighbors of a vertex among the facets `faces` of its
+    window's arrangement."""
     model = v.model
     out = []
     if v.facet.is_horizontal():
         # rule-1 predecessors: non-horizontal facets this one is below;
         # the facets below f are the horizontal facets in its closure at
         # its depth, so v.facet is one of them when the depths agree
-        for f in facets_above(v.facet):
+        for f in facets_above(v.facet, faces):
             if f.is_horizontal() or f.depth() != v.facet.depth():
                 continue
-            fx, fr = facet_center(f)
-            if not bd.mp_member(model, v.cmat, model.point(fx), fr):
-                continue
-            out.append(GraphVertex(model, f, v.cmat))
+            cand = GraphVertex(model, f, v.cmat)
+            if cand.in_lattice():
+                out.append(cand)
     else:
         # rule-2 predecessors: horizontal facets walking into this one
-        for f in closure_horizontals(v.facet):
-            fx, fr = facet_center(f)
-            if not bd.mp_member(model, v.cmat, model.point(fx), fr):
-                continue
+        for f in closure_horizontals(v.facet, faces):
             cand = GraphVertex(model, f, v.cmat)
+            if not cand.in_lattice():
+                continue
             try:
                 target = _walk_target(cand)
             except ValueError:
@@ -305,14 +310,16 @@ REACH_LIMIT = 100
 
 
 def reachable(targets):
-    """All vertices with a directed path into the target set, by
-    backward closure over predecessor queries.  Raises ValueError once
-    the set would exceed REACH_LIMIT vertices."""
+    """All vertices with a directed path into the target set, a
+    non-empty list of vertices in one window, by backward closure over
+    predecessor queries.  Raises ValueError once the set would exceed
+    REACH_LIMIT vertices."""
+    faces = bd.Arrangement(targets[0].model, targets[0].facet.window).faces
     seen = {t.key(): t for t in targets}
     frontier = list(targets)
     while frontier:
         v = frontier.pop()
-        for u in predecessors(v):
+        for u in predecessors(v, faces):
             k = u.key()
             if k not in seen:
                 if len(seen) >= REACH_LIMIT:

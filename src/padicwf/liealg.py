@@ -131,7 +131,7 @@ class Factor:
 # -- Jordan structure over finite fields -------------------------------
 
 
-def is_nilpotent(X, field):
+def is_nilpotent(X):
     n = len(X)
     P = X
     for _ in range(n):
@@ -161,7 +161,7 @@ def _block_sizes(A, d, full):
                      for i in range(max(geq, default=0)))
 
 
-def jordan_type(X, field):
+def jordan_type(X):
     """Partition of n recording the Jordan block sizes of a nilpotent X."""
     return _block_sizes(X, 1, len(X))
 
@@ -183,7 +183,7 @@ def jordan_decomposition(X, field):
     val = la.poly_eval_mat(f1, s, field)
     assert all(not e for row in val for e in row), "Newton did not converge"
     xn = la.mat_sub(X, s)
-    assert is_nilpotent(xn, field)
+    assert is_nilpotent(xn)
     assert la.bracket(s, xn) == la.zero_mat(field, n)
     return s, xn
 
@@ -363,7 +363,7 @@ def sl2_complete(c, factor):
     field = factor.field
     if all(not e for row in c for e in row):
         raise ValueError("zero element has no sl2-triple")
-    if not is_nilpotent(c, field):
+    if not is_nilpotent(c):
         raise ValueError("not nilpotent")
     trip = jacobson_morozov(c, factor.algebra_basis(), field)
     if not trip.check(field):
@@ -430,7 +430,7 @@ def primary_parts(X, field):
     return out
 
 
-def _dual_poly(p, field, kind):
+def _dual_poly(p, kind):
     """Minimal polynomial of the paired eigenvalues.
 
     For bilinear types the pairing is lambda -> -lambda; for unitary
@@ -443,7 +443,7 @@ def _dual_poly(p, field, kind):
         if kind == "u":
             cc = cc.conj()
         coeffs.append(cc)
-    return la.poly_monic(coeffs, field)
+    return la.poly_monic(coeffs)
 
 
 def levi_factors_for_induction(Xs, factor):
@@ -468,7 +468,7 @@ def levi_factors_for_induction(Xs, factor):
         if idx in used:
             continue
         used.add(idx)
-        pd = _dual_poly(p, field, factor.kind)
+        pd = _dual_poly(p, factor.kind)
         if la.poly_trim(pd) == la.poly_trim(p):
             d = la.poly_deg(p)
             if d == 1 and not p[0]:
@@ -526,10 +526,11 @@ def ad_matrix_gl(X):
 def root_value_data(gamma):
     """Valuations of the nonzero eigenvalues of ad(gamma) on gl_n.
 
-    Returns (zero_multiplicity, list of (coeff index, valuation) Newton
-    polygon data, degree of the nonzero part).  Exact-zero low-order
-    coefficients are required; a zero-to-precision coefficient raises
-    PrecisionError.
+    Returns (zero_multiplicity, vals): the multiplicity of the
+    eigenvalue 0, and the valuation of each nonzero eigenvalue, or
+    ["mixed"] when the Newton polygon of the characteristic polynomial
+    has more than one slope.  Exact-zero low-order coefficients are
+    required; a zero-to-precision coefficient raises PrecisionError.
     """
     n = len(gamma)
     field = gamma[0][0].field

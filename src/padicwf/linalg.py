@@ -348,7 +348,7 @@ def poly_divmod(f, g, field):
     return poly_trim(q), poly_trim(f)
 
 
-def poly_monic(f, field):
+def poly_monic(f):
     f = poly_trim(f)
     if poly_deg(f) < 0:
         return f
@@ -361,7 +361,7 @@ def poly_gcd(f, g, field):
     while poly_deg(g) >= 0:
         _, r = poly_divmod(f, g, field)
         f, g = g, r
-    return poly_monic(f, field)
+    return poly_monic(f)
 
 
 def poly_deriv(f, field):
@@ -387,9 +387,9 @@ def poly_eval(f, x, field):
 def poly_eval_mat(f, a, field):
     n = len(a)
     out = mat_scale(f[0], identity(field, n))
-    pw = identity(field, n)
+    pw = None
     for c in f[1:]:
-        pw = mat_mul(pw, a)
+        pw = a if pw is None else mat_mul(pw, a)
         out = mat_add(out, mat_scale(c, pw))
     return out
 
@@ -440,7 +440,7 @@ def squarefree_decomposition(f, field):
     p-th root decomposes recursively, and a factor met there with
     multiplicity j and in the part of residue i has e_h = i + p j.
     """
-    f = poly_monic(f, field)
+    f = poly_monic(f)
     if poly_deg(f) <= 0:
         return []
     df = poly_deriv(f, field)
@@ -474,7 +474,7 @@ def _distinct_degree(f, field):
     q = field.q
     x = [fzero(field), fone(field)]
     out = []
-    rem = poly_monic(f, field)
+    rem = poly_monic(f)
     d = 0
     xq = x
     while poly_deg(rem) > 0:
@@ -501,7 +501,7 @@ def factor_poly(f, field):
     polynomial of degree 1 is its own monic factor, with multiplicity 1.
     """
     if poly_deg(f) == 1:
-        return [(poly_monic(f, field), 1)]
+        return [(poly_monic(f), 1)]
     rng = random.Random(12345)
     q = field.q
 

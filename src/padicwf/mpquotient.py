@@ -101,7 +101,7 @@ class QuotientElement:
         return all(not e for row in self.mat for e in row)
 
     def is_nilpotent(self):
-        return lie.is_nilpotent(self.club(), self.quot.residue_field())
+        return lie.is_nilpotent(self.club())
 
     def key(self):
         return self.quot.key() + (self.mat,)
@@ -137,7 +137,7 @@ def monomial_lift(quot, mat, level):
 def minimal_orbit_ur(c):
     """Geometric label of the minimal orbit through a nilpotent coset;
     ValueError("not nilpotent") for any other coset."""
-    return lie.jordan_type(c.club(), c.quot.residue_field())
+    return lie.jordan_type(c.club())
 
 
 def _block_shim(tag, m, kres):
@@ -161,7 +161,7 @@ def n_label(c):
     quot = c.quot
     kres = quot.residue_field()
     club_set = set(quot.model.club_indices)
-    if lie.is_nilpotent(c.club(), kres):
+    if lie.is_nilpotent(c.club()):
         return minimal_orbit_ur(c)
     blocks = quot.heart()
     covered = set()

@@ -178,7 +178,7 @@ class MatContext:
             self.to_ff(d), self.factor)]).reshape(-1, self.n, self.n)
 
     def jordan_type(self, m):
-        return lie.jordan_type(self.to_ff(m), self.field)
+        return lie.jordan_type(self.to_ff(m))
 
     def is_nilpotent(self, m):
         power = np.asarray(m) % self.p

@@ -26,25 +26,16 @@ def zmat(field, n):
     return [[field.zero() for _ in range(n)] for _ in range(n)]
 
 
-class GroupSpec:
-    """Ambient group data: type tag, matrix size, absolute rank, and the
-    residue cardinality, with the characteristic bound p > 6N - 1."""
-
-    def __init__(self, kind, n, rank, q):
-        self.kind = kind
-        self.n = n
-        self.rank = rank
-        self.q = q
-
-    def char_bound_ok(self):
-        return self.q > 6 * self.rank - 1
-
-    def check_char(self, override=False):
-        if not self.char_bound_ok() and not override:
-            raise ValueError(
-                "residue characteristic %d violates the bound p > %d "
-                "(absolute rank %d); pass override to proceed"
-                % (self.q, 6 * self.rank - 1, self.rank))
+def check_char(model, override=False):
+    """The characteristic bound p > 6N - 1 for the model's residue
+    cardinality p and absolute rank N; raises ValueError unless
+    overridden."""
+    q, rank = model.field.q, model.rank
+    if q <= 6 * rank - 1 and not override:
+        raise ValueError(
+            "residue characteristic %d violates the bound p > %d "
+            "(absolute rank %d); pass override to proceed"
+            % (q, 6 * rank - 1, rank))
 
 
 class Entry:
@@ -57,10 +48,9 @@ class Entry:
         self.point = tuple(Fraction(x) for x in point)
         self.cmat = la.mat(cmat)
 
-    def with_added(self, piece_fn):
-        add = piece_fn(self.model)
+    def with_added(self, piece):
         return Entry(self.name, self.model, self.point,
-                     la.mat_add(self.cmat, la.mat(add)))
+                     la.mat_add(self.cmat, piece))
 
     def coset(self, depth):
         """The point field holds the full apartment weight vector."""
@@ -78,35 +68,26 @@ class SpectralDatum:
 
 class GoodChain:
     """A sum of commuting good pieces of strictly decreasing integer
-    depth.  Pieces are given as constructors taking the ambient model,
-    so one chain can be read in several coordinate charts."""
+    depth, each an exact matrix.  Construction checks the goodness of
+    every piece and pairwise commutation."""
 
-    def __init__(self, pieces, check_model=None):
-        self.pieces = [(name, fn, Fraction(r)) for name, fn, r in pieces]
+    def __init__(self, pieces):
+        self.pieces = [(name, la.mat(g), Fraction(r))
+                       for name, g, r in pieces]
         depths = [r for _, _, r in self.pieces]
         assert depths == sorted(depths, reverse=True), \
             "pieces must be listed by strictly decreasing depth"
         assert len(set(depths)) == len(depths)
-        if check_model is not None:
-            self.validate(check_model)
-
-    def validate(self, model):
-        """Goodness of every piece and pairwise commutation."""
-        E = model.field
-        mats = []
-        for name, fn, r in self.pieces:
-            g = la.mat(fn(model))
+        for name, g, r in self.pieces:
             if not lie.is_good_depth(g, r):
                 raise ValueError("piece %r is not good at depth %s"
                                  % (name, r))
-            mats.append(g)
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if any(e.terms for row in la.bracket(mats[i], mats[j])
+        for i, (a, ga, _) in enumerate(self.pieces):
+            for b, gb, _ in self.pieces[i + 1:]:
+                if any(e.terms for row in la.bracket(ga, gb)
                        for e in row):
                     raise ValueError("pieces %r and %r do not commute"
-                                     % (self.pieces[i][0],
-                                        self.pieces[j][0]))
+                                     % (a, b))
 
 
 class WFResult:
@@ -125,11 +106,11 @@ class WFResult:
             kind, ", ".join(ob.fmt_partition(l) for l in self.labels))
 
 
-def descend(datum, piece_fn):
+def descend(datum, piece):
     """Add the next good piece to every entry: the coset set of the sum
     at this depth, per orbit representative."""
     return SpectralDatum(datum.depth,
-                         [e.with_added(piece_fn) for e in datum.entries])
+                         [e.with_added(piece) for e in datum.entries])
 
 
 def wf_upper_bound(datum, notes=()):
@@ -154,14 +135,14 @@ def compute_wf(chain, seed, mode="exact"):
     assert mode in ("exact", "bound")
     datum = seed
     applied = False
-    for name, fn, r in chain.pieces:
+    for name, g, r in chain.pieces:
         if r > datum.depth:
             continue  # consumed by the black-box seed datum
         if r != datum.depth:
             raise ValueError("piece %r at depth %s lies below the seed "
                              "depth %s: the level transfer needs explicit "
                              "facet data" % (name, r, datum.depth))
-        datum = descend(datum, fn)
+        datum = descend(datum, g)
         applied = True
     if not applied:
         raise ValueError("no piece at the seed depth %s: %s" % (
@@ -216,15 +197,14 @@ def u6_chain_regular(model):
     return g
 
 
-def u6_spec():
-    return GroupSpec("u", 6, 6, 23)
-
-
 def u6_seed():
     """The inner coset set at depth -1 for the depth-0 piece inside its
     centralizer (a rank-1 unitary group times a torus): the two vertex
     classes and the alcove of its building, with the regular nilpotent
-    appearing at the second vertex."""
+    appearing at the second vertex.  The chain pieces are written in
+    u6's diagonal basis, so at the alcove (hyperbolic basis) only the
+    depth -1 piece lies in the Lie algebra; the alcove's label is
+    dominated, so the answer does not depend on it."""
     m = bd.u6_model(23)
     mh = bd.u6_hyp_model(23)
     z6 = zmat(m.field, 6)
@@ -236,15 +216,15 @@ def u6_seed():
 
 
 def u6_chain():
+    m = bd.u6_model(23)
     return GoodChain([
-        ("gamma0", u6_gamma_zero, 0),
-        ("gamma-1", u6_gamma_deep, -1),
-    ], check_model=bd.u6_model(23))
+        ("gamma0", u6_gamma_zero(m), 0),
+        ("gamma-1", u6_gamma_deep(m), -1),
+    ])
 
 
 def u6_example(mode="exact"):
     """The two-step unitary reproduction: labels [4,1,1] and [3,3]."""
-    u6_spec().check_char(override=True)
     return compute_wf(u6_chain(), u6_seed(), mode)
 
 
@@ -263,7 +243,7 @@ def toral_example():
     """Single good element with anisotropic centralizer: the building of
     the centralizer is one point, so one facet carries the answer."""
     m = bd.u6_model(23)
-    chain = GoodChain([("gamma", toral_gamma, 0)], check_model=m)
+    chain = GoodChain([("gamma", toral_gamma(m), 0)])
     seed = SpectralDatum(0, [Entry("y", m, bd.U6_Y, zmat(m.field, 6))])
     return compute_wf(chain, seed, "exact")
 
@@ -311,10 +291,6 @@ PATH_DISCREPANCY_NOTE = (
     "and lists an empty parameter interval (1/12 < s < 1/18)")
 
 
-def u7_spec():
-    return GroupSpec("u", 7, 7, 23)
-
-
 def u7_example(variant="plain"):
     """Half-integral-depth reproduction.  The deciding question is
     whether the shorter chain at the second vertex is met by the
@@ -322,19 +298,17 @@ def u7_example(variant="plain"):
     with corner coefficient 3 for the plain variant and 1 for the
     primed one."""
     assert variant in ("plain", "prime")
-    u7_spec().check_char(override=True)
     m = bd.u7_model(23)
     coeff = 3 if variant == "plain" else 1
+    g0 = u7_gamma_zero(m)
     entries = [Entry("y", m, m.point(U7_Y),
-                     la.mat_add(la.mat(u7_gamma_zero(m)),
-                                la.mat(u7_chain_y(m))))]
+                     la.mat_add(g0, u7_chain_y(m)))]
     count = sl.curve_count(coeff, 23)
     notes = ["curve count at the second vertex: %d (coefficient %d)"
              % (count, coeff), PATH_DISCREPANCY_NOTE]
     if count > 0:
         entries.append(Entry("z", m, m.point(U7_Z),
-                             la.mat_add(la.mat(u7_gamma_zero(m)),
-                                        la.mat(u7_chain_z(m)))))
+                             la.mat_add(g0, u7_chain_z(m))))
     datum = SpectralDatum(0, entries)
     res = wf_upper_bound(datum, notes=notes)
     # the top depth 1/2 is not an integer: only an upper bound is

@@ -251,7 +251,7 @@ def test_criterion_6_induction_brute_force():
                         for cc, (i, j) in zip(coeffs, pos):
                             if cc:
                                 X[i][j] = X[i][j] + F(cc)
-                        labels.add(lg.jordan_type(la.mat(X), F))
+                        labels.add(lg.jordan_type(la.mat(X)))
                     mx = max(labels, key=lambda t: tuple(
                         sum(t[:k + 1]) for k in range(n)))
                     assert all(ob.dominance_leq(t, mx) for t in labels), \

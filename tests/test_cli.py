@@ -25,10 +25,11 @@ def run(argv, capsys):
 
 def test_parse_shipped_u6_input():
     text = (INPUTS / "u6_chain.ini").read_text()
-    chain, spec, options = cli.parse_input(text)
+    chain, model, options = cli.parse_input(text)
     assert [name for name, _, _ in chain.pieces] == ["gamma.1", "gamma.2"]
     assert [r for _, _, r in chain.pieces] == [0, -1]
-    assert spec.q == 23 and spec.kind == "u" and spec.n == 6
+    assert model is bd.u6_model(23)
+    assert model.field.q == 23 and model.rank == model.n == 6
     assert options["seed-datum"] == "u6"
 
 
@@ -66,6 +67,32 @@ def test_parse_rejects_char_bound_without_override():
     with pytest.raises(ValueError, match="p > 35"):
         cli.parse_input(text)
     cli.parse_input(text, override=True)
+
+
+@pytest.mark.parametrize("depth, message", [
+    ("minus one", "Invalid literal for Fraction: 'minus one'"),
+    ("1/0", "Fraction(1, 0)"),
+])
+def test_wf_compute_bad_depth_names_its_line(tmp_path, capsys, depth,
+                                             message):
+    path = tmp_path / "depth.ini"
+    path.write_text((INPUTS / "toral.ini").read_text().replace(
+        "depth = 0", "depth = " + depth))
+    code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"message": "line 11: " + message,
+                                        "line": 11}
+
+
+def test_wf_compute_bad_point_names_its_line(tmp_path, capsys):
+    path = tmp_path / "point.ini"
+    path.write_text((INPUTS / "toral.ini").read_text().replace(
+        "point = 0, 0, 0, 0, 0, 1/2", "point = 0, zero, 0, 0, 0, 1/2"))
+    code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "message": "line 20: Invalid literal for Fraction: ' zero'",
+        "line": 20}
 
 
 def test_parse_rejects_bad_depth():

@@ -319,7 +319,7 @@ def test_facets_above_finds_diagonal_wall():
     # the wall {r = 2x} through the origin is not axis-aligned; relaxing
     # sign vectors must still discover it
     m, win, c, v = sl2_setup()
-    above = gr.facets_above(v.facet)
+    above = gr.facets_above(v.facet, bd.Arrangement(m, win).faces)
     dims = sorted(f.dim() for f in above)
     assert dims[0] >= 1
     walls = [f for f in above if f.dim() == 1 and not f.is_horizontal()
@@ -330,7 +330,7 @@ def test_facets_above_finds_diagonal_wall():
 def test_closure_horizontals_of_wall_segment():
     m, win, c, v = sl2_setup()
     seg = gr.out_edge_rule2(v).facet
-    hor = gr.closure_horizontals(seg)
+    hor = gr.closure_horizontals(seg, bd.Arrangement(m, win).faces)
     assert all(f.is_horizontal() for f in hor)
     depths = sorted(f.depth() for f in hor)
     assert depths[0] == Fr(0) and depths[-1] == Fr(1, 2)
@@ -450,7 +450,7 @@ def test_predecessors_of_horizontal_target():
     m, win, c, v = sl2_setup()
     target = gr.GraphVertex(m, bd.facet_of(m, win, (Fr(1, 4),), Fr(1, 2)),
                             c)
-    preds = gr.predecessors(target)
+    preds = gr.predecessors(target, bd.Arrangement(m, win).faces)
     assert preds
     for u in preds:
         assert not u.facet.is_horizontal()
@@ -460,7 +460,7 @@ def test_predecessors_of_horizontal_target():
 def test_predecessors_of_wall_segment_include_origin():
     m, win, c, v = sl2_setup()
     seg = gr.out_edge_rule2(v)
-    preds = gr.predecessors(seg)
+    preds = gr.predecessors(seg, bd.Arrangement(m, win).faces)
     assert any(u == v for u in preds)
     for u in preds:
         assert u.facet.is_horizontal()
@@ -476,3 +476,21 @@ def test_reachable_sl2_contains_origin():
     assert target in back
     assert len(back) == 8
     assert all(u.facet.depth() <= Fr(1, 2) for u in back)
+
+
+def test_reachable_builds_one_arrangement(monkeypatch):
+    # the backward closure queries one window: its arrangement is built
+    # once and its faces passed to every predecessor query
+    m, win, c, v = sl2_setup()
+    target = gr.GraphVertex(m, bd.facet_of(m, win, (Fr(1, 4),), Fr(1, 2)),
+                            c)
+    built = []
+
+    class Counted(bd.Arrangement):
+        def __init__(self, model, window):
+            built.append(window)
+            super().__init__(model, window)
+
+    monkeypatch.setattr(bd, "Arrangement", Counted)
+    assert len(gr.reachable([target])) == 8
+    assert built == [win]

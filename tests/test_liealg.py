@@ -73,13 +73,13 @@ def test_algebra_closed_under_bracket():
 def test_jordan_type():
     F = prime_field(5)
     X = mk(F, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    assert lg.jordan_type(X, F) == (2, 1)
+    assert lg.jordan_type(X) == (2, 1)
     X = mk(F, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert lg.jordan_type(X, F) == (3,)
+    assert lg.jordan_type(X) == (3,)
     Z = la.zero_mat(F, 4)
-    assert lg.jordan_type(Z, F) == (1, 1, 1, 1)
+    assert lg.jordan_type(Z) == (1, 1, 1, 1)
     with pytest.raises(ValueError):
-        lg.jordan_type(la.identity(F, 2), F)
+        lg.jordan_type(la.identity(F, 2))
 
 
 def test_jordan_type_ad_invariant():
@@ -93,7 +93,7 @@ def test_jordan_type_ad_invariant():
             if la.rank(g) == 3:
                 break
         Y = la.mat_mul(la.mat_mul(g, X), la.mat_inv(g, F))
-        assert lg.jordan_type(Y, F) == (2, 1)
+        assert lg.jordan_type(Y) == (2, 1)
 
 
 def test_jordan_decomposition():
@@ -105,7 +105,7 @@ def test_jordan_decomposition():
                       for _ in range(n))
             s, nn = lg.jordan_decomposition(X, F)
             assert la.mat_add(s, nn) == X
-            assert lg.is_nilpotent(nn, F)
+            assert lg.is_nilpotent(nn)
             assert la.bracket(s, nn) == la.zero_mat(F, n)
             # semisimple part has squarefree minimal polynomial
             f1 = la.poly_radical(la.charpoly(s, F), F)
@@ -125,7 +125,7 @@ def test_jordan_decomposition_companion():
         C[i][n - 1] = -f[i]
     C = la.mat(C)
     s, nn = lg.jordan_decomposition(C, F)
-    assert lg.jordan_type(nn, F) == (2, 1)
+    assert lg.jordan_type(nn) == (2, 1)
 
 
 def test_centralizer_dim():
@@ -176,11 +176,11 @@ def sp4_nilpotents():
     for _ in range(200):
         X = la.mat_comb([F.random(rng) for _ in fac.algebra_basis()],
                         fac.algebra_basis(), F, 4)
-        if not lg.is_nilpotent(X, F):
+        if not lg.is_nilpotent(X):
             continue
         if all(not e for row in X for e in row):
             continue
-        if max(lg.jordan_type(X, F)) > 5:
+        if max(lg.jordan_type(X)) > 5:
             continue
         yield F, fac, X
 
@@ -437,7 +437,7 @@ def conjugated_jordan_forms(draw):
 @given(conjugated_jordan_forms())
 def test_block_sizes_of_conjugated_jordan_form(case):
     F, lam, X = case
-    assert lg.jordan_type(X, F) == lam
+    assert lg.jordan_type(X) == lam
     # one primary part, the polynomial x, carrying the whole Jordan type
     assert lg.primary_parts(X, F) == [([F.zero, F.one], len(X), lam)]
 

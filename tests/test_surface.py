@@ -1,6 +1,7 @@
 """The library surface of padicwf: every public top-level function and
 class is used somewhere in the package, or is named in SERVES with the
-command, acceptance criterion or README claim it backs."""
+command, acceptance criterion or README claim it backs; and no function
+accepts a parameter that it then ignores."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,26 @@ def unreached():
 
 def test_unreached_names_are_exactly_the_listed_ones():
     assert unreached() == set(SERVES)
+
+
+def ignored_parameters():
+    """(module, function, parameter) for every parameter, self and cls
+    excepted, that the body of its function or lambda never reads."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out |= {(path.stem, getattr(fn, "name", "<lambda>"), p.arg)
+                    for p in params
+                    if p.arg not in ("self", "cls") and p.arg not in read}
+    return out
+
+
+def test_every_parameter_is_read():
+    assert ignored_parameters() == set()

@@ -1,87 +1,91 @@
 import pytest
 
 from padicwf import building as bd
+from padicwf import liealg as lie
 from padicwf import linalg as la
 from padicwf import orbits as ob
 from padicwf import wavefront as wf
 
 
-# -- group spec ----------------------------------------------------------
+# -- characteristic bound ------------------------------------------------
 
 
 def test_char_bound():
-    assert wf.GroupSpec("A", 2, 2, 23).char_bound_ok()
-    assert not wf.u6_spec().char_bound_ok()  # 23 < 35
-    assert not wf.u7_spec().char_bound_ok()  # 23 < 41
+    assert [bd.sl2_model(23).rank, bd.sl3_model(23).rank] == [1, 2]
+    wf.check_char(bd.sl3_model(23))  # 23 > 11
+    with pytest.raises(ValueError, match="p > 35"):
+        wf.check_char(bd.u6_model(23))
     with pytest.raises(ValueError, match="p > 41"):
-        wf.u7_spec().check_char()
-    wf.u7_spec().check_char(override=True)
+        wf.check_char(bd.u7_model(23))
+    wf.check_char(bd.u7_model(23), override=True)
 
 
 # -- chain validation ----------------------------------------------------
 
 
 def test_chain_orders_by_depth():
+    m = bd.u6_model(23)
     with pytest.raises(AssertionError):
-        wf.GoodChain([("a", wf.u6_gamma_deep, -1),
-                      ("b", wf.u6_gamma_zero, 0)])
+        wf.GoodChain([("a", wf.u6_gamma_deep(m), -1),
+                      ("b", wf.u6_gamma_zero(m), 0)])
 
 
 def test_chain_rejects_bad_piece():
-    m = bd.u6_model(23)
-
-    def not_good(model):
-        E = model.field
-        g = wf.zmat(E, 6)
-        s = E.from_residue(E.residue.gen)
-        g[0][0] = s
-        g[1][1] = s * E.parse("t")  # valuation 1 at declared depth 0
-        return g
+    E = bd.u6_model(23).field
+    not_good = wf.zmat(E, 6)
+    s = E.from_residue(E.residue.gen)
+    not_good[0][0] = s
+    not_good[1][1] = s * E.parse("t")  # valuation 1 at declared depth 0
 
     with pytest.raises(ValueError, match="not good at depth"):
-        wf.GoodChain([("bad", not_good, 0)], check_model=m)
+        wf.GoodChain([("bad", not_good, 0)])
 
 
 def test_chain_rejects_non_commuting():
-    m = bd.u6_model(23)
-
-    def diag_deep(model):
-        E = model.field
-        g = wf.zmat(E, 6)
-        s = E.from_residue(E.residue.gen)
-        tinv = E.parse("t^-1")
-        for i in range(2, 6):
-            g[i][i] = tinv * s * E.from_int(i + 1)
-        return g
-
-    def cross_part(model):
-        E = model.field
-        k = E.residue
-        g = wf.zmat(E, 6)
-        b = k((5, 2))
-        g[2][3] = E.from_residue(b)
-        g[3][2] = E.from_residue(-b.conj())
-        return g
+    E = bd.u6_model(23).field
+    s = E.from_residue(E.residue.gen)
+    tinv = E.parse("t^-1")
+    diag_deep = wf.zmat(E, 6)
+    for i in range(2, 6):
+        diag_deep[i][i] = tinv * s * E.from_int(i + 1)
+    b = E.residue((5, 2))
+    cross_part = wf.zmat(E, 6)
+    cross_part[2][3] = E.from_residue(b)
+    cross_part[3][2] = E.from_residue(-b.conj())
 
     with pytest.raises(ValueError, match="do not commute"):
-        wf.GoodChain([("a", cross_part, 0), ("b", diag_deep, -1)],
-                     check_model=m)
+        wf.GoodChain([("a", cross_part, 0), ("b", diag_deep, -1)])
 
 
 def test_u6_chain_validates():
     wf.u6_chain()  # goodness + commutation pass
 
 
+def test_u6_pieces_lie_membership_per_model():
+    # The u6 seed puts its alcove entry in the hyperbolic-basis model,
+    # but the chain pieces are written in u6's diagonal basis: only the
+    # depth -1 piece lies in both Lie algebras.  The alcove's label is
+    # dominated, so the u6 answer does not depend on it.
+    m = bd.u6_model(23)
+    pieces = [wf.u6_gamma_zero(m), wf.u6_gamma_deep(m), wf.toral_gamma(m),
+              wf.u6_chain_regular(m)]
+    member = {name: [lie.Factor.u(6, model.field, model.gram).is_lie(
+        la.mat(g)) for g in pieces]
+        for name, model in (("u6", m), ("u6hyp", bd.u6_hyp_model(23)))}
+    assert member == {"u6": [True, True, True, True],
+                      "u6hyp": [False, True, False, False]}
+
+
 # -- descent and labels --------------------------------------------------
 
 
 def test_descend_adds_piece_to_every_entry():
-    seed = wf.u6_seed()
-    out = wf.descend(seed, wf.u6_gamma_deep)
-    assert out.depth == seed.depth == -1
-    assert len(out.entries) == 3
     m = bd.u6_model(23)
     want = la.mat(wf.u6_gamma_deep(m))
+    seed = wf.u6_seed()
+    out = wf.descend(seed, want)
+    assert out.depth == seed.depth == -1
+    assert len(out.entries) == 3
     diff = la.mat_add(out.entries[0].cmat,
                       la.mat_scale(m.field.from_int(-1),
                                    seed.entries[0].cmat))
@@ -92,8 +96,9 @@ def test_compute_wf_requires_matching_depth():
     # a piece strictly deeper than the seed needs a level transfer,
     # which the generic driver does not provide
     m = bd.u6_model(23)
-    chain = wf.GoodChain([("g0", wf.toral_gamma, 0),
-                          ("g-2", wf.toral_gamma, -2)])
+    g = wf.toral_gamma(m)
+    deep = la.mat_scale(m.field.parse("t^-2"), la.mat(g))
+    chain = wf.GoodChain([("g0", g, 0), ("g-2", deep, -2)])
     seed = wf.SpectralDatum(0, [wf.Entry("y", m, bd.U6_Y,
                                          wf.zmat(m.field, 6))])
     with pytest.raises(ValueError) as err:
@@ -154,12 +159,8 @@ def test_toral_singleton():
 
 def test_toral_unit_scalar_invariance():
     m = bd.u6_model(23)
-
-    def scaled(model):
-        two = model.field.from_int(2)
-        return la.mat_scale(two, la.mat(wf.toral_gamma(model)))
-
-    chain = wf.GoodChain([("gamma", scaled, 0)], check_model=m)
+    scaled = la.mat_scale(m.field.from_int(2), la.mat(wf.toral_gamma(m)))
+    chain = wf.GoodChain([("gamma", scaled, 0)])
     seed = wf.SpectralDatum(0, [wf.Entry("y", m, bd.U6_Y,
                                          wf.zmat(m.field, 6))])
     assert wf.compute_wf(chain, seed).labels == wf.toral_example().labels
