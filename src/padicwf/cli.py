@@ -126,12 +126,17 @@ def _section_map(items):
     return out, rows
 
 
-def _fraction(lineno, text):
-    """Fraction(text), or a CliError naming the input line."""
+def _fraction(text, where, record=None):
+    """Fraction(text), or a CliError naming where the text came from:
+    an input line or a command-line option."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
-        raise CliError("line %d: %s" % (lineno, err), {"line": lineno})
+        raise CliError("%s: %s" % (where, err), record)
+
+
+def _line_fraction(lineno, text):
+    return _fraction(text, "line %d" % lineno, {"line": lineno})
 
 
 def parse_input(text, override=False):
@@ -176,7 +181,7 @@ def parse_input(text, override=False):
         kv, rows = _section_map(items)
         if "depth" not in kv:
             raise CliError("section [%s] missing depth" % name)
-        depth = _fraction(*kv["depth"])
+        depth = _line_fraction(*kv["depth"])
         if len(rows) != n:
             raise CliError(
                 "section [%s]: expected %d matrix rows, got %d"
@@ -208,8 +213,12 @@ def parse_input(text, override=False):
         kv, _ = _section_map(dict(sections)["options"])
         options = {k: v for k, (_, v) in kv.items()}
         lineno, val = kv.get("point", (0, ""))
+        if "point" in kv and "seed-datum" in kv:
+            raise CliError("line %d: point is not read when seed-datum is "
+                           "set; the seed datum fixes its own base points"
+                           % lineno, {"line": lineno})
         if val:
-            options["point"] = tuple(_fraction(lineno, x)
+            options["point"] = tuple(_line_fraction(lineno, x)
                                      for x in val.split(","))
 
     try:
@@ -293,11 +302,12 @@ def _parse_window(args, model):
     if args.window:
         for part in args.window.split(":"):
             a, b = part.split(",")
-            spans.append((Fraction(a), Fraction(b)))
+            spans.append((_fraction(a, "--window"),
+                          _fraction(b, "--window")))
     else:
         spans = [(Fraction(0), Fraction(1))] * model.d
-    return bd.Window(tuple(spans), Fraction(args.rmin),
-                     Fraction(args.rmax))
+    return bd.Window(tuple(spans), _fraction(args.rmin, "--rmin"),
+                     _fraction(args.rmax, "--rmax"))
 
 
 def cmd_facets(args):
@@ -345,8 +355,10 @@ def _scenario_vertex(name):
 
 def cmd_graph(args):
     v, depth = _scenario_vertex(args.scenario)
+    if args.to_depth:
+        depth = _fraction(args.to_depth, "--to-depth")
     if args.graph_cmd == "trace":
-        edges = gr.path_trace(v, Fraction(args.to_depth or depth))
+        edges = gr.path_trace(v, depth)
         print("path trace: scenario=%s, %d edges" % (args.scenario,
                                                      len(edges)))
         print("%-5s %-8s %-6s %s" % ("rule", "depth", "dim", "center"))
@@ -364,7 +376,7 @@ def cmd_graph(args):
             print("note: %s" % wf.PATH_DISCREPANCY_NOTE)
             rec["note"] = wf.PATH_DISCREPANCY_NOTE
     else:
-        edges = gr.path_trace(v, Fraction(args.to_depth or depth))
+        edges = gr.path_trace(v, depth)
         target = edges[-1].dst
         back = gr.reachable([target])
         print("backward reachable set: scenario=%s, %d vertices"

@@ -39,8 +39,9 @@ np = _Numpy()
 
 # Largest piece, in points, that `fourier` transforms.
 FOURIER_CAP = 10 ** 8
-# Largest residue-field enumeration, in points or flags, that
-# `curve_count` and `point_count` scan.
+# Largest residue-field enumeration that `curve_count` and `point_count`
+# make: quadric prefixes (one row per point of P^3, q^3 + q^2 + q + 1,
+# for the solve behind `curve_count`) or flags.
 SCAN_CAP = 2 * 10 ** 6
 
 
@@ -693,16 +694,67 @@ def _projective_chunks(K, n):
             yield chunk
 
 
-def _isotropic(K, gram, V):
-    """The vectors of V with B(v, v) = 0, in order."""
-    return V[:, _dots(K, V, _mat_vecs(K, gram, V)) == 0]
+def _isotropic_array(K, gram):
+    """The isotropic points of P^{n-1}(F_q) as an (n, N) array of
+    pivot-normalized vectors, pivot by pivot and lexicographic within
+    each pivot, by solving the quadric along its last coordinate.
+
+    For each pivot, every prefix u (u_pivot = 1, the coordinates after
+    it free but the last, u_last = 0) gives v = u + x e_last with
+    B(v, v) = a x^2 + b x + c: a = G[last][last], b = (G u)_last +
+    (G^T u)_last, c = B(u, u).  The roots x are read from the square-root
+    and reciprocal tables (p is odd), so the work is one row per prefix,
+    q^(n-2) for the first pivot, rather than one per point of P^{n-1}."""
+    add, mul, neg = K.arrays()
+    dtype = add.dtype
+    inv = np.array(K.inv, dtype=dtype)
+    sqrt = np.array([-1 if s is None else s for s in K.sqrt])
+    n = len(gram)
+    last = n - 1
+    a = gram[last][last]
+    lin = [[K.add[gram[last][j]][gram[j][last]] for j in range(n)]]
+    blocks = []
+    for pivot in range(n):
+        free = n - pivot - 1
+        if not free:
+            if gram[pivot][pivot] == 0:
+                v = np.zeros((n, 1), dtype=dtype)
+                v[pivot] = 1
+                blocks.append(v)
+            continue
+        U = np.zeros((n, K.q ** (free - 1)), dtype=dtype)
+        U[pivot] = 1
+        U[pivot + 1:last] = np.indices((K.q,) * (free - 1),
+                                       dtype=dtype).reshape(free - 1,
+                                                            U.shape[1])
+        b = _mat_vecs(K, lin, U)[0]
+        c = _dots(K, U, _mat_vecs(K, gram, U))
+        if a:
+            disc = add[mul[b, b], neg[mul[K.mul[K.embed(4)][a], c]]]
+            s = sqrt[disc]
+            half = inv[K.mul[K.embed(2)][a]]
+            # a zero discriminant gives one root, a nonzero square two
+            one, two = np.nonzero(s >= 0)[0], np.nonzero(s > 0)[0]
+            at = np.concatenate([one, two])
+            root = np.concatenate([s[one], neg[s[two]]]).astype(dtype)
+            xs = mul[add[neg[b[at]], root], half]
+        else:
+            one = np.nonzero(b)[0]
+            every = np.nonzero((b == 0) & (c == 0))[0]
+            at = np.concatenate([one, np.repeat(every, K.q)])
+            xs = np.concatenate([mul[neg[c[one]], inv[b[one]]],
+                                 np.tile(np.arange(K.q, dtype=dtype),
+                                         len(every))])
+        V = U[:, at]
+        V[last] = xs
+        blocks.append(V[:, np.lexsort((xs, at))])
+    if not blocks:
+        return np.zeros((n, 0), dtype=dtype)
+    return np.concatenate(blocks, axis=1)
 
 
 def isotropic_points(K, gram):
-    out = []
-    for V in _projective_chunks(K, len(gram)):
-        out += _isotropic(K, gram, V).T.tolist()
-    return out
+    return _isotropic_array(K, gram).T.tolist()
 
 
 def _flags(K, gram):
@@ -854,17 +906,18 @@ def point_count(spec, degrees=(1,)):
 def curve_count(coeff, p=23, deg=1):
     """Fast count for the curve condition: the flag is forced by its
     first vector (V2 must be the span of v0 and Xv0), so one membership
-    test per projective isotropic point suffices."""
+    test per projective isotropic point suffices.  The points come from
+    solving the quadric over its q^3 + q^2 + q + 1 prefixes, the work
+    that SCAN_CAP bounds."""
     q = _field_order(p, deg)
-    scanned = sum(q ** k for k in range(5))
-    if scanned > SCAN_CAP:
-        raise ValueError("enumeration too large (%d points)" % scanned)
+    prefixes = sum(q ** k for k in range(4))
+    if prefixes > SCAN_CAP:
+        raise ValueError("enumeration too large (%d points)" % prefixes)
     spec = curve_spec(coeff, p)
     K = ExtField(p, deg)
     gram = [[K.embed(x) for x in row] for row in spec.gram]
     X = [[K.embed(x) for x in row] for row in spec.X]
-    v0 = np.concatenate([_isotropic(K, gram, V)
-                         for V in _projective_chunks(K, 5)], axis=1)
+    v0 = _isotropic_array(K, gram)
     w = _mat_vecs(K, X, v0)
     gw = _mat_vecs(K, gram, w)
     # V2 = <v0, w> must be isotropic.  It must also be a plane, but the

@@ -158,6 +158,21 @@ seed-datum = u6
 """
 
 
+def test_wf_compute_point_beside_seed_datum_is_refused(tmp_path, capsys):
+    # the seed datum fixes its own base points, so a point option there
+    # would be read by nothing
+    path = tmp_path / "u6p.ini"
+    path.write_text((INPUTS / "u6_chain.ini").read_text()
+                    + "point = 7, 7, 7, 7, 7, 7, 7\n")
+    code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    line = len(path.read_text().splitlines())
+    assert json.loads(err)["error"] == {
+        "message": "line %d: point is not read when seed-datum is set; "
+                   "the seed datum fixes its own base points" % line,
+        "line": line}
+
+
 def test_wf_compute_u6_seed_needs_a_u6_model(tmp_path, capsys):
     # the u6 seed's entries live in the rank-6 unitary model; on sl3
     # they used to die on an internal assert
@@ -284,6 +299,17 @@ def test_facets_empty_window(argv, message, capsys):
     assert json.loads(err)["error"]["message"].startswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["facets", "--rmin", "1/0"], "--rmin: Fraction(1, 0)"),
+    (["facets", "--window", "0,1/0"], "--window: Fraction(1, 0)"),
+    (["graph", "trace", "--to-depth", "1/0"], "--to-depth: Fraction(1, 0)"),
+])
+def test_zero_denominator_option_is_a_json_error(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"message": message}}
+
+
 # -- graph ---------------------------------------------------------------
 
 
@@ -346,9 +372,9 @@ def test_lab_curve_golden(capsys):
     (["--q", "2"], "p = 2 is not an odd prime"),
     (["--deg", "0"], "extension degree 0 not supported (1, 2 or 3)"),
     (["--deg", "4"], "extension degree 4 not supported (1, 2 or 3)"),
-    # P^4(F_529) has 7.8e10 points
+    # the quadric over F_529 has 529^3 + 529^2 + 529 + 1 prefixes
     (["--q", "23", "--deg", "2"],
-     "enumeration too large (78459301541 points)"),
+     "enumeration too large (148316260 points)"),
 ])
 def test_lab_curve_out_of_reach(argv, message, capsys):
     code, out, err = run(["lab", "curve"] + argv, capsys)

@@ -709,54 +709,112 @@ def test_ext_field_frobenius_fixed_field():
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
                                  (23, 1)])
 def test_isotropic_point_count_closed_form(p, d):
-    # the split quadric in P^4(F_q) has (q+1)(q^2+1) points
+    # a smooth quadric in P^4(F_q) has (q+1)(q^2+1) points: the split
+    # form solves with G[4][4] = 0, the identity with G[4][4] != 0
     K = sl.ExtField(p, d)
-    pts = sl.isotropic_points(K, sl.curve_spec(1, p).gram)
     q = p ** d
-    assert len(pts) == (q + 1) * (q * q + 1)
+    for gram in (sl.curve_spec(1, p).gram, np.eye(5, dtype=int).tolist()):
+        assert len(sl.isotropic_points(K, gram)) == (q + 1) * (q * q + 1)
 
 
-def _isotropic_by_direct_scan(p, gram):
+def _isotropic_by_direct_scan(K, gram):
+    # one point of P^(n-1) at a time, B(v, v) summed on the field tables
     n = len(gram)
     out = []
     for pivot in range(n):
-        for tail in product(range(p), repeat=n - pivot - 1):
+        for tail in product(range(K.q), repeat=n - pivot - 1):
             v = [0] * pivot + [1] + list(tail)
-            if sum(v[i] * gram[i][j] * v[j] for i in range(n)
-                   for j in range(n)) % p == 0:
+            s = 0
+            for i in range(n):
+                for j in range(n):
+                    s = K.add[s][K.mul[v[i]][K.mul[gram[i][j]][v[j]]]]
+            if s == 0:
                 out.append(v)
     return out
 
 
+def _isotropic_in(K, gram, V):
+    # the bulk scan the quadric solve replaced: the columns of V with
+    # B(v, v) = 0, in order
+    return V[:, sl._dots(K, V, sl._mat_vecs(K, gram, V)) == 0]
+
+
+def _projective_space(K, n):
+    return np.concatenate(list(sl._projective_chunks(K, n)), axis=1)
+
+
+# Largest n drawn per field order q: P^(n-1)(F_q) stays within the reach
+# of the per-point scan above, and p = 7 stops at n = 4, since a 5x5 gram
+# with every row in the radical makes 1,120,400 flag pairs at p = 7,
+# minutes for the flag reference (the p = 5 zero gram is pinned below).
+MAX_DIM = {3: 5, 5: 5, 7: 4, 9: 5, 25: 4, 49: 3}
+
+
 @st.composite
-def symmetric_grams(draw):
+def symmetric_grams(draw, degrees=(1,)):
     p = draw(st.sampled_from([3, 5, 7]))
-    n = draw(st.integers(1, 5))
+    d = draw(st.sampled_from(degrees))
+    q = p ** d
+    n = draw(st.integers(1, MAX_DIM[q]))
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            gram[i][j] = gram[j][i] = draw(st.integers(0, p - 1))
+            gram[i][j] = gram[j][i] = draw(st.integers(0, q - 1))
     # a radical: rows and columns forced to vanish
     for k in draw(st.sets(st.integers(0, n - 1), max_size=n)):
         for i in range(n):
             gram[i][k] = gram[k][i] = 0
-    return p, gram
+    return sl.ExtField(p, d), gram
 
 
 @settings(max_examples=40, deadline=None)
-@given(symmetric_grams())
+@given(symmetric_grams(degrees=(1, 2)))
 def test_isotropic_points_match_direct_scan(case):
-    p, gram = case
-    assert (sl.isotropic_points(sl.ExtField(p, 1), gram)
-            == _isotropic_by_direct_scan(p, gram))
+    K, gram = case
+    pts = sl.isotropic_points(K, gram)
+    assert pts == _isotropic_by_direct_scan(K, gram)
+    assert pts == _isotropic_in(K, gram,
+                                _projective_space(K, len(gram))).T.tolist()
+
+
+def _p4_scan(p):
+    # P^4(F_p) as pivot-normalized integer columns, pivot by pivot
+    blocks = []
+    for pivot in range(5):
+        free = 4 - pivot
+        v = np.zeros((5, p ** free), dtype=np.int64)
+        v[pivot] = 1
+        v[pivot + 1:] = np.indices((p,) * free).reshape(free, p ** free)
+        blocks.append(v)
+    return np.concatenate(blocks, axis=1)
+
+
+def _curve_count_by_scan(coeff, p, V):
+    # the curve condition on every isotropic point of the scan V, in
+    # integer arithmetic mod p
+    spec = sl.curve_spec(coeff, p)
+    G, X = np.array(spec.gram), np.array(spec.X)
+    form = lambda a, b: (a * (G @ b)).sum(axis=0) % p
+    V = V[:, form(V, V) == 0]
+    W = X @ V % p
+    ok = (form(V, W) == 0) & (form(W, W) == 0) & (form(X @ W % p, W) != 0)
+    return int(np.count_nonzero(ok))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_curve_count_matches_p4_scan(p):
+    V = _p4_scan(p)
+    for coeff in (1, 3):
+        assert sl.curve_count(coeff, p) == _curve_count_by_scan(coeff, p, V)
 
 
 def _flag_pairs_reference(K, gram):
     # per v0: kernel of G v0 by elimination, a complement of v0 in it by
-    # a greedy pass of independent vectors, then its isotropic points
+    # a greedy pass of independent vectors, then its isotropic points by
+    # a scan of the complement's projective space
     n = len(gram)
     spaces = {}
-    for v0 in sl.isotropic_points(K, gram):
+    for v0 in _isotropic_by_direct_scan(K, gram):
         gv0 = sl._mat_vec(K, gram, v0)
         basis = []
         span = [v0]
@@ -770,9 +828,8 @@ def _flag_pairs_reference(K, gram):
         qgram = [[sl._dot(K, a, sl._mat_vec(K, gram, b)) for b in basis]
                  for a in basis]
         if len(basis) not in spaces:
-            spaces[len(basis)] = np.concatenate(
-                list(sl._projective_chunks(K, len(basis))), axis=1)
-        for a in sl._isotropic(K, qgram, spaces[len(basis)]).T.tolist():
+            spaces[len(basis)] = _projective_space(K, len(basis))
+        for a in _isotropic_in(K, qgram, spaces[len(basis)]).T.tolist():
             v1 = [0] * n
             for t, w in zip(a, basis):
                 v1 = sl._vec_add(K, v1, sl._vec_scale(K, t, w))
@@ -787,9 +844,18 @@ def _flags_as_pairs(K, gram):
 @settings(max_examples=40, deadline=None)
 @given(symmetric_grams())
 def test_flags_match_reference_enumeration(case):
-    p, gram = case
-    K = sl.ExtField(p, 1)
+    K, gram = case
     assert _flags_as_pairs(K, gram) == list(_flag_pairs_reference(K, gram))
+
+
+def test_flags_match_reference_on_zero_gram():
+    # the fully degenerate shape: every point of P^4(F_5) is isotropic
+    # and every complement too, 121,836 flag pairs
+    K = sl.ExtField(5, 1)
+    gram = [[0] * 5 for _ in range(5)]
+    pairs = _flags_as_pairs(K, gram)
+    assert len(pairs) == 121836
+    assert pairs == list(_flag_pairs_reference(K, gram))
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (7, 1)])
