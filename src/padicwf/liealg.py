@@ -132,13 +132,17 @@ class Factor:
 
 
 def is_nilpotent(X):
+    """Whether X^n = 0, read as X^(2^k) = 0 for the least 2^k >= n: k
+    squarings, 3 products for n = 7."""
     n = len(X)
-    P = X
-    for _ in range(n):
+    P, k = X, 1
+    while True:
         if all(not e for row in P for e in row):
             return True
-        P = la.mat_mul(P, X)
-    return all(not e for row in P for e in row)
+        if k >= n:
+            return False
+        P = la.mat_mul(P, P)
+        k *= 2
 
 
 def _block_sizes(A, d, full):

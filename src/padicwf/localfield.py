@@ -194,7 +194,12 @@ class LocalScalar:
     """A truncated Laurent series.  Immutable.
 
     terms: sorted tuple of (Fraction valuation, nonzero residue coeff),
-    prec: Fraction or None (exact).  All term valuations are < prec.
+    with distinct valuations, so an exact scalar has one `terms`; prec:
+    Fraction or None (exact).  All term valuations are < prec.
+
+    When both operands are exact, `==` compares `terms`, a product of two
+    monomials is their one product term and a sum with the exact zero is
+    the other operand; every other case takes the general route below.
     """
 
     __slots__ = ("field", "terms", "prec")
@@ -261,6 +266,11 @@ class LocalScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.prec is None and o.prec is None:
+            if not o.terms:
+                return self
+            if not self.terms:
+                return o
         prec = _min_prec(self.prec, o.prec)
         acc = {}
         for v, c in self.terms + o.terms:
@@ -292,6 +302,12 @@ class LocalScalar:
         if (self.prec is None and not self.terms) or \
            (o.prec is None and not o.terms):
             return LocalScalar(self.field, (), None)  # exact zero
+        if self.prec is None and o.prec is None and \
+                len(self.terms) == len(o.terms) == 1:
+            # two exact monomials: one nonzero term, residues form a field
+            (v1, c1), = self.terms
+            (v2, c2), = o.terms
+            return LocalScalar(self.field, ((v1 + v2, c1 * c2),), None)
         # precision of the product
         prec = None
         va, vb = self.val_lower_bound(), o.val_lower_bound()
@@ -392,10 +408,13 @@ class LocalScalar:
     # -- comparison / display ------------------------------------------
 
     def __eq__(self, other):
-        """Weak equality: no visible difference on the joint window."""
+        """Weak equality: no visible difference on the joint window.  Two
+        exact scalars are equal when their canonical terms are."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.prec is None and o.prec is None:
+            return self.terms == o.terms
         return not (self - o).terms
 
     def __repr__(self):

@@ -25,16 +25,35 @@ from . import building as bd
 from . import liealg as lie
 from . import linalg as la
 from . import orbits as ob
+from .localfield import _fr
 
 
 class GradedQuotient:
-    """One graded piece g(F)_{w = r} with its ambient grading data."""
+    """One graded piece g(F)_{w = r} with its ambient grading data.
+
+    Thresholds are read in integer units of 1/D (`building.grading_units`):
+    the threshold at (i, j) and level L / D is L + W[j] - W[i], and
+    `_grid[i][j]` holds the shift, offset and step of the class at
+    (i, j) in the same units, or None off every class.  `threshold` is
+    the Fraction reference."""
 
     def __init__(self, model, w, r):
         self.model = model
-        self.w = tuple(Fraction(wi) for wi in w)
-        self.r = Fraction(r)
+        self.w = tuple(map(_fr, w))
+        self.r = _fr(r)
         self._heart = None
+        self.D, self.W, self.R = bd.grading_units(self.w, self.r)
+        n, D = model.n, self.D
+        grid = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                pc = model.position_class(i, j)
+                if pc is not None:
+                    cls, s = pc
+                    grid[i][j] = (bd.in_units(s, D),
+                                  bd.in_units(cls.offset, D),
+                                  bd.in_units(cls.step, D))
+        self._grid = grid
 
     def residue_field(self):
         return self.model.field.residue
@@ -53,25 +72,29 @@ class GradedQuotient:
         r = self.r if level is None else Fraction(level)
         return r + self.w[j] - self.w[i]
 
+    def level_units(self, level=None):
+        """The level (r when None) in units of 1/D."""
+        return self.R if level is None else bd.in_units(level, self.D)
+
     def project(self, gamma):
         """Residue image of gamma in this graded piece."""
-        model, kres = self.model, self.residue_field()
-        n = model.n
+        kres = self.residue_field()
+        n, D, W, R = self.model.n, self.D, self.W, self.R
         C = [[kres.zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 e = gamma[i][j]
-                thr = self.threshold(i, j)
-                if not bd._entry_geq(e, thr, False):
+                T = R + W[j] - W[i]
+                if not bd.entry_geq_units(e, T, D):
                     raise ValueError("not in lattice")
-                pc = model.position_class(i, j)
-                if pc is None:
+                g = self._grid[i][j]
+                if g is None:
                     if e.terms:
                         raise ValueError("not in lattice")
                     continue
-                cls, s = pc
-                cf = e.residue_at(thr)
-                if cf and not cls.allows(thr - s):
+                S, O, St = g
+                cf = bd.residue_units(e, T, D)
+                if cf and (T - S - O) % St:
                     raise ValueError(
                         "entry valuation off the coupling grid")
                 C[i][j] = cf
@@ -91,6 +114,7 @@ class QuotientElement:
     def __init__(self, quot, mat):
         self.quot = quot
         self.mat = la.mat(mat)
+        self._nilpotent = None
 
     def club(self):
         """Submatrix on the indices carrying the geometric label."""
@@ -101,7 +125,10 @@ class QuotientElement:
         return all(not e for row in self.mat for e in row)
 
     def is_nilpotent(self):
-        return lie.is_nilpotent(self.club())
+        """Whether the club matrix is nilpotent, decided once."""
+        if self._nilpotent is None:
+            self._nilpotent = lie.is_nilpotent(self.club())
+        return self._nilpotent
 
     def key(self):
         return self.quot.key() + (self.mat,)
@@ -126,8 +153,10 @@ def monomial_lift(quot, mat, level):
     """Exact local lift of a residue matrix to a level of the grading of
     quot: one monomial per nonzero residue, at its threshold valuation."""
     E = quot.model.field
-    return la.mat([[E.scalar({quot.threshold(i, j, level): cf}) if cf
-                    else E.zero() for j, cf in enumerate(row)]
+    D, W, L = quot.D, quot.W, quot.level_units(level)
+    zero = E.zero()
+    return la.mat([[E.scalar({Fraction(L + W[j] - W[i], D): cf}) if cf
+                    else zero for j, cf in enumerate(row)]
                    for i, row in enumerate(mat)])
 
 
@@ -161,7 +190,7 @@ def n_label(c):
     quot = c.quot
     kres = quot.residue_field()
     club_set = set(quot.model.club_indices)
-    if lie.is_nilpotent(c.club()):
+    if c.is_nilpotent():
         return minimal_orbit_ur(c)
     blocks = quot.heart()
     covered = set()
@@ -195,16 +224,14 @@ def _grade_units(quot, level):
     """Residue units b E_ij spanning the masked level piece (before the
     Lie-algebra constraint), as (i, j, b): one per matrix position on the
     coupling grid and element b of the residue basis."""
-    model = quot.model
+    n, W, L = quot.model.n, quot.W, quot.level_units(level)
+    basis = quot.residue_field().basis
     out = []
-    for i in range(model.n):
-        for j in range(model.n):
-            pc = model.position_class(i, j)
-            if pc is None:
-                continue
-            cls, s = pc
-            if cls.allows(quot.threshold(i, j, level) - s):
-                out.extend((i, j, b) for b in quot.residue_field().basis)
+    for i in range(n):
+        for j in range(n):
+            g = quot._grid[i][j]
+            if g is not None and not (L + W[j] - W[i] - g[0] - g[1]) % g[2]:
+                out.extend((i, j, b) for b in basis)
     return out
 
 
@@ -217,20 +244,23 @@ def _lie_relations(quot, level, units):
     (j, sigma(i)) and u_sigma(i) b t^(th + g_sigma(i)) at (sigma(i), j),
     where eps = -1 when conj negates t^th (ramified field, 2 th odd).
     One row per residue coordinate of each (position, valuation) cell;
-    no rows for a model without a form.
+    no rows for a model without a form.  Valuations are read in units of
+    1/D, where th = T / D and 2 th is odd exactly when D does not divide T.
     """
     if quot.model.form is None:
         return []
     sigma, gv, gu = quot.model.form
     kres = quot.residue_field()
     ram = quot.model.field.kind == "ram"
+    D, W, L = quot.D, quot.W, quot.level_units(level)
+    G = [bd.in_units(g, D) for g in gv]
     cells = {}
     for k, (i, j, b) in enumerate(units):
-        th = quot.threshold(i, j, level)
-        cb = -b if ram and (2 * th) % 2 else b.conj()
+        T = L + W[j] - W[i]
+        cb = -b if ram and T % D else b.conj()
         si = sigma[i]
-        for cell, cf in (((j, si, th + gv[i]), cb * gu[i]),
-                         ((si, j, th + gv[si]), gu[si] * b)):
+        for cell, cf in (((j, si, T + G[i]), cb * gu[i]),
+                         ((si, j, T + G[si]), gu[si] * b)):
             col = cells.setdefault(cell, [kres.zero] * len(units))
             col[k] = col[k] + cf
     rows = []

@@ -909,23 +909,32 @@ def curve_count(coeff, p=23, deg=1):
     test per projective isotropic point suffices.  The points come from
     solving the quadric over its q^3 + q^2 + q + 1 prefixes, the work
     that SCAN_CAP bounds."""
+    return curve_counts((coeff,), p, deg)[0]
+
+
+def curve_counts(coeffs, p=23, deg=1):
+    """`curve_count` for each corner coefficient in turn, all tested
+    against one solve of the quadric: the gram of `curve_spec` does not
+    depend on the coefficient."""
     q = _field_order(p, deg)
     prefixes = sum(q ** k for k in range(4))
     if prefixes > SCAN_CAP:
         raise ValueError("enumeration too large (%d points)" % prefixes)
-    spec = curve_spec(coeff, p)
     K = ExtField(p, deg)
-    gram = [[K.embed(x) for x in row] for row in spec.gram]
-    X = [[K.embed(x) for x in row] for row in spec.X]
+    gram = [[K.embed(x) for x in row] for row in curve_spec(1, p).gram]
     v0 = _isotropic_array(K, gram)
-    w = _mat_vecs(K, X, v0)
-    gw = _mat_vecs(K, gram, w)
-    # V2 = <v0, w> must be isotropic.  It must also be a plane, but the
-    # last test already fails when w = t v0: then <Xw, Gw> = t^3 <v0, Gv0>,
-    # which is 0 since v0 is isotropic.
-    ok = (_dots(K, v0, gw) == 0) & (_dots(K, w, gw) == 0)
-    ok &= _dots(K, _mat_vecs(K, X, w), gw) != 0
-    return int(np.count_nonzero(ok))
+    out = []
+    for coeff in coeffs:
+        X = [[K.embed(x) for x in row] for row in curve_spec(coeff, p).X]
+        w = _mat_vecs(K, X, v0)
+        gw = _mat_vecs(K, gram, w)
+        # V2 = <v0, w> must be isotropic.  It must also be a plane, but
+        # the last test already fails when w = t v0: then <Xw, Gw> =
+        # t^3 <v0, Gv0>, which is 0 since v0 is isotropic.
+        ok = (_dots(K, v0, gw) == 0) & (_dots(K, w, gw) == 0)
+        ok &= _dots(K, _mat_vecs(K, X, w), gw) != 0
+        out.append(int(np.count_nonzero(ok)))
+    return out
 
 
 def flag_total(q):

@@ -370,12 +370,31 @@ def test_plane_forms_share_the_plane_cache_entry():
     model, win = PROPERTY_WINDOWS[2]
     forms = bd.critical_hyperplanes(model, win)
     assert bd.critical_hyperplanes(model, win) is forms  # read, not rebuilt
-    assert bd._PLANE_CACHE[(model.name, id(model), win.key())] is forms
+    assert bd._PLANE_CACHE[(model.name, id(model), win.key())][0] is forms
     planes = [plane_of(c) for c in forms]
     assert len(forms) == len(planes) == 85
     assert planes == sorted(set(planes))  # by (coeffs, const), no repeats
     assert forms == [bd._integral(tuple(-a for a in coeffs) + (Fr(1),),
                                   const) for coeffs, const in planes]
+
+
+def test_window_rank_memo_serves_the_arrangement_and_every_cell(
+        monkeypatch):
+    model, win = PROPERTY_WINDOWS[0]
+    forms, rank = bd._window_planes(model, win)
+    built = []
+    ranker = bd._ranker
+    monkeypatch.setattr(bd, "_ranker",
+                        lambda rows: built.append(rows) or ranker(rows))
+    faces = bd.Arrangement(model, win).faces
+    cells = [bd.AugFacet(model, win, forms, f.pos, f.neg).cell()
+             for f in faces]
+    assert all(cells) and not built
+    # the memo ranks the same rows a cell of its own would
+    own = ranker([a for a, _ in win.box_constraints()] +
+                 [c[:-1] for c in forms])
+    assert [own(m) for m in range(1 << 8)] == [rank(m)
+                                               for m in range(1 << 8)]
 
 
 def cell_in_order(window, cuts):

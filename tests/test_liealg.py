@@ -442,6 +442,49 @@ def test_block_sizes_of_conjugated_jordan_form(case):
     assert lg.primary_parts(X, F) == [([F.zero, F.one], len(X), lam)]
 
 
+def nilpotent_by_powers(X):
+    """Reference: X^k = 0 for some k <= n, one product per power."""
+    n = len(X)
+    P = X
+    for _ in range(n):
+        if all(not e for row in P for e in row):
+            return True
+        P = la.mat_mul(P, X)
+    return all(not e for row in P for e in row)
+
+
+@st.composite
+def square_matrices(draw):
+    """(F, X) over F_3, F_5, F_7, F_9 or F_25, n from 1 to 7: often
+    strictly triangular up to a permutation of the indices (nilpotent),
+    sometimes with a single diagonal entry added, otherwise dense."""
+    F = draw(st.sampled_from([prime_field(3), prime_field(5),
+                              prime_field(7), quad_field(3),
+                              quad_field(5)]))
+    n = draw(st.integers(1, 7))
+    elt = st.builds(F.from_coords,
+                    st.lists(st.integers(0, F.p - 1), min_size=2,
+                             max_size=2))
+    X = [[draw(elt) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["nilpotent", "near", "dense"]))
+    if kind != "dense":
+        X = [[x if i < j else F.zero for j, x in enumerate(row)]
+             for i, row in enumerate(X)]
+        if kind == "near":
+            k = draw(st.integers(0, n - 1))
+            X[k][k] = F.one
+        perm = draw(st.permutations(range(n)))
+        X = [[X[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return F, la.mat(X)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_is_nilpotent_by_squaring_matches_the_power_loop(case):
+    F, X = case
+    assert lg.is_nilpotent(X) == nilpotent_by_powers(X)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([prime_field(3), prime_field(5)]), st.integers(1, 4),
        st.data())

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicwf import linalg as la
 from padicwf.localfield import LocalField, PrecisionError
@@ -167,3 +169,93 @@ def test_rref_and_mat_mul_follow_the_zero_contract():
     assert not p[1][0] and p[1][0].prec is None
     assert p[0][0] and not p[0][0].terms and p[0][0].prec == 4
     assert all(not e for e in (p[0][1], p[1][1]))
+
+
+# -- exact fast paths ----------------------------------------------------
+#
+# `==`, `*` and `+` take a shortcut when both operands are exact.  The
+# references below are the general route: equality as no visible
+# difference, and the sum and product accumulated term by term in a dict.
+
+F3 = LocalField(3)
+FAST_PATH_FIELDS = [F3, F3.unramified_quadratic(), F3.ramified_quadratic(),
+                    F, E_UR, E_RAM]
+
+
+@st.composite
+def scalars(draw, field):
+    """An exact scalar or one known to O(t^k): often zero or a monomial,
+    valuations on a short range so that terms meet and cancel."""
+    res = field.residue
+    coeff = st.builds(res.from_coords,
+                      st.lists(st.integers(0, res.p - 1), min_size=2,
+                               max_size=2))
+    size = draw(st.sampled_from([0, 1, 1, 2, 3]))
+    terms = {Fraction(draw(st.integers(-4, 4)), field.e): draw(coeff)
+             for _ in range(size)}
+    prec = draw(st.one_of(st.none(), st.integers(-2, 8)))
+    return field.scalar(terms, None if prec is None
+                        else Fraction(prec, field.e))
+
+
+@st.composite
+def scalar_pairs(draw):
+    field = draw(st.sampled_from(FAST_PATH_FIELDS))
+    return draw(scalars(field)), draw(scalars(field))
+
+
+def _min_prec(a, b):
+    return b.prec if a.prec is None else a.prec if b.prec is None else \
+        min(a.prec, b.prec)
+
+
+def dict_sum(a, b):
+    """(terms, prec) of a + b by the general route."""
+    prec = _min_prec(a, b)
+    acc = {}
+    for v, c in a.terms + b.terms:
+        acc[v] = acc.get(v, a.field.residue.zero) + c
+    return tuple(sorted((v, c) for v, c in acc.items()
+                        if c and (prec is None or v < prec))), prec
+
+
+def dict_product(a, b):
+    """(terms, prec) of a * b by the general route."""
+    if (a.prec is None and not a.terms) or (b.prec is None and not b.terms):
+        return (), None
+    prec = None
+    va, vb = a.val_lower_bound(), b.val_lower_bound()
+    if a.prec is not None and vb is not None:
+        prec = a.prec + vb
+    if b.prec is not None and va is not None:
+        prec = b.prec + va if prec is None else min(prec, b.prec + va)
+    acc = {}
+    for v1, c1 in a.terms:
+        for v2, c2 in b.terms:
+            if prec is None or v1 + v2 < prec:
+                acc[v1 + v2] = acc.get(v1 + v2, a.field.residue.zero) + \
+                    c1 * c2
+    return tuple(sorted((v, c) for v, c in acc.items() if c)), prec
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_pairs())
+def test_fast_paths_match_the_general_route(pair):
+    a, b = pair
+    s, m = a + b, a * b
+    assert (s.terms, s.prec) == dict_sum(a, b)
+    assert (m.terms, m.prec) == dict_product(a, b)
+    assert (a == b) == (not (a - b).terms)
+    assert (a == a) and (s == b + a)
+
+
+def test_fast_paths_apply_to_exact_operands_only():
+    zero, ozero = F.zero(), F.zero(prec=3)
+    a, b = F.parse("2*t^-1"), F.parse("3*t^2")
+    assert a + zero is a and zero + a is a
+    assert (a + ozero).prec == 3 and (a + ozero).terms == a.terms
+    assert (a * b).terms == ((1, F.residue(6)),) and (a * b).prec is None
+    # a monomial known to O(t^4) times t^-1: known to O(t^3)
+    c = F.scalar({1: 5}, prec=4)
+    assert (c * a).terms == ((0, F.residue(10)),) and (c * a).prec == 3
+    assert F.scalar({1: 5}) == c and not F.scalar({1: 4}) == c

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction as Fr
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicwf import building as bd
 from padicwf import graph as gr
@@ -653,3 +656,213 @@ def test_label_stable_under_residue_extension():
         g[0][1] = mdl.field.one()
         g[1][2] = mdl.field.one()
         assert mpq.n_label(mpq.project(mdl, g, (0, 0, 0), 0)) == (3,)
+
+
+# -- reference: thresholds as Fractions -----------------------------------
+#
+# The route the graded piece took before its integer thresholds: every
+# threshold r + w_j - w_i is a Fraction, compared with `_entry_geq` and
+# read with `residue_at`, and the class grid is tested with
+# `EntryClass.allows`.  The integer route must give the same units, rows,
+# cosets, lifts and memberships, and raise the same errors.
+
+
+def reference_project(quot, gamma):
+    model, kres = quot.model, quot.residue_field()
+    C = [[kres.zero] * model.n for _ in range(model.n)]
+    for i in range(model.n):
+        for j in range(model.n):
+            e = gamma[i][j]
+            thr = quot.threshold(i, j)
+            if not bd._entry_geq(e, thr, False):
+                raise ValueError("not in lattice")
+            pc = model.position_class(i, j)
+            if pc is None:
+                if e.terms:
+                    raise ValueError("not in lattice")
+                continue
+            cls, s = pc
+            cf = e.residue_at(thr)
+            if cf and not cls.allows(thr - s):
+                raise ValueError("entry valuation off the coupling grid")
+            C[i][j] = cf
+    return la.mat(C)
+
+
+def reference_grade_units(quot, level):
+    model, out = quot.model, []
+    for i in range(model.n):
+        for j in range(model.n):
+            pc = model.position_class(i, j)
+            if pc is not None and \
+                    pc[0].allows(quot.threshold(i, j, level) - pc[1]):
+                out.extend((i, j, b) for b in quot.residue_field().basis)
+    return out
+
+
+def reference_lie_relations(quot, level, units):
+    if quot.model.form is None:
+        return []
+    sigma, gv, gu = quot.model.form
+    kres = quot.residue_field()
+    ram = quot.model.field.kind == "ram"
+    cells = {}
+    for k, (i, j, b) in enumerate(units):
+        th = quot.threshold(i, j, level)
+        cb = -b if ram and (2 * th) % 2 else b.conj()
+        si = sigma[i]
+        for cell, cf in (((j, si, th + gv[i]), cb * gu[i]),
+                         ((si, j, th + gv[si]), gu[si] * b)):
+            col = cells.setdefault(cell, [kres.zero] * len(units))
+            col[k] = col[k] + cf
+    rows = []
+    for cell in cells.values():
+        coords = [kres.coords(cf) for cf in cell]
+        rows.extend([co[a] for co in coords]
+                    for a in range(len(kres.basis)))
+    return rows
+
+
+def reference_monomial_lift(quot, mat, level):
+    E = quot.model.field
+    return [[E.scalar({quot.threshold(i, j, level): cf}) if cf
+             else E.zero() for j, cf in enumerate(row)]
+            for i, row in enumerate(mat)]
+
+
+def reference_mp_member(model, gamma, w, r, strict):
+    for i in range(model.n):
+        for j in range(model.n):
+            if not bd._entry_geq(gamma[i][j], r + w[j] - w[i], strict):
+                return False
+    return True
+
+
+def _result(fn, *args):
+    """fn(*args), with local matrices as (terms, prec) entries, or the
+    type and message of the error it raises."""
+    try:
+        out = fn(*args)
+    except (ValueError, ArithmeticError) as err:
+        return type(err).__name__, str(err)
+    if isinstance(out, mpq.QuotientElement):
+        out = out.mat
+    if isinstance(out, (list, tuple)) and out and \
+            isinstance(out[0], (list, tuple)) and out[0] and \
+            hasattr(out[0][0], "terms"):
+        out = [[(e.terms, e.prec) for e in row] for row in out]
+    return out
+
+
+# The u6 models have no chart; they bring the class shifts and Gram
+# valuations that the others lack (all zero there).
+THRESHOLD_WINDOWS = [
+    (bd.sl2_model(3), bd.Window([(0, 1)], -1, 2)),
+    (bd.sl3_model(3), bd.Window([(0, Fr(1, 2))] * 2, 0, Fr(1, 2))),
+    (bd.u7_h_model(23), bd.Window([(0, 1), (0, 1)], -1, 1)),
+    (bd.u6_model(23), None),
+    (bd.u6_hyp_model(23), None),
+]
+
+
+@st.composite
+def facet_centres(draw):
+    """A model, a facet centre (w, r) of one of its windows (a grid
+    point for a model without a chart), a level
+    among r, 0 and -r, and a matrix near the lattice there: up to four
+    entries of one or two terms at or next to the first valuation
+    above the threshold, and at times one entry known only to a
+    precision."""
+    model, win = draw(st.sampled_from(THRESHOLD_WINDOWS))
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    if win is None:
+        # no chart: a weight vector on a grid, in the box of U6_Z
+        w = tuple(Fr(draw(st.integers(-den, den)), 2 * den)
+                  for _ in range(model.n))
+        r = Fr(draw(st.integers(-2 * den, 2 * den)), 2 * den)
+    else:
+        x = tuple(Fr(draw(st.integers(math.ceil(a * den),
+                                      math.floor(b * den))), den)
+                  for a, b in win.xranges)
+        r0 = Fr(draw(st.integers(math.ceil(win.rmin * den),
+                                 math.floor(win.rmax * den))), den)
+        cx, r = gr.facet_center(bd.facet_of(model, win, x, r0))
+        w = model.point(cx)
+    level = draw(st.sampled_from([r, Fr(0), -r]))
+    E, e = model.field, model.field.e
+    res = E.residue
+    coeff = st.builds(res.from_coords,
+                      st.lists(st.integers(1, res.p - 1), min_size=2,
+                               max_size=2))
+    step = st.sampled_from([0, 0, 0, 1, -1])
+    pos = st.tuples(st.integers(0, model.n - 1), st.integers(0, model.n - 1))
+    gamma = zmat(E, model.n)
+    for i, j in draw(st.lists(pos, max_size=4)):
+        base = math.ceil((level + w[j] - w[i]) * e)
+        gamma[i][j] = E.scalar({Fr(base + draw(step), e): draw(coeff)
+                                for _ in range(draw(st.integers(1, 2)))})
+    if draw(st.integers(0, 3)) == 0:
+        i, j = draw(pos)
+        base = math.ceil((level + w[j] - w[i]) * e)
+        gamma[i][j] = E.scalar({Fr(base + draw(step), e): draw(coeff)}
+                               if draw(st.booleans()) else {},
+                               Fr(base + draw(st.integers(-1, 2)), e))
+    return model, w, r, level, la.mat(gamma), draw(st.data())
+
+
+@settings(max_examples=120, deadline=None)
+@given(facet_centres())
+def test_integer_thresholds_match_the_fraction_route(case):
+    model, w, r, level, gamma, data = case
+    quot = mpq.GradedQuotient(model, w, r)
+    units = mpq._grade_units(quot, level)
+    assert units == reference_grade_units(quot, level)
+    assert mpq._lie_relations(quot, level, units) == \
+        reference_lie_relations(quot, level, units)
+    kres = quot.residue_field()
+    mat = [[kres.zero] * model.n for _ in range(model.n)]
+    for i, j, b in units:
+        if data.draw(st.booleans()):
+            mat[i][j] = mat[i][j] + b
+    assert _result(mpq.monomial_lift, quot, la.mat(mat), level) == \
+        _result(reference_monomial_lift, quot, la.mat(mat), level)
+    at_level = mpq.GradedQuotient(model, w, level)
+    assert _result(at_level.project, gamma) == \
+        _result(reference_project, at_level, gamma)
+    for strict in (False, True):
+        assert _result(bd.mp_member, model, gamma, w, level, strict) == \
+            _result(reference_mp_member, model, gamma, w, level, strict)
+
+
+def test_inexact_entry_raises_the_same_precision_error():
+    # at U7_Z, level 0, the threshold at (2, 1) is 1/2.  O(w^0) may sit
+    # below it, so membership is open; O(w) is in the lattice, but its
+    # residue at w^1 is not known
+    model = bd.u7_h_model(23)
+    E = model.field
+    w = model.point(U7_Z)
+    quot = mpq.GradedQuotient(model, w, 0)
+    assert quot.threshold(2, 1) == Fr(1, 2)
+    for prec in (0, Fr(1, 2)):
+        g = zmat(E, 7)
+        g[2][1] = E.zero(prec=prec)
+        got = _result(quot.project, la.mat(g))
+        assert got[0] == "PrecisionError"
+        assert got == _result(reference_project, quot, la.mat(g))
+        for strict in (False, True):
+            assert _result(bd.mp_member, model, la.mat(g), w, 0, strict) \
+                == _result(reference_mp_member, model, la.mat(g), w, Fr(0),
+                           strict)
+
+
+def test_off_grid_entry_raises_the_same_error():
+    # at U7_Z, level 0, the threshold at (3, 3) is 0, but its class (the
+    # antidiagonal self-paired one) has valuations in 1/2 + Z only
+    model = bd.u7_h_model(23)
+    E = model.field
+    quot = mpq.GradedQuotient(model, model.point(U7_Z), 0)
+    g = zmat(E, 7)
+    g[3][3] = E.one()
+    got = _result(quot.project, la.mat(g))
+    assert got == ("ValueError", "entry valuation off the coupling grid")
+    assert got == _result(reference_project, quot, la.mat(g))

@@ -3,7 +3,8 @@ commands, pinned byte for byte: labels, provenance, dominated lines and
 notes; the rules, depths, dimensions and centres of each descent edge;
 the backward reachable set, and the error record of the u7h reach,
 which stops at its vertex limit; the parabolic identity counts of
-`lab spr` and their result records; the oracle suite, which lifts
+`lab spr` and their result records; the curve counts of `lab curve`
+and their result record; the oracle suite, which lifts
 triples on the u6, u7, sl2 and u7h paths; the facet tables and their
 result records.  A refactor of the label, descent, arrangement or lab
 layers must leave every file under tests/stdout unchanged."""
@@ -66,6 +67,15 @@ def test_lab_spr_stdout_and_record_are_pinned(argv, name, tmp_path,
     assert cli.main(["lab", "spr"] + argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == (GOLDEN / (name + ".txt")).read_text()
     assert out.read_text() == (GOLDEN / (name + ".out.json")).read_text()
+
+
+def test_lab_curve_stdout_and_record_are_pinned(tmp_path, capsys):
+    # without --coeff both corner coefficients are counted, 3 then 1
+    out = tmp_path / "curve.json"
+    assert cli.main(["lab", "curve", "--q", "23", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "lab_curve_q23.txt").read_text()
+    assert out.read_text() == (GOLDEN / "lab_curve_q23.out.json").read_text()
 
 
 def test_oracle_all_stdout_is_pinned(capsys):
