@@ -415,15 +415,21 @@ class AugFacet:
 
     verts, when given, are the exact vertices of the facet's closure in
     the window; otherwise they are read off its closed cell, which is
-    computed once, on first use."""
+    computed once, on first use.  dim, when given, is the dimension of
+    the facet's affine hull; otherwise it is the rank of the vertex
+    differences.  Dimension, depth and horizontality are each computed
+    once."""
 
-    def __init__(self, model, window, forms, pos, neg, verts=None):
+    def __init__(self, model, window, forms, pos, neg, verts=None,
+                 dim=None):
         self.model = model
         self.window = window
         self.forms = forms
         self.pos, self.neg = pos, neg
         self._verts = verts
         self._cell = None
+        self._dim = dim
+        self._depth = self._horizontal = None
 
     def __eq__(self, other):
         return isinstance(other, AugFacet) and self.pos == other.pos \
@@ -456,18 +462,22 @@ class AugFacet:
         return self._verts
 
     def depth(self):
-        return max(v[-1] for v in self.vertices())
+        if self._depth is None:
+            self._depth = max(v[-1] for v in self.vertices())
+        return self._depth
 
     def is_horizontal(self):
-        vs = self.vertices()
-        return max(v[-1] for v in vs) == min(v[-1] for v in vs)
+        if self._horizontal is None:
+            self._horizontal = all(v[-1] == self.depth()
+                                   for v in self.vertices())
+        return self._horizontal
 
     def dim(self):
-        vs = self.vertices()
-        if len(vs) <= 1:
-            return 0
-        v0 = vs[0]
-        return qrank([[a - b for a, b in zip(v, v0)] for v in vs[1:]])
+        if self._dim is None:
+            v0, *rest = self.vertices()
+            self._dim = qrank([[a - b for a, b in zip(v, v0)]
+                               for v in rest]) if rest else 0
+        return self._dim
 
     def __repr__(self):
         return "AugFacet(dep=%s, dim=%d%s)" % (
@@ -609,7 +619,10 @@ class Arrangement:
     splits only the cells it crosses (`_cut`).  The faces of a closed
     cell are cut out by its zero sets (`_zero_sets`); a face's masks
     are the cell's without the planes containing it.  `faces` lists
-    each facet once, as an AugFacet with its vertices filled in.
+    each facet once, as an AugFacet with its vertices and dimension
+    filled in: a vertex's mask records every constraint through it, so
+    the constraints tight at all of a face's vertices cut out its
+    affine hull, and the dimension is d + 1 minus their rank.
     """
 
     def __init__(self, model, window):
@@ -653,6 +666,7 @@ class Arrangement:
         """One AugFacet per distinct face of the closed cells."""
         nbox = self._nbox
         box = (1 << nbox) - 1
+        full = len(self.window.xranges) + 1
         faces = {}
         points = {}
         for pos, neg, verts in cells:
@@ -662,13 +676,16 @@ class Arrangement:
                     continue
                 self._spend()
                 fv = []
+                tight = -1
                 for h, m in verts:
                     if m & z == z:
                         if h not in points:
                             points[h] = _point(h)
                         fv.append(points[h])
+                        tight &= m
                 faces[key] = AugFacet(self.model, self.window, forms,
-                                      key[0] >> nbox, key[1] >> nbox, fv)
+                                      key[0] >> nbox, key[1] >> nbox, fv,
+                                      full - self._rank(tight))
         return list(faces.values())
 
 

@@ -60,11 +60,15 @@ class GraphVertex:
         self.model = model
         self.facet = facet
         self.cmat = la.mat(cmat)
+        self._quot = None
         self._coset = None
         self._label = None
 
     def quot(self):
-        return facet_quotient(self.model, self.facet)
+        """The graded quotient at the facet's center, built once."""
+        if self._quot is None:
+            self._quot = facet_quotient(self.model, self.facet)
+        return self._quot
 
     def in_lattice(self):
         """Whether the matrix lies in the lattice at the facet's center."""
@@ -269,9 +273,11 @@ def closure_horizontals(facet, faces):
     return [f for f in faces if in_closure(f, facet) and f.is_horizontal()]
 
 
-def predecessors(v, faces):
+def predecessors(v, faces, walks):
     """In-neighbors of a vertex among the facets `faces` of its
-    window's arrangement."""
+    window's arrangement.  walks maps the key of each candidate walked
+    so far in this window to its walk target, or to None where it
+    cannot walk; it is read and filled here."""
     model = v.model
     out = []
     if v.facet.is_horizontal():
@@ -290,9 +296,14 @@ def predecessors(v, faces):
             cand = GraphVertex(model, f, v.cmat)
             if not cand.in_lattice():
                 continue
-            try:
-                target = _walk_target(cand)
-            except ValueError:
+            k = cand.key()
+            if k not in walks:
+                try:
+                    walks[k] = _walk_target(cand)
+                except ValueError:
+                    walks[k] = None
+            target = walks[k]
+            if target is None:
                 continue
             # the walk keeps the matrix, so landing in v's facet lands on
             # v's coset; only then are the target's vertices needed
@@ -304,7 +315,7 @@ def predecessors(v, faces):
 
 # Largest backward reachable set `reachable` builds.  The sl2 scenario
 # has 8 vertices.  The u7h scenario's set, in 3-D, is finite: with the
-# limit lifted it closes at 1,248 vertices after 9.4-12.5 s of
+# limit lifted it closes at 1,248 vertices after 2.5-2.6 s of
 # predecessor queries (in process, one CPU of a 2-CPU Xeon machine).
 REACH_LIMIT = 100
 
@@ -313,13 +324,14 @@ def reachable(targets):
     """All vertices with a directed path into the target set, a
     non-empty list of vertices in one window, by backward closure over
     predecessor queries.  Raises ValueError once the set would exceed
-    REACH_LIMIT vertices."""
+    REACH_LIMIT vertices.  Each candidate is walked at most once."""
     faces = bd.Arrangement(targets[0].model, targets[0].facet.window).faces
+    walks = {}
     seen = {t.key(): t for t in targets}
     frontier = list(targets)
     while frontier:
         v = frontier.pop()
-        for u in predecessors(v, faces):
+        for u in predecessors(v, faces, walks):
             k = u.key()
             if k not in seen:
                 if len(seen) >= REACH_LIMIT:

@@ -39,3 +39,37 @@ SL3_FACET_SIGNS = [
     "--++0+", "--++0-", "--++00", "--+---", "--+0--", "--+00-",
     "---+--", "--0+--", "--0+-0", "00++--",
 ]
+
+# The backward reachable set of `graph reach --scenario u7h` with
+# REACH_LIMIT lifted: the vertices with a directed path into the end of
+# the u7h trace, in the window x in [0, 1]^2, r in [-1, 1].  Closed by
+# predecessor queries; certified by a second, forward route (every
+# vertex but the target has an out-edge into the set: its cocharacter
+# walk if its facet is horizontal, else a facet below it with the same
+# matrix).  All 1248 cosets are nilpotent.
+U7H_REACH_VERTICES = 1248
+
+# Its census by facet depth: the number of vertices at dimension 0, 1,
+# 2, ... of that depth (78 nonzero (depth, dim) cells).
+U7H_REACH_CENSUS = {
+    "-1": [5, 4],
+    "-9/10": [4, 12, 12, 4],
+    "-5/6": [7, 33, 51, 21],
+    "-3/4": [6, 16, 26, 10],
+    "-7/10": [4, 12, 12, 4],
+    "-2/3": [2, 6, 6, 2],
+    "-1/2": [4, 63, 138, 81],
+    "-1/3": [2, 6, 6, 2],
+    "-3/10": [4, 12, 12, 4],
+    "-1/4": [9, 31, 51, 22],
+    "-1/6": [9, 41, 65, 27],
+    "-1/8": [2, 6, 6, 2],
+    "-1/10": [5, 15, 15, 5],
+    "0": [5, 43, 79, 42],
+    "1/10": [3, 9, 9, 3],
+    "1/6": [5, 20, 29, 12],
+    "1/4": [4, 14, 19, 8],
+    "3/10": [2, 6, 6, 2],
+    "1/3": [1, 3, 3, 1],
+    "1/2": [1, 4, 7, 4],
+}

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,39 @@ def test_arrangement_sl2_faces(window):
         assert set(f.vertices()) == {
             p for p, signs in corners.items()
             if all(s == t or s == 0 for s, t in zip(signs, f.signs))}
+
+
+def _dim_windows():
+    """Every sl2 tier window of the arrangement benchmark, the sl2
+    window of the descent scenario, the sl3 and u7h unit windows and
+    two degenerate windows."""
+    sl2, sl3, u7h = bd.sl2_model(3), bd.sl3_model(3), bd.u7_h_model(23)
+    tiers = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "windows.json").read_text())["tiers"]
+    out = []
+    for tier in tiers:
+        for w in tier["windows"]:
+            x0, x1, r0, r1 = map(Fr, w.split())
+            out.append((sl2, bd.Window([(x0, x1)], r0, r1)))
+    unit = [(0, 1), (0, 1)]
+    return out + [(sl2, bd.Window([(0, 1)], -1, 2)),
+                  (sl3, bd.Window(unit, -1, 1)),
+                  (u7h, bd.Window(unit, -1, 1)),
+                  (sl2, bd.Window([(Fr(1, 2), Fr(1, 2))], -1, 2)),
+                  (sl3, bd.Window([(Fr(1, 2), Fr(1, 2)), (0, 1)], -1, 1))]
+
+
+def test_engine_dimensions_equal_the_vertex_rank():
+    # the arrangement reads a face's dimension off the constraints tight
+    # at all its vertices; the rank of the vertex differences must agree
+    n = 0
+    for model, win in _dim_windows():
+        for f in bd.Arrangement(model, win).faces:
+            v0, *rest = f.vertices()
+            diffs = [[a - b for a, b in zip(v, v0)] for v in rest]
+            assert f.dim() == (bd.qrank(diffs) if diffs else 0)
+            n += 1
+    assert n == 19867
 
 
 def test_arrangement_sl3_golden():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
@@ -11,6 +12,7 @@ from padicwf import graph as gr
 from padicwf import mpquotient as mpq
 from padicwf import orbits as ob
 
+import goldens
 from test_building import plane_of, window_points
 
 
@@ -52,6 +54,15 @@ def test_vertex_coset_and_label():
     assert v.is_nilpotent()
     assert v.label() == (2,)
     assert v.coset().mat[0][1] == m.field.residue.one
+
+
+def test_vertex_builds_its_graded_piece_once():
+    m, win, c, v = sl2_setup()
+    q = v.quot()
+    assert v.quot() is q
+    v.in_lattice()
+    v.coset()
+    assert v.quot() is q and v.coset().quot is q
 
 
 def test_vertex_equality_is_by_facet_and_coset():
@@ -450,7 +461,7 @@ def test_predecessors_of_horizontal_target():
     m, win, c, v = sl2_setup()
     target = gr.GraphVertex(m, bd.facet_of(m, win, (Fr(1, 4),), Fr(1, 2)),
                             c)
-    preds = gr.predecessors(target, bd.Arrangement(m, win).faces)
+    preds = gr.predecessors(target, bd.Arrangement(m, win).faces, {})
     assert preds
     for u in preds:
         assert not u.facet.is_horizontal()
@@ -460,7 +471,7 @@ def test_predecessors_of_horizontal_target():
 def test_predecessors_of_wall_segment_include_origin():
     m, win, c, v = sl2_setup()
     seg = gr.out_edge_rule2(v)
-    preds = gr.predecessors(seg, bd.Arrangement(m, win).faces)
+    preds = gr.predecessors(seg, bd.Arrangement(m, win).faces, {})
     assert any(u == v for u in preds)
     for u in preds:
         assert u.facet.is_horizontal()
@@ -494,3 +505,87 @@ def test_reachable_builds_one_arrangement(monkeypatch):
     monkeypatch.setattr(bd, "Arrangement", Counted)
     assert len(gr.reachable([target])) == 8
     assert built == [win]
+
+
+def _sl2_reach_target():
+    """The end of the sl2 trace: the target of `graph reach --scenario
+    sl2`."""
+    from padicwf import cli
+    v, depth = cli._scenario_vertex("sl2")
+    return gr.path_trace(v, depth)[-1].dst
+
+
+def test_reachable_walks_each_candidate_once(monkeypatch):
+    # a candidate met by several predecessor queries is walked once per
+    # reach, whether its walk lands or raises
+    target = _sl2_reach_target()
+    walk, calls, raised = gr._walk_target, Counter(), set()
+
+    def counted(u):
+        calls[u.key()] += 1
+        try:
+            return walk(u)
+        except ValueError:
+            raised.add(u.key())
+            raise
+
+    monkeypatch.setattr(gr, "_walk_target", counted)
+    assert len(gr.reachable([target])) == 8
+    assert len(calls) == 6 and set(calls.values()) == {1}
+    assert len(raised) == 4
+
+
+def test_candidate_that_cannot_walk_is_skipped_on_later_queries(
+        monkeypatch):
+    target = _sl2_reach_target()
+    back = sorted(gr.reachable([target]),
+                  key=lambda u: (u.facet.depth(), u.facet.signs))
+    faces = bd.Arrangement(target.model, target.facet.window).faces
+    walks = {}
+    first = [gr.predecessors(u, faces, walks) for u in back]
+    failed = {k for k, t in walks.items() if t is None}
+    assert len(failed) == 4
+    # without the walks, the failing candidates are walked again
+    walk, calls = gr._walk_target, Counter()
+
+    def counted(u):
+        calls[u.key()] += 1
+        return walk(u)
+
+    monkeypatch.setattr(gr, "_walk_target", counted)
+    for u in back:
+        gr.predecessors(u, faces, {})
+    assert max(calls[k] for k in failed) > 1
+    # with them, no query walks again, and each gives the same answer
+    calls.clear()
+    assert [gr.predecessors(u, faces, walks) for u in back] == first
+    assert not calls
+
+
+def test_u7h_reach_closes_and_each_vertex_steps_into_the_set(monkeypatch):
+    # With the limit lifted, the u7h backward closure is finite.  A
+    # second, forward route certifies it: every vertex but the target
+    # has an out-edge into the set, its cocharacter walk (made afresh)
+    # from a horizontal facet, else a facet below with the same matrix.
+    from padicwf import cli
+    monkeypatch.setattr(gr, "REACH_LIMIT", 10 ** 6)
+    v, depth = cli._scenario_vertex("u7h")
+    target = gr.path_trace(v, depth)[-1].dst
+    back = gr.reachable([target])
+    keys = {u.key() for u in back}
+    assert len(keys) == len(back) == goldens.U7H_REACH_VERTICES
+    for u in back:
+        assert u.is_nilpotent()
+        if u == target:
+            continue
+        if u.facet.is_horizontal():
+            fresh = gr.GraphVertex(u.model, u.facet, u.cmat)
+            assert gr.out_edge_rule2(fresh).key() in keys
+        else:
+            assert any(gr.GraphVertex(u.model, b, u.cmat).key() in keys
+                       for b in bd.facets_below(u.facet))
+    census = Counter((str(u.facet.depth()), u.facet.dim()) for u in back)
+    assert census == {(dep, dim): n
+                      for dep, row in goldens.U7H_REACH_CENSUS.items()
+                      for dim, n in enumerate(row) if n}
+    assert len(census) == 78

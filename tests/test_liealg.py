@@ -315,8 +315,8 @@ def test_jm_codes_match_the_reference_on_graph_commands():
 
     calls = record_jm_calls(run)
     # every call solves; the u7h lifts over F_23 with Lie rows, the sl2
-    # lifts over F_3 without
-    assert len(calls) == 48
+    # lifts over F_3 without; a reach walks each candidate once
+    assert len(calls) == 25
     assert {(field.p, bool(rows)) for _, _, field, rows in calls} == \
         {(23, True), (3, False)}
     for c, basis, field, rows in calls:
