@@ -1,26 +1,27 @@
-"""Finite fields of odd prime order, and their quadratic extensions.
-
-Two field kinds are provided:
+"""Finite fields of odd characteristic, in three kinds:
 
   * PrimeField(p)  -- the field Z/p for an odd prime p
   * QuadField(p)   -- F_{p^2} realized as F_p[s]/(s^2 - n), n the least
                       quadratic non-residue mod p
+  * ExtField(p, d) -- F_{p^d}, d <= 3, on the integer codes 0..q-1
 
-Elements are small immutable wrappers; all arithmetic is exact.  QuadField
-elements carry the Frobenius a -> a^p as .conj().  Fields are cached so two
-fields with the same parameters are the same object, which makes element
-compatibility checks cheap.
-
-Each field fixes how its elements are written over the prime field: `basis`
+PrimeField and QuadField elements are small immutable wrappers; all
+arithmetic is exact.  QuadField elements carry the Frobenius a -> a^p as
+.conj().  Fields are cached so two fields with the same parameters are the
+same object, which makes element compatibility checks cheap.
+These two fix how their elements are written over the prime field: `basis`
 is (1,) or (1, s), and `coords(a)` gives the prime-field coordinates of a in
 that basis.  `block(v)` is the matrix over the prime field, as integers, of
 multiplication by the element of value v in that basis (its regular
 representation); its first column is the coordinates, and `from_coords`
 reads an element back from them.  Other modules flatten residues only
-through these.
+through these.  An ExtField code's base-p digits, least significant first,
+are its element's coefficients modulo `modulus`: `liealg` solves over
+ext_field(p, 1) and `springerlab` enumerates on the codes.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
 
 
 def is_prime(n):
@@ -336,3 +337,119 @@ def prime_field(p):
 @lru_cache(maxsize=None)
 def quad_field(p):
     return QuadField(p)
+
+
+# -- integer-coded fields ------------------------------------------------
+
+
+def field_order(p, d):
+    """q = p^d for the fields `ExtField` builds: p an odd prime (the
+    adapted basis of `springerlab` divides by 2) and d one of the degrees
+    with a root-free irreducible polynomial."""
+    check_odd_prime(p)
+    if d not in (1, 2, 3):
+        raise ValueError("extension degree %d not supported (1, 2 or 3)"
+                         % d)
+    return p ** d
+
+
+def _find_irreducible(p, d):
+    """A monic degree-d polynomial over F_p with no roots (d <= 3)."""
+    for tail in product(range(p), repeat=d):
+        coeffs = list(tail) + [1]
+        if not coeffs[0]:
+            continue
+        if all(sum(co * pow(a, k, p) for k, co in enumerate(coeffs)) % p
+               for a in range(p)):
+            return coeffs
+    raise ValueError("no irreducible polynomial found")
+
+
+class ExtField:
+    """F_{p^d} on the integer codes 0..q-1 of its elements.  The add,
+    mul, neg, inv and sqrt tables are built on first read, so a prime
+    field that serves only `ops` builds no q x q table."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p, d):
+        self.q = field_order(p, d)
+        self.p, self.d = p, d
+        self.modulus = _find_irreducible(p, d) if d > 1 else None
+        self._arrays = None
+
+    def __getattr__(self, name):
+        if name not in ("add", "mul", "neg", "inv", "sqrt"):
+            raise AttributeError(name)
+        self._build_tables()
+        return getattr(self, name)
+
+    @cached_property
+    def ops(self):
+        """(sub, mul, inv) for `linalg`: mod p if d = 1, else tables."""
+        p = self.p
+        if self.d == 1:
+            return (lambda a, b: (a - b) % p, lambda a, b: a * b % p,
+                    lambda a: pow(a, p - 2, p))
+        add, neg, mul = self.add, self.neg, self.mul
+        return (lambda a, b: add[a][neg[b]], lambda a, b: mul[a][b],
+                self.inv.__getitem__)
+
+    def _decode(self, a):
+        out = []
+        for _ in range(self.d):
+            out.append(a % self.p)
+            a //= self.p
+        return out
+
+    def _encode(self, v):
+        out = 0
+        for c in reversed(v):
+            out = out * self.p + (c % self.p)
+        return out
+
+    def _poly_mul(self, u, v):
+        p, d = self.p, self.d
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    prod[i + j] += a * b
+        for k in range(2 * d - 2, d - 1, -1):
+            if prod[k]:
+                f = prod[k]
+                for j in range(d):
+                    prod[k - d + j] -= f * self.modulus[j]
+                prod[k] = 0
+        return [x % p for x in prod[:d]]
+
+    def _build_tables(self):
+        dec = [self._decode(a) for a in range(self.q)]
+        self.add = [[self._encode([x + y for x, y in zip(u, v)])
+                     for v in dec] for u in dec]
+        self.neg = [self._encode([-x for x in u]) for u in dec]
+        self.mul = [[self._encode(self._poly_mul(u, v)) for v in dec]
+                    for u in dec]
+        # reciprocals off the multiplication rows; least square roots
+        self.inv = [0] + [row.index(1) for row in self.mul[1:]]
+        self.sqrt = [None] * self.q
+        for a in range(self.q - 1, -1, -1):
+            self.sqrt[self.mul[a][a]] = a
+
+    def embed(self, a):
+        """Lift a residue of the prime field into the extension."""
+        return a % self.p
+
+    def arrays(self):
+        """The add, mul and neg tables as numpy arrays of the smallest
+        unsigned dtype holding every element code; built, and numpy
+        imported, on first use."""
+        if self._arrays is None:
+            import numpy as np
+            dtype = np.min_scalar_type(self.q - 1)
+            self._arrays = tuple(np.array(t, dtype=dtype)
+                                 for t in (self.add, self.mul, self.neg))
+        return self._arrays
+
+
+ext_field = lru_cache(maxsize=None)(ExtField)

@@ -15,7 +15,8 @@ piece cut down by Lie-algebra rows that mpquotient writes in closed form
 from the model's monomial Gram matrix.  It and `centralizer_basis` take
 and return ffield matrices but work on sparse integer codes over the
 prime field, an F_{p^2} entry written as the 2 x 2 block of its regular
-representation, and reduce every linear system with `linalg.rref` mod p;
+representation, and reduce every linear system with `linalg.rref` over
+`ffield.ext_field(p, 1)`, whose ops are mod p and build no table;
 reduced row echelon forms are unique, so the triples are those of the
 same solve on ffield matrices.  Over the local-field model this
 module provides the goodness test (all nonzero root values of fixed
@@ -25,6 +26,7 @@ valuation) and the Lie-algebra membership test `Factor.is_lie`.
 from fractions import Fraction
 
 from . import linalg as la
+from .ffield import ext_field
 from .localfield import LocalField, PrecisionError
 from .orbits import ls_induce, partition
 
@@ -293,7 +295,7 @@ def _system(images, d, target):
 
 def centralizer_basis(X, factor):
     field, p = factor.field, factor.field.p
-    fp = la._mod_p(p)
+    fp = ext_field(p, 1)
     ad = _ad(_codes(X, field), p)
     bs = [_codes(B, field) for B in factor.algebra_basis()]
     rows, _ = _system([ad(B) for B in bs], field.degree, {})
@@ -331,7 +333,7 @@ def jacobson_morozov(c, basis, field, rows=()):
     the same solve on the matrices themselves.
     """
     n, d, p = len(c), field.degree, field.p
-    fp = la._mod_p(p)
+    fp = ext_field(p, 1)
     lie_rows = [[x.v for x in row] for row in rows]
     bs = [_codes(B, field) for B in basis]
     cs = _codes(c, field)

@@ -16,10 +16,9 @@ Every row reduction in the package goes through one Gauss-Jordan kernel,
 `rref`.  It touches entries only through the field operations it is
 given, ops = (sub, mul, inv), and tests them for zero by truth value, so
 one code path serves every element representation: ffield elements
-(`FF_OPS`, the default), integers and Fractions over Q (`Q_OPS`),
-integers mod p (`_mod_p(p).ops`, with `_mod_p(p)` as the field of
-`solve` and `kernel_basis`) and the integer codes of
-`springerlab.ExtField` (its table-driven `ops`).
+(`FF_OPS`, the default), integers and Fractions over Q (`Q_OPS`) and
+the integer codes of `ffield.ExtField` (its `ops`, with the field
+itself as the field of `solve` and `kernel_basis`).
 It returns the reduced rows, the pivot columns and, for square input,
 the determinant; `rank`, `kernel_basis`, `solve` and `mat_inv` are read
 off it.
@@ -38,8 +37,7 @@ still factors as [].
 import operator
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
-from types import SimpleNamespace
+from functools import partial
 
 
 def fzero(field):
@@ -153,15 +151,6 @@ FF_OPS = (operator.sub, operator.mul, operator.methodcaller("inv"))
 # The arithmetic of Q on integers and Fractions: an inverse is
 # Fraction(1, x), as 1 / x would be a float for an integer.
 Q_OPS = (operator.sub, operator.mul, partial(Fraction, 1))
-
-
-@lru_cache(maxsize=None)
-def _mod_p(p):
-    """Z/p on the integers 0..p-1: its zero, one and ops, every result
-    reduced mod p."""
-    return SimpleNamespace(zero=0, one=1, ops=(
-        lambda a, b: (a - b) % p, lambda a, b: a * b % p,
-        lambda a: pow(a, p - 2, p)))
 
 
 def rref(rows, ops=FF_OPS):

@@ -5,16 +5,15 @@ integer vectors in the basis of p-th roots of unity, Fourier transforms
 are axis-wise character sums, and the test functions are orbit sums of
 Slodowy-slice indicators built by exhaustive group enumeration, one
 orbit at a time.  gl_n(F_p) is worked on as integer arrays of the codes
-of ExtField(p, 1); `spr_instances` lists the elements `lab spr` checks,
-so the command line builds no lab matrices.  The flag-variety point
-counts parameterize complete isotropic flags directly: every flag of a
-field is enumerated in bulk as arrays of element codes, and the pattern
-conditions that read only the first two flag vectors are tested on all
-flags at once.
+of `ffield.ext_field(p, 1)`; `spr_instances` lists the elements `lab
+spr` checks, so the command line builds no lab matrices.  The
+flag-variety point counts parameterize complete isotropic flags
+directly: every flag of a field is enumerated in bulk as arrays of
+element codes, and the pattern conditions that read only the first two
+flag vectors are tested on all flags at once.
 """
 
 import random
-from itertools import product
 
 from . import ffield as ff
 from . import liealg as lie
@@ -49,15 +48,17 @@ SCAN_CAP = 2 * 10 ** 6
 
 
 class MatContext:
-    """gl_n over K = ExtField(p, 1), as integer arrays of its codes
-    0..p-1, with exhaustive enumerations of at most CAP matrices.  Bulk
+    """gl_n over K = ff.ext_field(p, 1), as integer arrays of its codes
+    0..p-1; the constructor refuses more than CAP matrices.  Bulk
     products are numpy matmul mod p, four times faster than K's tables;
     entries become `FFElt` only at the calls into `liealg`."""
 
     CAP = 10 ** 6
 
     def __init__(self, n, p):
-        self.K = ExtField(p, 1)
+        if p ** (n * n) > self.CAP:
+            raise ValueError("group too large (%d matrices)" % p ** (n * n))
+        self.K = ff.ext_field(p, 1)
         self.n = n
         self.p = p
         self.dim = n * n
@@ -74,8 +75,6 @@ class MatContext:
 
     def _matrices(self, lo, hi):
         """The matrices with row-major base-p indices lo to hi - 1."""
-        if self.size() > self.CAP:
-            raise ValueError("group too large (%d matrices)" % self.size())
         n, p = self.n, self.p
         idx = np.arange(lo, hi)
         digits = []
@@ -463,139 +462,32 @@ def good1_check(ctx, x, lam, ell, c, budget=20000, rng=None):
     raise ValueError("witness not found in budget")
 
 
-# -- small finite fields for point counts --------------------------------
-
-
-def _field_order(p, d):
-    """q = p^d for the fields `ExtField` builds: p an odd prime (the
-    adapted basis divides by 2) and d one of the degrees with a
-    root-free irreducible polynomial."""
-    ff.check_odd_prime(p)
-    if d not in (1, 2, 3):
-        raise ValueError("extension degree %d not supported (1, 2 or 3)"
-                         % d)
-    return p ** d
-
-
-def _find_irreducible(p, d):
-    """A monic degree-d polynomial over F_p with no roots (d <= 3)."""
-    for tail in product(range(p), repeat=d):
-        coeffs = list(tail) + [1]
-        if not coeffs[0]:
-            continue
-        if all(sum(co * pow(a, k, p) for k, co in enumerate(coeffs)) % p
-               for a in range(p)):
-            return coeffs
-    raise ValueError("no irreducible polynomial found")
-
-
-class ExtField:
-    """F_{p^d} with elements encoded as integers (base-p coefficient
-    vectors) and precomputed operation tables.  ops is the arithmetic
-    the linalg kernel eliminates with."""
-
-    zero, one = 0, 1
-
-    def __init__(self, p, d):
-        self.q = _field_order(p, d)
-        self.p = p
-        self.d = d
-        if d == 1:
-            self.modulus = None
-        else:
-            self.modulus = _find_irreducible(p, d)
-        self._build_tables()
-        self._arrays = None
-
-    def _decode(self, a):
-        out = []
-        for _ in range(self.d):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, v):
-        out = 0
-        for c in reversed(v):
-            out = out * self.p + (c % self.p)
-        return out
-
-    def _poly_mul(self, u, v):
-        p, d = self.p, self.d
-        prod = [0] * (2 * d - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    prod[i + j] += a * b
-        for k in range(2 * d - 2, d - 1, -1):
-            if prod[k]:
-                f = prod[k]
-                for j in range(d):
-                    prod[k - d + j] -= f * self.modulus[j]
-                prod[k] = 0
-        return [x % p for x in prod[:d]]
-
-    def _build_tables(self):
-        q = self.q
-        if self.d == 1:
-            self.mul = [[(a * b) % self.p for b in range(q)]
-                        for a in range(q)]
-            self.add = [[(a + b) % self.p for b in range(q)]
-                        for a in range(q)]
-            self.neg = [(-a) % self.p for a in range(q)]
-        else:
-            dec = [self._decode(a) for a in range(q)]
-            self.add = [[self._encode([x + y for x, y in zip(dec[a], dec[b])])
-                         for b in range(q)] for a in range(q)]
-            self.neg = [self._encode([-x for x in dec[a]]) for a in range(q)]
-            self.mul = [[self._encode(self._poly_mul(dec[a], dec[b]))
-                         for b in range(q)] for a in range(q)]
-        self.inv = [0] * q
-        for a in range(1, q):
-            self.inv[a] = next(b for b in range(1, q)
-                               if self.mul[a][b] == 1)
-        add, neg, mul = self.add, self.neg, self.mul
-        self.ops = (lambda a, b: add[a][neg[b]], lambda a, b: mul[a][b],
-                    self.inv.__getitem__)
-        self.sqrt = [None] * q
-        for a in range(q):
-            s = self.mul[a][a]
-            if self.sqrt[s] is None:
-                self.sqrt[s] = a
-
-    def embed(self, a):
-        """Lift a residue of the prime field into the extension."""
-        return a % self.p
-
-    def arrays(self):
-        """The add, mul and neg tables as numpy arrays of the smallest
-        unsigned dtype holding every element code; built on first use."""
-        if self._arrays is None:
-            dtype = np.min_scalar_type(self.q - 1)
-            self._arrays = tuple(np.array(t, dtype=dtype)
-                                 for t in (self.add, self.mul, self.neg))
-        return self._arrays
-
+# One vector at a time.  Each helper reads the tables into locals once:
+# an ExtField attribute read costs more than a list index.
 
 def _vec_add(K, u, v):
-    return [K.add[a][b] for a, b in zip(u, v)]
+    add = K.add
+    return [add[a][b] for a, b in zip(u, v)]
 
 def _vec_scale(K, t, u):
-    return [K.mul[t][a] for a in u]
+    row = K.mul[t]
+    return [row[a] for a in u]
 
 def _mat_vec(K, m, v):
+    add, mul = K.add, K.mul
     out = []
     for row in m:
         s = 0
         for a, b in zip(row, v):
-            s = K.add[s][K.mul[a][b]]
+            s = add[s][mul[a][b]]
         out.append(s)
     return out
 
 def _dot(K, u, v):
+    add, mul = K.add, K.mul
     s = 0
     for a, b in zip(u, v):
-        s = K.add[s][K.mul[a][b]]
+        s = add[s][mul[a][b]]
     return s
 
 
@@ -867,10 +759,10 @@ def point_count(spec, degrees=(1,)):
     per extension degree."""
     out = {}
     for deg in degrees:
-        est = flag_total(_field_order(spec.p, deg))
+        est = flag_total(ff.field_order(spec.p, deg))
         if est > SCAN_CAP:
             raise ValueError("enumeration too large (%d flags)" % est)
-        K = ExtField(spec.p, deg)
+        K = ff.ext_field(spec.p, deg)
         gram = [[K.embed(x) for x in row] for row in spec.gram]
         X = [[K.embed(x) for x in row] for row in spec.X]
         n = len(gram)
@@ -916,11 +808,11 @@ def curve_counts(coeffs, p=23, deg=1):
     """`curve_count` for each corner coefficient in turn, all tested
     against one solve of the quadric: the gram of `curve_spec` does not
     depend on the coefficient."""
-    q = _field_order(p, deg)
+    q = ff.field_order(p, deg)
     prefixes = sum(q ** k for k in range(4))
     if prefixes > SCAN_CAP:
         raise ValueError("enumeration too large (%d points)" % prefixes)
-    K = ExtField(p, deg)
+    K = ff.ext_field(p, deg)
     gram = [[K.embed(x) for x in row] for row in curve_spec(1, p).gram]
     v0 = _isotropic_array(K, gram)
     out = []
@@ -953,7 +845,7 @@ def theta_count(x, p, deg=1):
     matrices g = [[a, b], [c, d]] are tested at once, through
     det(g) Ad(g)x = g x adj(g): g qualifies when det(g) is nonzero,
     entry (0, 1) of g x adj(g) is det(g) and its diagonal is constant."""
-    K = ExtField(p, deg)
+    K = ff.ext_field(p, deg)
     add, mul, neg = K.arrays()
     sub = lambda u, v: add[u, neg[v]]
     (x00, x01), (x10, x11) = [[K.embed(int(e)) for e in row] for row in x]

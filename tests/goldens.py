@@ -19,6 +19,15 @@ CURVE_COUNT_Q3 = {3: 0, 1: 4}
 CURVE_COUNT_Q5 = {3: 4, 1: 0}
 CURVE_COUNT_Q9_COEFF1 = 8
 
+# The corner coefficients c in 1..p-1 whose curve pattern has no point
+# over F_p, at every prime from 5 to 31: the zeros of
+# curve_counts(range(1, p), p), one quadric solve per prime.  Every
+# count of the sweep is divisible by 4.  The q = 5 and q = 23 sets agree
+# with CURVE_COUNT_Q5 and CURVE_COUNT_Q23.
+CURVE_ZEROS = {5: {1, 4}, 7: {1, 5, 6}, 11: set(), 13: set(),
+               17: {2, 4, 8, 9, 13, 15}, 19: set(), 23: {3, 8, 21, 22},
+               29: set(), 31: {10, 15, 28}}
+
 # |GL_n(F_3)| for the exhaustively enumerated groups.
 GL2_F3_ORDER = 48
 GL3_F3_ORDER = 11232

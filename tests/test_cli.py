@@ -397,6 +397,15 @@ def test_q_not_an_odd_prime(argv, tmp_path, monkeypatch, capsys):
         "error": {"message": "p = 4 is not an odd prime"}}
 
 
+def test_lab_spr_group_too_large(capsys):
+    # refused before any field table or matrix enumeration is built:
+    # gl_2(F_1009) has 1009^4 matrices, 7.5 TiB as one int64 table
+    code, out, err = run(["lab", "spr", "--n", "2", "--q", "1009"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == \
+        "group too large (1036488922561 matrices)"
+
+
 def test_lab_spr_exhaustive_gl2(capsys):
     code, text, _ = run(["lab", "spr", "--n", "2", "--q", "3"], capsys)
     assert code == 0
@@ -529,13 +538,17 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_descent_commands_leave_numpy_unloaded():
     # the descent path runs on ffield objects and integer codes only;
     # numpy would add its import time and about 15 MB of memory to every
-    # trace and wave-front query
+    # trace and wave-front query.  graph reach runs Jacobson-Morozov
+    # over ext_field(p, 1) on every walk
     code = ("import contextlib, io, sys\n"
             "from padicwf import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['graph', 'trace', '--scenario', 'u7h']) "
             "== 0\n"
             "    assert cli.main(['wf', 'example', 'u6']) == 0\n"
+            "    assert cli.main(['graph', 'reach', '--scenario', 'sl2']) "
+            "== 0\n"
+            "    assert cli.main(['facets']) == 0\n"
             "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_child_env())

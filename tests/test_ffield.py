@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from padicwf.ffield import (is_prime, least_nonresidue, prime_field,
-                            quad_field)
+from padicwf.ffield import (ExtField, is_prime, least_nonresidue,
+                            prime_field, quad_field)
 
 
 def test_is_prime():
@@ -86,3 +86,51 @@ def test_gen_squares_to_nonresidue():
         assert E.gen * E.gen == E(E.n)
         # s is not in the base field image
         assert E.gen.v[1] != 0
+
+
+# -- extension fields ----------------------------------------------------
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (3, 3), (5, 2)])
+def test_ext_field_axioms(p, d):
+    K = ExtField(p, d)
+    rng = random.Random(p * 10 + d)
+    for _ in range(40):
+        a, b, c = (rng.randrange(K.q) for _ in range(3))
+        assert K.mul[a][K.add[b][c]] == K.add[K.mul[a][b]][K.mul[a][c]]
+        assert K.add[a][K.neg[a]] == 0
+        if a:
+            assert K.mul[a][K.inv[a]] == 1
+    squares = set(K.mul[a][a] for a in range(K.q))
+    for s in range(K.q):
+        if K.sqrt[s] is not None:
+            assert K.mul[K.sqrt[s]][K.sqrt[s]] == s
+        else:
+            assert s not in squares
+
+
+def test_ext_field_frobenius_fixed_field():
+    K = ExtField(3, 2)
+    fixed = [a for a in range(K.q)
+             if K.mul[a][K.mul[a][a]] == a]  # a^3 = a
+    assert sorted(fixed) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("p,d,message", [
+    (2, 1, "p = 2 is not an odd prime"),
+    (9, 1, "p = 9 is not an odd prime"),
+    (1, 1, "p = 1 is not an odd prime"),
+    (3, 0, "extension degree 0 not supported"),
+    (3, 4, "extension degree 4 not supported"),
+])
+def test_ext_field_rejects_unsupported(p, d, message):
+    with pytest.raises(ValueError, match=message):
+        ExtField(p, d)
+
+
+def test_ext_field_arrays_match_tables():
+    K = ExtField(3, 2)
+    add, mul, neg = K.arrays()
+    assert add.tolist() == K.add and mul.tolist() == K.mul
+    assert neg.tolist() == K.neg
+    assert K.arrays()[0] is add

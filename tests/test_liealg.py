@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from padicwf import liealg as lg
 from padicwf import linalg as la
 from padicwf import orbits as ob
-from padicwf.ffield import prime_field, quad_field
+from padicwf.ffield import ExtField, prime_field, quad_field
 from padicwf.localfield import LocalField
 
 
@@ -143,6 +143,22 @@ def test_centralizer_dim():
         dual = [sum(1 for p in lam if p >= i)
                 for i in range(1, max(lam) + 1)]
         assert dim(X) == sum(d * d for d in dual)
+
+
+def test_centralizer_and_sl2_at_a_large_prime(monkeypatch):
+    # at p = 1,000,003 a p x p table would hold 10^12 entries: both
+    # solves must run on the mod-p ops of ext_field(p, 1) alone
+    def no_tables(self):
+        raise AssertionError("a q x q table at q = %d" % self.q)
+
+    monkeypatch.setattr(ExtField, "_build_tables", no_tables)
+    F = prime_field(1000003)
+    fac = lg.Factor.gl(3, F)
+    X = mk(F, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    zs = lg.centralizer_basis(X, fac)
+    assert len(zs) == 3
+    assert all(la.bracket(X, Z) == la.zero_mat(F, 3) for Z in zs)
+    assert lg.sl2_complete(X, fac).check(F)
 
 
 # -- sl2 completion ----------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens
+from padicwf import ffield as ff
 from padicwf import liealg as lie
 from padicwf import linalg as la
 from padicwf import springerlab as sl
@@ -118,9 +119,9 @@ def test_group_enumeration_memory():
 
 
 def test_group_too_large():
-    big = sl.MatContext(3, 5)
+    # refused by the constructor, before the field or any table is built
     with pytest.raises(ValueError, match="group too large"):
-        big.group()
+        sl.MatContext(3, 5)
 
 
 def _nullspace_reference(ctx, rows):
@@ -675,34 +676,6 @@ def test_theta_count_matches_direct_reference(p, samples):
         assert sl.theta_count(x, p) == _theta_reference(x, p)
 
 
-# -- extension fields ----------------------------------------------------
-
-
-@pytest.mark.parametrize("p,d", [(3, 2), (3, 3), (5, 2)])
-def test_ext_field_axioms(p, d):
-    K = sl.ExtField(p, d)
-    rng = random.Random(p * 10 + d)
-    for _ in range(40):
-        a, b, c = (rng.randrange(K.q) for _ in range(3))
-        assert K.mul[a][K.add[b][c]] == K.add[K.mul[a][b]][K.mul[a][c]]
-        assert K.add[a][K.neg[a]] == 0
-        if a:
-            assert K.mul[a][K.inv[a]] == 1
-    squares = set(K.mul[a][a] for a in range(K.q))
-    for s in range(K.q):
-        if K.sqrt[s] is not None:
-            assert K.mul[K.sqrt[s]][K.sqrt[s]] == s
-        else:
-            assert s not in squares
-
-
-def test_ext_field_frobenius_fixed_field():
-    K = sl.ExtField(3, 2)
-    fixed = [a for a in range(K.q)
-             if K.mul[a][K.mul[a][a]] == a]  # a^3 = a
-    assert sorted(fixed) == [0, 1, 2]
-
-
 # -- flag variety counts -------------------------------------------------
 
 
@@ -711,7 +684,7 @@ def test_ext_field_frobenius_fixed_field():
 def test_isotropic_point_count_closed_form(p, d):
     # a smooth quadric in P^4(F_q) has (q+1)(q^2+1) points: the split
     # form solves with G[4][4] = 0, the identity with G[4][4] != 0
-    K = sl.ExtField(p, d)
+    K = ff.ExtField(p, d)
     q = p ** d
     for gram in (sl.curve_spec(1, p).gram, np.eye(5, dtype=int).tolist()):
         assert len(sl.isotropic_points(K, gram)) == (q + 1) * (q * q + 1)
@@ -764,7 +737,7 @@ def symmetric_grams(draw, degrees=(1,)):
     for k in draw(st.sets(st.integers(0, n - 1), max_size=n)):
         for i in range(n):
             gram[i][k] = gram[k][i] = 0
-    return sl.ExtField(p, d), gram
+    return ff.ExtField(p, d), gram
 
 
 @settings(max_examples=40, deadline=None)
@@ -851,7 +824,7 @@ def test_flags_match_reference_enumeration(case):
 def test_flags_match_reference_on_zero_gram():
     # the fully degenerate shape: every point of P^4(F_5) is isotropic
     # and every complement too, 121,836 flag pairs
-    K = sl.ExtField(5, 1)
+    K = ff.ExtField(5, 1)
     gram = [[0] * 5 for _ in range(5)]
     pairs = _flags_as_pairs(K, gram)
     assert len(pairs) == 121836
@@ -860,7 +833,7 @@ def test_flags_match_reference_on_zero_gram():
 
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (7, 1)])
 def test_flags_match_reference_on_split_form(p, d):
-    K = sl.ExtField(p, d)
+    K = ff.ExtField(p, d)
     gram = sl.curve_spec(1, p).gram
     pairs = _flags_as_pairs(K, gram)
     assert len(pairs) == sl.flag_total(K.q)
@@ -869,7 +842,7 @@ def test_flags_match_reference_on_split_form(p, d):
 
 def _point_count_reference(spec, deg):
     # one flag at a time, constraints in order of basis demand
-    K = sl.ExtField(spec.p, deg)
+    K = ff.ExtField(spec.p, deg)
     gram = [[K.embed(x) for x in row] for row in spec.gram]
     X = [[K.embed(x) for x in row] for row in spec.X]
     n = len(gram)
@@ -926,26 +899,6 @@ def test_point_count_matches_per_flag_reference(spec):
             == _outcome(lambda: _point_count_reference(spec, 1)))
 
 
-@pytest.mark.parametrize("p,d,message", [
-    (2, 1, "p = 2 is not an odd prime"),
-    (9, 1, "p = 9 is not an odd prime"),
-    (1, 1, "p = 1 is not an odd prime"),
-    (3, 0, "extension degree 0 not supported"),
-    (3, 4, "extension degree 4 not supported"),
-])
-def test_ext_field_rejects_unsupported(p, d, message):
-    with pytest.raises(ValueError, match=message):
-        sl.ExtField(p, d)
-
-
-def test_ext_field_arrays_match_tables():
-    K = sl.ExtField(3, 2)
-    add, mul, neg = K.arrays()
-    assert add.tolist() == K.add and mul.tolist() == K.mul
-    assert neg.tolist() == K.neg
-    assert K.arrays()[0] is add
-
-
 def test_all_free_pattern_counts_all_flags():
     spec = sl.curve_spec(1, 3)
     free = sl.VarietySpec(spec.gram, spec.X, ["*****"] * 5, 3)
@@ -977,6 +930,14 @@ def test_curve_extension_degree_two():
     assert sl.curve_count(1, 3, 2) == goldens.CURVE_COUNT_Q9_COEFF1
     assert (sl.point_count(sl.curve_spec(1, 3), degrees=(2,))[2]
             == goldens.CURVE_COUNT_Q9_COEFF1)
+
+
+@pytest.mark.parametrize("p", sorted(goldens.CURVE_ZEROS))
+def test_curve_zero_sets_across_primes(p):
+    counts = sl.curve_counts(range(1, p), p)
+    assert {c for c, n in zip(range(1, p), counts) if not n} \
+        == goldens.CURVE_ZEROS[p]
+    assert all(n % 4 == 0 for n in counts)
 
 
 def test_curve_decision_at_q23():
