@@ -301,6 +301,8 @@ def _parse_window(args, model):
     spans = []
     if args.window:
         for part in args.window.split(":"):
+            if part.count(",") != 1:
+                raise CliError("--window: expected lo,hi, got %r" % part)
             a, b = part.split(",")
             spans.append((_fraction(a, "--window"),
                           _fraction(b, "--window")))
@@ -378,7 +380,7 @@ def cmd_graph(args):
     else:
         edges = gr.path_trace(v, depth)
         target = edges[-1].dst
-        back = gr.reachable([target])
+        back = gr.reachable(target)
         print("backward reachable set: scenario=%s, %d vertices"
               % (args.scenario, len(back)))
         for u in sorted(back, key=lambda u: (u.facet.depth(),
@@ -393,15 +395,8 @@ def cmd_graph(args):
 
 def cmd_lab(args):
     if args.lab_cmd == "curve":
-        # without --coeff both counts share one solve of the quadric; a
-        # single coefficient goes through `curve_count`, which the
-        # perfbench tracer wraps
-        if args.coeff:
-            counts = {args.coeff: sl.curve_count(args.coeff, args.q,
-                                                 args.deg)}
-        else:
-            counts = dict(zip((3, 1), sl.curve_counts((3, 1), args.q,
-                                                      args.deg)))
+        coeffs = (args.coeff,) if args.coeff else (3, 1)
+        counts = dict(zip(coeffs, sl.curve_counts(coeffs, args.q, args.deg)))
         rec = {}
         for coeff, count in counts.items():
             rec[str(coeff)] = count
@@ -433,6 +428,9 @@ def cmd_lab(args):
                 {"counts": {str(d): counts[d] for d in degrees}})
         return 0
     # lab spr
+    if args.samples < 1:
+        raise CliError("--samples: expected at least 1, got %d"
+                       % args.samples)
     ctx = sl.MatContext(args.n, args.q)
     xis = sl.test_fns(ctx)
     instances = sl.spr_instances(ctx, args.samples, args.seed)

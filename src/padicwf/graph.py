@@ -273,70 +273,69 @@ def closure_horizontals(facet, faces):
     return [f for f in faces if in_closure(f, facet) and f.is_horizontal()]
 
 
-def predecessors(v, faces, walks):
-    """In-neighbors of a vertex among the facets `faces` of its
-    window's arrangement.  walks maps the key of each candidate walked
-    so far in this window to its walk target, or to None where it
-    cannot walk; it is read and filled here."""
-    model = v.model
-    out = []
-    if v.facet.is_horizontal():
-        # rule-1 predecessors: non-horizontal facets this one is below;
-        # the facets below f are the horizontal facets in its closure at
-        # its depth, so v.facet is one of them when the depths agree
-        for f in facets_above(v.facet, faces):
-            if f.is_horizontal() or f.depth() != v.facet.depth():
-                continue
-            cand = GraphVertex(model, f, v.cmat)
-            if cand.in_lattice():
-                out.append(cand)
-    else:
-        # rule-2 predecessors: horizontal facets walking into this one
-        for f in closure_horizontals(v.facet, faces):
-            cand = GraphVertex(model, f, v.cmat)
-            if not cand.in_lattice():
-                continue
-            k = cand.key()
-            if k not in walks:
+class Reach:
+    """The backward closure into one target vertex.  Both edge rules
+    keep the matrix, so every vertex reached holds the target's and is
+    known by its facet, a face of the window's arrangement.  Each facet
+    is tested for the lattice once and walked at most once."""
+
+    def __init__(self, target):
+        self.target = target
+        faces = bd.Arrangement(target.model, target.facet.window).faces
+        self.horizontal = [f for f in faces if f.is_horizontal()]
+        self.sloped = {}  # depth -> the sloped facets at that depth
+        for f in faces:
+            if not f.is_horizontal():
+                self.sloped.setdefault(f.depth(), []).append(f)
+        # facet masks -> its vertex, or None off the facet's lattice;
+        # and -> the facet its walk enters, or None where the walk raises
+        self.vertices, self.walks = {}, {}
+
+    def vertex(self, f):
+        """The vertex holding the target's matrix over the facet f, or
+        None if the matrix is not in f's lattice."""
+        k = (f.pos, f.neg)
+        if k not in self.vertices:
+            u = GraphVertex(self.target.model, f, self.target.cmat)
+            self.vertices[k] = u if u.in_lattice() else None
+        return self.vertices[k]
+
+    def predecessors(self, v):
+        """In-neighbors of a vertex of this reach."""
+        if v.facet.is_horizontal():
+            # rule 1: the facets below a sloped facet are the horizontal
+            # facets in its closure at its depth
+            above = facets_above(v.facet,
+                                 self.sloped.get(v.facet.depth(), ()))
+            return [u for u in map(self.vertex, above) if u is not None]
+        # rule 2: horizontal facets whose walk enters v's facet; the walk
+        # keeps the matrix, so it lands on v's coset
+        out = []
+        for f in closure_horizontals(v.facet, self.horizontal):
+            u, k = self.vertex(f), (f.pos, f.neg)
+            if u is not None and k not in self.walks:
                 try:
-                    walks[k] = _walk_target(cand)
+                    self.walks[k] = _walk_target(u)
                 except ValueError:
-                    walks[k] = None
-            target = walks[k]
-            if target is None:
-                continue
-            # the walk keeps the matrix, so landing in v's facet lands on
-            # v's coset; only then are the target's vertices needed
-            if target == v.facet:
+                    self.walks[k] = None
+            if u is not None and self.walks[k] == v.facet:
                 assert bd.precede(f, v.facet)
-                out.append(cand)
-    return out
+                out.append(u)
+        return out
 
 
-# Largest backward reachable set `reachable` builds.  The sl2 scenario
-# has 8 vertices.  The u7h scenario's set, in 3-D, is finite: with the
-# limit lifted it closes at 1,248 vertices after 2.5-2.6 s of
-# predecessor queries (in process, one CPU of a 2-CPU Xeon machine).
-REACH_LIMIT = 100
-
-
-def reachable(targets):
-    """All vertices with a directed path into the target set, a
-    non-empty list of vertices in one window, by backward closure over
-    predecessor queries.  Raises ValueError once the set would exceed
-    REACH_LIMIT vertices.  Each candidate is walked at most once."""
-    faces = bd.Arrangement(targets[0].model, targets[0].facet.window).faces
-    walks = {}
-    seen = {t.key(): t for t in targets}
-    frontier = list(targets)
+def reachable(target):
+    """All vertices with a directed path into the target vertex, by
+    backward closure over predecessor queries.  The set has at most one
+    vertex per face of the window's arrangement, whose size
+    building.ARRANGEMENT_BUDGET bounds."""
+    reach = Reach(target)
+    seen = {target.key(): target}
+    frontier = [target]
     while frontier:
-        v = frontier.pop()
-        for u in predecessors(v, faces, walks):
+        for u in reach.predecessors(frontier.pop()):
             k = u.key()
             if k not in seen:
-                if len(seen) >= REACH_LIMIT:
-                    raise ValueError("backward reachable set exceeds %d "
-                                     "vertices" % REACH_LIMIT)
                 seen[k] = u
                 frontier.append(u)
     return set(seen.values())

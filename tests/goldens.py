@@ -49,13 +49,13 @@ SL3_FACET_SIGNS = [
     "---+--", "--0+--", "--0+-0", "00++--",
 ]
 
-# The backward reachable set of `graph reach --scenario u7h` with
-# REACH_LIMIT lifted: the vertices with a directed path into the end of
-# the u7h trace, in the window x in [0, 1]^2, r in [-1, 1].  Closed by
-# predecessor queries; certified by a second, forward route (every
-# vertex but the target has an out-edge into the set: its cocharacter
-# walk if its facet is horizontal, else a facet below it with the same
-# matrix).  All 1248 cosets are nilpotent.
+# The backward reachable set of `graph reach --scenario u7h`: the
+# vertices with a directed path into the end of the u7h trace, in the
+# window x in [0, 1]^2, r in [-1, 1].  Closed by predecessor queries;
+# certified by a second, forward route (every vertex but the target has
+# an out-edge into the set: its cocharacter walk if its facet is
+# horizontal, else a facet below it with the same matrix).  All 1248
+# cosets are nilpotent.
 U7H_REACH_VERTICES = 1248
 
 # Its census by facet depth: the number of vertices at dimension 0, 1,

@@ -303,6 +303,9 @@ def test_facets_empty_window(argv, message, capsys):
     (["facets", "--rmin", "1/0"], "--rmin: Fraction(1, 0)"),
     (["facets", "--window", "0,1/0"], "--window: Fraction(1, 0)"),
     (["graph", "trace", "--to-depth", "1/0"], "--to-depth: Fraction(1, 0)"),
+    (["facets", "--window", "0"], "--window: expected lo,hi, got '0'"),
+    (["facets", "--window", "0,1,2"],
+     "--window: expected lo,hi, got '0,1,2'"),
 ])
 def test_zero_denominator_option_is_a_json_error(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -345,13 +348,14 @@ def test_graph_reach_sl2(capsys):
     assert "reachable set: scenario=sl2, 8 vertices" in text
 
 
-def test_graph_reach_u7h_limit(capsys):
-    # the u7h backward closure passes 1000 vertices; reach stops at the
-    # documented limit instead of grinding for minutes
-    code, _, err = run(["graph", "reach", "--scenario", "u7h"], capsys)
-    assert code == 2
-    assert json.loads(err)["error"]["message"] == \
-        "backward reachable set exceeds 100 vertices"
+def test_graph_reach_u7h(tmp_path, capsys):
+    # the u7h backward closure is finite: reach runs it to the end
+    out = tmp_path / "reach.json"
+    code, text, _ = run(["graph", "reach", "--scenario", "u7h",
+                         "--out", str(out)], capsys)
+    assert code == 0
+    assert "reachable set: scenario=u7h, 1248 vertices" in text
+    assert json.loads(out.read_text())["result"] == {"vertices": 1248}
 
 
 # -- lab -----------------------------------------------------------------
@@ -404,6 +408,16 @@ def test_lab_spr_group_too_large(capsys):
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["message"] == \
         "group too large (1036488922561 matrices)"
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_lab_spr_needs_a_sample(samples, capsys):
+    # no instance checked is no evidence: refused instead of passing
+    code, out, err = run(["lab", "spr", "--n", "3", "--samples", samples],
+                         capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == \
+        "--samples: expected at least 1, got %s" % samples
 
 
 def test_lab_spr_exhaustive_gl2(capsys):

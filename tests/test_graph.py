@@ -461,7 +461,7 @@ def test_predecessors_of_horizontal_target():
     m, win, c, v = sl2_setup()
     target = gr.GraphVertex(m, bd.facet_of(m, win, (Fr(1, 4),), Fr(1, 2)),
                             c)
-    preds = gr.predecessors(target, bd.Arrangement(m, win).faces, {})
+    preds = gr.Reach(target).predecessors(target)
     assert preds
     for u in preds:
         assert not u.facet.is_horizontal()
@@ -471,7 +471,7 @@ def test_predecessors_of_horizontal_target():
 def test_predecessors_of_wall_segment_include_origin():
     m, win, c, v = sl2_setup()
     seg = gr.out_edge_rule2(v)
-    preds = gr.predecessors(seg, bd.Arrangement(m, win).faces, {})
+    preds = gr.Reach(seg).predecessors(seg)
     assert any(u == v for u in preds)
     for u in preds:
         assert u.facet.is_horizontal()
@@ -482,7 +482,7 @@ def test_reachable_sl2_contains_origin():
     m, win, c, v = sl2_setup()
     target = gr.GraphVertex(m, bd.facet_of(m, win, (Fr(1, 4),), Fr(1, 2)),
                             c)
-    back = gr.reachable([target])
+    back = gr.reachable(target)
     assert any(u == v for u in back)
     assert target in back
     assert len(back) == 8
@@ -491,7 +491,7 @@ def test_reachable_sl2_contains_origin():
 
 def test_reachable_builds_one_arrangement(monkeypatch):
     # the backward closure queries one window: its arrangement is built
-    # once and its faces passed to every predecessor query
+    # once per reach, which splits its faces for every predecessor query
     m, win, c, v = sl2_setup()
     target = gr.GraphVertex(m, bd.facet_of(m, win, (Fr(1, 4),), Fr(1, 2)),
                             c)
@@ -503,75 +503,92 @@ def test_reachable_builds_one_arrangement(monkeypatch):
             super().__init__(model, window)
 
     monkeypatch.setattr(bd, "Arrangement", Counted)
-    assert len(gr.reachable([target])) == 8
+    assert len(gr.reachable(target)) == 8
     assert built == [win]
 
 
-def _sl2_reach_target():
-    """The end of the sl2 trace: the target of `graph reach --scenario
-    sl2`."""
+def test_reachable_stops_at_the_arrangement_budget():
+    # a reach has at most one vertex per face of its window's
+    # arrangement, so the budget on faces is its only limit: the u7 unit
+    # window (113 planes in 3-D) is beyond it
+    m = bd.u7_model(23)
+    win = bd.Window(((Fr(0), Fr(1)), (Fr(0), Fr(1))), Fr(-1), Fr(1))
+    f = bd.facet_of(m, win, (Fr(3, 4), Fr(1, 4)), Fr(0))
+    with pytest.raises(ValueError, match="arrangement budget exceeded"):
+        gr.reachable(gr.GraphVertex(m, f, zmat(m.field, 7)))
+
+
+def _reach_target(scenario):
+    """The end of a scenario's trace: the target of `graph reach`."""
     from padicwf import cli
-    v, depth = cli._scenario_vertex("sl2")
+    v, depth = cli._scenario_vertex(scenario)
     return gr.path_trace(v, depth)[-1].dst
 
 
 def test_reachable_walks_each_candidate_once(monkeypatch):
-    # a candidate met by several predecessor queries is walked once per
-    # reach, whether its walk lands or raises
-    target = _sl2_reach_target()
-    walk, calls, raised = gr._walk_target, Counter(), set()
+    # a facet met by several predecessor queries is tested for the
+    # lattice once per reach, and walked at most once, whether its walk
+    # lands or raises
+    in_lattice, walk = gr.GraphVertex.in_lattice, gr._walk_target
+    for scenario, size, n_tests, n_walks, n_raised in [
+            ("sl2", 8, 12, 6, 4),
+            ("u7h", goldens.U7H_REACH_VERTICES, 1816, 316, 205)]:
+        target = _reach_target(scenario)
+        tests, walks, raised = Counter(), Counter(), set()
 
-    def counted(u):
-        calls[u.key()] += 1
-        try:
-            return walk(u)
-        except ValueError:
-            raised.add(u.key())
-            raise
+        def counted_test(u):
+            tests[u.facet.signs] += 1
+            return in_lattice(u)
 
-    monkeypatch.setattr(gr, "_walk_target", counted)
-    assert len(gr.reachable([target])) == 8
-    assert len(calls) == 6 and set(calls.values()) == {1}
-    assert len(raised) == 4
+        def counted_walk(u):
+            walks[u.facet.signs] += 1
+            try:
+                return walk(u)
+            except ValueError:
+                raised.add(u.facet.signs)
+                raise
+
+        monkeypatch.setattr(gr.GraphVertex, "in_lattice", counted_test)
+        monkeypatch.setattr(gr, "_walk_target", counted_walk)
+        assert len(gr.reachable(target)) == size
+        assert len(tests) == n_tests and set(tests.values()) == {1}
+        assert len(walks) == n_walks and set(walks.values()) == {1}
+        assert len(raised) == n_raised
 
 
 def test_candidate_that_cannot_walk_is_skipped_on_later_queries(
         monkeypatch):
-    target = _sl2_reach_target()
-    back = sorted(gr.reachable([target]),
+    target = _reach_target("sl2")
+    back = sorted(gr.reachable(target),
                   key=lambda u: (u.facet.depth(), u.facet.signs))
-    faces = bd.Arrangement(target.model, target.facet.window).faces
-    walks = {}
-    first = [gr.predecessors(u, faces, walks) for u in back]
-    failed = {k for k, t in walks.items() if t is None}
+    reach = gr.Reach(target)
+    first = [reach.predecessors(u) for u in back]
+    failed = {k for k, t in reach.walks.items() if t is None}
     assert len(failed) == 4
-    # without the walks, the failing candidates are walked again
+    # in a fresh reach per query, the failing candidates are walked again
     walk, calls = gr._walk_target, Counter()
 
     def counted(u):
-        calls[u.key()] += 1
+        calls[u.facet.pos, u.facet.neg] += 1
         return walk(u)
 
     monkeypatch.setattr(gr, "_walk_target", counted)
     for u in back:
-        gr.predecessors(u, faces, {})
+        gr.Reach(target).predecessors(u)
     assert max(calls[k] for k in failed) > 1
-    # with them, no query walks again, and each gives the same answer
+    # in one reach, no query walks again, and each gives the same answer
     calls.clear()
-    assert [gr.predecessors(u, faces, walks) for u in back] == first
+    assert [reach.predecessors(u) for u in back] == first
     assert not calls
 
 
-def test_u7h_reach_closes_and_each_vertex_steps_into_the_set(monkeypatch):
-    # With the limit lifted, the u7h backward closure is finite.  A
-    # second, forward route certifies it: every vertex but the target
-    # has an out-edge into the set, its cocharacter walk (made afresh)
-    # from a horizontal facet, else a facet below with the same matrix.
-    from padicwf import cli
-    monkeypatch.setattr(gr, "REACH_LIMIT", 10 ** 6)
-    v, depth = cli._scenario_vertex("u7h")
-    target = gr.path_trace(v, depth)[-1].dst
-    back = gr.reachable([target])
+def test_u7h_reach_closes_and_each_vertex_steps_into_the_set():
+    # The u7h backward closure is finite.  A second, forward route
+    # certifies it: every vertex but the target has an out-edge into the
+    # set, its cocharacter walk (made afresh) from a horizontal facet,
+    # else a facet below with the same matrix.
+    target = _reach_target("u7h")
+    back = gr.reachable(target)
     keys = {u.key() for u in back}
     assert len(keys) == len(back) == goldens.U7H_REACH_VERTICES
     for u in back:

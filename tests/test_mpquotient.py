@@ -504,10 +504,10 @@ def test_lift_triple_matches_the_local_reference(capsys):
     capsys.readouterr()
     outcomes = [(_outcome(mpq.lift_triple, c),
                  _outcome(reference_lift_triple, c)) for c in cosets]
-    # 37 calls on 29 distinct cosets (a reach walks each candidate
-    # once); 12 calls raise
-    assert len(outcomes) == 37 and len({c.key() for c in cosets}) == 29
-    assert sum(isinstance(ref, str) for _, ref in outcomes) == 12
+    # 336 calls on 322 distinct cosets (a reach walks each candidate
+    # once); 208 calls raise
+    assert len(outcomes) == 336 and len({c.key() for c in cosets}) == 322
+    assert sum(isinstance(ref, str) for _, ref in outcomes) == 208
     for got, ref in outcomes:
         assert got == ref
 

@@ -1,8 +1,8 @@
 """The full standard output of the wave-front, path-trace and reach
 commands, pinned byte for byte: labels, provenance, dominated lines and
 notes; the rules, depths, dimensions and centres of each descent edge;
-the backward reachable set, and the error record of the u7h reach,
-which stops at its vertex limit; the parabolic identity counts of
+the backward reachable sets of the sl2 and u7h reaches, the u7h set
+also against its census golden; the parabolic identity counts of
 `lab spr` and their result records; the curve counts of `lab curve`
 and their result record; the oracle suite, which lifts
 triples on the u6, u7, sl2 and u7h paths; the facet tables and their
@@ -11,11 +11,14 @@ layers must leave every file under tests/stdout unchanged."""
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from padicwf import cli
+
+import goldens
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "stdout"
@@ -48,13 +51,17 @@ def test_graph_reach_sl2_stdout_is_pinned(capsys):
         (GOLDEN / "graph_reach_sl2.txt").read_text()
 
 
-def test_graph_reach_u7h_stderr_is_pinned(capsys):
-    # reach lifts a triple for every rule-2 candidate, the ones that
-    # raise included, before it stops at the limit
-    assert cli.main(["graph", "reach", "--scenario", "u7h"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == (GOLDEN / "graph_reach_u7h.stderr.txt").read_text()
+def test_graph_reach_u7h_stdout_is_pinned(capsys):
+    # one line per vertex, sorted by depth and then larger dimension
+    # first; the lines of each (depth, dim) cell count its vertices
+    assert cli.main(["graph", "reach", "--scenario", "u7h"]) == 0
+    pinned = (GOLDEN / "graph_reach_u7h.txt").read_text()
+    assert capsys.readouterr().out == pinned
+    cells = Counter(tuple(part.split("=")[1] for part in line.split()[:2])
+                    for line in pinned.splitlines()[1:])
+    assert cells == {(dep, str(dim)): n
+                     for dep, row in goldens.U7H_REACH_CENSUS.items()
+                     for dim, n in enumerate(row) if n}
 
 
 @pytest.mark.parametrize("argv, name", [
