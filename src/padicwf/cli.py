@@ -418,6 +418,8 @@ def cmd_lab(args):
         if not isinstance(degrees, list) or not degrees or any(
                 type(d) is not int for d in degrees):
             raise CliError("degrees must be a non-empty list of integers")
+        if len(set(degrees)) != len(degrees):
+            raise CliError("degrees must not repeat a degree")
         counts = sl.point_count(spec, degrees)
         for d in degrees:
             print("degree %d (q = %d): %d points"
@@ -431,11 +433,10 @@ def cmd_lab(args):
     if args.samples < 1:
         raise CliError("--samples: expected at least 1, got %d"
                        % args.samples)
-    ctx = sl.MatContext(args.n, args.q)
-    xis = sl.test_fns(ctx)
+    ctx = sl.mat_context(args.n, args.q)
     instances = sl.spr_instances(ctx, args.samples, args.seed)
     checked = len(instances)
-    failed = sum(not sl.verify_spr(ctx, x, comp, lower, xis)
+    failed = sum(not sl.verify_spr(ctx, x, comp, lower)
                  for x, comp, lower in instances)
     print("parabolic identity: %d instances checked, %d failures"
           % (checked, failed))
@@ -461,10 +462,9 @@ def _oracle_checks():
                                  and sl.curve_count(1, 23) == 16))
 
     def spr():
-        ctx = sl.MatContext(2, 3)
-        xis = sl.test_fns(ctx)
+        ctx = sl.mat_context(2, 3)
         instances = sl.spr_instances(ctx, samples=0, seed=0)
-        return all(sl.verify_spr(ctx, x, comp, lower, xis)
+        return all(sl.verify_spr(ctx, x, comp, lower)
                    for x, comp, lower in instances)
     add("parabolic identity gl2", spr)
 

@@ -13,6 +13,7 @@ element codes, and the pattern conditions that read only the first two
 flag vectors are tested on all flags at once.
 """
 
+import functools
 import random
 
 from . import ffield as ff
@@ -51,7 +52,10 @@ class MatContext:
     """gl_n over K = ff.ext_field(p, 1), as integer arrays of its codes
     0..p-1; the constructor refuses more than CAP matrices.  Bulk
     products are numpy matmul mod p, four times faster than K's tables;
-    entries become `FFElt` only at the calls into `liealg`."""
+    entries become `FFElt` only at the calls into `liealg`.  The group
+    (as codes of dtype min_scalar_type(p - 1)), nilpotent mask and test
+    functions are built on first use and kept read-only; `mat_context`
+    shares one context per (n, p)."""
 
     CAP = 10 ** 6
 
@@ -66,6 +70,7 @@ class MatContext:
         self.factor = lie.Factor.gl(n, self.field)
         self._group = None
         self._nilmask = None
+        self._test_fns = None
 
     def size(self):
         return self.p ** self.dim
@@ -112,7 +117,7 @@ class MatContext:
         """Inverses mod p of a stack of invertible matrices: the adjugate,
         from the determinants of the minors, over the determinant."""
         n, p = self.n, self.p
-        m = np.asarray(mats) % p
+        m = np.asarray(mats, dtype=np.int64) % p
         det = self.det_mod(m)
         assert np.all(det), "matrix not invertible"
         adj = np.empty_like(m)
@@ -127,14 +132,15 @@ class MatContext:
 
     def group(self):
         """All of GL_n(F_p) with precomputed inverses, enumerated one
-        first row at a time."""
+        first row at a time; read-only arrays of narrow codes."""
         if self._group is None:
+            code = np.min_scalar_type(self.p - 1)
             rest = self.p ** (self.dim - self.n)
             keep = np.concatenate([
-                mats[self.det_mod(mats) != 0]
+                mats[self.det_mod(mats) != 0].astype(code)
                 for mats in (self._matrices(top * rest, (top + 1) * rest)
                              for top in range(self.p ** self.n))])
-            self._group = (keep, self.inv_mod(keep))
+            self._group = _frozen(keep, self.inv_mod(keep).astype(code))
         return self._group
 
     def conjugates(self, x, budget=None, rng=None):
@@ -147,7 +153,8 @@ class MatContext:
             rng = rng or random.Random(0)
             picks = np.array([rng.randrange(len(gs)) for _ in range(budget)])
             gs, ginvs = gs[picks], ginvs[picks]
-        return gs @ x @ ginvs % self.p, exhausted
+        # an int64 x keeps both products from overflowing the group's dtype
+        return gs @ np.asarray(x, dtype=np.int64) @ ginvs % self.p, exhausted
 
     def nilpotent_mask(self):
         """Boolean mask over all matrix indices: is the matrix nilpotent."""
@@ -156,8 +163,17 @@ class MatContext:
             power = mats
             for _ in range(self.n - 1):
                 power = np.matmul(power, mats) % self.p
-            self._nilmask = ~power.any(axis=(1, 2))
+            self._nilmask = _frozen(~power.any(axis=(1, 2)))
         return self._nilmask
+
+    def test_fns(self):
+        """The test functions of the good triples, the spanning family
+        that `verify_spr` checks against."""
+        if self._test_fns is None:
+            fns = tuple(test_fn(self, c, d) for _, c, _, d in good_reps(self))
+            _frozen(*(f.vals for f in fns))
+            self._test_fns = fns
+        return self._test_fns
 
     def to_ff(self, m):
         k = self.field
@@ -189,6 +205,17 @@ class MatContext:
     def jordan_decomposition(self, m):
         s, n = lie.jordan_decomposition(self.to_ff(m), self.field)
         return self.from_ff(s), self.from_ff(n)
+
+
+# One context per (n, p) for the process, like `ff.ext_field`.
+mat_context = functools.lru_cache(maxsize=None)(MatContext)
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only: later queries share them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
 def sl2_reps(ctx):
@@ -337,12 +364,6 @@ def test_fn(ctx, c, d):
     return FnOnPiece.from_ints(ctx.p, ctx.dim, table)
 
 
-def test_fns(ctx):
-    """The test functions of the good triples, the spanning family that
-    `verify_spr` checks against."""
-    return [test_fn(ctx, c, d) for _, c, _, d in good_reps(ctx)]
-
-
 def conil_support_ok(ctx, f, pairing=None):
     """Whether the transform of f is supported on the nilpotent cone."""
     fhat = fourier(f, pairing or trace_pairing(ctx.n))
@@ -384,7 +405,7 @@ def verify_spr(ctx, x, comp, lower=False, xis=None):
     x = np.asarray(x, dtype=np.int64) % ctx.p
     xs, xn = split_for_parabolic(ctx, x, comp)
     if xis is None:
-        xis = test_fns(ctx)
+        xis = ctx.test_fns()
     units = np.eye(ctx.dim, dtype=np.int64)[
         [i * ctx.n + j for i, j in nilradical_positions(comp, ctx.n, lower)]]
     at_x = int(ctx.encode(x[None])[0])
@@ -535,7 +556,7 @@ class VarietySpec:
         self.X = [list(row) for row in X]
         self.pattern = [list(row) for row in pattern]
         self.p = p
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise ValueError("p must be an integer")
         for name in ("gram", "X", "pattern"):
             rows = getattr(self, name)
@@ -586,6 +607,19 @@ def _projective_chunks(K, n):
             yield chunk
 
 
+def _per_form(build):
+    """Memoize build(K, gram), which returns read-only arrays, keyed by
+    K and the gram's codes as a tuple of tuples.  Callers check
+    SCAN_CAP before the lookup."""
+    cached = functools.lru_cache(maxsize=None)(build)
+
+    @functools.wraps(build)
+    def lookup(K, gram):
+        return cached(K, tuple(map(tuple, gram)))
+    return lookup
+
+
+@_per_form
 def _isotropic_array(K, gram):
     """The isotropic points of P^{n-1}(F_q) as an (n, N) array of
     pivot-normalized vectors, pivot by pivot and lexicographic within
@@ -641,14 +675,15 @@ def _isotropic_array(K, gram):
         V[last] = xs
         blocks.append(V[:, np.lexsort((xs, at))])
     if not blocks:
-        return np.zeros((n, 0), dtype=dtype)
-    return np.concatenate(blocks, axis=1)
+        return _frozen(np.zeros((n, 0), dtype=dtype))
+    return _frozen(np.concatenate(blocks, axis=1))
 
 
 def isotropic_points(K, gram):
     return _isotropic_array(K, gram).T.tolist()
 
 
+@_per_form
 def _flags(K, gram):
     """All (v0, v1) spanning a complete isotropic flag, as two (n, F)
     arrays of element codes: v0 an isotropic point, v1 an isotropic
@@ -703,10 +738,12 @@ def _flags(K, gram):
             v0_idx.append(sel[i])
             v1s.append(v1)
     if not v0_idx:
-        return np.zeros((2, n, 0), dtype=add.dtype)
+        empty = _frozen(np.zeros((n, 0), dtype=add.dtype))
+        return empty, empty
     v0_idx = np.concatenate(v0_idx)
     order = np.argsort(v0_idx, kind="stable")
-    return P0[:, v0_idx[order]], np.concatenate(v1s, axis=1)[:, order]
+    return _frozen(P0[:, v0_idx[order]],
+                   np.concatenate(v1s, axis=1)[:, order])
 
 
 def _degenerate(K):

@@ -106,7 +106,8 @@ def test_group_matches_filtered_enumeration(gl3):
 
 
 def test_group_enumeration_memory():
-    # peak of the enumeration stays near its result, 1.6 MB for GL_3(F_3)
+    # GL_3(F_3) and its inverses keep 0.2 MB of uint8 codes; the peak,
+    # about 2.2 MB, is the int64 copy that inv_mod works on
     import tracemalloc
     ctx = sl.MatContext(3, 3)
     tracemalloc.start()
@@ -122,6 +123,104 @@ def test_group_too_large():
     # refused by the constructor, before the field or any table is built
     with pytest.raises(ValueError, match="group too large"):
         sl.MatContext(3, 5)
+    with pytest.raises(ValueError, match="group too large"):
+        sl.mat_context(3, 5)
+
+
+# -- structures built once per process -----------------------------------
+
+
+def test_mat_context_is_one_per_n_and_p():
+    assert sl.mat_context(3, 3) is sl.mat_context(3, 3)
+    assert sl.mat_context(2, 3) is not sl.mat_context(3, 3)
+    # the plain constructor stays fresh, so it warms no shared context
+    assert sl.MatContext(3, 3) is not sl.MatContext(3, 3)
+    assert sl.MatContext(3, 3) is not sl.mat_context(3, 3)
+
+
+def test_test_fns_are_built_once(monkeypatch):
+    ctx = sl.MatContext(2, 3)
+    calls = []
+    real = sl.test_fn
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(sl, "test_fn", counted)
+    first = ctx.test_fns()
+    assert len(calls) == len(sl.good_reps(ctx)) == 2
+    calls.clear()
+    assert ctx.test_fns() is first
+    assert calls == []
+    for f, (_, c, _, d) in zip(first, sl.good_reps(ctx)):
+        assert np.array_equal(f.vals, real(ctx, c, d).vals)
+
+
+def test_memoized_arrays_are_read_only():
+    ctx = sl.MatContext(2, 3)
+    K = ff.ext_field(3, 1)
+    gram = sl.curve_spec(1, 3).gram
+    arrays = [*ctx.group(), ctx.nilpotent_mask(),
+              *(f.vals for f in ctx.test_fns()),
+              sl._isotropic_array(K, gram), *sl._flags(K, gram)]
+    assert len(arrays) == 8
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+
+
+def test_quadric_memos_are_keyed_by_field_and_codes():
+    K = ff.ext_field(3, 1)
+    gram = sl.curve_spec(1, 3).gram
+    frozen = tuple(map(tuple, gram))
+    assert sl._isotropic_array(K, gram) is sl._isotropic_array(K, frozen)
+    assert sl._flags(K, gram) is sl._flags(K, frozen)
+    assert sl._flags(K, gram) is not sl._flags(ff.ext_field(3, 2), gram)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (2, 7), (2, 31)])
+def test_narrow_group_matches_int64_enumeration(n, p):
+    ctx = sl.mat_context(n, p)
+    gs, ginvs = ctx.group()
+    assert gs.dtype == ginvs.dtype == np.uint8
+    mats = ctx.all_matrices()
+    assert mats.dtype == np.int64
+    want = mats[ctx.det_mod(mats) != 0]
+    assert np.array_equal(gs, want)
+    assert np.array_equal(ginvs, ctx.inv_mod(want))
+
+
+def test_conjugates_at_p31_match_int64_reference():
+    # p = 31 is the largest prime CAP admits at n = 2; the products of
+    # uint8 codes would overflow without an int64 operand
+    ctx = sl.mat_context(2, 31)
+    gs, ginvs = (a.astype(np.int64) for a in ctx.group())
+    rng = random.Random(31)
+    for _ in range(3):
+        x = np.array([[rng.randrange(31) for _ in range(2)]
+                      for _ in range(2)])
+        want = gs @ x @ ginvs % 31
+        for arg in (x, x.astype(np.uint8)):
+            moved, exhausted = ctx.conjugates(arg)
+            assert exhausted and np.array_equal(moved, want)
+        moved, exhausted = ctx.conjugates(x.astype(np.uint8), 50,
+                                          random.Random(1))
+        assert not exhausted
+        assert np.array_equal(moved, _sampled_conjugates_reference(
+            ctx, x, 50, random.Random(1)))
+
+
+def test_scan_cap_refuses_after_the_structures_are_cached(monkeypatch):
+    spec = sl.curve_spec(1, 3)
+    assert sl.curve_counts((1,), 3) == [goldens.CURVE_COUNT_Q3[1]]
+    assert sl.point_count(spec) == {1: goldens.CURVE_COUNT_Q3[1]}
+    monkeypatch.setattr(sl, "SCAN_CAP", 10)
+    with pytest.raises(ValueError,
+                       match=r"enumeration too large \(40 points\)"):
+        sl.curve_counts((1,), 3)
+    with pytest.raises(ValueError,
+                       match=r"enumeration too large \(160 flags\)"):
+        sl.point_count(spec)
 
 
 def _nullspace_reference(ctx, rows):
