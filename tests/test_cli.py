@@ -468,19 +468,19 @@ TWICE_SPLIT = [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)]
     ({"pattern": ["****"] * 4}, "pattern must be 5x5"),
     ({"X": None}, "spec is missing X"),
     ({"p": "3"}, "p must be an integer"),
-    ({"p": True}, "p must be an integer"),
     ({"gram": TWICE_SPLIT},
      "middle vector has norm 2, not a nonzero square in F_3"),
     ({"degrees": 2}, "degrees must be a non-empty list of integers"),
     ({"degrees": []}, "degrees must be a non-empty list of integers"),
     ({"degrees": [True]}, "degrees must be a non-empty list of integers"),
     ({"degrees": ["1"]}, "degrees must be a non-empty list of integers"),
-    ({"degrees": [1, 1]}, "degrees must not repeat a degree"),
-    ({"degrees": [2, 1, 2]}, "degrees must not repeat a degree"),
     ({"gram": 5}, "gram must be a list of rows"),
     ({"X": [1, 2, 3, 4, 5]}, "X must be a list of rows"),
     ({"pattern": "*****"}, "pattern must be a list of rows"),
     ({"gram": [[None] * 5] * 5}, "gram and X entries must be integers"),
+    ({"p": True}, "p must be an integer"),
+    ({"degrees": [1, 1]}, "degrees must not repeat a degree"),
+    ({"degrees": [2, 1, 2]}, "degrees must not repeat a degree"),
 ])
 def test_lab_count_rejects_malformed_spec(changes, message, tmp_path,
                                           capsys):
