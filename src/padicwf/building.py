@@ -192,6 +192,7 @@ class Model:
         return "Model(%s)" % self.name
 
 
+@lru_cache(maxsize=None)
 def gl_split_model(n, q):
     """gl_n over k((t)) with the full diagonal torus chart."""
     L = LocalField(q)
@@ -201,6 +202,7 @@ def gl_split_model(n, q):
                  weight_funcs=wf, kind="gl")
 
 
+@lru_cache(maxsize=None)
 def sl2_model(q):
     """sl_2 over k((t)): one apartment coordinate, weights (x, -x)."""
     L = LocalField(q)
@@ -209,6 +211,7 @@ def sl2_model(q):
                  weight_funcs=wf, kind="gl", rank=1)
 
 
+@lru_cache(maxsize=None)
 def sl3_model(q):
     L = LocalField(q)
     wf = [((Fraction(1), ZERO), ZERO), ((ZERO, Fraction(1)), ZERO),
@@ -303,7 +306,9 @@ def u7_h_model(q=23):
 
 
 class Window:
-    """Bounded box in A x R: per-coordinate ranges and an r range."""
+    """Bounded box in A x R: per-coordinate ranges and an r range.  Two
+    windows with the same `key` are equal: a shared facet carries the
+    first window object met with its key."""
 
     def __init__(self, xranges, rmin, rmax):
         self.xranges = tuple((Fraction(a), Fraction(b))
@@ -340,6 +345,12 @@ class Window:
     def key(self):
         return (self.xranges, self.rmin, self.rmax)
 
+    def __eq__(self, other):
+        return isinstance(other, Window) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
 
 def _frange(coeffs, const, window):
     """Range of an affine function over the window box."""
@@ -352,9 +363,11 @@ def _frange(coeffs, const, window):
     return lo, hi
 
 
-# Plane lists of the most recent (model, window) pairs, oldest first,
-# each with its rank memo.  A query reads one window many times; a
-# stream of queries on new windows must not keep them all.
+# The most recent (model, window) pairs, oldest first.  Each entry holds
+# the window's plane list, its rank memo, its facet table (pos, neg) ->
+# AugFacet, and the model, so that the id in the key is not reused while
+# the entry lives.  A query reads one window many times; a stream of
+# queries on new windows must not keep them all.
 _PLANE_CACHE = {}
 _PLANE_CACHE_SIZE = 16
 
@@ -374,9 +387,10 @@ def critical_hyperplanes(model, window):
 
 
 def _window_planes(model, window):
-    """The critical hyperplanes of the window and the `_ranker` over the
-    rows of its box constraints and then of the planes' normals, the
-    rows every cell of the window cuts with (mask bit k: row k)."""
+    """The `_PLANE_CACHE` entry of the window: its critical hyperplanes,
+    the `_ranker` over the rows of its box constraints and then of the
+    planes' normals, the rows every cell of the window cuts with (mask
+    bit k: row k), its facet table and the model."""
     ck = (model.name, id(model), window.key())
     if ck in _PLANE_CACHE:
         return _PLANE_CACHE[ck]
@@ -403,8 +417,21 @@ def _window_planes(model, window):
                    [c[:-1] for c in forms])
     if len(_PLANE_CACHE) >= _PLANE_CACHE_SIZE:
         del _PLANE_CACHE[next(iter(_PLANE_CACHE))]
-    _PLANE_CACHE[ck] = forms, rank
-    return forms, rank
+    entry = _PLANE_CACHE[ck] = forms, rank, {}, model
+    return entry
+
+
+def _shared_facet(entry, window, pos, neg, verts=None):
+    """The facet (pos, neg) of the window in its `_PLANE_CACHE` entry,
+    made on first request (with `verts`, when given), so that its cell,
+    vertices, depth and dimension are computed once while the entry
+    lives."""
+    forms, _, facets, model = entry
+    f = facets.get((pos, neg))
+    if f is None:
+        f = facets[pos, neg] = AugFacet(model, window, forms, pos, neg,
+                                        verts)
+    return f
 
 
 class AugFacet:
@@ -430,6 +457,7 @@ class AugFacet:
         self._cell = None
         self._dim = dim
         self._depth = self._horizontal = None
+        self._quot = None  # kept by graph.facet_quotient
 
     def __eq__(self, other):
         return isinstance(other, AugFacet) and self.pos == other.pos \
@@ -486,13 +514,15 @@ class AugFacet:
 
 
 def facet_of(model, window, x, r):
-    """The augmented facet containing the point (x, r)."""
+    """The augmented facet containing the point (x, r), shared with
+    every other call that meets it while its window's entry lives."""
     x = tuple(Fraction(xi) for xi in x)
     r = Fraction(r)
     if not window.contains(x, r):
         raise ValueError("outside window")
     h = _homogeneous(x + (r,))
-    forms = critical_hyperplanes(model, window)
+    entry = _window_planes(model, window)
+    forms = entry[0]
     pos = neg = 0
     for k, form in enumerate(forms):
         v = sum(map(mul, form, h))
@@ -500,7 +530,7 @@ def facet_of(model, window, x, r):
             pos |= 1 << k
         elif v < 0:
             neg |= 1 << k
-    return AugFacet(model, window, forms, pos, neg)
+    return _shared_facet(entry, window, pos, neg)
 
 
 # -- the exact cut -----------------------------------------------------
@@ -626,7 +656,7 @@ class Arrangement:
     """
 
     def __init__(self, model, window):
-        forms, self._rank = _window_planes(model, window)
+        forms, self._rank = _window_planes(model, window)[:2]
         if len(window.xranges) != model.d:
             raise ValueError("window has %d axis ranges; model %s has %d "
                              "chart coordinates" % (len(window.xranges),
@@ -725,17 +755,19 @@ def precede(f1, f2):
 def facets_below(facet):
     """Horizontal facets in the closure of a facet at its depth, by
     dimension and then sign vector: the faces of its closed cell whose
-    vertices all lie at its depth, each off the planes of its zero set."""
+    vertices all lie at its depth, each off the planes of its zero set,
+    as shared facets of its window."""
     if facet.is_horizontal():
         raise ValueError("facet is horizontal")
     dep = facet.depth()
     verts = facet.cell()
+    entry = _window_planes(facet.model, facet.window)
     out = []
     for z in _zero_sets(m for _, m in verts):
         fv = [y for y, m in verts if m & z == z]
         if all(y[-1] == dep for y in fv):
-            out.append(AugFacet(facet.model, facet.window, facet.forms,
-                                facet.pos & ~z, facet.neg & ~z, fv))
+            out.append(_shared_facet(entry, facet.window, facet.pos & ~z,
+                                     facet.neg & ~z, fv))
     if not out:
         raise ValueError("no horizontal facet below the facet at depth %s: "
                          "its top lies on the window's boundary" % dep)
@@ -867,8 +899,10 @@ def grade_dim(model, w, r):
 
 def heart_blocks(model, w):
     """Blocks of matrix indices joined by grade-0 classes, with the
-    residue dimension carried by each block."""
-    w = tuple(Fraction(wi) for wi in w)
+    residue dimension carried by each block.  A class is active when
+    its binding level-0 threshold (`class_threshold`) sits on its
+    valuation grid, tested in integer units (`grading_units`)."""
+    D, W, _ = grading_units(tuple(map(_fr, w)), ZERO)
     parent = list(range(model.n))
 
     def find(a):
@@ -879,8 +913,8 @@ def heart_blocks(model, w):
 
     active = []
     for cls in model.classes:
-        m, on_grid = class_threshold(cls, w, ZERO)
-        if not on_grid:
+        m = max(W[j] - W[i] - in_units(s, D) for i, j, s in cls.members)
+        if (m - in_units(cls.offset, D)) % in_units(cls.step, D):
             continue
         active.append(cls)
         idx = sorted({k for pos in cls.positions() for k in pos})

@@ -42,10 +42,14 @@ def facet_center(facet):
     return c[:-1], c[-1]
 
 
-def facet_quotient(model, facet):
-    """The graded quotient at the facet's center."""
-    x, r = facet_center(facet)
-    return mpq.GradedQuotient(model, model.point(x), r)
+def facet_quotient(facet):
+    """The graded quotient at the facet's center, built once per facet
+    and kept with it."""
+    if facet._quot is None:
+        x, r = facet_center(facet)
+        facet._quot = mpq.GradedQuotient(facet.model,
+                                         facet.model.point(x), r)
+    return facet._quot
 
 
 def in_closure(inner, outer):
@@ -60,15 +64,13 @@ class GraphVertex:
         self.model = model
         self.facet = facet
         self.cmat = la.mat(cmat)
-        self._quot = None
         self._coset = None
         self._label = None
 
     def quot(self):
-        """The graded quotient at the facet's center, built once."""
-        if self._quot is None:
-            self._quot = facet_quotient(self.model, self.facet)
-        return self._quot
+        """The graded quotient at the facet's center, kept with the
+        facet."""
+        return facet_quotient(self.facet)
 
     def in_lattice(self):
         """Whether the matrix lies in the lattice at the facet's center."""
@@ -193,7 +195,7 @@ def fiber_basis(v, below):
     model = v.model
     kres = model.field.residue
     kp = kres.base_or_self()
-    quot, upper = facet_quotient(model, below), v.quot()
+    quot, upper = facet_quotient(below), v.quot()
     units = mpq._grade_units(quot, quot.r)
     keep = [k for k, (i, j, _) in enumerate(units)
             if quot.threshold(i, j) > upper.threshold(i, j)]

@@ -80,13 +80,34 @@ def mat_add(a, b):
 
 
 def mat_sub(a, b):
-    return tuple(tuple((x - y if y else x) if x else -y
+    """a - b; where both entries are the exact zero, b's zero."""
+    return tuple(tuple((x - y if y else x) if x else (-y if y else y)
                        for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
 
 
 def mat_scale(c, a):
     return tuple(tuple(c * x if x else x for x in r) for r in a)
+
+
+def _nonzero(a):
+    """Each row's nonzero entries as (column, entry) pairs."""
+    return [[(j, x) for j, x in enumerate(r) if x] for r in a]
+
+
+def _sparse_rows(nza, nzb, m):
+    """The rows of a b, m columns, summing only the products of two
+    nonzero entries in the order of the inner index, and None where no
+    such product reaches; nza and nzb are `_nonzero` of a and b."""
+    out = []
+    for nzr in nza:
+        row = [None] * m
+        for k, x in nzr:
+            for j, y in nzb[k]:
+                s = row[j]
+                row[j] = x * y if s is None else s + x * y
+        out.append(row)
+    return out
 
 
 def mat_mul(a, b):
@@ -96,20 +117,13 @@ def mat_mul(a, b):
     skipped products, the zero of the entries' representation."""
     assert len(a[0]) == len(b)
     m = len(b[0])
-    nonzero = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
     zero = None
     out = []
-    for ra in a:
-        row = [None] * m
-        for x, nzb in zip(ra, nonzero):
-            if x:
-                for j, y in nzb:
-                    s = row[j]
-                    row[j] = x * y if s is None else s + x * y
+    for i, row in enumerate(_sparse_rows(_nonzero(a), _nonzero(b), m)):
         for j, s in enumerate(row):
             if s is None:
                 if zero is None:
-                    zero = ra[0] * b[0][j]
+                    zero = a[i][0] * b[0][j]
                 row[j] = zero
         out.append(tuple(row))
     return tuple(out)
@@ -133,7 +147,26 @@ def trace(a):
 
 
 def bracket(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """The commutator a b - b a of square matrices, entry by entry that
+    of `mat_sub(mat_mul(a, b), mat_mul(b, a))`, from the products of
+    nonzero entries of both factors only.  An entry neither product
+    reaches takes the value of a skipped product of b a, the zero of
+    the entries' representation."""
+    n = len(a)
+    nza, nzb = _nonzero(a), _nonzero(b)
+    zero = None
+    out = []
+    for i, (pa, pb) in enumerate(zip(_sparse_rows(nza, nzb, n),
+                                     _sparse_rows(nzb, nza, n))):
+        for j, (x, y) in enumerate(zip(pa, pb)):
+            if y is not None:
+                pa[j] = -y if x is None else x - y
+            elif x is None:
+                if zero is None:
+                    zero = b[i][0] * a[0][j]
+                pa[j] = zero
+        out.append(tuple(pa))
+    return tuple(out)
 
 
 def sum_list(xs):

@@ -409,7 +409,11 @@ class LocalScalar:
 
     def __eq__(self, other):
         """Weak equality: no visible difference on the joint window.  Two
-        exact scalars are equal when their canonical terms are."""
+        exact scalars of one field are equal when their canonical terms
+        are."""
+        if type(other) is LocalScalar and other.field is self.field \
+                and self.prec is None and other.prec is None:
+            return self.terms == other.terms
         o = self._coerce(other)
         if o is None:
             return NotImplemented

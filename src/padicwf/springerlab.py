@@ -20,6 +20,7 @@ from . import ffield as ff
 from . import liealg as lie
 from . import linalg as la
 from . import orbits as ob
+from .building import _PLANE_CACHE_SIZE
 
 
 class _Numpy:
@@ -609,9 +610,10 @@ def _projective_chunks(K, n):
 
 def _per_form(build):
     """Memoize build(K, gram), which returns read-only arrays, keyed by
-    K and the gram's codes as a tuple of tuples.  Callers check
+    K and the gram's codes as a tuple of tuples, for the most recently
+    used keys, as many as `building` keeps windows.  Callers check
     SCAN_CAP before the lookup."""
-    cached = functools.lru_cache(maxsize=None)(build)
+    cached = functools.lru_cache(maxsize=_PLANE_CACHE_SIZE)(build)
 
     @functools.wraps(build)
     def lookup(K, gram):

@@ -401,6 +401,47 @@ def test_facet_of_signs_match_the_fraction_route(case):
     assert bd.facet_of(model, win, x, r).signs == want
 
 
+def test_windows_with_one_key_are_equal():
+    a = bd.Window([(0, 1)], -1, 2)
+    b = bd.Window(((Fr(0), Fr(1)),), Fr(-1), Fr(2))
+    assert a == b and hash(a) == hash(b) and a.key() == b.key()
+    assert a != bd.Window([(0, 1)], -1, 1) and a != a.key()
+    assert len({a, b}) == 1
+
+
+def test_chart_models_are_built_once():
+    assert bd.sl2_model(3) is bd.sl2_model(3)
+    assert bd.sl3_model(3) is bd.sl3_model(3)
+    assert bd.gl_split_model(2, 5) is bd.gl_split_model(2, 5)
+    assert bd.sl2_model(3) is not bd.sl2_model(5)
+
+
+def test_plane_cache_entry_holds_its_model_and_facets(monkeypatch):
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    model = bd.Model("sl2", 2, LocalField(3),
+                     bd.coupling_classes("gl", 2, LocalField(3)),
+                     weight_funcs=[((Fr(1),), Fr(0)), ((Fr(-1),), Fr(0))])
+    win = bd.Window([(0, 1)], -1, 2)
+    f = bd.facet_of(model, win, (Fr(1, 8),), Fr(1, 16))
+    forms, _, facets, held = bd._PLANE_CACHE[model.name, id(model),
+                                             win.key()]
+    assert held is model and f.forms is forms
+    assert facets == {(f.pos, f.neg): f}
+    # a second window object with the same key finds the same facet
+    again = bd.Window(((Fr(0), Fr(1)),), Fr(-1), Fr(2))
+    assert bd.facet_of(model, again, (Fr(1, 10),), Fr(1, 20)) is f
+
+
+def test_plane_cache_keeps_the_most_recent_windows(monkeypatch):
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    m = bd.sl2_model(3)
+    wins = [bd.Window([(0, Fr(1, k))], -1, 2) for k in range(1, 18)]
+    for win in wins:
+        bd.facet_of(m, win, (Fr(0),), Fr(0))
+    assert len(bd._PLANE_CACHE) == bd._PLANE_CACHE_SIZE == 16
+    assert [k[2] for k in bd._PLANE_CACHE] == [w.key() for w in wins[1:]]
+
+
 def test_plane_forms_share_the_plane_cache_entry():
     model, win = PROPERTY_WINDOWS[2]
     forms = bd.critical_hyperplanes(model, win)
@@ -415,16 +456,25 @@ def test_plane_forms_share_the_plane_cache_entry():
 
 def test_window_rank_memo_serves_the_arrangement_and_every_cell(
         monkeypatch):
+    # on a cleared cache the window builds its one ranker, which the
+    # arrangement and every cell share; a repeat builds none
     model, win = PROPERTY_WINDOWS[0]
-    forms, rank = bd._window_planes(model, win)
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
     built = []
     ranker = bd._ranker
     monkeypatch.setattr(bd, "_ranker",
                         lambda rows: built.append(rows) or ranker(rows))
-    faces = bd.Arrangement(model, win).faces
-    cells = [bd.AugFacet(model, win, forms, f.pos, f.neg).cell()
-             for f in faces]
-    assert all(cells) and not built
+
+    def cells():
+        faces = bd.Arrangement(model, win).faces
+        forms = bd.critical_hyperplanes(model, win)
+        return [bd.AugFacet(model, win, forms, f.pos, f.neg).cell()
+                for f in faces]
+
+    first = cells()
+    assert all(first) and len(built) == 1
+    assert cells() == first and len(built) == 1
+    forms, rank = bd._window_planes(model, win)[:2]
     # the memo ranks the same rows a cell of its own would
     own = ranker([a for a, _ in win.box_constraints()] +
                  [c[:-1] for c in forms])
@@ -578,6 +628,66 @@ def test_heart_structure_u7_centralizer():
     hs = bd.heart_structure(m, m.point((0, 0)))
     # the U_5 part, plus the rank-one torus seen as SO_2
     assert hs == [((0, 6), "D", 2, 1), ((1, 2, 3, 4, 5), "B", 5, 10)]
+
+
+def heart_blocks_reference(model, w):
+    """`heart_blocks` by the Fraction route: a class is active when
+    `class_threshold` at level 0 sits on its grid."""
+    w = tuple(Fr(wi) for wi in w)
+    parent = list(range(model.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    active = [c for c in model.classes if bd.class_threshold(c, w, 0)[1]]
+    for c in active:
+        idx = sorted({k for pos in c.positions() for k in pos})
+        for k in idx[1:]:
+            parent[find(idx[0])] = find(k)
+    blocks = {}
+    for i in range(model.n):
+        blocks.setdefault(find(i), []).append(i)
+    return sorted((tuple(b), sum(c.pdim for c in active
+                                 if all(i in b and j in b
+                                        for i, j in c.positions())))
+                  for b in blocks.values())
+
+
+def structure_or_error(blocks):
+    try:
+        return [(mem, *bd.classify_block(mem, dim), dim)
+                for mem, dim in blocks]
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def heart_points(draw):
+    """A model and a weight vector: any vector for u6 and u6hyp, a chart
+    point for u7, on a grid fine enough to meet the class grids."""
+    name = draw(st.sampled_from(["u6", "u6hyp", "u7"]))
+    den = draw(st.sampled_from([1, 2, 4, 8, 12]))
+    coord = st.integers(-2 * den, 2 * den).map(lambda k: Fr(k, den))
+    if name == "u7":
+        m = bd.u7_model(23)
+        return m, m.point(tuple(draw(coord) for _ in range(2)))
+    m = bd.u6_model(23) if name == "u6" else bd.u6_hyp_model(23)
+    return m, tuple(draw(coord) for _ in range(6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(heart_points())
+def test_heart_blocks_in_units_match_the_fraction_route(case):
+    m, w = case
+    want = heart_blocks_reference(m, w)
+    assert bd.heart_blocks(m, w) == want
+    try:
+        got = bd.heart_structure(m, w)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == structure_or_error(want)
 
 
 def test_grade_dim_periodicity():

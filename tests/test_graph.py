@@ -402,8 +402,10 @@ def test_path_trace_u7_twelve_edges():
 
 
 def test_path_trace_u7_computes_each_cell_once(monkeypatch):
-    # one cell per distinct facet: the start and the six walk targets,
-    # whose cells also serve `facets_below`
+    # on a cleared cache, one cell per distinct facet: the start and the
+    # six walk targets, whose cells also serve `facets_below`; a repeat
+    # trace meets the same shared facets and computes no cell
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
     calls = []
     cell_vertices = bd.cell_vertices
     monkeypatch.setattr(bd, "cell_vertices",
@@ -413,6 +415,38 @@ def test_path_trace_u7_computes_each_cell_once(monkeypatch):
     assert len(calls) == 7
     assert len({e.src.facet.signs for e in edges} |
                {e.dst.facet.signs for e in edges}) == 13
+    m, win, c, v = u7h_setup()
+    again = gr.path_trace(v, Fr(1, 2))
+    assert len(calls) == 7
+    assert [e.dst.facet for e in again] == [e.dst.facet for e in edges]
+
+
+def test_shared_facets_match_fresh_cells():
+    # the facets of the u7h trace are its window's shared ones; every
+    # facet of the trace and of the sl2 reach has the vertex set, depth,
+    # dimension and kind of a cell made afresh from its masks
+    m, win, c, v = u7h_setup()
+    edges = gr.path_trace(v, Fr(1, 2))
+    facets = {e.src.facet for e in edges} | {e.dst.facet for e in edges}
+    table = bd._window_planes(m, win)[2]
+    assert len(facets) == 13
+    assert all(table[f.pos, f.neg] is f for f in facets)
+    facets |= {u.facet for u in gr.reachable(_reach_target("sl2"))}
+    assert len(facets) == 21
+    for f in facets:
+        fresh = bd.AugFacet(f.model, f.window, f.forms, f.pos, f.neg)
+        assert set(f.vertices()) == {y for y, _ in fresh.cell()}
+        assert (f.depth(), f.dim(), f.is_horizontal()) == (
+            fresh.depth(), fresh.dim(), fresh.is_horizontal())
+
+
+def test_facet_quotient_is_kept_with_the_facet():
+    m, win, c, v = u7h_setup()
+    q = gr.facet_quotient(v.facet)
+    assert gr.facet_quotient(v.facet) is q
+    assert gr.GraphVertex(m, v.facet, c).quot() is q
+    x, r = gr.facet_center(v.facet)
+    assert q.key() == mpq.GradedQuotient(m, m.point(x), r).key()
 
 
 def test_path_trace_u7_labels_each_vertex_once(monkeypatch):

@@ -336,3 +336,33 @@ def test_kernels_match_dense_reference(ops):
         for rg, rw in zip(got, want):
             assert len(rg) == len(rw)
             assert all(identical(x, y) for x, y in zip(rg, rw))
+
+
+@st.composite
+def bracket_operands(draw):
+    """Two square matrices over one representation, n from 1 to 7."""
+    entry = draw(st.sampled_from(ENTRY_KINDS))
+    n = draw(st.integers(1, 7))
+    return tuple(la.mat([[draw(entry) for _ in range(n)] for _ in range(n)])
+                 for _ in range(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_operands())
+def test_sparse_bracket_matches_dense_reference(ops):
+    """Each entry of the bracket, its terms and precision included, is
+    that of the dense products' difference."""
+    a, b = ops
+    got = la.bracket(a, b)
+    want = dense_sub(dense_mul(a, b), dense_mul(b, a))
+    assert len(got) == len(want)
+    for rg, rw in zip(got, want):
+        assert all(identical(x, y) for x, y in zip(rg, rw))
+    assert got == la.mat_sub(la.mat_mul(a, b), la.mat_mul(b, a))
+
+
+def test_mat_sub_keeps_exact_zeros():
+    E = Q23.ramified_quadratic()
+    z, one = E.zero(), E.one()
+    d = la.mat_sub(((z, one),), ((z, z),))
+    assert d[0][0] is z and d[0][1] is one

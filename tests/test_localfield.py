@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicwf import linalg as la
-from padicwf.localfield import LocalField, PrecisionError
+from padicwf.localfield import LocalField, LocalScalar, PrecisionError
 
 
 F = LocalField(23)
@@ -247,6 +247,18 @@ def test_fast_paths_match_the_general_route(pair):
     assert (m.terms, m.prec) == dict_product(a, b)
     assert (a == b) == (not (a - b).terms)
     assert (a == a) and (s == b + a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_pairs())
+def test_equality_fast_path_matches_the_general_route(pair):
+    """`==` on the terms of two exact scalars of one field object agrees
+    with no visible difference, and with the same comparison against a
+    copy of the field."""
+    a, b = pair
+    copy = LocalField(b.field.q, b.field.kind)
+    b2 = LocalScalar(copy, b.terms, b.prec)
+    assert (a == b) == (a == b2) == (not (a - b).terms) == (b == a)
 
 
 def test_fast_paths_apply_to_exact_operands_only():

@@ -1,15 +1,28 @@
 """Repeated commands in one interpreter.  The lab keeps the structures
-that depend only on the field, the form or (n, p) for the rest of the
-process, and `oracle all` and the benchmark drive `cli.main` many times
-in one interpreter: a second run of a command must print the same
-output and write the same result record, byte for byte, as the first."""
+that depend only on the field, the form or (n, p), and the descent path
+keeps each window's facets and their graded quotients, while they are
+among the most recent; `oracle all` and the benchmark drive `cli.main`
+many times in one interpreter: a second run of a command must print the
+same output and write the same result record, byte for byte, as the
+first."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from padicwf import building as bd
 from padicwf import cli
 from padicwf import springerlab as sl
+
+CHAIN = str(Path(__file__).resolve().parent.parent / "inputs" /
+            "u6_chain.ini")
+
+
+def _run(argv, out, capsys):
+    """The printed output and the result record of one run."""
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return capsys.readouterr().out, out.read_bytes()
 
 
 def _curve_spec_file(path):
@@ -27,14 +40,39 @@ def _curve_spec_file(path):
     ["lab", "count", "--spec", "SPEC"],
     ["lab", "curve", "--q", "23"],
     ["wf", "example", "u7"],
+    ["wf", "example", "u6"],
+    ["wf", "example", "toral"],
+    ["wf", "compute", "--input", CHAIN],
+    ["graph", "trace", "--scenario", "sl2"],
+    ["graph", "trace", "--scenario", "u7h"],
+    ["graph", "reach", "--scenario", "sl2"],
 ])
 def test_second_run_matches_the_first(argv, tmp_path, capsys):
     argv = [_curve_spec_file(tmp_path / "spec.json") if a == "SPEC" else a
             for a in argv]
-    runs = []
-    for k in range(2):
-        out = tmp_path / ("run%d.json" % k)
-        assert cli.main(argv + ["--out", str(out)]) == 0
-        runs.append((capsys.readouterr().out, out.read_bytes()))
+    runs = [_run(argv, tmp_path / ("run%d.json" % k), capsys)
+            for k in range(2)]
     assert runs[0][0]
     assert runs[1] == runs[0]
+
+
+def test_interleaved_traces_match(tmp_path, capsys):
+    # u7h, then sl2, then u7h again: the second u7h trace reads the
+    # facets the first one left in its window's entry
+    trace = ["graph", "trace", "--scenario"]
+    first = _run(trace + ["u7h"], tmp_path / "a.json", capsys)
+    _run(trace + ["sl2"], tmp_path / "b.json", capsys)
+    assert _run(trace + ["u7h"], tmp_path / "c.json", capsys) == first
+
+
+def test_second_sl2_trace_builds_no_ranker(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    built = []
+    ranker = bd._ranker
+    monkeypatch.setattr(bd, "_ranker",
+                        lambda rows: built.append(rows) or ranker(rows))
+    argv = ["graph", "trace", "--scenario", "sl2"]
+    first = _run(argv, tmp_path / "a.json", capsys)
+    assert len(built) == 1
+    assert _run(argv, tmp_path / "b.json", capsys) == first
+    assert len(built) == 1

@@ -223,6 +223,30 @@ def test_scan_cap_refuses_after_the_structures_are_cached(monkeypatch):
         sl.point_count(spec)
 
 
+def test_per_form_memo_keeps_the_most_recent_keys():
+    K = ff.ext_field(3, 1)
+    grams = [[[a, 0, 0], [0, b, 0], [0, 0, c]]
+             for a, b, c in product(range(3), repeat=3)][:17]
+    first = [sl._isotropic_array(K, g) for g in grams]
+    assert sl._isotropic_array(K, grams[-1]) is first[-1]
+    # the 17th key evicted the oldest, which is built afresh
+    again = sl._isotropic_array(K, grams[0])
+    assert again is not first[0] and np.array_equal(again, first[0])
+
+
+def test_scan_cap_refuses_before_any_lookup(monkeypatch):
+    looked = []
+    for name in ("_isotropic_array", "_flags"):
+        monkeypatch.setattr(sl, name, lambda K, gram, name=name:
+                            looked.append(name))
+    monkeypatch.setattr(sl, "SCAN_CAP", 10)
+    with pytest.raises(ValueError, match="enumeration too large"):
+        sl.curve_counts((1,), 3)
+    with pytest.raises(ValueError, match="enumeration too large"):
+        sl.point_count(sl.curve_spec(1, 3))
+    assert looked == []
+
+
 def _nullspace_reference(ctx, rows):
     # the kernel over the FFElt prime field, converted back to residues
     return ctx.from_ff(la.kernel_basis(ctx.to_ff(rows),
