@@ -395,15 +395,21 @@ def cmd_graph(args):
 
 def cmd_lab(args):
     if args.lab_cmd == "curve":
-        coeffs = (args.coeff,) if args.coeff else (3, 1)
+        sweep = args.coeff == "all"
+        coeffs = (range(1, args.q) if sweep
+                  else (args.coeff,) if args.coeff else (3, 1))
         counts = dict(zip(coeffs, sl.curve_counts(coeffs, args.q, args.deg)))
-        rec = {}
+        rec = {"counts": {}}
         for coeff, count in counts.items():
-            rec[str(coeff)] = count
+            rec["counts"][str(coeff)] = count
             print("curve count: coeff=%d q=%d degree=%d -> %d"
                   % (coeff, args.q, args.deg, count))
+        if sweep:
+            rec["zeros"] = [c for c, n in counts.items() if not n]
+            print("curve zero set: q=%d degree=%d -> {%s}"
+                  % (args.q, args.deg, ", ".join(map(str, rec["zeros"]))))
         if args.out:
-            write_result(args.out, manifest(args), {"counts": rec})
+            write_result(args.out, manifest(args), rec)
         return 0
     if args.lab_cmd == "count":
         with open(args.spec) as fh:
@@ -504,6 +510,11 @@ def cmd_oracle_all(args):
 # -- argument surface ----------------------------------------------------
 
 
+def int_or_all(text):
+    """`lab curve --coeff`: an integer, or `all` for every coefficient."""
+    return text if text == "all" else int(text)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="padicwf",
@@ -554,7 +565,7 @@ def build_parser():
     ps.add_argument("--seed", type=int, default=0)
     common(ps)
     pcv = lsub.add_parser("curve")
-    pcv.add_argument("--coeff", type=int, choices=[3, 1])
+    pcv.add_argument("--coeff", type=int_or_all, choices=[3, 1, "all"])
     pcv.add_argument("--q", type=int, default=23)
     pcv.add_argument("--deg", type=int, default=1)
     common(pcv)

@@ -10,7 +10,10 @@ spr` checks, so the command line builds no lab matrices.  The
 flag-variety point counts parameterize complete isotropic flags
 directly: every flag of a field is enumerated in bulk as arrays of
 element codes, and the pattern conditions that read only the first two
-flag vectors are tested on all flags at once.
+flag vectors are tested on all flags at once.  The u7 curve is counted
+for every corner coefficient c of a field in one pass over the
+isotropic points: its first condition is linear in c, so each point
+fixes the one c it can pass at, or passes that condition at every c.
 """
 
 import functools
@@ -517,20 +520,22 @@ def _dot(K, u, v):
 # length n, one coordinate per row.
 
 def _mat_vecs(K, m, V):
+    # a zero entry adds nothing and a unit entry needs no product
     add, mul, _ = K.arrays()
     out = []
     for row in m:
-        s = np.zeros(V.shape[1], dtype=V.dtype)
+        s = None
         for a, coord in zip(row, V):
             if a:
-                s = add[s, mul[a][coord]]
-        out.append(s)
+                term = coord if a == K.one else mul[a][coord]
+                s = term if s is None else add[s, term]
+        out.append(np.zeros(V.shape[1], dtype=V.dtype) if s is None else s)
     return np.stack(out)
 
 def _dots(K, U, V):
     add, mul, _ = K.arrays()
-    s = np.zeros(U.shape[1], dtype=U.dtype)
-    for u, v in zip(U, V):
+    s = mul[U[0], V[0]]
+    for u, v in zip(U[1:], V[1:]):
         s = add[s, mul[u, v]]
     return s
 
@@ -835,37 +840,75 @@ def point_count(spec, degrees=(1,)):
 
 
 def curve_count(coeff, p=23, deg=1):
-    """Fast count for the curve condition: the flag is forced by its
-    first vector (V2 must be the span of v0 and Xv0), so one membership
-    test per projective isotropic point suffices.  The points come from
-    solving the quadric over its q^3 + q^2 + q + 1 prefixes, the work
-    that SCAN_CAP bounds."""
+    """The number of F_q-points of the curve condition of
+    `curve_spec(coeff, p)`: the flag is forced by its first vector (V2
+    must be the span of v0 and Xv0), so it counts the isotropic points
+    v0 of P^4 that pass three tests.  Read off the table that one pass
+    over the isotropic points fills for every corner coefficient of the
+    field (`_curve_table`); the quadric is solved over its
+    q^3 + q^2 + q + 1 prefixes, the work that SCAN_CAP bounds."""
     return curve_counts((coeff,), p, deg)[0]
 
 
 def curve_counts(coeffs, p=23, deg=1):
-    """`curve_count` for each corner coefficient in turn, all tested
-    against one solve of the quadric: the gram of `curve_spec` does not
-    depend on the coefficient."""
+    """`curve_count` for each corner coefficient, looked up in one
+    table: the gram of `curve_spec` does not depend on the
+    coefficient."""
     q = ff.field_order(p, deg)
     prefixes = sum(q ** k for k in range(4))
     if prefixes > SCAN_CAP:
         raise ValueError("enumeration too large (%d points)" % prefixes)
     K = ff.ext_field(p, deg)
     gram = [[K.embed(x) for x in row] for row in curve_spec(1, p).gram]
-    v0 = _isotropic_array(K, gram)
-    out = []
-    for coeff in coeffs:
-        X = [[K.embed(x) for x in row] for row in curve_spec(coeff, p).X]
-        w = _mat_vecs(K, X, v0)
+    table = _curve_table(K, gram)
+    return [int(table[K.embed(coeff)]) for coeff in coeffs]
+
+
+# Isotropic points per step of `_curve_table`: its temporaries stay a
+# few MB, whatever the field.
+CURVE_CHUNK = 1 << 16
+
+
+@_per_form
+def _curve_table(K, gram):
+    """The curve count at every corner coefficient, as a read-only array
+    indexed by element code, from one pass over the isotropic points.
+
+    X(c) = X0 + c E, with E the two corner entries.  A point v passes at
+    c when w = X(c) v has B(v, w) = 0 and B(w, w) = 0 (V2 = <v, w> is
+    isotropic) and B(X(c) w, w) != 0.  It must also be a plane, but the
+    last test already fails when w = t v: then B(Xw, w) = t^3 B(v, v),
+    which is 0 since v is isotropic.  The first test reads
+    a0 + c a1 = 0, with a0 = B(v, X0 v) and a1 = B(v, E v): where
+    a1 != 0 it holds at c = -a0/a1 alone, where a0 = a1 = 0 at every c,
+    and elsewhere at none.  The other two tests run on these (v, c)
+    pairs, all at once, and the passing pairs are counted per c."""
+    add, mul, neg = K.arrays()
+    inv = np.array(K.inv, dtype=add.dtype)
+    X0 = curve_spec(0, K.p).X
+    E = [[K.embed(x - y) for x, y in zip(r, r0)]
+         for r, r0 in zip(curve_spec(1, K.p).X, X0)]
+    X0 = [[K.embed(x) for x in row] for row in X0]
+    every_c = np.arange(K.q, dtype=add.dtype)
+    counts = np.zeros(K.q, dtype=np.int64)
+    V = _isotropic_array(K, gram)
+    for lo in range(0, V.shape[1], CURVE_CHUNK):
+        v = V[:, lo:lo + CURVE_CHUNK]
+        x0v, ev = _mat_vecs(K, X0, v), _mat_vecs(K, E, v)
+        a0 = _dots(K, v, _mat_vecs(K, gram, x0v))
+        a1 = _dots(K, v, _mat_vecs(K, gram, ev))
+        one = np.nonzero(a1)[0]
+        every = np.nonzero((a0 == 0) & (a1 == 0))[0]
+        at = np.concatenate([one, np.repeat(every, K.q)])
+        c = np.concatenate([mul[neg[a0[one]], inv[a1[one]]],
+                            np.tile(every_c, len(every))])
+        w = add[x0v[:, at], mul[c, ev[:, at]]]
         gw = _mat_vecs(K, gram, w)
-        # V2 = <v0, w> must be isotropic.  It must also be a plane, but
-        # the last test already fails when w = t v0: then <Xw, Gw> =
-        # t^3 <v0, Gv0>, which is 0 since v0 is isotropic.
-        ok = (_dots(K, v0, gw) == 0) & (_dots(K, w, gw) == 0)
-        ok &= _dots(K, _mat_vecs(K, X, w), gw) != 0
-        out.append(int(np.count_nonzero(ok)))
-    return out
+        keep = _dots(K, w, gw) == 0
+        w, gw, c = w[:, keep], gw[:, keep], c[keep]
+        xw = add[_mat_vecs(K, X0, w), mul[c, _mat_vecs(K, E, w)]]
+        counts += np.bincount(c[_dots(K, xw, gw) != 0], minlength=K.q)
+    return _frozen(counts)
 
 
 def flag_total(q):

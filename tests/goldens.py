@@ -20,13 +20,18 @@ CURVE_COUNT_Q5 = {3: 4, 1: 0}
 CURVE_COUNT_Q9_COEFF1 = 8
 
 # The corner coefficients c in 1..p-1 whose curve pattern has no point
-# over F_p, at every prime from 5 to 31: the zeros of
-# curve_counts(range(1, p), p), one quadric solve per prime.  Every
-# count of the sweep is divisible by 4.  The q = 5 and q = 23 sets agree
-# with CURVE_COUNT_Q5 and CURVE_COUNT_Q23.
+# over F_p, at every prime from 5 to 47: the zeros of
+# curve_counts(range(1, p), p).  The sets from 5 to 31 came from one
+# test per coefficient against one quadric solve per prime; those at
+# 37 to 47 were found by that route and by the one pass over the
+# isotropic points that fills every coefficient at once, which agreed.
+# Every count of the sweep is divisible by 4.  The q = 5 and q = 23
+# sets agree with CURVE_COUNT_Q5 and CURVE_COUNT_Q23.  p = 47 lies
+# above the bound 41 of the u7 example.
 CURVE_ZEROS = {5: {1, 4}, 7: {1, 5, 6}, 11: set(), 13: set(),
                17: {2, 4, 8, 9, 13, 15}, 19: set(), 23: {3, 8, 21, 22},
-               29: set(), 31: {10, 15, 28}}
+               29: set(), 31: {10, 15, 28}, 37: set(), 41: set(),
+               43: set(), 47: {41}}
 
 # |GL_n(F_3)| for the exhaustively enumerated groups.
 GL2_F3_ORDER = 48

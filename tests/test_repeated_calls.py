@@ -7,12 +7,17 @@ same output and write the same result record, byte for byte, as the
 first."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import padicwf
 from padicwf import building as bd
 from padicwf import cli
+from padicwf import ffield as ff
 from padicwf import springerlab as sl
 
 CHAIN = str(Path(__file__).resolve().parent.parent / "inputs" /
@@ -46,6 +51,7 @@ def _curve_spec_file(path):
     ["graph", "trace", "--scenario", "sl2"],
     ["graph", "trace", "--scenario", "u7h"],
     ["graph", "reach", "--scenario", "sl2"],
+    ["lab", "curve", "--coeff", "all", "--q", "23"],
 ])
 def test_second_run_matches_the_first(argv, tmp_path, capsys):
     argv = [_curve_spec_file(tmp_path / "spec.json") if a == "SPEC" else a
@@ -76,3 +82,40 @@ def test_second_sl2_trace_builds_no_ranker(monkeypatch, tmp_path, capsys):
     assert len(built) == 1
     assert _run(argv, tmp_path / "b.json", capsys) == first
     assert len(built) == 1
+
+
+def _fresh_run(argv, out):
+    """The printed output and the result record of one run in a new
+    interpreter."""
+    src = str(Path(padicwf.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                             else ""))
+    proc = subprocess.run([sys.executable, "-m", "padicwf.cli"] + argv
+                          + ["--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    return proc.stdout, out.read_bytes()
+
+
+def test_curve_queries_on_one_table_match_fresh_runs(tmp_path, capsys):
+    # the three curve queries at q = 23 read one table of counts; each
+    # must print and record what it does in a new interpreter
+    curve = ["lab", "curve", "--q", "23"]
+    queries = [curve + ["--coeff", "3"], curve + ["--coeff", "1"], curve]
+    here = [_run(argv, tmp_path / ("here%d.json" % k), capsys)
+            for k, argv in enumerate(queries)]
+    fresh = [_fresh_run(argv, tmp_path / ("fresh%d.json" % k))
+             for k, argv in enumerate(queries)]
+    assert here == fresh
+    K = ff.ext_field(23, 1)
+    gram = [[K.embed(x) for x in row] for row in sl.curve_spec(1, 23).gram]
+    table = sl._curve_table(K, gram)
+    with pytest.raises(ValueError, match="read-only"):
+        table[3] = 1
+    # the size limit is still checked before the table is looked up
+    assert cli.main(curve + ["--deg", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == \
+        "enumeration too large (148316260 points)"

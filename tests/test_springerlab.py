@@ -236,7 +236,7 @@ def test_per_form_memo_keeps_the_most_recent_keys():
 
 def test_scan_cap_refuses_before_any_lookup(monkeypatch):
     looked = []
-    for name in ("_isotropic_array", "_flags"):
+    for name in ("_isotropic_array", "_flags", "_curve_table"):
         monkeypatch.setattr(sl, name, lambda K, gram, name=name:
                             looked.append(name))
     monkeypatch.setattr(sl, "SCAN_CAP", 10)
@@ -1061,6 +1061,44 @@ def test_curve_zero_sets_across_primes(p):
     assert {c for c, n in zip(range(1, p), counts) if not n} \
         == goldens.CURVE_ZEROS[p]
     assert all(n % 4 == 0 for n in counts)
+
+
+def _curve_count_per_coefficient(K, code):
+    # the curve condition tested at one corner coefficient, given by its
+    # element code, against the isotropic points: the body of
+    # curve_counts before the one pass over all coefficients
+    gram = [[K.embed(x) for x in row] for row in sl.curve_spec(1, K.p).gram]
+    X = [[K.embed(x) for x in row] for row in sl.curve_spec(0, K.p).X]
+    X[0][1] = X[3][4] = code
+    v0 = sl._isotropic_array(K, gram)
+    w = sl._mat_vecs(K, X, v0)
+    gw = sl._mat_vecs(K, gram, w)
+    ok = (sl._dots(K, v0, gw) == 0) & (sl._dots(K, w, gw) == 0)
+    ok &= sl._dots(K, sl._mat_vecs(K, X, w), gw) != 0
+    return int(np.count_nonzero(ok))
+
+
+@pytest.mark.parametrize("p,d", [(5, 1), (7, 1), (11, 1), (13, 1),
+                                 (17, 1), (19, 1), (23, 1), (29, 1),
+                                 (31, 1), (3, 2), (5, 2), (3, 3)])
+def test_one_pass_matches_per_coefficient_tests(p, d):
+    # every element of F_q as the corner coefficient, the prime field's
+    # 0..p-1 among them
+    K = ff.ext_field(p, d)
+    want = [_curve_count_per_coefficient(K, c) for c in range(K.q)]
+    gram = [[K.embed(x) for x in row] for row in sl.curve_spec(1, p).gram]
+    table = sl._curve_table(K, gram)
+    assert table.tolist() == want
+    assert sl.curve_counts(range(p), p, d) == want[:p]
+
+
+def test_one_pass_in_chunks_matches_one_chunk(monkeypatch):
+    # p = 31 has 30,784 isotropic points: 1,000 a step against all at once
+    K = ff.ExtField(31, 1)
+    gram = sl.curve_spec(1, 31).gram
+    whole = sl._curve_table(K, gram)
+    monkeypatch.setattr(sl, "CURVE_CHUNK", 1000)
+    assert np.array_equal(sl._curve_table(ff.ExtField(31, 1), gram), whole)
 
 
 def test_curve_decision_at_q23():

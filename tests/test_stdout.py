@@ -3,8 +3,9 @@ commands, pinned byte for byte: labels, provenance, dominated lines and
 notes; the rules, depths, dimensions and centres of each descent edge;
 the backward reachable sets of the sl2 and u7h reaches, the u7h set
 also against its census golden; the parabolic identity counts of
-`lab spr` and their result records; the curve counts of `lab curve`
-and their result record; the oracle suite, which lifts
+`lab spr` and their result records; the curve counts of `lab curve`,
+for both corner coefficients and for the sweep, and their result
+records; the oracle suite, which lifts
 triples on the u6, u7, sl2 and u7h paths; the facet tables and their
 result records.  A refactor of the label, descent, arrangement or lab
 layers must leave every file under tests/stdout unchanged."""
@@ -83,6 +84,21 @@ def test_lab_curve_stdout_and_record_are_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == \
         (GOLDEN / "lab_curve_q23.txt").read_text()
     assert out.read_text() == (GOLDEN / "lab_curve_q23.out.json").read_text()
+
+
+def test_lab_curve_sweep_stdout_and_record_are_pinned(tmp_path, capsys):
+    # --coeff all: the count at every c in 1..p-1, then the zero set
+    out = tmp_path / "curve.json"
+    assert cli.main(["lab", "curve", "--coeff", "all", "--q", "23",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "lab_curve_all_q23.txt").read_text()
+    assert out.read_text() == \
+        (GOLDEN / "lab_curve_all_q23.out.json").read_text()
+    rec = json.loads(out.read_text())["result"]
+    assert set(rec["zeros"]) == goldens.CURVE_ZEROS[23]
+    assert {c: rec["counts"][str(c)] for c in (3, 1)} == \
+        goldens.CURVE_COUNT_Q23
 
 
 def test_oracle_all_stdout_is_pinned(capsys):
