@@ -36,6 +36,13 @@ class CliError(Exception):
         self.record = dict(record or {}, message=message)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises CliError, which `main` reports as JSON."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 # -- manifest and result files -------------------------------------------
 
 
@@ -359,8 +366,8 @@ def cmd_graph(args):
     v, depth = _scenario_vertex(args.scenario)
     if args.to_depth:
         depth = _fraction(args.to_depth, "--to-depth")
+    edges = gr.path_trace(v, depth)
     if args.graph_cmd == "trace":
-        edges = gr.path_trace(v, depth)
         print("path trace: scenario=%s, %d edges" % (args.scenario,
                                                      len(edges)))
         print("%-5s %-8s %-6s %s" % ("rule", "depth", "dim", "center"))
@@ -378,9 +385,8 @@ def cmd_graph(args):
             print("note: %s" % wf.PATH_DISCREPANCY_NOTE)
             rec["note"] = wf.PATH_DISCREPANCY_NOTE
     else:
-        edges = gr.path_trace(v, depth)
-        target = edges[-1].dst
-        back = gr.reachable(target)
+        # from the trace's last vertex: the start, if it takes no edge
+        back = gr.reachable(edges[-1].dst if edges else v)
         print("backward reachable set: scenario=%s, %d vertices"
               % (args.scenario, len(back)))
         for u in sorted(back, key=lambda u: (u.facet.depth(),
@@ -516,7 +522,7 @@ def int_or_all(text):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="padicwf",
         description="Exact wave-front sets for p-adic classical Lie "
                     "algebras")
@@ -585,8 +591,8 @@ _PARSER = []  # the parser, built by the first `main` call
 def main(argv=None):
     if not _PARSER:
         _PARSER.append(build_parser())
-    args = _PARSER[0].parse_args(argv)
     try:
+        args = _PARSER[0].parse_args(argv)
         if args.cmd == "wf":
             return cmd_wf(args)
         if args.cmd == "facets":
@@ -596,12 +602,9 @@ def main(argv=None):
         if args.cmd == "lab":
             return cmd_lab(args)
         return cmd_oracle_all(args)
-    except CliError as err:
-        json.dump({"error": err.record}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (ValueError, OSError) as err:
-        json.dump({"error": {"message": str(err)}}, sys.stderr)
+    except (CliError, ValueError, OSError) as err:
+        record = getattr(err, "record", {"message": str(err)})
+        json.dump({"error": record}, sys.stderr)
         sys.stderr.write("\n")
         return 2
 

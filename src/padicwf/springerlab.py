@@ -571,6 +571,10 @@ class VarietySpec:
         if any(c not in ("*", "0", "!") for row in self.pattern
                for c in row):
             raise ValueError("pattern entries must be '*', '0' or '!'")
+        ff.check_odd_prime(p)
+        if any((gram[i][j] - gram[j][i]) % p for i in range(5)
+               for j in range(i)):
+            raise ValueError("gram must be symmetric")
 
 
 def curve_spec(coeff, p=23):
@@ -590,29 +594,6 @@ def curve_spec(coeff, p=23):
     return VarietySpec(gram, X, pattern, p)
 
 
-def _projective_chunks(K, n):
-    """P^{n-1}(F_q) as pivot-normalized vectors in bulk, lexicographic
-    within each pivot: one chunk per pivot and leading free coordinate,
-    so at most q^(n-2) vectors at a time."""
-    q = K.q
-    dtype = K.arrays()[0].dtype
-    for pivot in range(n):
-        free = n - pivot - 1
-        if not free:
-            chunk = np.zeros((n, 1), dtype=dtype)
-            chunk[pivot] = 1
-            yield chunk
-            continue
-        tail = np.indices((q,) * (free - 1), dtype=dtype).reshape(
-            free - 1, q ** (free - 1))
-        for lead in range(q):
-            chunk = np.zeros((n, tail.shape[1]), dtype=dtype)
-            chunk[pivot] = 1
-            chunk[pivot + 1] = lead
-            chunk[pivot + 2:] = tail
-            yield chunk
-
-
 def _per_form(build):
     """Memoize build(K, gram), which returns read-only arrays, keyed by
     K and the gram's codes as a tuple of tuples, for the most recently
@@ -626,64 +607,96 @@ def _per_form(build):
     return lookup
 
 
-@_per_form
-def _isotropic_array(K, gram):
-    """The isotropic points of P^{n-1}(F_q) as an (n, N) array of
-    pivot-normalized vectors, pivot by pivot and lexicographic within
-    each pivot, by solving the quadric along its last coordinate.
+# (form, prefix) rows per step of `_quadric_points`, or one prefix for
+# every form when there are more forms, and isotropic points per step of
+# `_curve_table`: their temporaries stay a few MB, whatever the field.
+CURVE_CHUNK = 1 << 16
+
+
+def _quadric_points(K, Q):
+    """The isotropic points of F quadratic forms on F_q^k, solved all at
+    once.  Q is a k x k grid of (F,) code arrays, form f's gram holding
+    Q[s][t][f].  Returns a (k, N) array of pivot-normalized vectors and
+    the (N,) index of each one's form: pivot by pivot, lexicographic
+    within each pivot, the forms interleaved.
 
     For each pivot, every prefix u (u_pivot = 1, the coordinates after
     it free but the last, u_last = 0) gives v = u + x e_last with
-    B(v, v) = a x^2 + b x + c: a = G[last][last], b = (G u)_last +
-    (G^T u)_last, c = B(u, u).  The roots x are read from the square-root
-    and reciprocal tables (p is odd), so the work is one row per prefix,
-    q^(n-2) for the first pivot, rather than one per point of P^{n-1}."""
+    B(v, v) = sum_{i<=j} S_ij v_i v_j = a x^2 + b x + c, S_ii = G_ii and
+    S_ij = G_ij + G_ji.  The roots x come from the square-root and
+    reciprocal tables (p is odd): one row per form and prefix, q^(k-2)
+    prefixes for the first pivot, not one per point of P^(k-1)."""
     add, mul, neg = K.arrays()
     dtype = add.dtype
     inv = np.array(K.inv, dtype=dtype)
-    sqrt = np.array([-1 if s is None else s for s in K.sqrt])
-    n = len(gram)
-    last = n - 1
-    a = gram[last][last]
-    lin = [[K.add[gram[last][j]][gram[j][last]] for j in range(n)]]
+    sqrt = np.array([-1 if s is None else s for s in K.sqrt],
+                    dtype=np.min_scalar_type(-K.q))
+    k = len(Q)
+    last = k - 1
+    S = [[Q[i][i] if i == j else add[Q[i][j], Q[j][i]] for j in range(k)]
+         for i in range(k)]
+    a = S[last][last]
+    four_a = mul[K.embed(4), a][:, None]
+    half = inv[mul[K.embed(2), a]]
+    flat = np.nonzero(a == 0)[0]
+    step = max(1, CURVE_CHUNK // len(a))
     blocks = []
-    for pivot in range(n):
-        free = n - pivot - 1
-        if not free:
-            if gram[pivot][pivot] == 0:
-                v = np.zeros((n, 1), dtype=dtype)
-                v[pivot] = 1
-                blocks.append(v)
-            continue
-        U = np.zeros((n, K.q ** (free - 1)), dtype=dtype)
-        U[pivot] = 1
-        U[pivot + 1:last] = np.indices((K.q,) * (free - 1),
-                                       dtype=dtype).reshape(free - 1,
-                                                            U.shape[1])
-        b = _mat_vecs(K, lin, U)[0]
-        c = _dots(K, U, _mat_vecs(K, gram, U))
-        if a:
-            disc = add[mul[b, b], neg[mul[K.mul[K.embed(4)][a], c]]]
-            s = sqrt[disc]
-            half = inv[K.mul[K.embed(2)][a]]
-            # a zero discriminant gives one root, a nonzero square two
-            one, two = np.nonzero(s >= 0)[0], np.nonzero(s > 0)[0]
-            at = np.concatenate([one, two])
-            root = np.concatenate([s[one], neg[s[two]]]).astype(dtype)
-            xs = mul[add[neg[b[at]], root], half]
-        else:
-            one = np.nonzero(b)[0]
-            every = np.nonzero((b == 0) & (c == 0))[0]
-            at = np.concatenate([one, np.repeat(every, K.q)])
-            xs = np.concatenate([mul[neg[c[one]], inv[b[one]]],
-                                 np.tile(np.arange(K.q, dtype=dtype),
-                                         len(every))])
-        V = U[:, at]
-        V[last] = xs
-        blocks.append(V[:, np.lexsort((xs, at))])
-    if not blocks:
-        return _frozen(np.zeros((n, 0), dtype=dtype))
-    return _frozen(np.concatenate(blocks, axis=1))
+    for pivot in range(last):
+        rows = K.q ** (last - pivot - 1)
+        for lo in range(0, rows, step):
+            idx = np.arange(lo, min(lo + step, rows))
+            U = np.zeros((k, len(idx)), dtype=dtype)
+            U[pivot] = 1
+            for j in range(last - 1, pivot, -1):
+                idx, U[j] = divmod(idx, K.q)
+
+            def poly(terms):
+                # the sum of S u_i u_j over the terms (S, i, j), as codes
+                out = None
+                for coeff, i, j in terms:
+                    if coeff.any():
+                        mono = U[j] if i == pivot else mul[U[i], U[j]]
+                        term = (coeff[:, None] if j == pivot
+                                else mul[coeff[:, None], mono])
+                        out = term if out is None else add[out, term]
+                return np.zeros((len(a), 1), dtype) if out is None else out
+            b = poly((S[j][last], pivot, j) for j in range(pivot, last))
+            c = poly((S[i][j], i, j) for i in range(pivot, last)
+                     for j in range(i, last))
+            s = np.where(a[:, None] != 0,
+                         sqrt[add[mul[b, b], neg[mul[four_a, c]]]], -1)
+            b, c, s = (np.broadcast_to(t, (len(a), len(U[0])))
+                       for t in (b, c, s))
+            bl, cl = b[flat], c[flat]
+            # a zero discriminant gives one root, a nonzero square two;
+            # where a = 0, b != 0 gives one root and b = c = 0 every x
+            (f1, r1), (f2, r2) = np.nonzero(s >= 0), np.nonzero(s > 0)
+            f3, r3 = np.nonzero(bl)
+            f4, r4 = np.nonzero((bl == 0) & (cl == 0))
+            f = np.concatenate([f1, f2, flat[f3], np.repeat(flat[f4], K.q)])
+            r = np.concatenate([r1, r2, r3, np.repeat(r4, K.q)])
+            x = np.concatenate([
+                mul[add[neg[b[f1, r1]], s[f1, r1]], half[f1]],
+                mul[add[neg[b[f2, r2]], neg[s[f2, r2]]], half[f2]],
+                mul[neg[cl[f3, r3]], inv[bl[f3, r3]]],
+                np.tile(np.arange(K.q, dtype=dtype), len(f4))])
+            order = np.lexsort((x, r))
+            V = U[:, r[order]]
+            V[last] = x[order]
+            blocks.append((V, f[order]))
+    # the last pivot: e_last is isotropic where a = 0
+    blocks.append((np.repeat(np.eye(k, dtype=dtype)[:, last:], len(flat),
+                             axis=1), flat))
+    points, owners = zip(*blocks)
+    return np.concatenate(points, axis=1), np.concatenate(owners)
+
+
+@_per_form
+def _isotropic_array(K, gram):
+    """`_quadric_points` on one form: the isotropic points of P^{n-1}(F_q)
+    as a read-only (n, N) array, in the solver's order."""
+    Q = [[np.array([x]) for x in row] for row in gram]
+    return _frozen(_quadric_points(K, Q)[0])
 
 
 def isotropic_points(K, gram):
@@ -702,10 +715,9 @@ def _flags(K, gram):
     w_f = e_f - r_f e_pi for f != pi, or every e_f when G v0 = 0; the
     complement drops w_f* for f* the last free index at which v0 is
     nonzero, the one w_f that lies in the span of v0 and the w_f before
-    it.  Isotropy is tested for all v0 at once against one chunk of
-    P^(k-1) at a time."""
+    it.  The complements of one dimension k have their isotropic points
+    solved all at once, one form per v0 (`_quadric_points`)."""
     add, mul, neg = K.arrays()
-    inv = np.array(K.inv, dtype=add.dtype)
     n = len(gram)
     P0 = np.array(isotropic_points(K, gram),
                   dtype=add.dtype).reshape(-1, n).T
@@ -713,17 +725,15 @@ def _flags(K, gram):
     cols = np.arange(P0.shape[1])
     rowed = G0.any(axis=0)
     pivot = (G0 != 0).argmax(axis=0)
-    r = mul[G0, inv[G0[pivot, cols]]]
+    r = mul[G0, np.array(K.inv)[G0[pivot, cols]]]
     free = np.ones(P0.shape, dtype=bool)
     free[pivot[rowed], cols[rowed]] = False
     last = n - 1 - ((P0 != 0) & free)[::-1].argmax(axis=0)
     free[last, cols] = False
     k_of = free.sum(axis=0)
-    v0_idx, v1s = [], []
-    for k in range(1, n):
+    v0_idx, v1s = [cols[:0]], [P0[:, :0]]
+    for k in set(k_of.tolist()) - {0}:
         sel = cols[k_of == k]
-        if not len(sel):
-            continue
         kept = np.nonzero(free[:, sel].T)[1].reshape(-1, k).T
         W = np.zeros((k, n, len(sel)), dtype=add.dtype)
         at = np.arange(len(sel))
@@ -732,21 +742,12 @@ def _flags(K, gram):
             W[t, kept[t], at] = 1
         GW = [_mat_vecs(K, gram, w) for w in W]
         Q = [[_dots(K, ws, gw) for gw in GW] for ws in W]
-        for A in _projective_chunks(K, k):
-            val = np.zeros((len(sel), A.shape[1]), dtype=add.dtype)
-            for s in range(k):
-                for t in range(k):
-                    val = add[val, mul[Q[s][t][:, None],
-                                       mul[A[s], A[t]][None, :]]]
-            i, j = np.nonzero(val == 0)
-            v1 = np.zeros((n, len(i)), dtype=add.dtype)
-            for t in range(k):
-                v1 = add[v1, mul[A[t, j], W[t][:, i]]]
-            v0_idx.append(sel[i])
-            v1s.append(v1)
-    if not v0_idx:
-        empty = _frozen(np.zeros((n, 0), dtype=add.dtype))
-        return empty, empty
+        A, f = _quadric_points(K, Q)
+        v1 = np.zeros((n, len(f)), dtype=add.dtype)
+        for t in range(k):
+            v1 = add[v1, mul[A[t], W[t][:, f]]]
+        v0_idx.append(sel[f])
+        v1s.append(v1)
     v0_idx = np.concatenate(v0_idx)
     order = np.argsort(v0_idx, kind="stable")
     return _frozen(P0[:, v0_idx[order]],
@@ -862,11 +863,6 @@ def curve_counts(coeffs, p=23, deg=1):
     gram = [[K.embed(x) for x in row] for row in curve_spec(1, p).gram]
     table = _curve_table(K, gram)
     return [int(table[K.embed(coeff)]) for coeff in coeffs]
-
-
-# Isotropic points per step of `_curve_table`: its temporaries stay a
-# few MB, whatever the field.
-CURVE_CHUNK = 1 << 16
 
 
 @_per_form

@@ -306,11 +306,29 @@ def test_facets_empty_window(argv, message, capsys):
     (["facets", "--window", "0"], "--window: expected lo,hi, got '0'"),
     (["facets", "--window", "0,1,2"],
      "--window: expected lo,hi, got '0,1,2'"),
+    # usage errors, found by argparse
+    (["lab", "curve", "--coeff", "5"],
+     "argument --coeff: invalid choice: 5 (choose from 3, 1, 'all')"),
+    (["lab", "spr", "--n", "4"],
+     "argument --n: invalid choice: 4 (choose from 2, 3)"),
+    (["facets", "--q", "x"], "argument --q: invalid int value: 'x'"),
 ])
 def test_zero_denominator_option_is_a_json_error(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": {"message": message}}
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--version"], cli.VERSION + "\n"),
+    (["lab", "curve", "--help"], "usage: padicwf lab curve"),
+])
+def test_help_and_version_exit_zero(argv, text, capsys):
+    # only usage errors become JSON records
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(text)
 
 
 # -- graph ---------------------------------------------------------------
@@ -356,6 +374,18 @@ def test_graph_reach_u7h(tmp_path, capsys):
     assert code == 0
     assert "reachable set: scenario=u7h, 1248 vertices" in text
     assert json.loads(out.read_text())["result"] == {"vertices": 1248}
+
+
+@pytest.mark.parametrize("scenario, count", [("sl2", 4), ("u7h", 454)])
+def test_graph_reach_at_the_start_depth(scenario, count, capsys):
+    # a target depth the start already meets: the trace takes no edge,
+    # so the reach runs from the start vertex
+    from padicwf import graph as gr
+    code, text, _ = run(["graph", "reach", "--scenario", scenario,
+                         "--to-depth", "0"], capsys)
+    assert code == 0
+    assert "scenario=%s, %d vertices" % (scenario, count) in text
+    assert len(gr.reachable(cli._scenario_vertex(scenario)[0])) == count
 
 
 # -- lab -----------------------------------------------------------------
@@ -463,6 +493,13 @@ def _curve_spec_data(**changes):
 TWICE_SPLIT = [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)]
 
 
+def _skewed(cell):
+    # the split form with a 1 at one cell off the antidiagonal, and not
+    # at its mirror
+    return [[int(i + j == 4 or (i, j) == cell) for j in range(5)]
+            for i in range(5)]
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"pattern": ["?????"] * 5}, "pattern entries must be '*', '0' or '!'"),
     ({"pattern": ["****"] * 4}, "pattern must be 5x5"),
@@ -481,6 +518,8 @@ TWICE_SPLIT = [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)]
     ({"p": True}, "p must be an integer"),
     ({"degrees": [1, 1]}, "degrees must not repeat a degree"),
     ({"degrees": [2, 1, 2]}, "degrees must not repeat a degree"),
+    ({"gram": _skewed((0, 3))}, "gram must be symmetric"),
+    ({"gram": _skewed((0, 1))}, "gram must be symmetric"),
 ])
 def test_lab_count_rejects_malformed_spec(changes, message, tmp_path,
                                           capsys):
@@ -579,10 +618,10 @@ def test_inert_options_are_gone(tmp_path, capsys):
     # draws random samples, so only it takes a seed
     for argv in (["--threads", "2"], ["--precision", "5"],
                  ["--seed", "5"]):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["wf", "example", "toral"] + argv)
-        assert err.value.code == 2
-    capsys.readouterr()
+        code, out, err = run(["wf", "example", "toral"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == \
+            "unrecognized arguments: %s" % " ".join(argv)
     # only the u6 example and wf compute read the mode
     for name in ("u7", "toral"):
         code, out, err = run(["wf", "example", name, "--mode", "bound"],

@@ -835,8 +835,17 @@ def _isotropic_in(K, gram, V):
     return V[:, sl._dots(K, V, sl._mat_vecs(K, gram, V)) == 0]
 
 
-def _projective_space(K, n):
-    return np.concatenate(list(sl._projective_chunks(K, n)), axis=1)
+def _projective_space(q, n):
+    # P^(n-1)(F_q) as pivot-normalized integer columns, pivot by pivot
+    # and lexicographic within each pivot
+    blocks = []
+    for pivot in range(n):
+        free = n - 1 - pivot
+        v = np.zeros((n, q ** free), dtype=np.int64)
+        v[pivot] = 1
+        v[pivot + 1:] = np.indices((q,) * free).reshape(free, q ** free)
+        blocks.append(v)
+    return np.concatenate(blocks, axis=1)
 
 
 # Largest n drawn per field order q: P^(n-1)(F_q) stays within the reach
@@ -850,8 +859,11 @@ MAX_DIM = {3: 5, 5: 5, 7: 4, 9: 5, 25: 4, 49: 3}
 def symmetric_grams(draw, degrees=(1,)):
     p = draw(st.sampled_from([3, 5, 7]))
     d = draw(st.sampled_from(degrees))
-    q = p ** d
-    n = draw(st.integers(1, MAX_DIM[q]))
+    n = draw(st.integers(1, MAX_DIM[p ** d]))
+    return ff.ExtField(p, d), _symmetric_gram(draw, p ** d, n)
+
+
+def _symmetric_gram(draw, q, n):
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -860,7 +872,23 @@ def symmetric_grams(draw, degrees=(1,)):
     for k in draw(st.sets(st.integers(0, n - 1), max_size=n)):
         for i in range(n):
             gram[i][k] = gram[k][i] = 0
-    return ff.ExtField(p, d), gram
+    return gram
+
+
+@st.composite
+def gram_batches(draw):
+    # up to four forms of one size over one field, degenerate ones
+    # (a radical, the zero form) included
+    K, gram = draw(symmetric_grams(degrees=(1, 2)))
+    return K, [gram] + [_symmetric_gram(draw, K.q, len(gram))
+                        for _ in range(draw(st.integers(0, 3)))]
+
+
+def _batch(K, grams):
+    # the k x k grid of (F,) code arrays that `_quadric_points` takes
+    n = len(grams[0])
+    return [[np.array([g[s][t] for g in grams], dtype=K.arrays()[0].dtype)
+             for t in range(n)] for s in range(n)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -870,19 +898,35 @@ def test_isotropic_points_match_direct_scan(case):
     pts = sl.isotropic_points(K, gram)
     assert pts == _isotropic_by_direct_scan(K, gram)
     assert pts == _isotropic_in(K, gram,
-                                _projective_space(K, len(gram))).T.tolist()
+                                _projective_space(K.q, len(gram))).T.tolist()
 
 
-def _p4_scan(p):
-    # P^4(F_p) as pivot-normalized integer columns, pivot by pivot
-    blocks = []
-    for pivot in range(5):
-        free = 4 - pivot
-        v = np.zeros((5, p ** free), dtype=np.int64)
-        v[pivot] = 1
-        v[pivot + 1:] = np.indices((p,) * free).reshape(free, p ** free)
-        blocks.append(v)
-    return np.concatenate(blocks, axis=1)
+@settings(max_examples=40, deadline=None)
+@given(gram_batches())
+def test_batched_solver_matches_one_form_at_a_time(case):
+    K, grams = case
+    points, forms = sl._quadric_points(K, _batch(K, grams))
+    assert points.shape == (len(grams[0]), len(forms))
+    for f, gram in enumerate(grams):
+        assert points[:, forms == f].T.tolist() == \
+            sl._isotropic_array(K, gram).T.tolist()
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (7, 1)])
+def test_batched_solver_in_chunks_matches_one_chunk(p, d, monkeypatch):
+    # the split, zero, diagonal and rank-2 forms on F_q^4: two prefixes
+    # for all four forms a step (8 rows), then one
+    K = ff.ExtField(p, d)
+    grams = [[[int(i + j == 3) for j in range(4)] for i in range(4)],
+             [[0] * 4 for _ in range(4)],
+             np.eye(4, dtype=int).tolist(),
+             [[int(i == j < 2) for j in range(4)] for i in range(4)]]
+    whole = sl._quadric_points(K, _batch(K, grams))
+    for chunk in (8, 1):
+        monkeypatch.setattr(sl, "CURVE_CHUNK", chunk)
+        for got, want in zip(sl._quadric_points(K, _batch(K, grams)),
+                             whole):
+            assert np.array_equal(got, want)
 
 
 def _curve_count_by_scan(coeff, p, V):
@@ -899,7 +943,7 @@ def _curve_count_by_scan(coeff, p, V):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_curve_count_matches_p4_scan(p):
-    V = _p4_scan(p)
+    V = _projective_space(p, 5)
     for coeff in (1, 3):
         assert sl.curve_count(coeff, p) == _curve_count_by_scan(coeff, p, V)
 
@@ -924,7 +968,7 @@ def _flag_pairs_reference(K, gram):
         qgram = [[sl._dot(K, a, sl._mat_vec(K, gram, b)) for b in basis]
                  for a in basis]
         if len(basis) not in spaces:
-            spaces[len(basis)] = _projective_space(K, len(basis))
+            spaces[len(basis)] = _projective_space(K.q, len(basis))
         for a in _isotropic_in(K, qgram, spaces[len(basis)]).T.tolist():
             v1 = [0] * n
             for t, w in zip(a, basis):
@@ -1112,3 +1156,14 @@ def test_variety_spec_validates_pattern():
     spec = sl.curve_spec(1, 3)
     with pytest.raises(ValueError, match="pattern entries"):
         sl.VarietySpec(spec.gram, spec.X, ["?????"] * 5, 3)
+
+
+def test_variety_spec_reads_symmetry_mod_p():
+    # 4 = 1 mod 3: the split form at p = 3, but not symmetric at p = 5
+    spec = sl.curve_spec(1, 3)
+    gram = [list(row) for row in spec.gram]
+    gram[0][4] = 4
+    assert sl.point_count(sl.VarietySpec(gram, spec.X, spec.pattern, 3)) \
+        == sl.point_count(spec)
+    with pytest.raises(ValueError, match="gram must be symmetric"):
+        sl.VarietySpec(gram, spec.X, spec.pattern, 5)

@@ -5,7 +5,8 @@ the backward reachable sets of the sl2 and u7h reaches, the u7h set
 also against its census golden; the parabolic identity counts of
 `lab spr` and their result records; the curve counts of `lab curve`,
 for both corner coefficients and for the sweep, and their result
-records; the oracle suite, which lifts
+records; the flag counts of `lab count` on the curve spec and their
+result record; the oracle suite, which lifts
 triples on the u6, u7, sl2 and u7h paths; the facet tables and their
 result records.  A refactor of the label, descent, arrangement or lab
 layers must leave every file under tests/stdout unchanged."""
@@ -99,6 +100,18 @@ def test_lab_curve_sweep_stdout_and_record_are_pinned(tmp_path, capsys):
     assert set(rec["zeros"]) == goldens.CURVE_ZEROS[23]
     assert {c: rec["counts"][str(c)] for c in (3, 1)} == \
         goldens.CURVE_COUNT_Q23
+
+
+def test_lab_count_stdout_and_record_are_pinned(tmp_path, capsys):
+    # the curve spec at p = 3, counted over F_3 and F_9
+    out = tmp_path / "count.json"
+    assert cli.main(["lab", "count", "--spec",
+                     str(ROOT / "inputs" / "curve_count_p3.json"),
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "lab_count_curve_p3.txt").read_text()
+    assert out.read_text() == \
+        (GOLDEN / "lab_count_curve_p3.out.json").read_text()
 
 
 def test_oracle_all_stdout_is_pinned(capsys):
