@@ -457,6 +457,7 @@ class AugFacet:
         self._cell = None
         self._dim = dim
         self._depth = self._horizontal = None
+        self._center = None  # kept by graph.facet_center
         self._quot = None  # kept by graph.facet_quotient
 
     def __eq__(self, other):

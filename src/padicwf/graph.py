@@ -36,10 +36,13 @@ FIBER_CAP = 2000
 
 
 def facet_center(facet):
-    """Deterministic interior point: barycenter of the closure vertices."""
-    vs = facet.vertices()
-    c = tuple(sum(col) / len(vs) for col in zip(*vs))
-    return c[:-1], c[-1]
+    """Deterministic interior point: barycenter of the closure vertices,
+    computed once per facet and kept with it."""
+    if facet._center is None:
+        vs = facet.vertices()
+        c = tuple(sum(col) / len(vs) for col in zip(*vs))
+        facet._center = c[:-1], c[-1]
+    return facet._center
 
 
 def facet_quotient(facet):

@@ -5,11 +5,11 @@ A Factor is one classical group given by a Gram matrix: gl(n), unitary
 algebra condition is sigma(X)^T G + G X = 0 where sigma is entrywise conj
 for unitary factors and the identity otherwise.
 
-Over finite fields this module provides Jordan types and decompositions,
-centralizers, sl2-triples, cocharacter gradings, and the Levi data of a
-semisimple part needed for induction of nilpotent orbits.  One
-constructive Jacobson-Morozov routine, `jacobson_morozov`, finds every
-sl2-triple: `sl2_complete` runs it over a factor's Lie algebra basis, and
+Over finite fields this module provides Jordan types, centralizers,
+sl2-triples, cocharacter gradings, and the Levi data of a semisimple
+part needed for induction of nilpotent orbits.  One constructive
+Jacobson-Morozov routine, `jacobson_morozov`, finds every sl2-triple:
+`sl2_complete` runs it over a factor's Lie algebra basis, and
 `mpquotient.lift_triple` over the residue units of a graded Moy-Prasad
 piece cut down by Lie-algebra rows that mpquotient writes in closed form
 from the model's monomial Gram matrix.  It and `centralizer_basis` take
@@ -170,28 +170,6 @@ def _block_sizes(A, d, full):
 def jordan_type(X):
     """Partition of n recording the Jordan block sizes of a nilpotent X."""
     return _block_sizes(X, 1, len(X))
-
-
-def jordan_decomposition(X, field):
-    """(semisimple, nilpotent) parts, by Newton iteration on the radical
-    of the characteristic polynomial."""
-    n = len(X)
-    f = la.charpoly(X, field)
-    f1 = la.poly_radical(f, field)
-    df1 = la.poly_deriv(f1, field)
-    s = X
-    for _ in range(max(1, n.bit_length() + 1)):
-        val = la.poly_eval_mat(f1, s, field)
-        if all(not e for row in val for e in row):
-            break
-        dinv = la.mat_inv(la.poly_eval_mat(df1, s, field), field)
-        s = la.mat_sub(s, la.mat_mul(val, dinv))
-    val = la.poly_eval_mat(f1, s, field)
-    assert all(not e for row in val for e in row), "Newton did not converge"
-    xn = la.mat_sub(X, s)
-    assert is_nilpotent(xn)
-    assert la.bracket(s, xn) == la.zero_mat(field, n)
-    return s, xn
 
 
 def _flat(X, field):

@@ -12,26 +12,26 @@ returns the other operand.  A product with an exact-zero factor is the
 exact zero, and adding one changes neither the terms nor the precision
 of a LocalScalar, so every entry is the one the dense loop would give.
 
-Every row reduction in the package goes through one Gauss-Jordan kernel,
-`rref`.  It touches entries only through the field operations it is
-given, ops = (sub, mul, inv), and tests them for zero by truth value, so
-one code path serves every element representation: ffield elements
+Every row reduction of one matrix in the package goes through one
+Gauss-Jordan kernel, `rref` (`springerlab._rref_codes` is the same
+elimination, pivot rule and determinant included, on stacks of ExtField
+code arrays).  It touches entries only through the field operations it
+is given, ops = (sub, mul, inv), and tests them for zero by truth value,
+so one code path serves every element representation: ffield elements
 (`FF_OPS`, the default), integers and Fractions over Q (`Q_OPS`) and
 the integer codes of `ffield.ExtField` (its `ops`, with the field
 itself as the field of `solve` and `kernel_basis`).
 It returns the reduced rows, the pivot columns and, for square input,
-the determinant; `rank`, `kernel_basis`, `solve` and `mat_inv` are read
-off it.
+the determinant; `rank`, `kernel_basis` and `solve` are read off it.
 
 Polynomials are lists of coefficients, constant term first.  Over the
 finite fields of `ffield`, `squarefree_decomposition` is Yun's algorithm
-with one p-th-root recursion for characteristic p; `poly_radical` is the
-product of its parts and `factor_poly` splits each part by degree and then
-by Cantor-Zassenhaus.  `factor_poly` returns a polynomial of degree 1 at
-once, as its own monic factor with multiplicity 1: `liealg.primary_parts`
-factors the characteristic polynomial of each diagonal block of a
-block-triangular form, and most of those blocks are 1x1.  A constant
-still factors as [].
+with one p-th-root recursion for characteristic p; `factor_poly` splits
+each of its parts by degree and then by Cantor-Zassenhaus, and returns
+a polynomial of degree 1 at once, as its own monic factor with
+multiplicity 1: `liealg.primary_parts` factors the characteristic
+polynomial of each diagonal block of a block-triangular form, and most
+of those blocks are 1x1.  A constant still factors as [].
 """
 
 import operator
@@ -265,15 +265,6 @@ def solve(a, b, field, ops=FF_OPS):
     return tuple(x)
 
 
-def mat_inv(a, field):
-    n = len(a)
-    aug = [list(r) + list(e) for r, e in zip(a, identity(field, n))]
-    rows, pivots, _ = rref(aug)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix not invertible")
-    return tuple(tuple(r[n:]) for r in rows)
-
-
 # -- characteristic polynomial (division-free, Berkowitz) --------------
 
 
@@ -422,14 +413,6 @@ def _pth_root_poly(f, field):
     assert all(not c for i, c in enumerate(f) if i % field.p), \
         "polynomial is not a p-th power"
     return poly_trim([c.conj() for c in f[::field.p]])
-
-
-def poly_radical(f, field):
-    """Product of the distinct irreducible factors of f (monic)."""
-    out = [fone(field)]
-    for g, _ in squarefree_decomposition(f, field):
-        out = poly_mul(out, g, field)
-    return out
 
 
 def poly_powmod(f, e, mod, field):

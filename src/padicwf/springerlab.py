@@ -5,18 +5,20 @@ integer vectors in the basis of p-th roots of unity, Fourier transforms
 are axis-wise character sums, and the test functions are orbit sums of
 Slodowy-slice indicators built by exhaustive group enumeration, one
 orbit at a time.  gl_n(F_p) is worked on as integer arrays of the codes
-of `ffield.ext_field(p, 1)`; `spr_instances` lists the elements `lab
-spr` checks, so the command line builds no lab matrices.  The
-flag-variety point counts parameterize complete isotropic flags
-directly: every flag of a field is enumerated in bulk as arrays of
-element codes, and the pattern conditions that read only the first two
-flag vectors are tested on all flags at once.  The u7 curve is counted
+of `ffield.ext_field(p, 1)`, Jordan decompositions included; `lab spr`
+checks the elements that `spr_instances` lists.  The flag-variety point
+counts parameterize complete isotropic flags directly: every flag of a
+field is enumerated in bulk as arrays of element codes, the pattern
+conditions on the first two flag vectors are tested on all flags at
+once, and the flags that pass are completed to adapted bases all at
+once, by one elimination on stacks of code arrays.  The u7 curve is counted
 for every corner coefficient c of a field in one pass over the
 isotropic points: its first condition is linear in c, so each point
 fixes the one c it can pass at, or passes that condition at every c.
 """
 
 import functools
+import math
 import random
 
 from . import ffield as ff
@@ -55,8 +57,9 @@ SCAN_CAP = 2 * 10 ** 6
 class MatContext:
     """gl_n over K = ff.ext_field(p, 1), as integer arrays of its codes
     0..p-1; the constructor refuses more than CAP matrices.  Bulk
-    products are numpy matmul mod p, four times faster than K's tables;
-    entries become `FFElt` only at the calls into `liealg`.  The group
+    products are numpy matmul mod p, four times faster than K's tables,
+    and so is the Jordan decomposition, a Frobenius power; entries
+    become `FFElt` only at the calls into `liealg`.  The group
     (as codes of dtype min_scalar_type(p - 1)), nilpotent mask and test
     functions are built on first use and kept read-only; `mat_context`
     shares one context per (n, p)."""
@@ -207,8 +210,16 @@ class MatContext:
         return not power.any()
 
     def jordan_decomposition(self, m):
-        s, n = lie.jordan_decomposition(self.to_ff(m), self.field)
-        return self.from_ff(s), self.from_ff(n)
+        """(s, n) for a (..., n, n) stack: s = m^(p^M), M = lcm(1..n), and
+        n = m - s.  As s, n commute, m^(p^M) = s^(p^M) + n^(p^M); n^(p^M)
+        = 0 as p^M >= n; s^(p^M) = s, its eigenvalues in F_(p^d), d | M."""
+        p = self.p
+        m = s = np.asarray(m, dtype=np.int64) % p
+        for bit in bin(p ** math.lcm(*range(1, self.n + 1)))[3:]:
+            s = s @ s % p
+            if bit == "1":
+                s = s @ m % p
+        return s, (m - s) % p
 
 
 # One context per (n, p) for the process, like `ff.ext_field`.
@@ -487,37 +498,12 @@ def good1_check(ctx, x, lam, ell, c, budget=20000, rng=None):
     raise ValueError("witness not found in budget")
 
 
-# One vector at a time.  Each helper reads the tables into locals once:
-# an ExtField attribute read costs more than a list index.
-
-def _vec_add(K, u, v):
-    add = K.add
-    return [add[a][b] for a, b in zip(u, v)]
-
-def _vec_scale(K, t, u):
-    row = K.mul[t]
-    return [row[a] for a in u]
-
-def _mat_vec(K, m, v):
-    add, mul = K.add, K.mul
-    out = []
-    for row in m:
-        s = 0
-        for a, b in zip(row, v):
-            s = add[s][mul[a][b]]
-        out.append(s)
-    return out
-
-def _dot(K, u, v):
-    add, mul = K.add, K.mul
-    s = 0
-    for a, b in zip(u, v):
-        s = add[s][mul[a][b]]
-    return s
-
-
 # Vectors in bulk: a (n, N) array of element codes holds N vectors of
-# length n, one coordinate per row.
+# length n, one coordinate per row.  Sums and products read the q x q
+# tables flat, at a * q + b: a two-index lookup costs several times more.
+
+def _at(table, u, v):
+    return table.ravel()[np.multiply(u, len(table), dtype=np.intp) + v]
 
 def _mat_vecs(K, m, V):
     # a zero entry adds nothing and a unit entry needs no product
@@ -528,15 +514,15 @@ def _mat_vecs(K, m, V):
         for a, coord in zip(row, V):
             if a:
                 term = coord if a == K.one else mul[a][coord]
-                s = term if s is None else add[s, term]
+                s = term if s is None else _at(add, s, term)
         out.append(np.zeros(V.shape[1], dtype=V.dtype) if s is None else s)
     return np.stack(out)
 
 def _dots(K, U, V):
     add, mul, _ = K.arrays()
-    s = mul[U[0], V[0]]
+    s = _at(mul, U[0], V[0])
     for u, v in zip(U[1:], V[1:]):
-        s = add[s, mul[u, v]]
+        s = _at(add, s, _at(mul, u, v))
     return s
 
 
@@ -608,8 +594,9 @@ def _per_form(build):
 
 
 # (form, prefix) rows per step of `_quadric_points`, or one prefix for
-# every form when there are more forms, and isotropic points per step of
-# `_curve_table`: their temporaries stay a few MB, whatever the field.
+# every form when there are more forms, isotropic points per step of
+# `_curve_table`, and basis entries (n^2 a flag) per step of the adapted
+# bases in `point_count`: their temporaries stay a few MB.
 CURVE_CHUNK = 1 << 16
 
 
@@ -691,6 +678,42 @@ def _quadric_points(K, Q):
     return np.concatenate(points, axis=1), np.concatenate(owners)
 
 
+def _rref_codes(K, A):
+    """`linalg.rref`, its pivot rule included, on an (N, rows, cols)
+    stack of code arrays: the reduced stack, the (N, rows) pivot columns
+    (-1 past the rank) and, for square matrices, the determinants."""
+    q, (add, mul, neg) = K.q, K.arrays()
+    inv, submul = np.array(K.inv), neg[mul].ravel()
+    add, mul = add.ravel(), mul.ravel()
+    A = np.array(A, dtype=np.intp)
+    N, rows, cols = A.shape
+    at, rank = np.arange(N), np.zeros(N, dtype=np.intp)
+    det, flips = np.ones(N, dtype=np.intp), np.zeros(N, dtype=bool)
+    for c in range(cols):
+        if (rank == rows).all():
+            break
+        cand = (A[:, :, c] != 0) & (np.arange(rows) >= rank[:, None])
+        has = cand.any(axis=1)
+        # where column c has no pivot, row r stays as it is
+        r = np.minimum(rank, rows - 1)
+        piv = np.where(has, cand.argmax(axis=1), r)
+        top = A[at, piv]
+        A[at, piv] = A[at, r]
+        flips ^= piv != r
+        lead = np.where(has, top[:, c], 1)
+        det = mul[det * q + lead]
+        top = mul[top * q + inv[lead][:, None]]
+        f = np.where(has[:, None], A[:, :, c], 0)
+        f[at, r] = 0
+        A = add[A * q + submul[f[:, :, None] * q + top[:, None, :]]]
+        A[at, r] = top
+        rank += has
+    nonzero = A != 0
+    pivots = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), -1)
+    det = np.where(rank < rows, 0, np.where(flips, neg[det], det))
+    return A, pivots, det if rows == cols else None
+
+
 @_per_form
 def _isotropic_array(K, gram):
     """`_quadric_points` on one form: the isotropic points of P^{n-1}(F_q)
@@ -759,49 +782,89 @@ def _degenerate(K):
                       "antidiagonal form extends the flag over F_%d" % K.q)
 
 
-def _adapted_basis(K, gram, v0, v1):
-    """Complete (v0, v1) to a basis with the standard antidiagonal gram
-    and determinant 1; entries of Ad(g)X can then be read off through
-    the form."""
-    gv0 = _mat_vec(K, gram, v0)
-    gv1 = _mat_vec(K, gram, v1)
-    # v2: perpendicular to the plane, unit length
-    perp = la.kernel_basis([gv0, gv1], K, K.ops)
-    v2 = None
-    for w in perp:
-        if la.rank([v0, v1, w], K.ops) == 3:
-            v2 = w
-            break
-    s = _dot(K, v2, _mat_vec(K, gram, v2))
-    root = K.sqrt[s]
-    if not root:
-        raise ValueError("middle vector has norm %d, not a nonzero square "
-                         "in F_%d" % (s, K.q))
-    v2 = _vec_scale(K, K.inv[root], v2)
-    gv2 = _mat_vec(K, gram, v2)
-    # v3: pairs with v1, isotropic
-    w0 = la.solve([gv0, gv1, gv2], [0, 1, 0], K, K.ops)
-    if w0 is None:
+def _adapted_bases(K, gram, V0, V1):
+    """The flags (v0, v1), two (n, N) code arrays, completed to bases with
+    the standard antidiagonal gram and determinant 1, an (n, n, N) array,
+    by one `_rref_codes` per step: v2 is the first kernel vector of
+    (G v0, G v1) of rank 3 with v0, v1, scaled to norm 1; v3 and v4 solve
+    linear systems, made isotropic; v2 flips where the determinant is not
+    1.  Raises the first flag's error: a middle vector whose norm is not
+    a nonzero square, else a system with no solution."""
+    add, mul, neg = K.arrays()
+    inv = np.array(K.inv)
+    sqrt = np.array([-1 if s is None else s for s in K.sqrt])
+    n, N = V0.shape
+    G = lambda V: _mat_vecs(K, gram, V)
+    G0, G1 = G(V0), G(V1)
+    # the kernel of (G v0, G v1) and the span of v0, v1, reduced together
+    R, P, _ = _rref_codes(K, np.stack([np.hstack([G0, V0]).T,
+                                       np.hstack([G1, V1]).T], axis=1))
+    (R, span), (P, span_piv) = np.split(R, 2), np.split(P, 2)
+    # W[f, c]: the kernel vector of free column c, e_c less the pivots'
+    pivot = P[:, :, None] == np.arange(n)
+    W = np.where(pivot.any(axis=1)[:, None], neg[np.einsum(
+        "frc,frj->fcj", R, pivot)], np.eye(n, dtype=np.intp))
+    # of rank 3 with v0 and v1: not 0 once its part on the span is taken
+    part = [_at(mul, W[np.arange(N), :, span_piv[:, r]][:, :, None],
+                span[:, r][:, None]) for r in range(2)]
+    rank3 = _at(add, W, neg[_at(add, *part)]).any(axis=2)
+    pick = (~pivot.any(axis=1) & rank3).argmax(axis=1)
+    V2 = W[np.arange(N), pick].T
+    norm = _dots(K, V2, G(V2))
+    root = sqrt[norm]
+    V2 = _at(mul, V2, inv[np.maximum(root, 0)])
+    G2 = G(V2)
+
+    def solve(rows, rhs):
+        # the solution of rows x = rhs that is 0 at the free columns, and
+        # where there is none
+        R, P, _ = _rref_codes(K, np.stack([
+            np.vstack([g, np.full(N, b)]) for g, b in zip(rows, rhs)],
+            axis=1).T)
+        pivot = P[:, :, None] == np.arange(n)
+        x = np.einsum("fr,frj->jf", R[:, :, n], pivot)
+        return x, (P == n).any(axis=1)
+
+    def isotropic(U, V):
+        # U + t V with t = -B(U, U) / 2, isotropic where B(U, V) = 1
+        t = _at(mul, neg[_dots(K, U, G(U))], inv[K.embed(2)])
+        return _at(add, U, _at(mul, t, V))
+
+    W0, bad3 = solve([G0, G1, G2], [0, 1, 0])
+    V3 = isotropic(W0, V1)
+    U0, bad4 = solve([G0, G1, G2, G(V3)], [1, 0, 0, 0])
+    bad = (root <= 0) | bad3 | bad4
+    if bad.any():
+        first = np.argmax(bad)
+        if root[first] <= 0:
+            raise ValueError("middle vector has norm %d, not a nonzero "
+                             "square in F_%d" % (norm[first], K.q))
         raise _degenerate(K)
-    b = K.mul[K.neg[_dot(K, w0, _mat_vec(K, gram, w0))]][K.inv[K.embed(2)]]
-    v3 = _vec_add(K, w0, _vec_scale(K, b, v1))
-    gv3 = _mat_vec(K, gram, v3)
-    # v4: pairs with v0, isotropic
-    u0 = la.solve([gv0, gv1, gv2, gv3], [1, 0, 0, 0], K, K.ops)
-    if u0 is None:
-        raise _degenerate(K)
-    a = K.mul[K.neg[_dot(K, u0, _mat_vec(K, gram, u0))]][
-        K.inv[K.embed(2)]]
-    v4 = _vec_add(K, u0, _vec_scale(K, a, v0))
-    basis = [v0, v1, v2, v3, v4]
-    if la.rref(basis, K.ops)[2] != 1:
-        basis[2] = _vec_scale(K, K.neg[1], v2)
+    basis = np.stack([V0, V1, V2, V3, isotropic(U0, V0)])
+    flip = _rref_codes(K, basis.transpose(2, 0, 1))[2] != 1
+    basis[2][:, flip] = neg[V2[:, flip]]
     return basis
+
+
+def _flag_count(K, gram):
+    """The number of flags `_flags` yields, from the isotropic points.
+    With Z isotropic vectors in F_q^n, 0 included, the complement of a
+    first vector in the radical of the form has Z / q of them; that of
+    any other has (Z - (q - 1) q^(n-2)) / q, since F_q^n is a hyperbolic
+    plane through the first vector plus the complement."""
+    q, n = K.q, len(gram)
+    P0 = _isotropic_array(K, gram)
+    radical = int(np.count_nonzero(~_mat_vecs(K, gram, P0).any(axis=0)))
+    Z = (q - 1) * P0.shape[1] + 1
+    points = lambda vecs: (vecs - 1) // (q - 1)
+    other = points((Z - (q - 1) * q ** (n - 2)) // q) if n > 1 else 0
+    return radical * points(Z // q) + (P0.shape[1] - radical) * other
 
 
 def point_count(spec, degrees=(1,)):
     """Exact number of complete isotropic flags satisfying the pattern,
-    per extension degree."""
+    per extension degree.  SCAN_CAP bounds the split form's flags, then
+    the spec's own, before they are enumerated."""
     out = {}
     for deg in degrees:
         est = flag_total(ff.field_order(spec.p, deg))
@@ -810,34 +873,47 @@ def point_count(spec, degrees=(1,)):
         K = ff.ext_field(spec.p, deg)
         gram = [[K.embed(x) for x in row] for row in spec.gram]
         X = [[K.embed(x) for x in row] for row in spec.X]
+        est = _flag_count(K, gram)
+        if est > SCAN_CAP:
+            raise ValueError("enumeration too large (%d flags)" % est)
         n = len(gram)
         # constraints sorted so the cheap ones (low basis demand) go first
         cons = [(i, j, spec.pattern[i][j])
                 for i in range(n) for j in range(n)
                 if spec.pattern[i][j] != "*"]
         cons.sort(key=lambda t: max(t[1], n - 1 - t[0]))
+        early = sum(max(j, n - 1 - i) <= 1 for i, j, _ in cons)
         GX = _mat_vecs(K, gram, np.array(X, dtype=K.arrays()[0].dtype))
         flags = _flags(K, gram)
-        ok = np.ones(flags[0].shape[1], dtype=bool)
         # the constraints read off v0 and v1 alone, for all flags at once
-        while cons and max(cons[0][1], n - 1 - cons[0][0]) <= 1:
-            i, j, kind = cons.pop(0)
-            val = _dots(K, flags[n - 1 - i], _mat_vecs(K, GX, flags[j]))
-            ok &= (val == 0) == (kind == "0")
-        if not cons:
+        ok = _pattern_holds(K, GX, flags, cons[:early])
+        if early == len(cons):
             out[deg] = int(np.count_nonzero(ok))
             continue
-        GX = GX.tolist()
-        count = 0
-        for v0, v1 in zip(*(f[:, ok].T.tolist() for f in flags)):
-            basis = _adapted_basis(K, gram, v0, v1)
-            dual = basis[::-1]
-            count += all(
-                (kind == "0") == (_dot(K, dual[i],
-                                       _mat_vec(K, GX, basis[j])) == 0)
-                for i, j, kind in cons)
-        out[deg] = count
+        # the others on the adapted bases of the flags that passed
+        V0, V1 = (f[:, ok] for f in flags)
+        step = CURVE_CHUNK // (n * n)
+        out[deg] = sum(
+            int(np.count_nonzero(_pattern_holds(
+                K, GX, _adapted_bases(K, gram, V0[:, lo:lo + step],
+                                      V1[:, lo:lo + step]),
+                cons[early:])))
+            for lo in range(0, V0.shape[1], step))
     return out
+
+
+def _pattern_holds(K, GX, vecs, cons):
+    """Per flag, whether B(v_(n-1-i), X v_j) vanishes or not as each
+    constraint (i, j, kind) asks; vecs holds the flags' v_0, v_1, ...
+    as (n, N) code arrays, and GX is the n x n gram times X."""
+    n = len(GX)
+    ok = np.ones(vecs[0].shape[1], dtype=bool)
+    images = {}
+    for i, j, kind in cons:
+        if j not in images:
+            images[j] = _mat_vecs(K, GX, vecs[j])
+        ok &= (_dots(K, vecs[n - 1 - i], images[j]) == 0) == (kind == "0")
+    return ok
 
 
 def curve_count(coeff, p=23, deg=1):

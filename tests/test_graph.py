@@ -421,6 +421,27 @@ def test_path_trace_u7_computes_each_cell_once(monkeypatch):
     assert [e.dst.facet for e in again] == [e.dst.facet for e in edges]
 
 
+def test_path_trace_u7_computes_no_center_on_repeat(monkeypatch):
+    # a repeat trace meets the same shared facets and reads their kept
+    # centres: it computes no barycentre, so it reads no vertex set
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    m, win, c, v = u7h_setup()
+    gr.path_trace(v, Fr(1, 2))
+    reads = []
+    vertices = bd.AugFacet.vertices
+    monkeypatch.setattr(bd.AugFacet, "vertices",
+                        lambda f: reads.append(f) or vertices(f))
+    m, win, c, v = u7h_setup()
+    edges = gr.path_trace(v, Fr(1, 2))
+    assert reads == []
+    facets = {e.src.facet for e in edges} | {e.dst.facet for e in edges}
+    assert len(facets) == 13
+    for f in facets:
+        vs = vertices(f)
+        bary = tuple(sum(col) / len(vs) for col in zip(*vs))
+        assert gr.facet_center(f) == (bary[:-1], bary[-1])
+
+
 def test_shared_facets_match_fresh_cells():
     # the facets of the u7h trace are its window's shared ones; every
     # facet of the trace and of the sl2 reach has the vertex set, depth,

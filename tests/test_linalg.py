@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import newton
 from padicwf import linalg as la
 from padicwf.ffield import ExtField, ext_field, prime_field, quad_field
 from padicwf.localfield import LocalField, LocalScalar
@@ -137,7 +138,7 @@ def test_mat_inv():
             a = rand_mat(F, n, rng)
             if la.rank(a) == n:
                 break
-        ai = la.mat_inv(a, F)
+        ai = newton.mat_inv(a, F)
         assert la.mat_mul(a, ai) == la.identity(F, n)
 
 
@@ -152,13 +153,13 @@ def test_poly_gcd_and_radical():
     f = la.poly_mul(
         la.poly_mul(lift(1, 1), la.poly_mul(lift(1, 1), lift(1, 1), F), F),
         lift(2, 1), F)
-    rad = la.poly_radical(f, F)
+    rad = newton.poly_radical(f, F)
     assert la.poly_trim(rad) == lift(2, 0, 1)
 
     # a p-th power: f = (x^2+1)^3 over F_3 has zero derivative
     g = lift(1, 0, 1)
     f = la.poly_mul(g, la.poly_mul(g, g, F), F)
-    rad = la.poly_radical(f, F)
+    rad = newton.poly_radical(f, F)
     assert rad == la.poly_monic(g)
 
 
@@ -221,7 +222,7 @@ def test_squarefree_decomposition_properties(case):
     for h in _monic_irreducibles_to_degree_2(F):
         if la.poly_deg(la.poly_divmod(f, h, F)[1]) < 0:
             want = la.poly_mul(want, h, F)
-    assert la.poly_radical(f, F) == want
+    assert newton.poly_radical(f, F) == want
 
 
 def test_bracket_and_trace():

@@ -3,10 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goldens
+import newton
 from padicwf import ffield as ff
 from padicwf import liealg as lie
 from padicwf import linalg as la
@@ -475,6 +476,47 @@ def test_identity_split_regular_gl3(gl3, gl3_xis):
         except ValueError:
             continue  # (1,2) needs matching scalar blocks, may reject
         assert ok
+
+
+def _newton_parts(ctx, x):
+    # the Jordan decomposition by the Newton route, as code arrays
+    s, n = newton.jordan_decomposition(ctx.to_ff(x), ctx.field)
+    return ctx.from_ff(s), ctx.from_ff(n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_jordan_decomposition_matches_newton_on_all_of_gl2(p):
+    ctx = sl.MatContext(2, p)
+    mats = ctx.all_matrices()
+    s, n = ctx.jordan_decomposition(mats)
+    for x, xs, xn in zip(mats, s, n):
+        ws, wn = _newton_parts(ctx, x)
+        assert np.array_equal(xs, ws) and np.array_equal(xn, wn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=9, max_size=9))
+def test_jordan_decomposition_matches_newton_on_gl3(entries):
+    ctx = sl.mat_context(3, 3)
+    x = np.array(entries).reshape(3, 3)
+    s, n = ctx.jordan_decomposition(x)
+    ws, wn = _newton_parts(ctx, x)
+    assert np.array_equal(s, ws) and np.array_equal(n, wn)
+
+
+def test_jordan_decomposition_on_all_of_gl3():
+    # all 19,683 matrices of gl3(F_3) at once: s + n = x, s and n
+    # commute, n is nilpotent and s is semisimple (its own semisimple
+    # part), so (s, n) is the Jordan decomposition
+    ctx = sl.mat_context(3, 3)
+    x = ctx.all_matrices()
+    s, n = ctx.jordan_decomposition(x)
+    assert len(x) == 19683
+    assert np.array_equal((s + n) % 3, x)
+    assert np.array_equal(s @ n % 3, n @ s % 3)
+    assert not (n @ n % 3 @ n % 3).any()
+    ss, sn = ctx.jordan_decomposition(s)
+    assert np.array_equal(ss, s) and not sn.any()
 
 
 def _verify_spr_reference(ctx, x, comp, lower, xis):
@@ -948,6 +990,67 @@ def test_curve_count_matches_p4_scan(p):
         assert sl.curve_count(coeff, p) == _curve_count_by_scan(coeff, p, V)
 
 
+# One vector at a time, on the field's tables: the arithmetic of the
+# per-flag references below.
+
+def _vec_add(K, u, v):
+    return [K.add[a][b] for a, b in zip(u, v)]
+
+
+def _vec_scale(K, t, u):
+    return [K.mul[t][a] for a in u]
+
+
+def _mat_vec(K, m, v):
+    return [_dot(K, row, v) for row in m]
+
+
+def _dot(K, u, v):
+    s = 0
+    for a, b in zip(u, v):
+        s = K.add[s][K.mul[a][b]]
+    return s
+
+
+def _adapted_basis(K, gram, v0, v1):
+    # one flag at a time, each step a `linalg` elimination: the route
+    # that `sl._adapted_bases` takes for all flags at once
+    gv0 = _mat_vec(K, gram, v0)
+    gv1 = _mat_vec(K, gram, v1)
+    # v2: perpendicular to the plane, unit length
+    perp = la.kernel_basis([gv0, gv1], K, K.ops)
+    v2 = None
+    for w in perp:
+        if la.rank([v0, v1, w], K.ops) == 3:
+            v2 = w
+            break
+    s = _dot(K, v2, _mat_vec(K, gram, v2))
+    root = K.sqrt[s]
+    if not root:
+        raise ValueError("middle vector has norm %d, not a nonzero square "
+                         "in F_%d" % (s, K.q))
+    v2 = _vec_scale(K, K.inv[root], v2)
+    gv2 = _mat_vec(K, gram, v2)
+    # v3: pairs with v1, isotropic
+    w0 = la.solve([gv0, gv1, gv2], [0, 1, 0], K, K.ops)
+    if w0 is None:
+        raise sl._degenerate(K)
+    b = K.mul[K.neg[_dot(K, w0, _mat_vec(K, gram, w0))]][K.inv[K.embed(2)]]
+    v3 = _vec_add(K, w0, _vec_scale(K, b, v1))
+    gv3 = _mat_vec(K, gram, v3)
+    # v4: pairs with v0, isotropic
+    u0 = la.solve([gv0, gv1, gv2, gv3], [1, 0, 0, 0], K, K.ops)
+    if u0 is None:
+        raise sl._degenerate(K)
+    a = K.mul[K.neg[_dot(K, u0, _mat_vec(K, gram, u0))]][
+        K.inv[K.embed(2)]]
+    v4 = _vec_add(K, u0, _vec_scale(K, a, v0))
+    basis = [v0, v1, v2, v3, v4]
+    if la.rref(basis, K.ops)[2] != 1:
+        basis[2] = _vec_scale(K, K.neg[1], v2)
+    return basis
+
+
 def _flag_pairs_reference(K, gram):
     # per v0: kernel of G v0 by elimination, a complement of v0 in it by
     # a greedy pass of independent vectors, then its isotropic points by
@@ -955,7 +1058,7 @@ def _flag_pairs_reference(K, gram):
     n = len(gram)
     spaces = {}
     for v0 in _isotropic_by_direct_scan(K, gram):
-        gv0 = sl._mat_vec(K, gram, v0)
+        gv0 = _mat_vec(K, gram, v0)
         basis = []
         span = [v0]
         for w in la.kernel_basis([gv0], K, K.ops):
@@ -965,14 +1068,14 @@ def _flag_pairs_reference(K, gram):
                 basis.append(w)
         if not basis:
             continue
-        qgram = [[sl._dot(K, a, sl._mat_vec(K, gram, b)) for b in basis]
+        qgram = [[_dot(K, a, _mat_vec(K, gram, b)) for b in basis]
                  for a in basis]
         if len(basis) not in spaces:
             spaces[len(basis)] = _projective_space(K.q, len(basis))
         for a in _isotropic_in(K, qgram, spaces[len(basis)]).T.tolist():
             v1 = [0] * n
             for t, w in zip(a, basis):
-                v1 = sl._vec_add(K, v1, sl._vec_scale(K, t, w))
+                v1 = _vec_add(K, v1, _vec_scale(K, t, w))
             yield v0, v1
 
 
@@ -996,6 +1099,22 @@ def test_flags_match_reference_on_zero_gram():
     pairs = _flags_as_pairs(K, gram)
     assert len(pairs) == 121836
     assert pairs == list(_flag_pairs_reference(K, gram))
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_grams(degrees=(1, 2)))
+def test_flag_count_matches_enumeration(case):
+    K, gram = case
+    assert sl._flag_count(K, gram) == sl._flags(K, gram)[0].shape[1]
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_flag_count_of_split_and_zero_forms(p, d):
+    K = ff.ExtField(p, d)
+    zero = [[0] * 5 for _ in range(5)]
+    points = lambda k: (K.q ** k - 1) // (K.q - 1)
+    assert sl._flag_count(K, sl.curve_spec(1, p).gram) == sl.flag_total(K.q)
+    assert sl._flag_count(K, zero) == points(5) * points(4)
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (7, 1)])
@@ -1024,10 +1143,10 @@ def _point_count_reference(spec, deg):
                 vj, wi = (v0, v1)[j], (v0, v1)[n - 1 - i]
             else:
                 if basis is None:
-                    basis = sl._adapted_basis(K, gram, v0, v1)
+                    basis = _adapted_basis(K, gram, v0, v1)
                 vj, wi = basis[j], basis[::-1][i]
-            val = sl._dot(K, wi, sl._mat_vec(K, gram,
-                                             sl._mat_vec(K, X, vj)))
+            val = _dot(K, wi, _mat_vec(K, gram,
+                                             _mat_vec(K, X, vj)))
             if (kind == "0") != (val == 0):
                 break
         else:
@@ -1060,10 +1179,78 @@ def count_specs(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(count_specs())
-def test_point_count_matches_per_flag_reference(spec):
-    assert (_outcome(lambda: sl.point_count(spec)[1])
-            == _outcome(lambda: _point_count_reference(spec, 1)))
+@given(count_specs(), st.just(1))
+@example(sl.VarietySpec([[2 if i + j == 4 else 0 for j in range(5)]
+                         for i in range(5)],
+                        sl.curve_spec(1, 3).X, sl.curve_spec(1, 3).pattern,
+                        3), 2)
+def test_point_count_matches_per_flag_reference(spec, deg):
+    assert (_outcome(lambda: sl.point_count(spec, (deg,))[deg])
+            == _outcome(lambda: _point_count_reference(spec, deg)))
+
+
+def test_point_count_in_chunks_matches_one_chunk(monkeypatch):
+    # the 112 flags of the curve spec at F_9 that reach the adapted bases
+    # three at a time, and one at a time on a spec that raises
+    spec = sl.curve_spec(1, 3)
+    degenerate = sl.VarietySpec(
+        [[1 if i + j == 4 and i != 2 else 0 for j in range(5)]
+         for i in range(5)], spec.X, spec.pattern, 3)
+    whole = [_outcome(lambda: sl.point_count(s, (2,))[2])
+             for s in (spec, degenerate)]
+    for flags in (3, 1):
+        monkeypatch.setattr(sl, "CURVE_CHUNK", 25 * flags)
+        assert [_outcome(lambda: sl.point_count(s, (2,))[2])
+                for s in (spec, degenerate)] == whole
+
+
+def _reaching_flags(K, spec):
+    # the flags that pass the pattern entries read off v0 and v1 alone,
+    # as point_count selects them
+    gram = [[K.embed(x) for x in row] for row in spec.gram]
+    GX = sl._mat_vecs(K, gram, np.array(spec.X, dtype=np.int64) % K.p)
+    early = [(i, j, c) for i, row in enumerate(spec.pattern)
+             for j, c in enumerate(row) if c != "*" and max(j, 4 - i) <= 1]
+    flags = sl._flags(K, gram)
+    ok = sl._pattern_holds(K, GX, flags, early)
+    return gram, flags[0][:, ok], flags[1][:, ok]
+
+
+@pytest.mark.parametrize("coeff", [1, 3])
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_adapted_bases_match_per_flag_reference(p, d, coeff):
+    K = ff.ExtField(p, d)
+    gram, V0, V1 = _reaching_flags(K, sl.curve_spec(coeff, p))
+    assert V0.shape[1] > 0
+    bases = sl._adapted_bases(K, gram, V0, V1)
+    assert bases.shape == (5, 5, V0.shape[1])
+    for f, (v0, v1) in enumerate(zip(V0.T.tolist(), V1.T.tolist())):
+        assert bases[:, :, f].tolist() == _adapted_basis(K, gram, v0, v1)
+
+
+CURVE_PATTERN = sl.curve_spec(1, 3).pattern
+
+
+@pytest.mark.parametrize("p,gram,pattern,error", [
+    (3, [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)],
+     CURVE_PATTERN, "middle vector has norm 2,"),
+    (3, [[1 if i + j == 4 and i != 2 else 0 for j in range(5)]
+         for i in range(5)], CURVE_PATTERN, "middle vector has norm 0,"),
+    # rank 3: the first flag with an error has a middle vector of square
+    # norm and a system with no solution
+    (5, [[0, 4, 0, 0, 0], [4, 0, 0, 0, 0], [0, 0, 4, 0, 0], [0] * 5,
+         [0] * 5], CURVE_PATTERN, "degenerate gram:"),
+    # the first flag with an error has both, and the norm comes first
+    (3, [[0, 2, 0, 0, 0], [2, 0, 0, 0, 2], [0] * 5, [0, 0, 0, 0, 2],
+         [0, 2, 0, 2, 2]], ["*****", "*****", "0****", "*****", "*****"],
+     "middle vector has norm 0,"),
+])
+def test_point_count_errors_match_per_flag_reference(p, gram, pattern,
+                                                     error):
+    spec = sl.VarietySpec(gram, sl.curve_spec(1, p).X, pattern, p)
+    got = _outcome(lambda: sl.point_count(spec)[1])
+    assert got.startswith("ValueError: " + error)
+    assert got == _outcome(lambda: _point_count_reference(spec, 1))
 
 
 def test_all_free_pattern_counts_all_flags():
@@ -1080,6 +1267,26 @@ def test_point_count_cap():
     with pytest.raises(ValueError,
                        match=r"enumeration too large \(248078376 flags\)"):
         sl.point_count(spec, degrees=(3,))
+
+
+def test_point_count_cap_on_degenerate_form():
+    # the zero gram has every point of P^4(F_9) isotropic and every
+    # complement too: 7,381 x 820 flags, past SCAN_CAP, where the split
+    # form over F_9 has 8,200
+    zero = [[0] * 5 for _ in range(5)]
+    spec = sl.VarietySpec(zero, sl.curve_spec(1, 3).X, ["*****"] * 5, 3)
+    with pytest.raises(ValueError,
+                       match=r"enumeration too large \(6052420 flags\)"):
+        sl.point_count(spec, degrees=(2,))
+    # over F_3 the same form has 121 x 40 flags
+    assert sl.point_count(spec, degrees=(1,)) == {1: 4840}
+
+
+def test_point_count_accepts_degenerate_form_within_cap():
+    # the zero gram over F_5: 781 x 156 = 121,836 flags, all counted
+    zero = [[0] * 5 for _ in range(5)]
+    spec = sl.VarietySpec(zero, sl.curve_spec(1, 5).X, ["*****"] * 5, 5)
+    assert sl.point_count(spec) == {1: 121836}
 
 
 @pytest.mark.parametrize("p,coeff,want", [

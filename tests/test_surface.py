@@ -19,6 +19,7 @@ SERVES = {
     "gl_split_model": "test fixture: the split gl_n model",
     "dep_element": "test fixture: elements of a given depth",
     "poly_eval": "test oracle: charpoly against determinants",
+    "mat_sub": "test oracle: the bracket and the reference solves",
 }
 
 
