@@ -62,10 +62,10 @@ def manifest(args, input_text=None):
 
 
 def write_result(path, mani, result):
-    payload = {"manifest": mani, "result": result}
+    text = json.dumps({"manifest": mani, "result": result}, indent=2,
+                      sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def wf_result_record(res):

@@ -118,17 +118,15 @@ def _walk_direction(v):
     trip = mpq.lift_triple(v.coset())
     E = model.field
     kres = E.residue
-    n = model.n
-    for i in range(n):
-        for j in range(n):
-            if i != j and trip.h[i][j].terms:
-                raise ValueError("sl2 cocharacter is not chart-aligned")
-    p = E.q
+    if any(i != j and e.terms for (i, j), e in trip.h.items()):
+        raise ValueError("sl2 cocharacter is not chart-aligned")
     weights = []
-    for i in range(n):
-        cf = trip.h[i][i].residue_at(0) if trip.h[i][i].terms else kres.zero
-        val = kres.coords(cf)[0].v
-        weights.append(Fraction(val if val <= p // 2 else val - p))
+    for i in range(model.n):
+        e = trip.h.get((i, i))
+        val, *rest = kres.coords(e.residue_at(0) if e else kres.zero)
+        if any(rest):
+            raise ValueError("sl2 cocharacter is not rational")
+        weights.append(Fraction(val.v if val.v <= E.q // 2 else val.v - E.q))
     rows = [list(coeffs) for coeffs, const in model.weight_funcs]
     lam = bd.qsolve_unique(rows, weights)
     if lam is None:

@@ -12,15 +12,19 @@ Jacobson-Morozov routine, `jacobson_morozov`, finds every sl2-triple:
 `sl2_complete` runs it over a factor's Lie algebra basis, and
 `mpquotient.lift_triple` over the residue units of a graded Moy-Prasad
 piece cut down by Lie-algebra rows that mpquotient writes in closed form
-from the model's monomial Gram matrix.  It and `centralizer_basis` take
-and return ffield matrices but work on sparse integer codes over the
-prime field, an F_{p^2} entry written as the 2 x 2 block of its regular
-representation, and reduce every linear system with `linalg.rref` over
+from the model's monomial Gram matrix.  All residue-field work but the
+characteristic polynomial and its factors runs on sparse integer codes
+over the prime field, an F_{p^2} entry written as the 2 x 2 block of
+its regular representation: Jacobson-Morozov, centralizers, nilpotency
+(squarings), Jordan block sizes (ranks of powers) and the p(X) of each
+primary part.  Every system and rank goes through `linalg.rref` over
 `ffield.ext_field(p, 1)`, whose ops are mod p and build no table;
-reduced row echelon forms are unique, so the triples are those of the
-same solve on ffield matrices.  Over the local-field model this
-module provides the goodness test (all nonzero root values of fixed
-valuation) and the Lie-algebra membership test `Factor.is_lie`.
+reduced row echelon forms are unique, so the results are those of the
+same work on ffield matrices.  An sl2-triple holds each matrix as its
+nonzero entries {(i, j): entry}, and `Sl2Triple.check` certifies it
+exactly by `linalg.bracket` on those alone.  Over the local-field model
+this module provides the goodness test (all nonzero root values of
+fixed valuation) and the Lie-algebra membership test `Factor.is_lie`.
 """
 
 from fractions import Fraction
@@ -113,10 +117,11 @@ class Factor:
             gens = la.unit_mats(f, n, [(i, j, b) for i in range(n)
                                        for j in range(n) for b in f.basis])
             if self.kind != "gl":
-                ker = la.kernel_basis(
-                    _linear_rows([self.lie_defect(E) for E in gens], f, n),
-                    f.base_or_self())
-                gens = [la.mat_comb(v, gens, f, n) for v in ker]
+                fp = ext_field(f.p, 1)
+                rows, _ = _system([_codes(la.sparse(self.lie_defect(E)), f)
+                                   for E in gens], f.degree, {})
+                gens = [la.mat_comb(v, gens, f, n)
+                        for v in la.kernel_basis(rows, fp, fp.ops)]
             self._basis = gens
         return self._basis
 
@@ -135,31 +140,33 @@ class Factor:
 
 def is_nilpotent(X):
     """Whether X^n = 0, read as X^(2^k) = 0 for the least 2^k >= n: k
-    squarings, 3 products for n = 7."""
-    n = len(X)
-    P, k = X, 1
-    while True:
-        if all(not e for row in P for e in row):
-            return True
-        if k >= n:
+    squarings of the codes, 3 for n = 7."""
+    field, k = X[0][0].field, 1
+    P = _codes(la.sparse(X), field)
+    while P:
+        if k >= len(X):
             return False
-        P = la.mat_mul(P, P)
-        k *= 2
+        P, k = _mul(P, P, field.p), 2 * k
+    return True
 
 
-def _block_sizes(A, d, full):
-    """Partition of the Jordan block sizes of A on its generalized kernel,
-    of dimension `full`, each block of size k spanning d*k dimensions.
+def _block_sizes(A, N, d, full, p):
+    """Partition of the Jordan block sizes of A, the codes of an N x N
+    matrix over F_p, on its generalized kernel of F_p-dimension `full`,
+    each block of size k spanning d*k dimensions over F_p (e times those
+    over F_{p^e}).
 
     Read from the kernel dimensions of successive powers: there are
     (dim ker A^k - dim ker A^(k-1)) / d blocks of size at least k.
     Raises ValueError("not nilpotent") if the kernels stop short of full.
     """
-    n = len(A)
     dims, P = [0], None
     while dims[-1] < full:
-        P = A if P is None else la.mat_mul(P, A)
-        dims.append(n - la.rank(P))
+        P = A if P is None else _mul(P, A, p)
+        rows = {}
+        for (i, j), x in P.items():
+            rows.setdefault(i, [0] * N)[j] = x
+        dims.append(N - la.rank(list(rows.values()), ext_field(p, 1).ops))
         if dims[-1] == dims[-2]:
             raise ValueError("not nilpotent")
     geq = [(b - a) // d for a, b in zip(dims, dims[1:])]
@@ -169,53 +176,41 @@ def _block_sizes(A, d, full):
 
 def jordan_type(X):
     """Partition of n recording the Jordan block sizes of a nilpotent X."""
-    return _block_sizes(X, 1, len(X))
-
-
-def _flat(X, field):
-    """Entries of X over the prime subfield, row by row."""
-    return [a for row in X for e in row for a in field.coords(e)]
-
-
-def _linear_rows(images, field, n):
-    """Matrix over the prime subfield of x -> sum_k x_k images[k], for
-    n x n images: one row per entry coordinate, one column per image."""
-    flats = [_flat(X, field) for X in images]
-    return [[f[i] for f in flats] for i in range(n * n * len(field.basis))]
+    F = X[0][0].field
+    N = F.degree * len(X)
+    return _block_sizes(_codes(la.sparse(X), F), N, F.degree, N, F.p)
 
 
 # -- sparse codes over the prime field ---------------------------------
 #
-# The Jacobson-Morozov solve and the centralizer work on codes: a matrix
-# over the residue field held as {(row, col): x}, its nonzero entries
-# over the prime field F_p as integers 0 < x < p.  Over F_{p^2} an entry
+# Jacobson-Morozov, the centralizer and the Jordan structure work on
+# codes: a matrix over the residue field held as {(row, col): x}, its
+# nonzero entries over F_p as integers 0 < x < p.  Over F_{p^2} an entry
 # becomes the 2 x 2 block of its regular representation (`field.block`),
-# a ring homomorphism, so brackets of codes are the codes of brackets;
-# the entry's coordinates over F_p are the first column of its block.
+# a ring homomorphism, so products and brackets of codes are the codes
+# of products and brackets; an entry's F_p coordinates are its block's
+# first column.
 
 
 def _codes(X, field):
-    """The codes of the matrix X over `field`."""
-    d, z = field.degree, field.zero.v
+    """The codes of the matrix over `field` with the nonzero entries
+    X = {(i, j): entry}."""
+    d = field.degree
     out = {}
-    for i, row in enumerate(X):
-        for j, e in enumerate(row):
-            if e.v != z:
-                for r, brow in enumerate(field.block(e.v)):
-                    for s, x in enumerate(brow):
-                        if x:
-                            out[d * i + r, d * j + s] = x
+    for (i, j), e in X.items():
+        for r, brow in enumerate(field.block(e.v)):
+            for s, x in enumerate(brow):
+                if x:
+                    out[d * i + r, d * j + s] = x
     return out
 
 
-def _from_codes(S, field, n):
-    """The n x n matrix over `field` with the codes S."""
+def _from_codes(S, field):
+    """The nonzero entries {(i, j): entry} over `field` of the codes S."""
     d = field.degree
-    X = [[field.zero] * n for _ in range(n)]
-    for i, j in {(r // d, s // d) for r, s in S}:
-        X[i][j] = field.from_coords([S.get((d * i + t, d * j), 0)
-                                     for t in range(d)])
-    return la.mat(X)
+    return {(i, j): field.from_coords([S.get((d * i + t, d * j), 0)
+                                       for t in range(d)])
+            for i, j in {(r // d, s // d) for r, s in S}}
 
 
 def _reduce(S, p):
@@ -232,23 +227,21 @@ def _comb(coeffs, mats, p):
     return _reduce(out, p)
 
 
-def _ad(a, p):
-    """The map X -> [a, X] on codes mod p.  An entry x of X at (i, j)
-    meets only column i and row j of a."""
-    rows, cols = {}, {}
-    for (i, j), x in a.items():
-        rows.setdefault(i, []).append((j, x))
-        cols.setdefault(j, []).append((i, x))
+def _mul(a, b, p):
+    """The product a b on codes mod p."""
+    rows = {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+    out = {}
+    for (i, k), x in a.items():
+        for j, y in rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + x * y
+    return _reduce(out, p)
 
-    def ad(X):
-        out = {}
-        for (i, j), x in X.items():
-            for k, y in cols.get(i, ()):
-                out[k, j] = out.get((k, j), 0) + y * x
-            for k, y in rows.get(j, ()):
-                out[i, k] = out.get((i, k), 0) - x * y
-        return _reduce(out, p)
-    return ad
+
+def _ad(a, p):
+    """The map X -> [a, X] on codes mod p."""
+    return lambda X: _reduce(la.bracket(a, X), p)
 
 
 def _system(images, d, target):
@@ -274,24 +267,30 @@ def _system(images, d, target):
 def centralizer_basis(X, factor):
     field, p = factor.field, factor.field.p
     fp = ext_field(p, 1)
-    ad = _ad(_codes(X, field), p)
-    bs = [_codes(B, field) for B in factor.algebra_basis()]
+    ad = _ad(_codes(la.sparse(X), field), p)
+    bs = [_codes(la.sparse(B), field) for B in factor.algebra_basis()]
     rows, _ = _system([ad(B) for B in bs], field.degree, {})
-    return [_from_codes(_comb(v, bs, p), field, factor.n)
+    return [la.dense(_from_codes(_comb(v, bs, p), field), field.zero,
+                     factor.n)
             for v in la.kernel_basis(rows, fp, fp.ops)]
 
 
 class Sl2Triple:
+    """A triple (c, h, d), each matrix held as its nonzero entries
+    {(i, j): entry} over a residue field or the local field."""
+
     def __init__(self, c, h, d):
         self.c, self.h, self.d = c, h, d
 
     def check(self, field):
+        """Whether [h, c] = 2c, [h, d] = -2d and [c, d] = h exactly over
+        `field`: one `la.bracket` of the nonzero entries per identity."""
         two = la.fone(field) + la.fone(field)
-        ok = (la.bracket(self.h, self.c) == la.mat_scale(two, self.c)
-              and la.bracket(self.h, self.d) ==
-              la.mat_scale(-two, self.d)
-              and la.bracket(self.c, self.d) == self.h)
-        return ok
+        return (la.bracket(self.h, self.c) ==
+                {key: two * x for key, x in self.c.items()}
+                and la.bracket(self.h, self.d) ==
+                {key: -two * x for key, x in self.d.items()}
+                and la.bracket(self.c, self.d) == self.h)
 
 
 def jacobson_morozov(c, basis, field, rows=()):
@@ -300,8 +299,9 @@ def jacobson_morozov(c, basis, field, rows=()):
     Completes a nonzero nilpotent c to a triple (c, h, d) with d in the
     span of the matrices `basis` over the prime subfield, cut down by
     the linear `rows` (right-hand side zero) on the coordinates of that
-    span.  Solves ad(c)^2 d0 = -2c, sets h = [c, d0], then corrects d0 by
-    an element of ker(ad c) in the same span so that [h, d] = -2d.
+    span; c, the basis and the triple are held as nonzero entries.
+    Solves ad(c)^2 d0 = -2c, sets h = [c, d0], then corrects d0 by an
+    element of ker(ad c) in the same span so that [h, d] = -2d.
     Raises ValueError("characteristic too small") if a linear system is
     singular; the triple itself is left to the caller to check.
 
@@ -310,7 +310,7 @@ def jacobson_morozov(c, basis, field, rows=()):
     reduced row echelon forms, and with them d0, h and d, are those of
     the same solve on the matrices themselves.
     """
-    n, d, p = len(c), field.degree, field.p
+    d, p = field.degree, field.p
     fp = ext_field(p, 1)
     lie_rows = [[x.v for x in row] for row in rows]
     bs = [_codes(B, field) for B in basis]
@@ -335,12 +335,13 @@ def jacobson_morozov(c, basis, field, rows=()):
         if sol2 is None:
             raise ValueError("characteristic too small")
         d0 = _comb((1,) + tuple(-y for y in sol2), [d0] + zc, p)
-    return Sl2Triple(c, _from_codes(h, field, n), _from_codes(d0, field, n))
+    return Sl2Triple(c, _from_codes(h, field), _from_codes(d0, field))
 
 
 def sl2_complete(c, factor):
     """Complete a nonzero nilpotent c to an sl2-triple (c, h, d) with d in
-    the factor's Lie algebra, by `jacobson_morozov` over its basis.
+    the factor's Lie algebra, by `jacobson_morozov` over its basis; the
+    triple holds the nonzero entries of each matrix.
     Raises ValueError("characteristic too small") if the linear systems
     are singular or the triple fails its check.
     """
@@ -349,7 +350,8 @@ def sl2_complete(c, factor):
         raise ValueError("zero element has no sl2-triple")
     if not is_nilpotent(c):
         raise ValueError("not nilpotent")
-    trip = jacobson_morozov(c, factor.algebra_basis(), field)
+    trip = jacobson_morozov(la.sparse(c), [la.sparse(B) for B in
+                                           factor.algebra_basis()], field)
     if not trip.check(field):
         raise ValueError("characteristic too small")
     return trip
@@ -388,6 +390,7 @@ def primary_parts(X, field):
     Jordan type of the nilpotent part on that primary component (a
     partition of mult).
 
+    p(X) is formed on the codes of X, and its Jordan type read there.
     The characteristic polynomial of a block-triangular matrix is the
     product of those of its diagonal blocks, so each diagonal block's
     is factored (`_diagonal_blocks`; a 1x1 block is a linear factor)
@@ -406,11 +409,19 @@ def primary_parts(X, field):
                     break
             else:
                 parts.append([p, m])
+    N, char = field.degree * len(X), field.p
+    A = _codes(la.sparse(X), field)
     out = []
     for p, m in parts:
-        d = la.poly_deg(p)
-        pX = la.poly_eval_mat(p, X, field)
-        out.append((p, m, _block_sizes(pX, d, d * m)))
+        if m == 1:  # a partition of 1
+            out.append((p, 1, (1,)))
+            continue
+        pX = {}  # Horner's rule
+        for c in reversed(p):
+            cI = {(i, i): field(c) for i in range(len(X))}
+            pX = _comb((1, 1), (_mul(pX, A, char), _codes(cI, field)), char)
+        d = la.poly_deg(p) * field.degree
+        out.append((p, m, _block_sizes(pX, N, d, d * m, char)))
     return out
 
 

@@ -11,6 +11,10 @@ the nonzero entries of the matching row of b, and adding an exact zero
 returns the other operand.  A product with an exact-zero factor is the
 exact zero, and adding one changes neither the terms nor the precision
 of a LocalScalar, so every entry is the one the dense loop would give.
+`bracket` works on the sparse form alone, a matrix held as its nonzero
+entries {(i, j): entry} (`sparse`, and back by `dense`): the one
+commutator of the package, for the sl2 certificate and the integer codes
+of `liealg` and the commutation test of `wavefront`'s chains.
 
 Every row reduction of one matrix in the package goes through one
 Gauss-Jordan kernel, `rref` (`springerlab._rref_codes` is the same
@@ -90,36 +94,22 @@ def mat_scale(c, a):
     return tuple(tuple(c * x if x else x for x in r) for r in a)
 
 
-def _nonzero(a):
-    """Each row's nonzero entries as (column, entry) pairs."""
-    return [[(j, x) for j, x in enumerate(r) if x] for r in a]
-
-
-def _sparse_rows(nza, nzb, m):
-    """The rows of a b, m columns, summing only the products of two
-    nonzero entries in the order of the inner index, and None where no
-    such product reaches; nza and nzb are `_nonzero` of a and b."""
-    out = []
-    for nzr in nza:
-        row = [None] * m
-        for k, x in nzr:
-            for j, y in nzb[k]:
-                s = row[j]
-                row[j] = x * y if s is None else s + x * y
-        out.append(row)
-    return out
-
-
 def mat_mul(a, b):
     """The product a b, summing only the products of two nonzero entries
     in the order of the inner index.  An entry that no such product
     reaches is a sum of exact zeros: it takes the value of one of its
     skipped products, the zero of the entries' representation."""
     assert len(a[0]) == len(b)
-    m = len(b[0])
+    nzb = [[(j, y) for j, y in enumerate(r) if y] for r in b]
     zero = None
     out = []
-    for i, row in enumerate(_sparse_rows(_nonzero(a), _nonzero(b), m)):
+    for i, r in enumerate(a):
+        row = [None] * len(b[0])
+        for k, x in enumerate(r):
+            if x:
+                for j, y in nzb[k]:
+                    s = row[j]
+                    row[j] = x * y if s is None else s + x * y
         for j, s in enumerate(row):
             if s is None:
                 if zero is None:
@@ -139,41 +129,40 @@ def mat_comb(coeffs, mats, field, n):
     return X
 
 
-def trace(a):
-    s = a[0][0]
-    for i in range(1, len(a)):
-        s = s + a[i][i]
-    return s
+def sparse(a):
+    """The nonzero entries of the matrix a, as {(i, j): entry}."""
+    return {(i, j): x for i, r in enumerate(a) for j, x in enumerate(r)
+            if x}
+
+
+def dense(a, zero, n):
+    """The n x n matrix with the nonzero entries a = {(i, j): entry} and
+    `zero` elsewhere."""
+    return tuple(tuple(a.get((i, j), zero) for j in range(n))
+                 for i in range(n))
 
 
 def bracket(a, b):
-    """The commutator a b - b a of square matrices, entry by entry that
-    of `mat_sub(mat_mul(a, b), mat_mul(b, a))`, from the products of
-    nonzero entries of both factors only.  An entry neither product
-    reaches takes the value of a skipped product of b a, the zero of
-    the entries' representation."""
-    n = len(a)
-    nza, nzb = _nonzero(a), _nonzero(b)
-    zero = None
-    out = []
-    for i, (pa, pb) in enumerate(zip(_sparse_rows(nza, nzb, n),
-                                     _sparse_rows(nzb, nza, n))):
-        for j, (x, y) in enumerate(zip(pa, pb)):
-            if y is not None:
-                pa[j] = -y if x is None else x - y
-            elif x is None:
-                if zero is None:
-                    zero = b[i][0] * a[0][j]
-                pa[j] = zero
-        out.append(tuple(pa))
-    return tuple(out)
-
-
-def sum_list(xs):
-    s = xs[0]
-    for x in xs[1:]:
-        s = s + x
-    return s
+    """The commutator a b - b a of square matrices given by their nonzero
+    entries {(i, j): entry}, with the same keys: a product of two nonzero
+    entries is added at (i, j) for a_ik b_kj and subtracted for b_ik a_kj,
+    and the entries that sum to the exact zero are dropped.  A sum of
+    LocalScalars keeps every term below its least precision whatever the
+    order, so each entry is that of `mat_sub(mat_mul(a, b),
+    mat_mul(b, a))` on the dense matrices."""
+    rows, cols = {}, {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+        cols.setdefault(j, []).append((k, y))
+    out = {}
+    for (i, k), x in a.items():
+        for j, y in rows.get(k, ()):
+            s = out.get((i, j))
+            out[i, j] = x * y if s is None else s + x * y
+        for j, y in cols.get(i, ()):
+            s = out.get((j, k))
+            out[j, k] = -(y * x) if s is None else s - y * x
+    return {key: x for key, x in out.items() if x}
 
 
 # -- the elimination kernel ---------------------------------------------
@@ -294,7 +283,7 @@ def charpoly(a, field):
             for i in range(k):
                 s = s + row[i] * vec[i]
             tcol.append(-s)
-            vec = [sum_list([blk[i][j] * vec[j] for j in range(k)])
+            vec = [sum((blk[i][j] * vec[j] for j in range(k)), z)
                    for i in range(k)]
         new = [z] * (k + 2)
         for i in range(k + 2):
@@ -388,23 +377,6 @@ def poly_deriv(f, field):
             c = c + f[i]
         out.append(c)
     return poly_trim(out)
-
-
-def poly_eval(f, x, field):
-    s = fzero(field)
-    for c in reversed(f):
-        s = s * x + c
-    return s
-
-
-def poly_eval_mat(f, a, field):
-    n = len(a)
-    out = mat_scale(f[0], identity(field, n))
-    pw = None
-    for c in f[1:]:
-        pw = a if pw is None else mat_mul(pw, a)
-        out = mat_add(out, mat_scale(c, pw))
-    return out
 
 
 def _pth_root_poly(f, field):

@@ -198,8 +198,10 @@ class LocalScalar:
     Fraction or None (exact).  All term valuations are < prec.
 
     When both operands are exact, `==` compares `terms`, a product of two
-    monomials is their one product term and a sum with the exact zero is
-    the other operand; every other case takes the general route below.
+    monomials is their one product term, a sum with the exact zero is
+    the other operand and a sum of two monomials is their two terms in
+    order, or one summed term, or the exact zero if they cancel; every
+    other case takes the general route below.
     """
 
     __slots__ = ("field", "terms", "prec")
@@ -271,6 +273,14 @@ class LocalScalar:
                 return self
             if not self.terms:
                 return o
+            if len(self.terms) == len(o.terms) == 1:
+                # two exact monomials: both terms in order, or their sum
+                (v, c), (w, d) = terms = self.terms + o.terms
+                if v != w:
+                    return LocalScalar(self.field, terms if v < w
+                                       else terms[::-1], None)
+                c = c + d
+                return LocalScalar(self.field, ((v, c),) if c else (), None)
         prec = _min_prec(self.prec, o.prec)
         acc = {}
         for v, c in self.terms + o.terms:

@@ -8,11 +8,12 @@ an n x n "club" matrix makes the graded bracket ordinary matrix
 commutator, so Jordan types, sl2-triples and orbit induction can all be
 read off with the finite-field linear algebra of liealg.  In particular
 lift_triple solves for its triple on the residue matrix and lifts the
-result monomially to levels r, 0 and -r only at the end; the exact
-bracket identities over the field certify the lift.  The Lie-algebra
-condition on the residue units of a level piece is written in closed
-form from the monomial Gram matrix, two monomials per unit, so no
-product over the field comes before that certificate.
+nonzero entries monomially to levels r, 0 and -r only at the end; the
+exact bracket identities over the field, brackets of those entries,
+certify the lift.  The Lie-algebra condition on the residue units of a
+level piece is written in closed form from the monomial Gram matrix,
+two monomials per unit, so no product over the field comes before that
+certificate.
 
 The level-0 piece is the reductive quotient; its block decomposition
 (heart_structure) drives the induced-label computation for elements
@@ -149,15 +150,19 @@ def project(model, gamma, w, r):
     return GradedQuotient(model, w, r).project(gamma)
 
 
-def monomial_lift(quot, mat, level):
-    """Exact local lift of a residue matrix to a level of the grading of
-    quot: one monomial per nonzero residue, at its threshold valuation."""
+def _lift(quot, entries, level):
+    """Exact local lift of residues {(i, j): cf} to a level of the grading
+    of quot: one monomial per residue, at its threshold valuation."""
     E = quot.model.field
     D, W, L = quot.D, quot.W, quot.level_units(level)
-    zero = E.zero()
-    return la.mat([[E.scalar({Fraction(L + W[j] - W[i], D): cf}) if cf
-                    else zero for j, cf in enumerate(row)]
-                   for i, row in enumerate(mat)])
+    return {(i, j): E.scalar({Fraction(L + W[j] - W[i], D): cf})
+            for (i, j), cf in entries.items()}
+
+
+def monomial_lift(quot, mat, level):
+    """`_lift` of the nonzero entries of a residue matrix, as a matrix."""
+    return la.dense(_lift(quot, la.sparse(mat), level),
+                    quot.model.field.zero(), len(mat))
 
 
 # -- labels --------------------------------------------------------------
@@ -278,8 +283,9 @@ def lift_triple(c):
     solved on the coset's residue matrix by `liealg.jacobson_morozov`,
     with d ranging over the residue units of the level -r piece cut down
     by the Lie-algebra rows, which are read off the monomial form in
-    closed form.  The lift is graded: c at level r, h at level 0, d at
-    level -r, all with monomial entries.  The exact check of the bracket
+    closed form; each unit enters the solve as its one entry.  The lift
+    is graded: c at level r, h at level 0, d at level -r, each held as
+    its nonzero entries, all monomials.  The exact check of the bracket
     identities over the field makes the lift's only products there.
     """
     quot = c.quot
@@ -289,13 +295,12 @@ def lift_triple(c):
     if not c.is_nilpotent():
         raise ValueError("not nilpotent")
     units = _grade_units(quot, -r)
-    kres = quot.residue_field()
-    basis = la.unit_mats(kres, quot.model.n, units)
-    res = lie.jacobson_morozov(c.mat, basis, kres,
+    res = lie.jacobson_morozov(la.sparse(c.mat),
+                               [{(i, j): b} for i, j, b in units],
+                               quot.residue_field(),
                                _lie_relations(quot, -r, units))
-    trip = lie.Sl2Triple(monomial_lift(quot, res.c, r),
-                         monomial_lift(quot, res.h, 0),
-                         monomial_lift(quot, res.d, -r))
+    trip = lie.Sl2Triple(_lift(quot, res.c, r), _lift(quot, res.h, 0),
+                         _lift(quot, res.d, -r))
     if not trip.check(quot.model.field):
         raise ValueError("characteristic too small")
     return trip

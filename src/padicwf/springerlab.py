@@ -201,7 +201,10 @@ class MatContext:
             self.to_ff(d), self.factor)]).reshape(-1, self.n, self.n)
 
     def jordan_type(self, m):
-        return lie.jordan_type(self.to_ff(m))
+        """The Jordan type of a nilpotent m, read on its codes mod p."""
+        S = {key: int(x) for key, x in np.ndenumerate(np.asarray(m) % self.p)
+             if x}
+        return lie._block_sizes(S, self.n, 1, self.n, self.p)
 
     def is_nilpotent(self, m):
         power = np.asarray(m) % self.p
@@ -472,7 +475,8 @@ def support_test(ctx, c, x, budget=20000, rng=None):
     if not ctx.is_nilpotent(c) or ctx.jordan_type(c) != target:
         return "not"
     trip = lie.sl2_complete(ctx.to_ff(c), ctx.factor)
-    check = _membership_checker(ctx, c, ctx.from_ff(trip.d))
+    check = _membership_checker(
+        ctx, c, ctx.from_ff(la.dense(trip.d, ctx.field.zero, ctx.n)))
     moved, exhausted = ctx.conjugates(x, budget, rng)
     if check(moved).any():
         return "supports"

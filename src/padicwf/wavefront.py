@@ -84,8 +84,8 @@ class GoodChain:
                                  % (name, r))
         for i, (a, ga, _) in enumerate(self.pieces):
             for b, gb, _ in self.pieces[i + 1:]:
-                if any(e.terms for row in la.bracket(ga, gb)
-                       for e in row):
+                if any(e.terms for e in
+                       la.bracket(la.sparse(ga), la.sparse(gb)).values()):
                     raise ValueError("pieces %r and %r do not commute"
                                      % (a, b))
 

@@ -1,8 +1,10 @@
 """The Newton route to the Jordan decomposition over a finite field, the
 reference that `springerlab.MatContext.jordan_decomposition`, a
 Frobenius power, is checked against; with the radical and the matrix
-inverse that it needs, on `linalg`'s kernels."""
+inverse that it needs, on `linalg`'s kernels and the dense references
+of `dense`."""
 
+import dense
 from padicwf import liealg as lg
 from padicwf import linalg as la
 
@@ -33,14 +35,14 @@ def jordan_decomposition(X, field):
     df1 = la.poly_deriv(f1, field)
     s = X
     for _ in range(max(1, n.bit_length() + 1)):
-        val = la.poly_eval_mat(f1, s, field)
+        val = dense.poly_eval_mat(f1, s, field)
         if all(not e for row in val for e in row):
             break
-        dinv = mat_inv(la.poly_eval_mat(df1, s, field), field)
+        dinv = mat_inv(dense.poly_eval_mat(df1, s, field), field)
         s = la.mat_sub(s, la.mat_mul(val, dinv))
-    val = la.poly_eval_mat(f1, s, field)
+    val = dense.poly_eval_mat(f1, s, field)
     assert all(not e for row in val for e in row), "Newton did not converge"
     xn = la.mat_sub(X, s)
     assert lg.is_nilpotent(xn)
-    assert la.bracket(s, xn) == la.zero_mat(field, n)
+    assert dense.bracket(s, xn) == la.zero_mat(field, n)
     return s, xn

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as Fr
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from padicwf import building as bd
 from padicwf import graph as gr
+from padicwf import liealg as lie
 from padicwf import mpquotient as mpq
 from padicwf import orbits as ob
 
+import dense
 import goldens
 from test_building import plane_of, window_points
 
@@ -123,6 +126,26 @@ def test_rule2_direction_from_lifted_triple():
     m, win, c, v = sl2_setup()
     lam, weights = gr._walk_direction(v)
     assert lam == (Fr(1),) and weights == (Fr(1), Fr(-1))
+
+
+def test_walk_direction_refuses_a_cocharacter_off_the_prime_field(
+        monkeypatch):
+    # over a quadratic residue field a diagonal entry of h with a nonzero
+    # s-coordinate has no integer weight; reading its first coordinate
+    # alone would walk a wrong direction
+    m = bd.u6_model(23)
+    E, s = m.field, m.field.residue.gen
+    v = SimpleNamespace(model=m, coset=lambda: None)
+    for h in ({(0, 0): E.from_residue(s)},
+              {(0, 0): E.one(), (2, 2): E.from_residue(s + 2)}):
+        monkeypatch.setattr(mpq, "lift_triple",
+                            lambda c, h=h: lie.Sl2Triple({}, h, {}))
+        with pytest.raises(ValueError, match="not rational"):
+            gr._walk_direction(v)
+    monkeypatch.setattr(mpq, "lift_triple", lambda c: lie.Sl2Triple(
+        {}, {(0, 1): E.from_residue(s)}, {}))
+    with pytest.raises(ValueError, match="not chart-aligned"):
+        gr._walk_direction(v)
 
 
 def walk_step_reference(model, window, x, r, lam, slope):
@@ -278,11 +301,12 @@ def test_graded_triple_and_fiber_split_on_random_sl2_cosets(case):
     quot = c.quot
     # the lifted triple is graded and exact
     trip = mpq.lift_triple(c)
-    assert bd.mp_member(m, trip.c, quot.w, quot.r)
-    assert bd.mp_member(m, trip.h, quot.w, 0)
-    assert bd.mp_member(m, trip.d, quot.w, -quot.r)
+    tc, th, td = dense.mats(trip, m.field, m.n)
+    assert bd.mp_member(m, tc, quot.w, quot.r)
+    assert bd.mp_member(m, th, quot.w, 0)
+    assert bd.mp_member(m, td, quot.w, -quot.r)
     assert trip.check(m.field)
-    assert quot.project(trip.c) == c
+    assert quot.project(tc) == c
     # the fiber over each facet below splits the coset into q^dim
     # distinct cosets there, each reached by an edge that meets
     # criterion 8

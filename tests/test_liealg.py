@@ -2,11 +2,13 @@ import contextlib
 import io
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense
 import newton
 from padicwf import liealg as lg
 from padicwf import linalg as la
@@ -65,7 +67,7 @@ def test_algebra_closed_under_bracket():
         for a in basis:
             assert fac.is_lie(a)
             for b in basis:
-                assert fac.is_lie(la.bracket(a, b))
+                assert fac.is_lie(dense.bracket(a, b))
 
 
 # -- jordan structure --------------------------------------------------
@@ -107,10 +109,10 @@ def test_jordan_decomposition():
             s, nn = newton.jordan_decomposition(X, F)
             assert la.mat_add(s, nn) == X
             assert lg.is_nilpotent(nn)
-            assert la.bracket(s, nn) == la.zero_mat(F, n)
+            assert dense.bracket(s, nn) == la.zero_mat(F, n)
             # semisimple part has squarefree minimal polynomial
             f1 = newton.poly_radical(la.charpoly(s, F), F)
-            assert la.poly_eval_mat(f1, s, F) == la.zero_mat(F, n)
+            assert dense.poly_eval_mat(f1, s, F) == la.zero_mat(F, n)
 
 
 def test_jordan_decomposition_companion():
@@ -158,7 +160,7 @@ def test_centralizer_and_sl2_at_a_large_prime(monkeypatch):
     X = mk(F, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     zs = lg.centralizer_basis(X, fac)
     assert len(zs) == 3
-    assert all(la.bracket(X, Z) == la.zero_mat(F, 3) for Z in zs)
+    assert all(dense.bracket(X, Z) == la.zero_mat(F, 3) for Z in zs)
     assert lg.sl2_complete(X, fac).check(F)
 
 
@@ -218,7 +220,8 @@ def test_sl2_complete_sp4():
     for F, fac, X in sp4_nilpotents():
         trip = lg.sl2_complete(X, fac)
         assert trip.check(F)
-        assert fac.is_lie(trip.h) and fac.is_lie(trip.d)
+        _, h, d = dense.mats(trip, F, 4)
+        assert fac.is_lie(h) and fac.is_lie(d)
         found += 1
     assert found > 5
 
@@ -255,32 +258,34 @@ def reference_jacobson_morozov(c, basis, field, rows=()):
     kp = field.base_or_self()
     rows = list(rows)
     two = la.fone(field) + la.fone(field)
-    ad1 = [la.bracket(c, B) for B in basis]
+    ad1 = [dense.bracket(c, B) for B in basis]
     sol = la.solve(
-        lg._linear_rows([la.bracket(c, A) for A in ad1], field, n) + rows,
-        lg._flat(la.mat_scale(-two, c), field) + [la.fzero(kp)] * len(rows),
+        dense.linear_rows([dense.bracket(c, A) for A in ad1], field, n) + rows,
+        dense.flat(la.mat_scale(-two, c), field) + [la.fzero(kp)] * len(rows),
         kp)
     if sol is None:
         raise ValueError("characteristic too small")
     d0 = la.mat_comb(sol, basis, field, n)
-    h = la.bracket(c, d0)
-    defect = la.mat_add(la.bracket(h, d0), la.mat_scale(two, d0))
+    h = dense.bracket(c, d0)
+    defect = la.mat_add(dense.bracket(h, d0), la.mat_scale(two, d0))
     if all(not e for row in defect for e in row):
-        return lg.Sl2Triple(c, h, d0)
+        return lg.Sl2Triple(la.sparse(c), la.sparse(h), la.sparse(d0))
     zc = [la.mat_comb(v, basis, field, n) for v in
-          la.kernel_basis(lg._linear_rows(ad1, field, n) + rows, kp)]
-    imgs = [la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z))
+          la.kernel_basis(dense.linear_rows(ad1, field, n) + rows, kp)]
+    imgs = [la.mat_add(dense.bracket(h, Z), la.mat_scale(two, Z))
             for Z in zc]
-    sol2 = la.solve(lg._linear_rows(imgs, field, n), lg._flat(defect, field),
+    sol2 = la.solve(dense.linear_rows(imgs, field, n), dense.flat(defect, field),
                     kp)
     if sol2 is None:
         raise ValueError("characteristic too small")
-    return lg.Sl2Triple(c, h, la.mat_sub(d0, la.mat_comb(sol2, zc, field, n)))
+    d = la.mat_sub(d0, la.mat_comb(sol2, zc, field, n))
+    return lg.Sl2Triple(la.sparse(c), la.sparse(h), la.sparse(d))
 
 
 def reference_centralizer_basis(X, factor):
     ker = la.kernel_basis(
-        lg._linear_rows([la.bracket(X, B) for B in factor.algebra_basis()],
+        dense.linear_rows([dense.bracket(X, B)
+                         for B in factor.algebra_basis()],
                         factor.field, factor.n),
         factor.field.base_or_self())
     return [la.mat_comb(v, factor.algebra_basis(), factor.field, factor.n)
@@ -297,12 +302,28 @@ def jm_outcome(solver, c, basis, field, rows=()):
 
 
 def assert_same_jm(c, basis, field, rows=()):
-    got = jm_outcome(lg.jacobson_morozov, c, basis, field, rows)
+    """Both solves on the matrices c and basis, the one on codes given
+    their nonzero entries."""
+    got = jm_outcome(lg.jacobson_morozov, la.sparse(c),
+                     [la.sparse(B) for B in basis], field, rows)
     assert got == jm_outcome(reference_jacobson_morozov, c, basis, field,
                              rows)
     if not isinstance(got, str):
-        assert all(e.field is field for M in got for row in M for e in row)
+        assert all(e.field is field for M in got for e in M.values())
     return got
+
+
+def as_matrices(c, basis, field):
+    """c and the basis of a recorded call, given by their nonzero
+    entries, as n x n matrices for the least n that holds every entry:
+    rows and columns past n are zero in c, in the span of the basis and
+    in their brackets, so the reference solve on them gives the same
+    nonzero entries."""
+    n = 1 + max(max(key) for M in [c, *basis] for key in M)
+    C, Bs = la.dense(c, field.zero, n), [la.dense(B, field.zero, n)
+                                         for B in basis]
+    assert la.sparse(C) == c and [la.sparse(B) for B in Bs] == list(basis)
+    return C, Bs
 
 
 def record_jm_calls(run):
@@ -337,7 +358,8 @@ def test_jm_codes_match_the_reference_on_graph_commands():
     assert {(field.p, bool(rows)) for _, _, field, rows in calls} == \
         {(23, True), (3, False)}
     for c, basis, field, rows in calls:
-        assert not isinstance(assert_same_jm(c, basis, field, rows), str)
+        assert not isinstance(
+            assert_same_jm(*as_matrices(c, basis, field), field, rows), str)
 
 
 def test_jm_codes_match_the_reference_on_the_lift_test_cosets():
@@ -350,7 +372,8 @@ def test_jm_codes_match_the_reference_on_the_lift_test_cosets():
     assert [(field.q, bool(rows)) for _, _, field, rows in calls] == \
         [(3, False), (23 ** 2, True), (23, True), (23, True)]
     for c, basis, field, rows in calls:
-        assert not isinstance(assert_same_jm(c, basis, field, rows), str)
+        assert not isinstance(
+            assert_same_jm(*as_matrices(c, basis, field), field, rows), str)
 
 
 def test_jm_codes_match_the_reference_on_sl2_complete_cases():
@@ -402,10 +425,20 @@ def test_jm_and_centralizer_make_no_ffield_matrix_products(monkeypatch):
     def product(*args):
         raise AssertionError("matrix product over ffield elements")
 
-    for name in ("bracket", "mat_mul", "mat_add", "mat_sub", "mat_scale"):
+    bracket = la.bracket
+
+    def code_bracket(a, b):
+        # the one sparse commutator also serves the integer codes
+        assert all(type(x) is int for M in (a, b) for x in M.values()), \
+            "matrix product over ffield elements"
+        return bracket(a, b)
+
+    monkeypatch.setattr(la, "bracket", code_bracket)
+    for name in ("mat_mul", "mat_add", "mat_sub", "mat_scale"):
         monkeypatch.setattr(la, name, product)
     for (F, X), fac in zip(cases, facs):
-        lg.jacobson_morozov(X, fac.algebra_basis(), F)
+        lg.jacobson_morozov(la.sparse(X),
+                            [la.sparse(B) for B in fac.algebra_basis()], F)
         lg.centralizer_basis(X, fac)
 
 
@@ -421,9 +454,9 @@ def test_jm_codes_raise_where_the_reference_does():
     units = [(0, 0), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1),
              (2, 2), (3, 1), (3, 2)]
     basis = la.unit_mats(F, 4, [(i, j, F.one) for i, j in units])
-    assert la.solve(lg._linear_rows([la.bracket(c, la.bracket(c, B))
+    assert la.solve(dense.linear_rows([dense.bracket(c, dense.bracket(c, B))
                                      for B in basis], F, 4),
-                    lg._flat(la.mat_scale(F(-2), c), F), F) is not None
+                    dense.flat(la.mat_scale(F(-2), c), F), F) is not None
     assert assert_same_jm(c, basis, F) == "characteristic too small"
 
 
@@ -470,18 +503,24 @@ def nilpotent_by_powers(X):
     return all(not e for row in P for e in row)
 
 
+SMALL_FIELDS = (prime_field(3), prime_field(5), prime_field(7),
+                quad_field(3), quad_field(5))
+
+
 @st.composite
-def square_matrices(draw):
-    """(F, X) over F_3, F_5, F_7, F_9 or F_25, n from 1 to 7: often
-    strictly triangular up to a permutation of the indices (nilpotent),
-    sometimes with a single diagonal entry added, otherwise dense."""
-    F = draw(st.sampled_from([prime_field(3), prime_field(5),
-                              prime_field(7), quad_field(3),
-                              quad_field(5)]))
+def square_matrices(draw, fields=SMALL_FIELDS, zeros=False):
+    """(F, X) over one of the fields (default F_3, F_5, F_7, F_9 or
+    F_25), n from 1 to 7: often strictly triangular up to a permutation
+    of the indices (nilpotent), sometimes with a single diagonal entry
+    added, otherwise dense.  With `zeros`, about half the entries drawn
+    are zero, so that nilpotents of every Jordan type come up."""
+    F = draw(st.sampled_from(fields))
     n = draw(st.integers(1, 7))
     elt = st.builds(F.from_coords,
                     st.lists(st.integers(0, F.p - 1), min_size=2,
                              max_size=2))
+    if zeros:
+        elt = st.one_of(st.just(F.zero), elt)
     X = [[draw(elt) for _ in range(n)] for _ in range(n)]
     kind = draw(st.sampled_from(["nilpotent", "near", "dense"]))
     if kind != "dense":
@@ -500,6 +539,42 @@ def square_matrices(draw):
 def test_is_nilpotent_by_squaring_matches_the_power_loop(case):
     F, X = case
     assert lg.is_nilpotent(X) == nilpotent_by_powers(X)
+
+
+def jordan_outcomes(X, F):
+    """Whether X is nilpotent, its Jordan type or the message of the
+    ValueError, and its primary parts: on codes, and by the ffield
+    references of `dense`."""
+    def outcome(fn):
+        try:
+            return fn(X)
+        except ValueError as err:
+            return str(err)
+    return ((lg.is_nilpotent(X), outcome(lg.jordan_type),
+             lg.primary_parts(X, F)),
+            (dense.is_nilpotent(X),
+             outcome(lambda Y: dense.block_sizes(Y, 1, len(Y))),
+             dense.primary_parts(X, F)))
+
+
+def test_jordan_route_matches_the_references_on_gl2_f3():
+    F = prime_field(3)
+    nilpotent = 0
+    for entries in product(range(3), repeat=4):
+        got, want = jordan_outcomes(mk(F, [entries[:2], entries[2:]]), F)
+        assert got == want
+        assert got[0] or got[1] == "not nilpotent"
+        nilpotent += got[0]
+    # q^2 nilpotents in gl_2(F_q)
+    assert nilpotent == 9
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices((prime_field(23), quad_field(23)), zeros=True))
+def test_jordan_route_matches_the_references_over_f23(case):
+    F, X = case
+    got, want = jordan_outcomes(X, F)
+    assert got == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -531,8 +606,8 @@ def whole_charpoly_parts(X, F):
     out = []
     for p, m in la.factor_poly(la.charpoly(X, F), F):
         d = la.poly_deg(p)
-        pX = la.poly_eval_mat(p, X, F)
-        out.append((p, m, lg._block_sizes(pX, d, d * m)))
+        pX = dense.poly_eval_mat(p, X, F)
+        out.append((p, m, dense.block_sizes(pX, d, d * m)))
     return out
 
 

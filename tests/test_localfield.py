@@ -271,3 +271,45 @@ def test_fast_paths_apply_to_exact_operands_only():
     c = F.scalar({1: 5}, prec=4)
     assert (c * a).terms == ((0, F.residue(10)),) and (c * a).prec == 3
     assert F.scalar({1: 5}) == c and not F.scalar({1: 4}) == c
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two exact monomials of one unramified or ramified field, on a short
+    range of valuations; the second is often the negative of the
+    first."""
+    field = draw(st.sampled_from([E_UR, E_RAM, F3.unramified_quadratic(),
+                                  F3.ramified_quadratic()]))
+    res = field.residue
+    coeff = st.builds(res.from_coords,
+                      st.lists(st.integers(1, res.p - 1), min_size=2,
+                               max_size=2))
+    a, b = (field.scalar({Fraction(draw(st.integers(-2, 2)), field.e):
+                          draw(coeff)}) for _ in range(2))
+    return a, draw(st.sampled_from([b, -a]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_pairs())
+def test_monomial_sum_matches_the_general_route(pair):
+    a, b = pair
+    assert len(a.terms) == len(b.terms) == 1
+    for s, x, y in ((a + b, a, b), (b + a, b, a), (a - b, a, -b)):
+        assert (s.terms, s.prec) == dict_sum(x, y)
+        assert bool(s) == bool(s.terms)
+
+
+@pytest.mark.parametrize("field", [E_UR, E_RAM])
+def test_monomial_sum_cancels_exactly_and_keeps_precision(field):
+    res, step = field.residue, Fraction(1, field.e)
+    a = field.scalar({step: res(3)})
+    for z in (a + (-a), a - a, -a + a):
+        assert not z and z.terms == () and z.prec is None
+    # an O(t^k) operand takes the general route and keeps its precision
+    b = field.scalar({2 * step: res(5)}, prec=4 * step)
+    assert ((a + b).terms, (a + b).prec) == (a.terms + b.terms, 4 * step)
+    c = field.scalar({step: res(-3)}, prec=3 * step)
+    for s in (a + c, c + a):
+        assert s.terms == () and s.prec == 3 * step and s
+    d = field.scalar({5 * step: res(1)}, prec=3 * step)
+    assert ((a + d).terms, (a + d).prec) == (a.terms, 3 * step)

@@ -12,6 +12,8 @@ from padicwf import liealg as lie
 from padicwf import linalg as la
 from padicwf import mpquotient as mpq
 
+import dense
+
 
 def zmat(field, n):
     return [[field.zero() for _ in range(n)] for _ in range(n)]
@@ -205,18 +207,17 @@ def test_n_label_nilpotent_matches_jordan():
 
 
 def check_graded_triple(model, quot, trip):
+    """Check the lifted triple on its matrices, and return them."""
     E = model.field
-    two = E.from_int(2)
-    assert la.bracket(trip.h, trip.c) == la.mat_scale(two, trip.c)
-    assert la.bracket(trip.h, trip.d) == la.mat_scale(
-        E.from_int(-2), trip.d)
-    assert la.bracket(trip.c, trip.d) == trip.h
+    c, h, d = dense.mats(trip, E, model.n)
+    assert trip.check(E) and dense.sl2_check(c, h, d, E)
     # graded placement: h at level 0, d at level -r, both in the algebra
-    assert bd.mp_member(model, trip.h, quot.w, 0)
-    assert bd.mp_member(model, trip.d, quot.w, -quot.r)
+    assert bd.mp_member(model, h, quot.w, 0)
+    assert bd.mp_member(model, d, quot.w, -quot.r)
     if model.kind == "u":
         f = lie.Factor.u(model.n, E, model.gram)
-        assert f.is_lie(trip.h) and f.is_lie(trip.d)
+        assert f.is_lie(h) and f.is_lie(d)
+    return c, h, d
 
 
 def test_lift_triple_sl2():
@@ -224,44 +225,41 @@ def test_lift_triple_sl2():
     g = zmat(m.field, 2)
     g[1][0] = m.field.uniformizer()
     c = mpq.project(m, g, (0, 0), 1)
-    trip = mpq.lift_triple(c)
-    check_graded_triple(m, c.quot, trip)
+    tc, _, _ = check_graded_triple(m, c.quot, mpq.lift_triple(c))
     # projecting the lift back recovers the coset
-    assert c.quot.project(trip.c).mat == c.mat
+    assert c.quot.project(tc).mat == c.mat
 
 
 def test_lift_triple_u6():
     m = bd.u6_model(23)
     c = mpq.project(m, u6_c_n(m), bd.U6_Z, -1)
-    trip = mpq.lift_triple(c)
-    check_graded_triple(m, c.quot, trip)
-    assert c.quot.project(trip.c).mat == c.mat
+    tc, _, _ = check_graded_triple(m, c.quot, mpq.lift_triple(c))
+    assert c.quot.project(tc).mat == c.mat
 
 
 def test_lift_triple_u7():
     m = bd.u7_model(23)
     c = mpq.project(m, u7_chain_z(m), m.point(U7_Z), 0)
-    trip = mpq.lift_triple(c)
-    check_graded_triple(m, c.quot, trip)
+    tc, _, _ = check_graded_triple(m, c.quot, mpq.lift_triple(c))
     assert mpq.minimal_orbit_ur(c) == lie.jordan_type(
-        c.quot.project(trip.c).club())
+        c.quot.project(tc).club())
 
 
 def test_lift_triple_uses_the_lie_rows():
     m = bd.u7_model(23)
     c = mpq.project(m, u7_z_rows_guard(m), m.point(U7_Z), Fr(-3, 4))
     assert c.is_nilpotent()
-    trip = mpq.lift_triple(c)
-    check_graded_triple(m, c.quot, trip)
+    _, _, td = check_graded_triple(m, c.quot, mpq.lift_triple(c))
     f = lie.Factor.u(m.n, m.field, m.gram)
-    assert f.is_lie(trip.d)
+    assert f.is_lie(td)
     # the same solve without the rows: d leaves the Lie algebra
     quot = c.quot
     units = mpq._grade_units(quot, -quot.r)
-    free = lie.jacobson_morozov(c.mat, unit_mats(quot, units),
+    free = lie.jacobson_morozov(la.sparse(c.mat),
+                                [{(i, j): b} for i, j, b in units],
                                 quot.residue_field())
-    d = mpq.monomial_lift(quot, free.d, -quot.r)
-    assert d != trip.d and not f.is_lie(d)
+    d = la.dense(mpq._lift(quot, free.d, -quot.r), m.field.zero(), m.n)
+    assert d != td and not f.is_lie(d)
 
 
 def test_lift_triple_rejects():
@@ -353,8 +351,8 @@ def reference_lift_triple(c):
     basis = _reference_unit_lifts(quot, -quot.r)
     zero = la.zero_mat(E, n)
     defects = [factor.lie_defect(B) or zero for B in basis]
-    ad1 = [la.bracket(chat, B) for B in basis]
-    ad2 = [la.bracket(chat, A) for A in ad1]
+    ad1 = [dense.bracket(chat, B) for B in basis]
+    ad2 = [dense.bracket(chat, A) for A in ad1]
     two = E.from_int(2)
     rows_a, rhs_a = _reference_system(ad2, [la.mat_scale(-two, chat)], kres)
     rows_d, rhs_d = _reference_system(defects, [zero], kres)
@@ -362,24 +360,23 @@ def reference_lift_triple(c):
     if sol is None:
         raise ValueError("characteristic too small")
     d0 = _reference_combine(basis, sol, E, n)
-    h = la.bracket(chat, d0)
-    defect = la.mat_add(la.bracket(h, d0), la.mat_scale(two, d0))
+    h = dense.bracket(chat, d0)
+    defect = la.mat_add(dense.bracket(h, d0), la.mat_scale(two, d0))
     d = d0
     if any(e.terms for row in defect for e in row):
         rows_k, _ = _reference_system(ad1, [zero], kres)
         kern = la.kernel_basis(la.mat(rows_k + rows_d), kp)
         Zs = [_reference_combine(basis, v, E, n) for v in kern]
-        imgs = [la.mat_add(la.bracket(h, Z), la.mat_scale(two, Z))
+        imgs = [la.mat_add(dense.bracket(h, Z), la.mat_scale(two, Z))
                 for Z in Zs]
         rows_c, rhs_c = _reference_system(imgs, [defect], kres)
         sol2 = la.solve(rows_c, rhs_c[0], kp)
         if sol2 is None:
             raise ValueError("characteristic too small")
         d = la.mat_sub(d0, _reference_combine(Zs, sol2, E, n))
-    trip = lie.Sl2Triple(chat, h, d)
-    if not trip.check(E):
+    if not dense.sl2_check(chat, h, d, E):
         raise ValueError("characteristic too small")
-    return trip
+    return lie.Sl2Triple(la.sparse(chat), la.sparse(h), la.sparse(d))
 
 
 # -- reference: the Lie rows read from local lie_defect products --------
@@ -438,12 +435,13 @@ def _same_row_space(a, b):
 
 
 def _outcome(fn, c):
-    """(terms, prec) of every entry of c, h and d, or the error message."""
+    """(terms, prec) of every nonzero entry of c, h and d, or the error
+    message."""
     try:
         trip = fn(c)
     except ValueError as err:
         return "ValueError: %s" % err
-    return [[[(e.terms, e.prec) for e in row] for row in M]
+    return [{key: (e.terms, e.prec) for key, e in M.items()}
             for M in (trip.c, trip.h, trip.d)]
 
 
@@ -517,6 +515,54 @@ def test_lift_triple_test_cosets_match_the_local_reference():
         got = _outcome(mpq.lift_triple, c)
         assert not isinstance(got, str)
         assert got == _outcome(reference_lift_triple, c)
+
+
+# -- the sparse sl2 certificate against the dense one ---------------------
+
+
+def _lifts():
+    """(model, triple) for each coset that lift_triple lifts in the graph
+    runs and among the lift test cosets, each coset once."""
+    cosets, _ = _graph_runs()
+    seen, out = set(), []
+    for c in cosets + _test_cosets():
+        if c.key() not in seen:
+            seen.add(c.key())
+            try:
+                out.append((c.quot.model, mpq.lift_triple(c)))
+            except ValueError:
+                pass
+    return out
+
+
+def _perturbed(trip, E):
+    """The triple with h doubled; with the first monomial of c moved up
+    one valuation step; and with the unit 1 added to d at (0, 0)."""
+    key = min(trip.c)
+    c = dict(trip.c)
+    c[key] = c[key].shift(Fr(1, E.e))
+    d = dict(trip.d)
+    d[0, 0] = d.get((0, 0), E.zero()) + E.one()
+    return [lie.Sl2Triple(trip.c, {k: x + x for k, x in trip.h.items()},
+                          trip.d),
+            lie.Sl2Triple(c, trip.h, trip.d),
+            lie.Sl2Triple(trip.c, trip.h,
+                          {k: x for k, x in d.items() if x})]
+
+
+def test_sparse_check_matches_the_dense_certificate(capsys):
+    lifts = _lifts()
+    capsys.readouterr()
+    # 114 distinct cosets lift in the sl2 and u7h graph runs, 4 more
+    # among the test cosets
+    assert len(lifts) == 118
+    for model, trip in lifts:
+        E = model.field
+        assert trip.check(E)
+        assert dense.sl2_check(*dense.mats(trip, E, model.n), E)
+        for bad in _perturbed(trip, E):
+            assert not bad.check(E)
+            assert not dense.sl2_check(*dense.mats(bad, E, model.n), E)
 
 
 def _entries(mats):
@@ -626,7 +672,7 @@ def test_bracket_respects_grading():
          for U in unit_mats(qb, mpq._grade_units(qb, 1))]
     for X in A[:6]:
         for Y in B[:6]:
-            assert bd.mp_member(m, la.bracket(X, Y), w, 0)
+            assert bd.mp_member(m, dense.bracket(X, Y), w, 0)
 
 
 def test_label_comparelift_dominance():

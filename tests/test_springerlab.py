@@ -692,7 +692,8 @@ def test_sampled_support_and_witness_use_reference_draws(gl2):
     # for the same rng
     c, x = e12(), np.diag([1, 2])
     trip = lie.sl2_complete(gl2.to_ff(c), gl2.factor)
-    check = sl._membership_checker(gl2, c, gl2.from_ff(trip.d))
+    check = sl._membership_checker(
+        gl2, c, gl2.from_ff(la.dense(trip.d, gl2.field.zero, 2)))
     seen = set()
     for seed in range(20):
         moved = _sampled_conjugates_reference(gl2, x, 3,
