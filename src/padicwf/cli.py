@@ -4,7 +4,10 @@ Subcommands: wf compute/example, facets, graph trace/reach,
 lab spr/curve/count, oracle all.  Output is a human-readable text
 table on stdout; --out writes a machine-readable JSON result file
 embedding a reproducibility manifest (identical manifests produce
-byte-identical files).
+byte-identical files).  Every option and input-file key is read by the
+command that takes it, or refused as a JSON error: an option that a
+command accepts but does not read, such as `lab spr --n 2 --seed`, or
+an input key that no code reads, such as a misspelt `pint`.
 """
 
 import argparse
@@ -98,17 +101,38 @@ def print_wf_result(res, title):
 # -- input files ---------------------------------------------------------
 
 
+# The keys each kind of section reads; a [gamma...] section is a chain
+# piece.  `row` is the one key that a section repeats.
+SECTION_KEYS = {
+    "field": ("q",),
+    "group": ("model", "override-char-bound"),
+    "gamma": ("depth", "row"),
+    "options": ("point", "seed-datum"),
+}
+
+
+def _line_error(lineno, message):
+    return CliError("line %d: %s" % (lineno, message), {"line": lineno})
+
+
 def _tokenize_sections(text):
-    """Split an INI-like input into sections with line numbers."""
-    sections = []
+    """Split an INI-like input into sections, in file order: name ->
+    (header line, {key: (line, value)}, [(line, row value)]).  A
+    section or key that no code reads, or a repeated one, is refused."""
+    sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = (line[1:-1].strip(), [])
-            sections.append(current)
+            name = line[1:-1].strip()
+            kind = "gamma" if name.startswith("gamma") else name
+            if kind not in SECTION_KEYS:
+                raise _line_error(lineno, "unknown section [%s]" % name)
+            if name in sections:
+                raise _line_error(lineno, "repeated section [%s]" % name)
+            current = sections[name] = (lineno, {}, [])
             continue
         if current is None:
             raise CliError("line %d: content before any section header"
@@ -117,20 +141,17 @@ def _tokenize_sections(text):
             raise CliError("line %d: expected key = value" % lineno,
                            {"line": lineno,
                             "column": raw.index(line) + 1})
-        key, val = line.split("=", 1)
-        current[1].append((lineno, key.strip(), val.strip()))
-    return sections
-
-
-def _section_map(items):
-    out = {}
-    rows = []
-    for lineno, key, val in items:
+        key, val = (part.strip() for part in line.split("=", 1))
+        _, kv, rows = current
+        if key not in SECTION_KEYS[kind]:
+            raise _line_error(lineno, "unknown key %r in [%s]" % (key, name))
         if key == "row":
             rows.append((lineno, val))
+        elif key in kv:
+            raise _line_error(lineno, "repeated key %r in [%s]" % (key, name))
         else:
-            out[key] = (lineno, val)
-    return out, rows
+            kv[key] = (lineno, val)
+    return sections
 
 
 def _fraction(text, where, record=None):
@@ -151,21 +172,23 @@ def parse_input(text, override=False):
 
     Sections: [field] (q), [group] (model,
     optional override-char-bound), one [gamma.N] per piece (depth and
-    n matrix rows of scalar expressions), optional [options].
+    n matrix rows of scalar expressions), optional [options] (point or
+    seed-datum).  Any other section or key is refused, as is a repeated
+    one (`row` excepted).
     """
     sections = _tokenize_sections(text)
-    names = [name for name, _ in sections]
     for required in ("field", "group"):
-        if required not in names:
+        if required not in sections:
             raise CliError("missing [%s] section" % required)
-    field_kv, _ = _section_map(dict(sections)["field"])
-    group_kv, _ = _section_map(dict(sections)["group"])
+    field_line, field_kv, _ = sections["field"]
+    _, group_kv, _ = sections["group"]
+    if "q" not in field_kv:
+        raise _line_error(field_line, "[field] has no q")
+    lineno, q = field_kv["q"]
     try:
-        q = int(field_kv.get("q", (0, "23"))[1])
+        q = int(q)
     except ValueError:
-        lineno = field_kv["q"][0]
-        raise CliError("line %d: q must be an integer" % lineno,
-                       {"line": lineno})
+        raise _line_error(lineno, "q must be an integer")
     if "model" not in group_kv:
         raise CliError("missing model in [group]")
     model_name = group_kv["model"][1]
@@ -182,10 +205,9 @@ def parse_input(text, override=False):
     wf.check_char(model, override=override)
 
     pieces = []
-    for name, items in sections:
+    for name, (_, kv, rows) in sections.items():
         if not name.startswith("gamma"):
             continue
-        kv, rows = _section_map(items)
         if "depth" not in kv:
             raise CliError("section [%s] missing depth" % name)
         depth = _line_fraction(*kv["depth"])
@@ -216,8 +238,8 @@ def parse_input(text, override=False):
     pieces.sort(key=lambda t: t[2], reverse=True)
 
     options = {}
-    if "options" in names:
-        kv, _ = _section_map(dict(sections)["options"])
+    if "options" in sections:
+        _, kv, _ = sections["options"]
         options = {k: v for k, (_, v) in kv.items()}
         lineno, val = kv.get("point", (0, ""))
         if "point" in kv and "seed-datum" in kv:
@@ -320,7 +342,8 @@ def _parse_window(args, model):
 
 
 def cmd_facets(args):
-    model = MODELS[args.model](args.q)
+    # the arrangement reads no residue field, so one prime serves all
+    model = MODELS[args.model](3)
     window = _parse_window(args, model)
     facets = enumerate_facets(model, window)
     print("facet table: model=%s window=%s r in [%s, %s]"
@@ -424,6 +447,11 @@ def cmd_lab(args):
                    if not isinstance(data, dict) or k not in data]
         if missing:
             raise CliError("spec is missing %s" % ", ".join(missing))
+        unknown = sorted(set(data) - {"gram", "X", "pattern", "p",
+                                      "degrees"})
+        if unknown:
+            raise CliError("unknown spec key %s"
+                           % ", ".join(map(repr, unknown)))
         spec = sl.VarietySpec(data["gram"], data["X"], data["pattern"],
                               data["p"])
         degrees = data.get("degrees", [1])
@@ -441,12 +469,22 @@ def cmd_lab(args):
                 data, sort_keys=True)),
                 {"counts": {str(d): counts[d] for d in degrees}})
         return 0
-    # lab spr
-    if args.samples < 1:
-        raise CliError("--samples: expected at least 1, got %d"
-                       % args.samples)
+    # lab spr: gl_2's instances are all listed, only gl_3's are drawn
+    drawn = ()
+    if args.n == 2:
+        for name in ("samples", "seed"):
+            if name in vars(args):
+                raise CliError("--%s applies to --n 3 only" % name)
+    else:
+        # the defaults go into args, so that the manifest records them
+        vars(args).setdefault("samples", 200)
+        vars(args).setdefault("seed", 0)
+        if args.samples < 1:
+            raise CliError("--samples: expected at least 1, got %d"
+                           % args.samples)
+        drawn = (args.samples, args.seed)
     ctx = sl.mat_context(args.n, args.q)
-    instances = sl.spr_instances(ctx, args.samples, args.seed)
+    instances = sl.spr_instances(ctx, *drawn)
     checked = len(instances)
     failed = sum(not sl.verify_spr(ctx, x, comp, lower)
                  for x, comp, lower in instances)
@@ -475,7 +513,7 @@ def _oracle_checks():
 
     def spr():
         ctx = sl.mat_context(2, 3)
-        instances = sl.spr_instances(ctx, samples=0, seed=0)
+        instances = sl.spr_instances(ctx)
         return all(sl.verify_spr(ctx, x, comp, lower)
                    for x, comp, lower in instances)
     add("parabolic identity gl2", spr)
@@ -547,7 +585,6 @@ def build_parser():
 
     pf = sub.add_parser("facets", help="enumerate facets in a window")
     pf.add_argument("--model", default="sl2", choices=sorted(MODELS))
-    pf.add_argument("--q", type=int, default=3)
     pf.add_argument("--window", help="a,b per chart axis, ':'-separated")
     pf.add_argument("--rmin", default="-1")
     pf.add_argument("--rmax", default="2")
@@ -567,8 +604,10 @@ def build_parser():
     ps = lsub.add_parser("spr")
     ps.add_argument("--n", type=int, default=2, choices=[2, 3])
     ps.add_argument("--q", type=int, default=3)
-    ps.add_argument("--samples", type=int, default=200)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--samples", type=int, default=argparse.SUPPRESS,
+                    help="gl_3 instances to draw (--n 3 only; default 200)")
+    ps.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                    help="seed of the draws (--n 3 only; default 0)")
     common(ps)
     pcv = lsub.add_parser("curve")
     pcv.add_argument("--coeff", type=int_or_all, choices=[3, 1, "all"])

@@ -64,16 +64,14 @@ class Factor:
         return cls("so", n, field, gram)
 
     @classmethod
-    def sp(cls, n, field, gram=None):
-        if gram is None:
-            # standard antidiagonal alternating form
-            z, o = la.fzero(field), la.fone(field)
-            gram = [[z] * n for _ in range(n)]
-            for i in range(n // 2):
-                gram[i][n - 1 - i] = o
-                gram[n - 1 - i][i] = -o
-            gram = la.mat(gram)
-        return cls("sp", n, field, gram)
+    def sp(cls, n, field):
+        """sp_n of the standard antidiagonal alternating form."""
+        z, o = la.fzero(field), la.fone(field)
+        gram = [[z] * n for _ in range(n)]
+        for i in range(n // 2):
+            gram[i][n - 1 - i] = o
+            gram[n - 1 - i][i] = -o
+        return cls("sp", n, field, la.mat(gram))
 
     def is_local(self):
         return isinstance(self.field, LocalField)

@@ -58,10 +58,9 @@ def mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def zero_mat(field, n, m=None):
+def zero_mat(field, n):
     z = fzero(field)
-    m = n if m is None else m
-    return tuple(tuple(z for _ in range(m)) for _ in range(n))
+    return tuple(tuple(z for _ in range(n)) for _ in range(n))
 
 
 def identity(field, n):

@@ -12,7 +12,9 @@ Valuations are Fractions with denominator dividing the ramification index.
 A scalar is a finite sum of c_v * t^v plus an O(t^prec) tail; prec = None
 means the element is known exactly.  Arithmetic propagates precision the
 usual way and raises PrecisionError when a question (valuation, residue)
-cannot be answered at the available precision.
+cannot be answered at the available precision.  The inverse of an exact
+scalar is a series, kept to the relative precision
+LocalField.DEFAULT_PREC = 40, the same for every field.
 """
 
 import re
@@ -37,7 +39,9 @@ class LocalField:
     ramification index over the base, so valuations live in (1/e)Z.
     """
 
-    def __init__(self, q, kind="base", default_prec=Fraction(40)):
+    DEFAULT_PREC = Fraction(40)
+
+    def __init__(self, q, kind="base"):
         self.q = q
         self.kind = kind
         if kind == "unram":
@@ -50,16 +54,15 @@ class LocalField:
             assert kind == "base"
             self.residue = prime_field(q)
             self.e = 1
-        self.default_prec = _fr(default_prec)
         self.uname = "w" if kind == "ram" else "t"
 
     def unramified_quadratic(self):
         assert self.kind == "base"
-        return LocalField(self.q, "unram", self.default_prec)
+        return LocalField(self.q, "unram")
 
     def ramified_quadratic(self):
         assert self.kind == "base"
-        return LocalField(self.q, "ram", self.default_prec)
+        return LocalField(self.q, "ram")
 
     # -- constructors ---------------------------------------------------
 
@@ -347,7 +350,7 @@ class LocalScalar:
         if self.prec is not None:
             rel = self.prec - v
         else:
-            rel = self.field.default_prec
+            rel = self.field.DEFAULT_PREC
         lead = self.terms[0][1]
         # self = lead * t^v * (1 + u), val(u) > 0
         linv = self.field.from_residue(lead.inv(), -v)

@@ -88,11 +88,9 @@ def collapse(lam, type_):
     return best[0]
 
 
-def pad_add(parts_list, length=None):
+def pad_add(parts_list):
     """Componentwise sum of partitions, padding with zeros."""
     n = max((len(p) for p in parts_list), default=0)
-    if length is not None:
-        n = max(n, length)
     out = [0] * n
     for p in parts_list:
         for i, x in enumerate(p):

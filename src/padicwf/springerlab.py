@@ -6,15 +6,19 @@ are axis-wise character sums, and the test functions are orbit sums of
 Slodowy-slice indicators built by exhaustive group enumeration, one
 orbit at a time.  gl_n(F_p) is worked on as integer arrays of the codes
 of `ffield.ext_field(p, 1)`, Jordan decompositions included; `lab spr`
-checks the elements that `spr_instances` lists.  The flag-variety point
-counts parameterize complete isotropic flags directly: every flag of a
-field is enumerated in bulk as arrays of element codes, the pattern
-conditions on the first two flag vectors are tested on all flags at
-once, and the flags that pass are completed to adapted bases all at
-once, by one elimination on stacks of code arrays.  The u7 curve is counted
-for every corner coefficient c of a field in one pass over the
-isotropic points: its first condition is linear in c, so each point
-fixes the one c it can pass at, or passes that condition at every c.
+checks the elements that `spr_instances` lists against the context's
+own test functions, the good triples', built once per (n, p).  The
+flag-variety point counts parameterize complete isotropic flags
+directly: every flag of a field is enumerated in bulk as arrays of
+element codes, the pattern conditions on the first two flag vectors are
+tested on all flags at once, and the flags that pass are completed to
+adapted bases all at once, by one elimination on stacks of code arrays;
+every flat table index a * q + b is formed by `_at`, in intp, as uint8
+codes would wrap past 255 on fields of 17 or more elements.  The u7
+curve is counted for every corner coefficient c of a field in one pass
+over the isotropic points: its first condition is linear in c, so each
+point fixes the one c it can pass at, or passes that condition at every
+c.
 """
 
 import functools
@@ -25,7 +29,6 @@ from . import ffield as ff
 from . import liealg as lie
 from . import linalg as la
 from . import orbits as ob
-from .building import _PLANE_CACHE_SIZE
 
 
 class _Numpy:
@@ -283,9 +286,10 @@ class FnOnPiece:
         return cls(p, dim, vals)
 
     @classmethod
-    def delta(cls, p, dim, at=0):
+    def delta(cls, p, dim):
+        """The indicator of the origin."""
         vals = np.zeros((p ** dim, p), dtype=np.int64)
-        vals[at, 0] = 1
+        vals[0, 0] = 1
         return cls(p, dim, vals)
 
     @classmethod
@@ -382,9 +386,10 @@ def test_fn(ctx, c, d):
     return FnOnPiece.from_ints(ctx.p, ctx.dim, table)
 
 
-def conil_support_ok(ctx, f, pairing=None):
-    """Whether the transform of f is supported on the nilpotent cone."""
-    fhat = fourier(f, pairing or trace_pairing(ctx.n))
+def conil_support_ok(ctx, f):
+    """Whether the transform of f under the trace form is supported on
+    the nilpotent cone."""
+    fhat = fourier(f, trace_pairing(ctx.n))
     mask = ctx.nilpotent_mask()
     return not np.any(fhat.canonical()[~mask].any(axis=1))
 
@@ -417,25 +422,25 @@ def split_for_parabolic(ctx, x, comp):
     return xs, xn
 
 
-def verify_spr(ctx, x, comp, lower=False, xis=None):
+def verify_spr(ctx, x, comp, lower=False):
     """The parabolic identity: |U_P| <I_x, xi> = <I_{x_n + u_P}, xi> for
-    every xi in a spanning family of conilpotent invariant functions."""
+    every xi in `ctx.test_fns()`, a spanning family of conilpotent
+    invariant functions."""
     x = np.asarray(x, dtype=np.int64) % ctx.p
     xs, xn = split_for_parabolic(ctx, x, comp)
-    if xis is None:
-        xis = ctx.test_fns()
     units = np.eye(ctx.dim, dtype=np.int64)[
         [i * ctx.n + j for i, j in nilradical_positions(comp, ctx.n, lower)]]
     at_x = int(ctx.encode(x[None])[0])
     at_u = ctx.encode(_translates(ctx, xn, units.reshape(-1, ctx.n, ctx.n)))
     return all(len(at_u) * xi.vals[at_x, 0] == xi.vals[at_u, 0].sum()
-               for xi in xis)
+               for xi in ctx.test_fns())
 
 
-def spr_instances(ctx, samples, seed):
+def spr_instances(ctx, samples=None, seed=None):
     """The (x, composition, lower) instances that `lab spr` checks.  For
     gl_2: every diag(a, b) with a != b, against the upper and the lower
-    Borel.  For gl_3: `samples` split elements of the (2, 1) parabolic,
+    Borel; nothing is drawn, so samples and seed are for gl_3 only.  For
+    gl_3: `samples` split elements of the (2, 1) parabolic,
     [[a, t, 0], [0, a, 0], [0, 0, b]] with a != b, drawn from
     random.Random(seed)."""
     p = ctx.p
@@ -586,10 +591,9 @@ def curve_spec(coeff, p=23):
 
 def _per_form(build):
     """Memoize build(K, gram), which returns read-only arrays, keyed by
-    K and the gram's codes as a tuple of tuples, for the most recently
-    used keys, as many as `building` keeps windows.  Callers check
-    SCAN_CAP before the lookup."""
-    cached = functools.lru_cache(maxsize=_PLANE_CACHE_SIZE)(build)
+    K and the gram's codes as a tuple of tuples, for the 16 most recently
+    used keys.  Callers check SCAN_CAP before the lookup."""
+    cached = functools.lru_cache(maxsize=16)(build)
 
     @functools.wraps(build)
     def lookup(K, gram):
@@ -686,9 +690,8 @@ def _rref_codes(K, A):
     """`linalg.rref`, its pivot rule included, on an (N, rows, cols)
     stack of code arrays: the reduced stack, the (N, rows) pivot columns
     (-1 past the rank) and, for square matrices, the determinants."""
-    q, (add, mul, neg) = K.q, K.arrays()
-    inv, submul = np.array(K.inv), neg[mul].ravel()
-    add, mul = add.ravel(), mul.ravel()
+    add, mul, neg = K.arrays()
+    inv, submul = np.array(K.inv), neg[mul]
     A = np.array(A, dtype=np.intp)
     N, rows, cols = A.shape
     at, rank = np.arange(N), np.zeros(N, dtype=np.intp)
@@ -705,11 +708,11 @@ def _rref_codes(K, A):
         A[at, piv] = A[at, r]
         flips ^= piv != r
         lead = np.where(has, top[:, c], 1)
-        det = mul[det * q + lead]
-        top = mul[top * q + inv[lead][:, None]]
+        det = _at(mul, det, lead)
+        top = _at(mul, top, inv[lead][:, None])
         f = np.where(has[:, None], A[:, :, c], 0)
         f[at, r] = 0
-        A = add[A * q + submul[f[:, :, None] * q + top[:, None, :]]]
+        A = _at(add, A, _at(submul, f[:, :, None], top[:, None, :]))
         A[at, r] = top
         rank += has
     nonzero = A != 0

@@ -95,6 +95,27 @@ def test_wf_compute_bad_point_names_its_line(tmp_path, capsys):
         "line": 20}
 
 
+@pytest.mark.parametrize("old, new, line, message", [
+    ("q = 23", "p = 23", 4, "unknown key 'p' in [field]"),
+    ("point =", "pint =", 20, "unknown key 'pint' in [options]"),
+    ("[options]", "[option]", 19, "unknown section [option]"),
+    ("q = 23", "q = 23\nq = 5", 5, "repeated key 'q' in [field]"),
+    ("1/2", "1/2\n[field]\nq = 5", 21, "repeated section [field]"),
+    ("q = 23", "", 3, "[field] has no q"),
+], ids=["p", "pint", "option", "q-twice", "field-twice", "no-q"])
+def test_wf_compute_refuses_keys_it_does_not_read(old, new, line, message,
+                                                  tmp_path, capsys):
+    # a misspelt key is not dropped: `pint` for `point` would run from
+    # the origin and print [6] instead of [5, 1], and `p` for `q` would
+    # run at a q the file does not state
+    path = tmp_path / "bad.ini"
+    path.write_text((INPUTS / "toral.ini").read_text().replace(old, new))
+    code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "message": "line %d: %s" % (line, message), "line": line}
+
+
 def test_parse_rejects_bad_depth():
     text = (INPUTS / "toral.ini").read_text().replace(
         "depth = 0", "depth = -1")
@@ -275,7 +296,7 @@ def test_facets_sl2_window_matches_grid_census(capsys):
 def test_facets_budget_guard(capsys):
     # the u7 unit window has 113 planes in 3-D: about twice the
     # arrangement budget
-    code, _, err = run(["facets", "--model", "u7", "--q", "23",
+    code, _, err = run(["facets", "--model", "u7",
                         "--window", "0,1:0,1", "--rmin", "-1",
                         "--rmax", "1"], capsys)
     assert code == 2
@@ -311,7 +332,14 @@ def test_facets_empty_window(argv, message, capsys):
      "argument --coeff: invalid choice: 5 (choose from 3, 1, 'all')"),
     (["lab", "spr", "--n", "4"],
      "argument --n: invalid choice: 4 (choose from 2, 3)"),
-    (["facets", "--q", "x"], "argument --q: invalid int value: 'x'"),
+    (["lab", "curve", "--q", "x"], "argument --q: invalid int value: 'x'"),
+    # options that would change nothing: the arrangement reads no
+    # residue field, and gl_2's twelve instances are listed, not drawn
+    (["facets", "--q", "5"], "unrecognized arguments: --q 5"),
+    (["lab", "spr", "--n", "2", "--samples", "7"],
+     "--samples applies to --n 3 only"),
+    (["lab", "spr", "--n", "2", "--seed", "99"],
+     "--seed applies to --n 3 only"),
 ])
 def test_zero_denominator_option_is_a_json_error(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -418,7 +446,7 @@ def test_lab_curve_out_of_reach(argv, message, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["lab", "spr", "--n", "2", "--q", "4"],
-    ["facets", "--model", "sl2", "--q", "4"],
+    ["lab", "spr", "--n", "3", "--q", "4"],
     ["wf", "compute", "--input", "q4.ini"],
 ])
 def test_q_not_an_odd_prime(argv, tmp_path, monkeypatch, capsys):
@@ -520,6 +548,8 @@ def _skewed(cell):
     ({"degrees": [2, 1, 2]}, "degrees must not repeat a degree"),
     ({"gram": _skewed((0, 3))}, "gram must be symmetric"),
     ({"gram": _skewed((0, 1))}, "gram must be symmetric"),
+    # a misspelt key is not dropped: `degree` would count F_3, not F_9
+    ({"degree": [2]}, "unknown spec key 'degree'"),
 ])
 def test_lab_count_rejects_malformed_spec(changes, message, tmp_path,
                                           capsys):
@@ -538,6 +568,16 @@ def test_lab_count_non_split_gram_over_square_extension(tmp_path, capsys):
     code, text, _ = run(["lab", "count", "--spec", str(path)], capsys)
     assert code == 0
     assert "degree 2 (q = 9): 8 points" in text
+
+
+def test_lab_count_curve_spec_at_p19(tmp_path, capsys):
+    # a field past 16 elements: the batched elimination once formed
+    # its table indices in uint8 and failed here with an IndexError
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_curve_spec_data(p=19)))
+    code, text, err = run(["lab", "count", "--spec", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert text == "degree 1 (q = 19): 20 points\n"
 
 
 def test_lab_count_degenerate_gram(tmp_path, capsys):
@@ -639,10 +679,9 @@ def test_inert_options_are_gone(tmp_path, capsys):
 def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
     # the parser is built once per process; each call parses afresh
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["lab", "spr", "--n", "2", "--seed", "5", "--out",
-                str(first)], capsys)[0] == 0
-    assert run(["lab", "spr", "--n", "2", "--out", str(second)],
-               capsys)[0] == 0
+    spr = ["lab", "spr", "--n", "3", "--samples", "10"]
+    assert run(spr + ["--seed", "5", "--out", str(first)], capsys)[0] == 0
+    assert run(spr + ["--out", str(second)], capsys)[0] == 0
     assert json.loads(first.read_text())["manifest"]["seed"] == 5
     assert json.loads(second.read_text())["manifest"]["seed"] == 0
 

@@ -425,37 +425,37 @@ def test_small_characteristic_breaks_nilpotent_support(gl3):
 # -- the parabolic averaging identity ------------------------------------
 
 
-def test_identity_all_split_semisimple_gl2(gl2, gl2_xis):
+def test_identity_all_split_semisimple_gl2(gl2):
     # every split regular semisimple element, both Borels
     for a in range(3):
         for b in range(3):
             if a == b:
                 continue
             x = np.diag([a, b]).astype(np.int64)
-            assert sl.verify_spr(gl2, x, (1, 1), xis=gl2_xis)
-            assert sl.verify_spr(gl2, x, (1, 1), lower=True, xis=gl2_xis)
+            assert sl.verify_spr(gl2, x, (1, 1))
+            assert sl.verify_spr(gl2, x, (1, 1), lower=True)
 
 
-def test_identity_trivial_parabolic(gl2, gl2_xis):
+def test_identity_trivial_parabolic(gl2):
     # P = G: the nilradical is zero and the identity is a tautology,
     # but it exercises the Jordan decomposition path
     x = np.array([[1, 1], [0, 1]])
-    assert sl.verify_spr(gl2, x, (2,), xis=gl2_xis)
+    assert sl.verify_spr(gl2, x, (2,))
 
 
-def test_identity_rejects_non_split(gl2, gl2_xis):
+def test_identity_rejects_non_split(gl2):
     # companion matrix of an irreducible quadratic: not split
     bad = np.array([[0, 1], [1, 1]])
     with pytest.raises(ValueError, match="x not split for P"):
-        sl.verify_spr(gl2, bad, (1, 1), xis=gl2_xis)
+        sl.verify_spr(gl2, bad, (1, 1))
 
 
-def test_identity_rejects_repeated_scalars(gl2, gl2_xis):
+def test_identity_rejects_repeated_scalars(gl2):
     with pytest.raises(ValueError, match="x not split for P"):
-        sl.verify_spr(gl2, np.diag([1, 1]), (1, 1), xis=gl2_xis)
+        sl.verify_spr(gl2, np.diag([1, 1]), (1, 1))
 
 
-def test_identity_sampled_split_gl3(gl3, gl3_xis):
+def test_identity_sampled_split_gl3(gl3):
     # block-scalar semisimple part plus block nilpotent part, for the
     # (2,1) parabolic, sampled over seeds
     rng = random.Random(20260823)
@@ -464,15 +464,15 @@ def test_identity_sampled_split_gl3(gl3, gl3_xis):
         x = np.array([[a, rng.randrange(3), 0],
                       [0, a, 0],
                       [0, 0, b]], dtype=np.int64)
-        assert sl.verify_spr(gl3, x, (2, 1), xis=gl3_xis)
-        assert sl.verify_spr(gl3, x, (2, 1), lower=True, xis=gl3_xis)
+        assert sl.verify_spr(gl3, x, (2, 1))
+        assert sl.verify_spr(gl3, x, (2, 1), lower=True)
 
 
-def test_identity_split_regular_gl3(gl3, gl3_xis):
+def test_identity_split_regular_gl3(gl3):
     x = np.diag([0, 1, 2]).astype(np.int64)
     for comp in ((1, 1, 1), (1, 2)):
         try:
-            ok = sl.verify_spr(gl3, x, comp, xis=gl3_xis)
+            ok = sl.verify_spr(gl3, x, comp)
         except ValueError:
             continue  # (1,2) needs matching scalar blocks, may reject
         assert ok
@@ -554,18 +554,19 @@ def _verify_spr_reference(ctx, x, comp, lower, xis):
     return True
 
 
-def _same_outcome(ctx, x, comp, lower, xis):
+def _same_outcome(ctx, x, comp, lower):
+    # against the context's own family of test functions
     try:
-        want = _verify_spr_reference(ctx, x, comp, lower, xis)
+        want = _verify_spr_reference(ctx, x, comp, lower, ctx.test_fns())
     except ValueError as err:
         with pytest.raises(ValueError, match=str(err)):
-            sl.verify_spr(ctx, x, comp, lower, xis)
+            sl.verify_spr(ctx, x, comp, lower)
         return "raises"
-    assert sl.verify_spr(ctx, x, comp, lower, xis) is want
+    assert sl.verify_spr(ctx, x, comp, lower) is want
     return want
 
 
-def test_verify_spr_matches_loop_reference_gl2(gl2, gl2_xis):
+def test_verify_spr_matches_loop_reference_gl2(gl2):
     # both Borels on every diagonal element, repeated scalars and a
     # non-split companion matrix included, and the trivial parabolic,
     # whose nilradical is empty
@@ -573,32 +574,31 @@ def test_verify_spr_matches_loop_reference_gl2(gl2, gl2_xis):
     for a, b in product(range(3), repeat=2):
         for lower in (False, True):
             outcomes.append(_same_outcome(gl2, np.diag([a, b]), (1, 1),
-                                          lower, gl2_xis))
+                                          lower))
     for x in ([[0, 1], [1, 1]], [[1, 1], [0, 1]], [[2, 0], [1, 2]]):
         for comp in ((1, 1), (2,)):
-            outcomes.append(_same_outcome(gl2, np.array(x), comp, False,
-                                          gl2_xis))
+            outcomes.append(_same_outcome(gl2, np.array(x), comp, False))
     assert {True, "raises"} <= set(outcomes)
 
 
-def test_verify_spr_matches_loop_reference_gl3(gl3):
+def test_verify_spr_matches_loop_reference_gl3(gl3, monkeypatch):
     # sampled split elements of both (2, 1) parabolics, against every
-    # sl2_reps test function: the (3,) triple is not good over F_3, so
-    # the identity fails on some of them
-    xis = [sl.test_fn(gl3, c, d) for _, c, _, d in sl.sl2_reps(gl3)]
+    # sl2_reps test function in place of the context's good ones: the
+    # (3,) triple is not good over F_3, so the identity fails on some
+    # of them
+    xis = tuple(sl.test_fn(gl3, c, d) for _, c, _, d in sl.sl2_reps(gl3))
+    monkeypatch.setattr(gl3, "test_fns", lambda: xis)
     rng = random.Random(1)
     outcomes = []
     for _ in range(12):
         a, b = rng.sample(range(3), 2)
         x = np.array([[a, rng.randrange(3), 0], [0, a, 0], [0, 0, b]])
         for lower in (False, True):
-            outcomes.append(_same_outcome(gl3, x, (2, 1), lower, xis))
+            outcomes.append(_same_outcome(gl3, x, (2, 1), lower))
     # not split: the semisimple part is not scalar on the 2x2 block
-    outcomes.append(_same_outcome(gl3, np.diag([0, 1, 2]), (2, 1), False,
-                                  xis))
+    outcomes.append(_same_outcome(gl3, np.diag([0, 1, 2]), (2, 1), False))
     outcomes.append(_same_outcome(
-        gl3, np.array([[0, 1, 0], [1, 1, 0], [0, 0, 2]]), (2, 1), False,
-        xis))
+        gl3, np.array([[0, 1, 0], [1, 1, 0], [0, 0, 2]]), (2, 1), False))
     assert {True, False, "raises"} <= set(outcomes)
 
 
@@ -1305,6 +1305,22 @@ def test_curve_extension_degree_two():
     assert sl.curve_count(1, 3, 2) == goldens.CURVE_COUNT_Q9_COEFF1
     assert (sl.point_count(sl.curve_spec(1, 3), degrees=(2,))[2]
             == goldens.CURVE_COUNT_Q9_COEFF1)
+
+
+@pytest.mark.parametrize("p,d", [(17, 1), (19, 1), (23, 1), (5, 2), (3, 3)])
+def test_generic_count_matches_curve_count_past_q_16(p, d):
+    # fields of 17 or more elements: an index a * q + b formed in the
+    # tables' uint8 codes wrapped past 255 in the batched elimination
+    spec = sl.curve_spec(1, p)
+    assert sl.point_count(spec, degrees=(d,))[d] == sl.curve_count(1, p, d)
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_rref_codes_determinants_on_all_of_gl2(p):
+    ctx = sl.MatContext(2, p)
+    mats = ctx.all_matrices()
+    det = sl._rref_codes(ff.ext_field(p, 1), mats)[2]
+    assert np.array_equal(det, ctx.det_mod(mats))
 
 
 @pytest.mark.parametrize("p", sorted(goldens.CURVE_ZEROS))

@@ -152,10 +152,10 @@ def _run_facets(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, name, digest", [
     ([], "facets_sl2",
-     "2c6c25ecd87173c8f7ca3704dbb0f1989f9be9261140c6fc82fa73e03648b780"),
+     "fd029789c878778836eaa66e3240f8a84601fc097fc3dad22a733ba49e4c7996"),
     (FACETS_SL3_UNIT, "facets_sl3_unit",
-     "0913a09f6cd83866fd4c91e6a8660925a6a26213663774c787ace2bf6f9a27e7"),
-])
+     "704d2260b64c872238b1a752be86e9fef5e4aa690753ac768f96372104cb0d44"),
+], ids=["facets_sl2", "facets_sl3_unit"])
 def test_facets_stdout_and_record_are_pinned(argv, name, digest, tmp_path,
                                               capsys):
     text, raw = _run_facets(argv, tmp_path, capsys)
@@ -173,4 +173,4 @@ def test_facets_u7h_unit_window_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "55cc44c8c3d35adbe5b98eb016f50ddab46de7a75c036ed126abf9e34edf3e97"
     assert hashlib.sha256(_facet_rows(raw).encode()).hexdigest() == \
-        "abe813fa9e486900667311bf3455a01e4976f2bdb74b039db2d8258fc4f8d13d"
+        "93bf3c709a43cae6976a5b9d8d711e26f0f2c7e53659366562ab3ecf719e088a"

@@ -1,12 +1,15 @@
 """The library surface of padicwf: every public top-level function and
 class is used somewhere in the package, or is named in SERVES with the
-command, acceptance criterion or README claim it backs; and no function
-accepts a parameter that it then ignores."""
+command, acceptance criterion or README claim it backs; no function
+accepts a parameter that it then ignores; and every parameter with a
+default is passed by some call, so that no default is a knob that
+nothing turns."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "padicwf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "padicwf"
 
 SERVES = {
     "support_test": "README: support and witness tests",
@@ -64,3 +67,65 @@ def ignored_parameters():
 
 def test_every_parameter_is_read():
     assert ignored_parameters() == set()
+
+
+def _defaulted(fn, method):
+    """(name, position) of each parameter of fn that has a default; the
+    position counts the arguments a call passes, a method's first one
+    not counted, and is None for a keyword-only parameter."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    skip = 1 if method else 0
+    out = [(p.arg, i - skip)
+           for i, p in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+    return out + [(p.arg, None)
+                  for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+
+
+def unpassed_defaults():
+    """(module, function, parameter) for every parameter with a default
+    that no call in the package or the tests passes, by position or by
+    keyword.  Calls are matched by the called name, a constructor by its
+    class name (`cls(...)` in the class's own body included); a call
+    with *args passes every positional parameter, one with **kwargs
+    every parameter."""
+    calls = {}
+    for path in list(SRC.glob("*.py")) + list((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(call): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for call in ast.walk(cls)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            if name == "cls":
+                name = owner.get(id(call), name)
+            starred = any(isinstance(x, ast.Starred) for x in call.args)
+            calls.setdefault(name, []).append((
+                float("inf") if starred else len(call.args),
+                {k.arg for k in call.keywords},
+                any(k.arg is None for k in call.keywords)))
+    out = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        methods = {id(fn): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = methods.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            name = cls if fn.name == "__init__" else fn.name
+            for param, at in _defaulted(fn, cls and not static):
+                if not any(param in kws or star
+                           or (at is not None and npos > at)
+                           for npos, kws, star in calls.get(name, ())):
+                    out.add((path.stem, fn.name, param))
+    return out
+
+
+def test_every_default_is_overridden_somewhere():
+    assert unpassed_defaults() == set()
