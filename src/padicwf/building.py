@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg as la
-from .localfield import LocalField, PrecisionError, _fr
+from .localfield import LocalField, _fr
 
 ZERO = Fraction(0)
 
@@ -778,26 +778,12 @@ def facets_below(facet):
 # -- Moy-Prasad membership and depth -----------------------------------
 
 
-def _entry_geq(e, thr, strict):
-    """Whether val(entry) >= thr (or > if strict), precision-aware."""
-    thr = Fraction(thr)
-    if not e.terms:
-        if e.prec is None:
-            return True  # exact zero
-        if e.prec >= thr if not strict else e.prec > thr:
-            return True
-        raise PrecisionError("insufficient precision")
-    v = e.val()
-    return v > thr if strict else v >= thr
-
-
 # Thresholds in integer units.  At a point w and a level r, let D be
 # lcm(2, denominators of r and w).  Every threshold r + w_j - w_i is then
 # an integer T over D, and so is every valuation of the local fields
-# (denominator 1 or 2) and every class offset, step and shift.  An exact
-# entry compares with T by integer cross-multiplication; an entry known
-# only to a precision takes the Fraction route, `_entry_geq` and
-# `residue_at`, which raise PrecisionError where the question is open.
+# (denominator 1 or 2) and every class offset, step and shift.  An entry
+# compares with T by integer cross-multiplication, and its residue at T
+# is the coefficient of the term whose valuation is T / D.
 
 
 def in_units(x, D):
@@ -816,9 +802,7 @@ def grading_units(w, r):
 
 
 def entry_geq_units(e, T, D, strict=False):
-    """`_entry_geq(e, T / D, strict)`, without a Fraction for an exact e."""
-    if e.prec is not None:
-        return _entry_geq(e, Fraction(T, D), strict)
+    """Whether val(e) >= T / D (> if strict); zero passes."""
     if not e.terms:
         return True
     v = e.terms[0][0]
@@ -827,9 +811,7 @@ def entry_geq_units(e, T, D, strict=False):
 
 
 def residue_units(e, T, D):
-    """`e.residue_at(T / D)`, without a Fraction for an exact e."""
-    if e.prec is not None:
-        return e.residue_at(Fraction(T, D))
+    """`e.residue_at(T / D)`, without a Fraction."""
     for v, c in e.terms:
         if v.numerator * D == T * v.denominator:
             return c
@@ -848,32 +830,22 @@ def mp_member(model, gamma, w, r, strict=False):
 
 
 def dep_element(model, gamma, window):
-    """Depth of gamma: max r with mp_member over the windowed apartment.
-
-    Raises PrecisionError when an entry known only to a precision bounds
-    r at a vertex where the maximum is reached."""
+    """Depth of gamma: max r with mp_member over the windowed apartment."""
     assert model.weight_funcs is not None
     cuts = []
-    fuzzy = 0  # mask of the cuts from entries known only to a precision
     for i in range(model.n):
         for j in range(model.n):
             e = gamma[i][j]
-            if not e.terms and e.prec is None:
+            if not e:
                 continue
-            v = e.val() if e.terms else e.prec
             # r <= v + (w_i - w_j)(x): (-coeffs_ij, 1).(x,r) <= v + const
             coeffs, const = model.weight_diff(i, j)
-            if not e.terms:
-                fuzzy |= 1 << len(cuts)
             cuts.append((_integral(tuple(-c for c in coeffs) +
-                                   (Fraction(1),), v + const), -1))
+                                   (Fraction(1),), e.val() + const), -1))
     verts = cell_vertices(window, cuts)
     if not verts:
         raise ValueError("no admissible point in window")
-    r = max(y[-1] for y, _ in verts)
-    if any(m & fuzzy for y, m in verts if y[-1] == r):
-        raise PrecisionError("insufficient precision")
-    return r
+    return max(y[-1] for y, _ in verts)
 
 
 # -- graded pieces -----------------------------------------------------

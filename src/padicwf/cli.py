@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import building as bd
+from . import ffield as ff
 from . import graph as gr
 from . import orbits as ob
 from . import springerlab as sl
@@ -110,6 +111,10 @@ SECTION_KEYS = {
     "options": ("point", "seed-datum"),
 }
 
+# The values a yes/no key reads; any other is refused.
+FLAGS = {"1": True, "true": True, "yes": True,
+         "0": False, "false": False, "no": False}
+
 
 def _line_error(lineno, message):
     return CliError("line %d: %s" % (lineno, message), {"line": lineno})
@@ -172,16 +177,17 @@ def parse_input(text, override=False):
 
     Sections: [field] (q), [group] (model,
     optional override-char-bound), one [gamma.N] per piece (depth and
-    n matrix rows of scalar expressions), optional [options] (point or
-    seed-datum).  Any other section or key is refused, as is a repeated
-    one (`row` excepted).
+    n matrix rows of exact scalar expressions), optional [options]
+    (point or seed-datum).  Any other section or key is refused, as is a
+    repeated one (`row` excepted), and every error names its line: a
+    missing key that of its section header.
     """
     sections = _tokenize_sections(text)
     for required in ("field", "group"):
         if required not in sections:
             raise CliError("missing [%s] section" % required)
     field_line, field_kv, _ = sections["field"]
-    _, group_kv, _ = sections["group"]
+    group_line, group_kv, _ = sections["group"]
     if "q" not in field_kv:
         raise _line_error(field_line, "[field] has no q")
     lineno, q = field_kv["q"]
@@ -189,47 +195,51 @@ def parse_input(text, override=False):
         q = int(q)
     except ValueError:
         raise _line_error(lineno, "q must be an integer")
+    try:
+        ff.check_odd_prime(q)
+    except ValueError as err:
+        raise _line_error(lineno, str(err))
     if "model" not in group_kv:
-        raise CliError("missing model in [group]")
-    model_name = group_kv["model"][1]
+        raise _line_error(group_line, "missing model in [group]")
+    lineno, model_name = group_kv["model"]
     if model_name not in MODELS:
-        lineno = group_kv["model"][0]
-        raise CliError("line %d: unknown model %r (choose from %s)"
-                       % (lineno, model_name, ", ".join(sorted(MODELS))),
-                       {"line": lineno})
+        raise _line_error(lineno, "unknown model %r (choose from %s)"
+                          % (model_name, ", ".join(sorted(MODELS))))
     model = MODELS[model_name](q)
     n = model.n
-    override = override or group_kv.get(
-        "override-char-bound", (0, "false"))[1].lower() in ("1", "true",
-                                                            "yes")
+    if "override-char-bound" in group_kv:
+        lineno, val = group_kv["override-char-bound"]
+        if val.lower() not in FLAGS:
+            raise _line_error(lineno, "override-char-bound must be 1/0, "
+                              "true/false or yes/no, not %r" % val)
+        override = override or FLAGS[val.lower()]
     wf.check_char(model, override=override)
 
     pieces = []
-    for name, (_, kv, rows) in sections.items():
+    for name, (header, kv, rows) in sections.items():
         if not name.startswith("gamma"):
             continue
         if "depth" not in kv:
-            raise CliError("section [%s] missing depth" % name)
+            raise _line_error(header, "section [%s] missing depth" % name)
         depth = _line_fraction(*kv["depth"])
         if len(rows) != n:
-            raise CliError(
-                "section [%s]: expected %d matrix rows, got %d"
+            raise _line_error(
+                header, "section [%s]: expected %d matrix rows, got %d"
                 % (name, n, len(rows)))
         mat = []
         for lineno, row in rows:
             entries = [e.strip() for e in row.split(",")]
             if len(entries) != n:
-                raise CliError(
-                    "line %d: expected %d entries, got %d"
-                    % (lineno, n, len(entries)), {"line": lineno})
+                raise _line_error(lineno, "expected %d entries, got %d"
+                                  % (n, len(entries)))
             parsed = []
             for col, e in enumerate(entries):
                 try:
                     parsed.append(model.field.parse(e))
-                except Exception:
+                except ValueError as err:
                     raise CliError(
-                        "line %d, column %d: cannot parse scalar %r"
-                        % (lineno, col + 1, e),
+                        "line %d, column %d: cannot parse scalar %r (%s)"
+                        % (lineno, col + 1, e, err),
                         {"line": lineno, "column": col + 1})
             mat.append(parsed)
         pieces.append((name, mat, depth))
@@ -241,14 +251,22 @@ def parse_input(text, override=False):
     if "options" in sections:
         _, kv, _ = sections["options"]
         options = {k: v for k, (_, v) in kv.items()}
+        if "seed-datum" in kv:
+            lineno, val = kv["seed-datum"]
+            if val != "u6":
+                raise _line_error(lineno, "unknown seed-datum %r" % val)
         lineno, val = kv.get("point", (0, ""))
         if "point" in kv and "seed-datum" in kv:
-            raise CliError("line %d: point is not read when seed-datum is "
-                           "set; the seed datum fixes its own base points"
-                           % lineno, {"line": lineno})
+            raise _line_error(lineno, "point is not read when seed-datum "
+                              "is set; the seed datum fixes its own base "
+                              "points")
         if val:
-            options["point"] = tuple(_line_fraction(lineno, x)
-                                     for x in val.split(","))
+            point = tuple(_line_fraction(lineno, x) for x in val.split(","))
+            if len(point) not in (model.d, n):
+                raise _line_error(lineno, "point must have %s coordinates"
+                                  % ("%d or %d" % (model.d, n) if model.d
+                                     else n))
+            options["point"] = point
 
     try:
         chain = wf.GoodChain(pieces)
@@ -293,7 +311,7 @@ def cmd_wf(args):
             raise CliError("seed-datum u6 lives in the u6 model, not in "
                            "model %r" % model.name)
         seed = wf.u6_seed()
-    elif seed_name is None:
+    else:
         if len(chain.pieces) > 1:
             raise CliError(
                 "multi-piece chains need explicit spectral data: set "
@@ -302,15 +320,10 @@ def cmd_wf(args):
             Fraction(0) for _ in range(model.d or model.n))
         if model.d and len(coords) == model.d:
             coords = model.point(coords)
-        if len(coords) != model.n:
-            raise CliError("point must have %d or %d coordinates"
-                           % (model.d, model.n))
         top = chain.pieces[0][2]
         seed = wf.SpectralDatum(top, [
             wf.Entry("base", model, coords, wf.zmat(model.field,
                                                     model.n))])
-    else:
-        raise CliError("unknown seed-datum %r" % seed_name)
     res = wf.compute_wf(chain, seed, args.mode or "exact")
     print_wf_result(res, "computed chain")
     if args.out:

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import linalg as la
 from .ffield import ext_field
-from .localfield import LocalField, PrecisionError
+from .localfield import LocalField
 from .orbits import ls_induce, partition
 
 
@@ -99,11 +99,7 @@ class Factor:
 
     def is_lie(self, X):
         d = self.lie_defect(X)
-        if d is None:
-            return True
-        if self.is_local():
-            return all(not e.terms for row in d for e in row)
-        return all(not e for row in d for e in row)
+        return d is None or all(not e for row in d for e in row)
 
     # -- finite-field structure ----------------------------------------
 
@@ -522,8 +518,7 @@ def root_value_data(gamma):
     Returns (zero_multiplicity, vals): the multiplicity of the
     eigenvalue 0, and the valuation of each nonzero eigenvalue, or
     ["mixed"] when the Newton polygon of the characteristic polynomial
-    has more than one slope.  Exact-zero low-order coefficients are
-    required; a zero-to-precision coefficient raises PrecisionError.
+    has more than one slope.
     """
     n = len(gamma)
     field = gamma[0][0].field
@@ -537,11 +532,7 @@ def root_value_data(gamma):
                 if i == j:
                     continue
                 d = gamma[i][i] - gamma[j][j]
-                if d.is_zero_weak():
-                    if d.prec is not None:
-                        raise PrecisionError(
-                            "root value (%d,%d) zero only to precision"
-                            % (i, j))
+                if not d:
                     zeros += 1
                 else:
                     vals.append(d.val())
@@ -549,9 +540,7 @@ def root_value_data(gamma):
     ad = ad_matrix_gl(gamma)
     f = la.charpoly(ad, field)
     k = 0
-    while k < len(f) - 1 and f[k].is_zero_weak():
-        if f[k].prec is not None:
-            raise PrecisionError("ad charpoly coefficient %d uncertain" % k)
+    while k < len(f) - 1 and not f[k]:
         k += 1
     h = f[k:]
     deg = len(h) - 1

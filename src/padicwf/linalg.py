@@ -1,16 +1,14 @@
 """Exact linear algebra over field element objects.
 
 Matrices are tuples of tuples (immutable) whose entries support +, -, *
-and truth testing (zero is the only falsy element).  For the
-`localfield.LocalScalar` entries of the descent layer the falsy zero is
-the exact one; an O(t^k) zero is truthy, since its value is unknown.
+and truth testing (zero is the only falsy element).
 
-The kernels `mat_mul`, `mat_add`, `mat_sub` and `mat_scale` skip exact
+The kernels `mat_mul`, `mat_add`, `mat_sub` and `mat_scale` skip
 zeros: `mat_mul` multiplies each nonzero entry of a row of a only by
-the nonzero entries of the matching row of b, and adding an exact zero
-returns the other operand.  A product with an exact-zero factor is the
-exact zero, and adding one changes neither the terms nor the precision
-of a LocalScalar, so every entry is the one the dense loop would give.
+the nonzero entries of the matching row of b, and adding a zero
+returns the other operand.  A product with a zero factor is zero, and
+adding one changes no entry, so every entry is the one the dense loop
+would give.
 `bracket` works on the sparse form alone, a matrix held as its nonzero
 entries {(i, j): entry} (`sparse`, and back by `dense`): the one
 commutator of the package, for the sl2 certificate and the integer codes
@@ -83,7 +81,7 @@ def mat_add(a, b):
 
 
 def mat_sub(a, b):
-    """a - b; where both entries are the exact zero, b's zero."""
+    """a - b; where both entries are zero, b's zero."""
     return tuple(tuple((x - y if y else x) if x else (-y if y else y)
                        for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
@@ -96,7 +94,7 @@ def mat_scale(c, a):
 def mat_mul(a, b):
     """The product a b, summing only the products of two nonzero entries
     in the order of the inner index.  An entry that no such product
-    reaches is a sum of exact zeros: it takes the value of one of its
+    reaches is a sum of zeros: it takes the value of one of its
     skipped products, the zero of the entries' representation."""
     assert len(a[0]) == len(b)
     nzb = [[(j, y) for j, y in enumerate(r) if y] for r in b]
@@ -145,9 +143,8 @@ def bracket(a, b):
     """The commutator a b - b a of square matrices given by their nonzero
     entries {(i, j): entry}, with the same keys: a product of two nonzero
     entries is added at (i, j) for a_ik b_kj and subtracted for b_ik a_kj,
-    and the entries that sum to the exact zero are dropped.  A sum of
-    LocalScalars keeps every term below its least precision whatever the
-    order, so each entry is that of `mat_sub(mat_mul(a, b),
+    and the entries that sum to zero are dropped.  Addition is
+    commutative, so each entry is that of `mat_sub(mat_mul(a, b),
     mat_mul(b, a))` on the dense matrices."""
     rows, cols = {}, {}
     for (k, j), y in b.items():

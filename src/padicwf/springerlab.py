@@ -286,13 +286,6 @@ class FnOnPiece:
         return cls(p, dim, vals)
 
     @classmethod
-    def delta(cls, p, dim):
-        """The indicator of the origin."""
-        vals = np.zeros((p ** dim, p), dtype=np.int64)
-        vals[0, 0] = 1
-        return cls(p, dim, vals)
-
-    @classmethod
     def constant(cls, p, dim, value=1):
         vals = np.zeros((p ** dim, p), dtype=np.int64)
         vals[:, 0] = value

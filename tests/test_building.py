@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from padicwf import building as bd
 from padicwf.graph import facet_center, in_closure
-from padicwf.localfield import LocalField, PrecisionError
+from padicwf.localfield import LocalField
 
 from goldens import SL3_FACET_SIGNS
 
@@ -544,15 +544,6 @@ def test_mp_member_boundary_strictness():
     assert not bd.mp_member(m, g, w, 0, strict=True)
 
 
-def test_mp_member_precision():
-    m = bd.gl_split_model(2, 5)
-    g = zmat(m.field, 2)
-    g[0][0] = m.field.zero(prec=3)  # zero up to O(t^3)
-    assert bd.mp_member(m, g, (0, 0), 2)
-    with pytest.raises(PrecisionError):
-        bd.mp_member(m, g, (0, 0), 4)
-
-
 def test_dep_element_sl2():
     m = bd.sl2_model(3)
     win = bd.Window([(0, Fr(1, 2))], -1, 1)
@@ -564,16 +555,6 @@ def test_dep_element_sl2():
     u = zmat(m.field, 2)
     u[0][0], u[1][1] = m.field.one(), m.field.parse("-1")
     assert bd.dep_element(m, u, win) == 0
-
-
-def test_dep_element_precision():
-    m = bd.sl2_model(3)
-    win = bd.Window([(0, Fr(1, 2))], -1, 1)
-    g = zmat(m.field, 2)
-    g[0][0] = m.field.zero(prec=0)  # might be a unit, might be smaller
-    g[1][1] = m.field.zero(prec=0)
-    with pytest.raises(PrecisionError):
-        bd.dep_element(m, g, win)
 
 
 def test_dep_element_u7_semisimple():

@@ -116,6 +116,47 @@ def test_wf_compute_refuses_keys_it_does_not_read(old, new, line, message,
         "message": "line %d: %s" % (line, message), "line": line}
 
 
+@pytest.mark.parametrize("old, new, line, message", [
+    ("model = u6", "", 6, "missing model in [group]"),
+    ("depth = 0", "", 10, "section [gamma.1] missing depth"),
+    ("row = 0, 0, 0, 0, 0, 6*s", "", 10,
+     "section [gamma.1]: expected 6 matrix rows, got 5"),
+    ("q = 23", "q = 4", 4, "p = 4 is not an odd prime"),
+    ("point = 0, 0, 0, 0, 0, 1/2", "seed-datum = u7", 20,
+     "unknown seed-datum 'u7'"),
+    ("point = 0, 0, 0, 0, 0, 1/2", "point = 0, 1", 20,
+     "point must have 6 coordinates"),
+    ("override-char-bound = true", "override-char-bound = ture", 8,
+     "override-char-bound must be 1/0, true/false or yes/no, not 'ture'"),
+], ids=["no-model", "no-depth", "five-rows", "q4", "seed-u7", "point-2",
+        "ture"])
+def test_wf_compute_input_errors_name_their_line(old, new, line, message,
+                                                 tmp_path, capsys):
+    # a missing key is charged to its section header; `ture` used to
+    # read as false and fail later on the characteristic bound
+    path = tmp_path / "bad.ini"
+    path.write_text((INPUTS / "toral.ini").read_text().replace(old, new))
+    code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "message": "line %d: %s" % (line, message), "line": line}
+
+
+def test_wf_compute_refuses_a_precision_term(tmp_path, capsys):
+    # an O(...) term names no exact scalar; it used to end in a
+    # PrecisionError traceback and exit 1
+    path = tmp_path / "prec.ini"
+    path.write_text((INPUTS / "toral.ini").read_text().replace(
+        "row = 1*s,", "row = 1*s + O(t^0),"))
+    code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    rec = json.loads(err)["error"]
+    assert (rec["line"], rec["column"]) == (12, 1)
+    assert rec["message"].startswith(
+        "line 12, column 1: cannot parse scalar '1*s + O(t^0)'")
+    assert "only exact scalars" in rec["message"]
+
+
 def test_parse_rejects_bad_depth():
     text = (INPUTS / "toral.ini").read_text().replace(
         "depth = 0", "depth = -1")
@@ -455,8 +496,10 @@ def test_q_not_an_odd_prime(argv, tmp_path, monkeypatch, capsys):
         (INPUTS / "toral.ini").read_text().replace("q = 23", "q = 4", 1))
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
-    assert json.loads(err) == {
-        "error": {"message": "p = 4 is not an odd prime"}}
+    want = {"message": "p = 4 is not an odd prime"}
+    if argv[0] == "wf":  # an input file's q is refused on its line
+        want = {"message": "line 4: " + want["message"], "line": 4}
+    assert json.loads(err) == {"error": want}
 
 
 def test_lab_spr_group_too_large(capsys):

@@ -1,11 +1,13 @@
 """The library surface of padicwf: every public top-level function and
-class is used somewhere in the package, or is named in SERVES with the
-command, acceptance criterion or README claim it backs; no function
+class, and every public method of a public class, is used somewhere in
+the package, or is named in SERVES or METHOD_SERVES with the command,
+acceptance criterion, README claim or test role it backs; no function
 accepts a parameter that it then ignores; and every parameter with a
 default is passed by some call, so that no default is a knob that
 nothing turns."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +26,22 @@ SERVES = {
     "mat_sub": "test oracle: the bracket and the reference solves",
 }
 
+METHOD_SERVES = {
+    ("Factor", "is_lie"): "test oracle: Lie-algebra membership of lifts",
+    ("FnOnPiece", "same"): "test oracle: equality of Fourier transforms",
+    ("FnOnPiece", "negate_argument"):
+        "test oracle: Fourier inversion, fhat-hat(x) = q^dim f(-x)",
+    ("PrimeField", "elements"): "test fixture: every residue-field element",
+    ("QuadField", "elements"): "test fixture: every residue-field element",
+}
+
+
+def _names(node):
+    """How often each name or attribute occurs in the tree of node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
 
 def unreached():
     """Public top-level names that no code in the package refers to,
@@ -31,9 +49,7 @@ def unreached():
     defined, used = set(), set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
-            names = {n.id if isinstance(n, ast.Name) else n.attr
-                     for n in ast.walk(top)
-                     if isinstance(n, (ast.Name, ast.Attribute))}
+            names = set(_names(top))
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(top.name)
                 if not top.name.startswith("_"):
@@ -44,6 +60,28 @@ def unreached():
 
 def test_unreached_names_are_exactly_the_listed_ones():
     assert unreached() == set(SERVES)
+
+
+def unreached_methods():
+    """(class, method) for every public method of a public class whose
+    name no code in the package refers to, references inside the
+    method's own body not counted.  Names are matched alone, so a method
+    counts as used wherever an attribute of that name is read."""
+    used, methods = Counter(), []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        used += _names(tree)
+        methods += [(cls.name, fn.name, _names(fn)[fn.name])
+                    for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef)
+                    and not cls.name.startswith("_")
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_")]
+    return {(cls, name) for cls, name, own in methods if used[name] == own}
+
+
+def test_unreached_methods_are_exactly_the_listed_ones():
+    assert unreached_methods() == set(METHOD_SERVES)
 
 
 def ignored_parameters():
