@@ -16,12 +16,16 @@ facets below -- is derived from these thresholds by exact arithmetic.
 A critical hyperplane is held as an integer form, dotted with the
 homogeneous integer coordinates of a point; a facet is held as the bit
 masks of the planes it lies above and below, and its sign vector is
-derived from them where an order or an output needs it.
+derived from them where an order or an output needs it.  Vertices are
+held in homogeneous integer coordinates from the cut to the facet's
+depth, kind and centre (`cell_vertices` gives them so too): a Fraction
+appears only for an output coordinate, or where `AugFacet.vertices`
+hands points out.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from operator import mul
 
 from . import linalg as la
@@ -149,7 +153,10 @@ class Model:
     Models without a chart (d = 0) are evaluated at explicit weight
     vectors only.  form: (sigma, valuations, units) of the monomial Gram
     matrix, as read by _monomial_gram; None without one.  rank: the
-    absolute rank N of the ambient group, n unless given.
+    absolute rank N of the ambient group, n unless given.  The chart's
+    plane families (`_plane_families`), the rank memo of its windows
+    (`_ranker`) and its recent heart blocks (`heart_blocks`) are kept
+    with the model.
     """
 
     def __init__(self, name, n, field, classes, weight_funcs=None,
@@ -166,6 +173,9 @@ class Model:
         self.d = len(weight_funcs[0][0]) if weight_funcs else 0
         self.club_indices = tuple(range(n))
         self._pos_map = None
+        self._families = None
+        self._ranks = ({}, {})
+        self._hearts = {}
 
     def position_class(self, i, j):
         """(class, shift) of the coupling class carrying position (i,j)."""
@@ -329,15 +339,15 @@ class Window:
             self.rmin <= Fraction(r) <= self.rmax
 
     def box_constraints(self):
-        """Closed box as (coeffs over (x, r), bound) inequality pairs."""
+        """Closed box as (integer coeffs over (x, r), bound) inequality
+        pairs."""
         d = len(self.xranges)
         out = []
         for k, (a, b) in enumerate(self.xranges):
-            e = tuple(Fraction(1 if i == k else 0) for i in range(d + 1))
+            e = tuple(int(i == k) for i in range(d + 1))
             out.append((e, b))
             out.append((tuple(-c for c in e), -a))
-        er = tuple(Fraction(0) if i < d else Fraction(1)
-                   for i in range(d + 1))
+        er = tuple(int(i == d) for i in range(d + 1))
         out.append((er, self.rmax))
         out.append((tuple(-c for c in er), -self.rmin))
         return out
@@ -386,6 +396,34 @@ def critical_hyperplanes(model, window):
     return _window_planes(model, window)[0]
 
 
+def _plane_families(model):
+    """The model's critical planes by chart direction, computed once per
+    model: (coeffs, D, normal, g, progressions), sorted by coeffs.  The
+    planes {r = c + coeffs.x} of the direction are those with c = N / D
+    for N = N0 + k step, (N0, step) one of the progressions and k any
+    integer; `normal` is the integer normal (-coeffs D, D), g its gcd,
+    and (normal, -N) / gcd(g, N) is the plane's form."""
+    if model._families is None:
+        consts = {}
+        for cls in model.classes:
+            for i, j, s in cls.members:
+                coeffs, const = model.weight_diff(i, j)
+                consts.setdefault(coeffs, []).append(
+                    (cls.offset + s + const, cls.step))
+        families = []
+        for coeffs in sorted(consts):
+            D = lcm(*(c.denominator for c in coeffs),
+                    *(x.denominator for pair in consts[coeffs]
+                      for x in pair))
+            normal = tuple(-in_units(c, D) for c in coeffs) + (D,)
+            progs = sorted({(in_units(c0, D) % in_units(step, D),
+                             in_units(step, D))
+                            for c0, step in consts[coeffs]})
+            families.append((coeffs, D, normal, gcd(*normal), progs))
+        model._families = tuple(families)
+    return model._families
+
+
 def _window_planes(model, window):
     """The `_PLANE_CACHE` entry of the window: its critical hyperplanes,
     the `_ranker` over the rows of its box constraints and then of the
@@ -396,25 +434,22 @@ def _window_planes(model, window):
         return _PLANE_CACHE[ck]
     if model.weight_funcs is None:
         raise ValueError("model %s has no apartment chart" % model.name)
-    planes = set()
-    for cls in model.classes:
-        for i, j, s in cls.members:
-            coeffs, const = model.weight_diff(i, j)
-            lo, hi = _frange(coeffs, const, window)
-            # the plane {r = v + s + (w_i - w_j)(x)} meets the window
-            # iff v is in [rmin - s - hi, rmax - s - lo]
-            vlo, vhi = window.rmin - s - hi, window.rmax - s - lo
-            k = -((cls.offset - vlo) // cls.step)  # ceil((vlo-off)/step)
-            while True:
-                v = cls.offset + k * cls.step
-                if v > vhi:
-                    break
-                planes.add((coeffs, v + s + const))
-                k += 1
-    forms = [_integral(tuple(-c for c in coeffs) + (Fraction(1),), const)
-             for coeffs, const in sorted(planes)]
+    forms = []
+    for coeffs, D, normal, g, progs in _plane_families(model):
+        # the plane {r = c + coeffs.x} meets the window iff c lies in
+        # [rmin - hi, rmax - lo], (lo, hi) the range of coeffs.x
+        lo, hi = _frange(coeffs, 0, window)
+        nlo = ceil((window.rmin - hi) * D)
+        nhi = floor((window.rmax - lo) * D)
+        consts = set()
+        for n0, step in progs:
+            consts.update(range(n0 - (n0 - nlo) // step * step, nhi + 1,
+                                step))
+        for n in sorted(consts):
+            e = gcd(g, n)
+            forms.append(tuple(a // e for a in normal) + (-n // e,))
     rank = _ranker([a for a, _ in window.box_constraints()] +
-                   [c[:-1] for c in forms])
+                   [c[:-1] for c in forms], model._ranks)
     if len(_PLANE_CACHE) >= _PLANE_CACHE_SIZE:
         del _PLANE_CACHE[next(iter(_PLANE_CACHE))]
     entry = _PLANE_CACHE[ck] = forms, rank, {}, model
@@ -440,12 +475,14 @@ class AugFacet:
     `critical_hyperplanes`, whose integer forms it is handed as
     `forms`); it lies on the others.
 
-    verts, when given, are the exact vertices of the facet's closure in
-    the window; otherwise they are read off its closed cell, which is
-    computed once, on first use.  dim, when given, is the dimension of
-    the facet's affine hull; otherwise it is the rank of the vertex
-    differences.  Dimension, depth and horizontality are each computed
-    once."""
+    verts, when given, are the vertices of the facet's closure in the
+    window, in primitive homogeneous integer coordinates (X, W), W > 0;
+    otherwise they are read off its closed cell, which is computed once,
+    on first use.  The vertices are held so: depth, horizontality and
+    dimension are read off them in integers, each once, and Fraction
+    points are made only on request (`vertices`).  dim, when given, is
+    the dimension of the facet's affine hull; otherwise it is one less
+    than the rank of the homogeneous vertices."""
 
     def __init__(self, model, window, forms, pos, neg, verts=None,
                  dim=None):
@@ -476,8 +513,8 @@ class AugFacet:
 
     def cell(self):
         """The closure of the facet: the window box cut by every plane on
-        the side of its sign, as `cell_vertices` gives it (mask bit k:
-        plane k)."""
+        the side of its sign, as homogeneous vertices with their masks
+        (bit k: plane k), as `cell_vertices` gives it."""
         if self._cell is None:
             rank = _window_planes(self.model, self.window)[1]
             self._cell = cell_vertices(self.window,
@@ -485,27 +522,31 @@ class AugFacet:
                                        rank)
         return self._cell
 
-    def vertices(self):
+    def homogeneous(self):
+        """The vertices of the closure as homogeneous integer points."""
         if self._verts is None:
-            self._verts = [y for y, _ in self.cell()]
+            self._verts = [h for h, _ in self.cell()]
         return self._verts
+
+    def vertices(self):
+        """The vertices of the closure as Fraction points, made anew on
+        each call."""
+        return [_point(h) for h in self.homogeneous()]
 
     def depth(self):
         if self._depth is None:
-            self._depth = max(v[-1] for v in self.vertices())
+            top = _top(self.homogeneous())
+            self._depth = Fraction(top[-2], top[-1])
         return self._depth
 
     def is_horizontal(self):
         if self._horizontal is None:
-            self._horizontal = all(v[-1] == self.depth()
-                                   for v in self.vertices())
+            self._horizontal = _at_level(self.homogeneous(), self.depth())
         return self._horizontal
 
     def dim(self):
         if self._dim is None:
-            v0, *rest = self.vertices()
-            self._dim = qrank([[a - b for a, b in zip(v, v0)]
-                               for v in rest]) if rest else 0
+            self._dim = qrank(self.homogeneous()) - 1
         return self._dim
 
     def __repr__(self):
@@ -554,10 +595,41 @@ def _box_vertices(window):
     return [(_homogeneous(y), m) for y, m in verts]
 
 
-def _ranker(rows):
-    """Rank over Q of the rows a bit mask picks, cached per mask."""
-    return lru_cache(maxsize=None)(lambda mask: qrank(
-        [row for i, row in enumerate(rows) if mask >> i & 1]))
+# Most direction sets one rank memo keeps; the oldest goes first.
+RANK_MEMO_SIZE = 4096
+
+
+def _ranker(rows, memo=None):
+    """Rank over Q of the rows a bit mask picks.  The mask is read as the
+    set of the distinct directions of its rows (primitive, first nonzero
+    entry positive), and the rank of each direction set is kept in
+    `memo`: (direction -> bit, direction set -> rank), a model's own
+    (`Model._ranks`), shared by all its windows, or a new one."""
+    dirs, ranks = memo if memo is not None else ({}, {})
+    bits = []
+    for row in rows:
+        if not any(row):
+            bits.append(0)
+            continue
+        d = _primitive(row)
+        if next(x for x in d if x) < 0:
+            d = tuple(-x for x in d)
+        bits.append(1 << dirs.setdefault(d, len(dirs)))
+
+    def rank(mask):
+        key = 0
+        while mask:
+            low = mask & -mask
+            key |= bits[low.bit_length() - 1]
+            mask ^= low
+        r = ranks.get(key)
+        if r is None:
+            if len(ranks) >= RANK_MEMO_SIZE:
+                del ranks[next(iter(ranks))]
+            r = ranks[key] = qrank([d for d, b in dirs.items()
+                                    if key >> b & 1])
+        return r
+    return rank
 
 
 def _cut(verts, plane, bit, rank):
@@ -616,8 +688,8 @@ def cell_vertices(window, cuts, rank=None):
     rows and then the cuts' normals, such as the window's own in
     `_window_planes`; otherwise one is built.
 
-    Returns (point, mask) pairs, where mask bit k is set when cut k is
-    tight at the point; empty when the cell is.
+    Returns (homogeneous point, mask) pairs, where mask bit k is set
+    when cut k is tight at the point; empty when the cell is.
     """
     nbox = 2 * len(window.xranges) + 2
     if rank is None:
@@ -628,7 +700,7 @@ def cell_vertices(window, cuts, rank=None):
         c, s = cuts[k]
         vals, verts, cut = _cut(verts, c, 1 << nbox + k, rank)
         verts = _side(verts, vals, s) + cut
-    return [(_point(h), m >> nbox) for h, m in verts]
+    return [(h, m >> nbox) for h, m in verts]
 
 
 # -- the arrangement engine --------------------------------------------
@@ -699,7 +771,6 @@ class Arrangement:
         box = (1 << nbox) - 1
         full = len(self.window.xranges) + 1
         faces = {}
-        points = {}
         for pos, neg, verts in cells:
             for z in _zero_sets(m & ~box for _, m in verts):
                 key = (pos & ~z, neg & ~z)
@@ -710,9 +781,7 @@ class Arrangement:
                 tight = -1
                 for h, m in verts:
                     if m & z == z:
-                        if h not in points:
-                            points[h] = _point(h)
-                        fv.append(points[h])
+                        fv.append(h)
                         tight &= m
                 faces[key] = AugFacet(self.model, self.window, forms,
                                       key[0] >> nbox, key[1] >> nbox, fv,
@@ -721,14 +790,31 @@ class Arrangement:
 
 
 def _homogeneous(y):
-    """Primitive integer coordinates (X, W), W > 0, of a rational point."""
+    """Primitive integer coordinates (X, W), W > 0, of a rational point:
+    W is the lcm of the reduced denominators, so every prime of W misses
+    the numerator X_k of a coordinate whose denominator carries all of
+    its power."""
     w = lcm(*(c.denominator for c in y))
-    return _primitive([int(c * w) for c in y] + [w])
+    return tuple(c.numerator * (w // c.denominator) for c in y) + (w,)
 
 
 def _point(h):
     """The rational point X / W of homogeneous coordinates (X, W)."""
     return tuple(Fraction(x, h[-1]) for x in h[:-1])
+
+
+def _top(hs):
+    """The homogeneous point of largest last coordinate (the level r)."""
+    top = hs[0]
+    for h in hs:
+        if h[-2] * top[-1] > top[-2] * h[-1]:
+            top = h
+    return top
+
+
+def _at_level(hs, r):
+    """Whether every homogeneous point of hs lies at the level r."""
+    return all(h[-2] * r.denominator == r.numerator * h[-1] for h in hs)
 
 
 def _primitive(h):
@@ -765,8 +851,8 @@ def facets_below(facet):
     entry = _window_planes(facet.model, facet.window)
     out = []
     for z in _zero_sets(m for _, m in verts):
-        fv = [y for y, m in verts if m & z == z]
-        if all(y[-1] == dep for y in fv):
+        fv = [h for h, m in verts if m & z == z]
+        if _at_level(fv, dep):
             out.append(_shared_facet(entry, facet.window, facet.pos & ~z,
                                      facet.neg & ~z, fv))
     if not out:
@@ -845,7 +931,8 @@ def dep_element(model, gamma, window):
     verts = cell_vertices(window, cuts)
     if not verts:
         raise ValueError("no admissible point in window")
-    return max(y[-1] for y, _ in verts)
+    top = _top([h for h, _ in verts])
+    return Fraction(top[-2], top[-1])
 
 
 # -- graded pieces -----------------------------------------------------
@@ -870,12 +957,23 @@ def grade_dim(model, w, r):
     return total
 
 
+# Most points whose heart blocks one model keeps; the oldest goes first.
+HEART_MEMO_SIZE = 256
+
+
 def heart_blocks(model, w):
     """Blocks of matrix indices joined by grade-0 classes, with the
-    residue dimension carried by each block.  A class is active when
-    its binding level-0 threshold (`class_threshold`) sits on its
-    valuation grid, tested in integer units (`grading_units`)."""
-    D, W, _ = grading_units(tuple(map(_fr, w)), ZERO)
+    residue dimension carried by each block, as a sorted tuple of
+    (indices, dimension) pairs.  A class is active when its binding
+    level-0 threshold (`class_threshold`) sits on its valuation grid,
+    tested in integer units (`grading_units`).  The blocks depend on
+    the model and w alone: the model keeps those of its most recent
+    HEART_MEMO_SIZE points."""
+    w = tuple(map(_fr, w))
+    memo = model._hearts
+    if w in memo:
+        return memo[w]
+    D, W, _ = grading_units(w, ZERO)
     parent = list(range(model.n))
 
     def find(a):
@@ -903,7 +1001,10 @@ def heart_blocks(model, w):
                   if all(i in mset and j in mset
                          for i, j in c.positions()))
         out.append((tuple(members), dim))
-    return sorted(out)
+    if len(memo) >= HEART_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[w] = tuple(sorted(out))
+    return memo[w]
 
 
 def classify_block(members, dim):

@@ -20,7 +20,6 @@ from . import building as bd
 from . import ffield as ff
 from . import graph as gr
 from . import orbits as ob
-from . import springerlab as sl
 from . import wavefront as wf
 
 VERSION = "0.1.0"
@@ -201,9 +200,9 @@ def parse_input(text, override=False):
         raise _line_error(lineno, str(err))
     if "model" not in group_kv:
         raise _line_error(group_line, "missing model in [group]")
-    lineno, model_name = group_kv["model"]
+    model_line, model_name = group_kv["model"]
     if model_name not in MODELS:
-        raise _line_error(lineno, "unknown model %r (choose from %s)"
+        raise _line_error(model_line, "unknown model %r (choose from %s)"
                           % (model_name, ", ".join(sorted(MODELS))))
     model = MODELS[model_name](q)
     n = model.n
@@ -213,15 +212,20 @@ def parse_input(text, override=False):
             raise _line_error(lineno, "override-char-bound must be 1/0, "
                               "true/false or yes/no, not %r" % val)
         override = override or FLAGS[val.lower()]
-    wf.check_char(model, override=override)
+    try:
+        wf.check_char(model, override=override)
+    except ValueError as err:
+        raise _line_error(model_line, str(err))
 
     pieces = []
+    depth_lines = {}
     for name, (header, kv, rows) in sections.items():
         if not name.startswith("gamma"):
             continue
         if "depth" not in kv:
             raise _line_error(header, "section [%s] missing depth" % name)
         depth = _line_fraction(*kv["depth"])
+        depth_lines[name] = kv["depth"][0]
         if len(rows) != n:
             raise _line_error(
                 header, "section [%s]: expected %d matrix rows, got %d"
@@ -255,6 +259,9 @@ def parse_input(text, override=False):
             lineno, val = kv["seed-datum"]
             if val != "u6":
                 raise _line_error(lineno, "unknown seed-datum %r" % val)
+            if model.name not in ("u6", "u6hyp"):
+                raise _line_error(lineno, "seed-datum u6 lives in the u6 "
+                                  "model, not in model %r" % model.name)
         lineno, val = kv.get("point", (0, ""))
         if "point" in kv and "seed-datum" in kv:
             raise _line_error(lineno, "point is not read when seed-datum "
@@ -270,6 +277,8 @@ def parse_input(text, override=False):
 
     try:
         chain = wf.GoodChain(pieces)
+    except wf.PieceError as err:
+        raise _line_error(depth_lines[err.piece], str(err))
     except ValueError as err:
         raise CliError(str(err))
     return chain, model, options
@@ -307,9 +316,6 @@ def cmd_wf(args):
         text, override=args.override_char_bound)
     seed_name = options.get("seed-datum")
     if seed_name == "u6":
-        if model.name not in ("u6", "u6hyp"):
-            raise CliError("seed-datum u6 lives in the u6 model, not in "
-                           "model %r" % model.name)
         seed = wf.u6_seed()
     else:
         if len(chain.pieces) > 1:
@@ -436,6 +442,7 @@ def cmd_graph(args):
 
 
 def cmd_lab(args):
+    from . import springerlab as sl
     if args.lab_cmd == "curve":
         sweep = args.coeff == "all"
         coeffs = (range(1, args.q) if sweep
@@ -510,6 +517,7 @@ def cmd_lab(args):
 
 
 def _oracle_checks():
+    from . import springerlab as sl
     checks = []
 
     def add(name, fn):

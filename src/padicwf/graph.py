@@ -15,6 +15,7 @@ targeted membership tests.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul
 
 from . import building as bd
@@ -37,10 +38,15 @@ FIBER_CAP = 2000
 
 def facet_center(facet):
     """Deterministic interior point: barycenter of the closure vertices,
-    computed once per facet and kept with it."""
+    computed once per facet and kept with it.  The homogeneous vertices
+    are summed at their common weight L, so each coordinate is one
+    Fraction: its integer sum over len * L."""
     if facet._center is None:
-        vs = facet.vertices()
-        c = tuple(sum(col) / len(vs) for col in zip(*vs))
+        hs = facet.homogeneous()
+        L = lcm(*(h[-1] for h in hs))
+        scale = [L // h[-1] for h in hs]
+        c = tuple(Fraction(sum(map(mul, col, scale)), len(hs) * L)
+                  for col in list(zip(*hs))[:-1])
         facet._center = c[:-1], c[-1]
     return facet._center
 
@@ -272,8 +278,12 @@ def facets_above(facet, faces):
 
 
 def closure_horizontals(facet, faces):
-    """Horizontal facets among `faces` in the closure of a facet."""
-    return [f for f in faces if in_closure(f, facet) and f.is_horizontal()]
+    """Horizontal facets among `faces` in the closure of a facet
+    (`in_closure`, read once for the facet's masks: a reach asks this of
+    every horizontal facet of its window for each sloped vertex)."""
+    out_pos, out_neg = ~facet.pos, ~facet.neg
+    return [f for f in faces if not (f.pos & out_pos or f.neg & out_neg)
+            and f.is_horizontal()]
 
 
 class Reach:

@@ -19,7 +19,6 @@ from . import liealg as lie
 from . import linalg as la
 from . import mpquotient as mpq
 from . import orbits as ob
-from . import springerlab as sl
 
 
 def zmat(field, n):
@@ -66,6 +65,14 @@ class SpectralDatum:
         self.entries = list(entries)
 
 
+class PieceError(ValueError):
+    """A chain piece that fails a check, with the piece's name."""
+
+    def __init__(self, piece, message):
+        super().__init__(message)
+        self.piece = piece
+
+
 class GoodChain:
     """A sum of commuting good pieces of strictly decreasing integer
     depth, each an exact matrix.  Construction checks the goodness of
@@ -80,7 +87,7 @@ class GoodChain:
         assert len(set(depths)) == len(depths)
         for name, g, r in self.pieces:
             if not lie.is_good_depth(g, r):
-                raise ValueError("piece %r is not good at depth %s"
+                raise PieceError(name, "piece %r is not good at depth %s"
                                  % (name, r))
         for i, (a, ga, _) in enumerate(self.pieces):
             for b, gb, _ in self.pieces[i + 1:]:
@@ -298,6 +305,7 @@ def u7_example(variant="plain"):
     with corner coefficient 3 for the plain variant and 1 for the
     primed one."""
     assert variant in ("plain", "prime")
+    from . import springerlab as sl
     m = bd.u7_model(23)
     coeff = 3 if variant == "plain" else 1
     g0 = u7_gamma_zero(m)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction as Fr
@@ -34,10 +35,10 @@ def test_qrank():
 
 
 def cell(window, cuts):
-    """The one-cell route's vertices, each with its mask of tight cuts,
-    for constraints (a, b, s) over Q."""
-    return dict(bd.cell_vertices(
-        window, [(bd._integral(a, b), s) for a, b, s in cuts]))
+    """The one-cell route's vertices as rational points, each with its
+    mask of tight cuts, for constraints (a, b, s) over Q."""
+    return {bd._point(h): m for h, m in bd.cell_vertices(
+        window, [(bd._integral(a, b), s) for a, b, s in cuts])}
 
 
 def test_cell_vertices_triangle():
@@ -234,17 +235,64 @@ def _dim_windows():
                   (sl3, bd.Window([(Fr(1, 2), Fr(1, 2)), (0, 1)], -1, 1))]
 
 
+@functools.lru_cache(maxsize=None)
+def _dim_faces():
+    """The faces of every `_dim_windows` window, built once."""
+    return [f for model, win in _dim_windows()
+            for f in bd.Arrangement(model, win).faces]
+
+
 def test_engine_dimensions_equal_the_vertex_rank():
     # the arrangement reads a face's dimension off the constraints tight
     # at all its vertices; the rank of the vertex differences must agree
     n = 0
-    for model, win in _dim_windows():
-        for f in bd.Arrangement(model, win).faces:
-            v0, *rest = f.vertices()
-            diffs = [[a - b for a, b in zip(v, v0)] for v in rest]
-            assert f.dim() == (bd.qrank(diffs) if diffs else 0)
-            n += 1
+    for f in _dim_faces():
+        v0, *rest = f.vertices()
+        diffs = [[a - b for a, b in zip(v, v0)] for v in rest]
+        assert f.dim() == (bd.qrank(diffs) if diffs else 0)
+        n += 1
     assert n == 19867
+
+
+def test_depth_kind_and_centre_equal_the_fraction_route():
+    # faces hold homogeneous integer vertices; depth, kind and centre
+    # read off them must equal the Fraction route over their points
+    for f in _dim_faces():
+        vs = f.vertices()
+        depth = max(v[-1] for v in vs)
+        assert f.depth() == depth
+        assert f.is_horizontal() == all(v[-1] == depth for v in vs)
+        c = tuple(sum(col) / len(vs) for col in zip(*vs))
+        assert facet_center(f) == (c[:-1], c[-1])
+
+
+UNIT_WINDOWS = _dim_windows()[-5:-2]  # the sl2, sl3 and u7h unit windows
+
+
+def test_direction_keyed_rank_equals_the_rank_of_the_masked_rows(
+        monkeypatch):
+    # the window's ranker reads a mask as a set of row directions and
+    # keeps one rank per set for the model; on every mask an arrangement
+    # asks about, that rank is the rank of the rows the mask picks
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    asked = []
+    ranker = bd._ranker
+
+    def recording(rows, *memo):
+        rank = ranker(rows, *memo)
+
+        def asking(mask):
+            got = rank(mask)
+            asked.append((rows, mask, got))
+            return got
+        return asking
+    monkeypatch.setattr(bd, "_ranker", recording)
+    for model, win in UNIT_WINDOWS:
+        bd.Arrangement(model, win)
+    assert len({(id(rows), mask) for rows, mask, _ in asked}) > 2000
+    for rows, mask, got in asked:
+        assert got == bd.qrank([row for i, row in enumerate(rows)
+                                if mask >> i & 1])
 
 
 def test_arrangement_sl3_golden():
@@ -463,7 +511,8 @@ def test_window_rank_memo_serves_the_arrangement_and_every_cell(
     built = []
     ranker = bd._ranker
     monkeypatch.setattr(bd, "_ranker",
-                        lambda rows: built.append(rows) or ranker(rows))
+                        lambda rows, *memo: built.append(rows)
+                        or ranker(rows, *memo))
 
     def cells():
         faces = bd.Arrangement(model, win).faces
@@ -491,7 +540,7 @@ def cell_in_order(window, cuts):
     for k, (c, s) in enumerate(cuts):
         vals, verts, cut = bd._cut(verts, c, 1 << len(box) + k, rank)
         verts = bd._side(verts, vals, s) + cut
-    return {bd._point(h): m >> len(box) for h, m in verts}
+    return {h: m >> len(box) for h, m in verts}
 
 
 @settings(max_examples=40, deadline=None)
@@ -504,8 +553,7 @@ def test_cell_vertices_whatever_the_cut_order(case, rnd):
     cuts = list(zip(forms, bd.facet_of(model, win, x, r).signs))
     want = dict(bd.cell_vertices(win, cuts))
     assert want
-    for y, m in want.items():
-        h = bd._homogeneous(y)
+    for h, m in want.items():
         assert m == sum(1 << k for k, c in enumerate(forms)
                         if sum(a * b for a, b in zip(c, h)) == 0)
     order = list(range(len(cuts)))
@@ -663,12 +711,36 @@ def heart_points(draw):
 def test_heart_blocks_in_units_match_the_fraction_route(case):
     m, w = case
     want = heart_blocks_reference(m, w)
-    assert bd.heart_blocks(m, w) == want
+    assert bd.heart_blocks(m, w) == tuple(want)
     try:
         got = bd.heart_structure(m, w)
     except ValueError as exc:
         got = str(exc)
     assert got == structure_or_error(want)
+
+
+def test_heart_blocks_are_kept_per_model_and_point(monkeypatch):
+    # a repeat point is served from the model's memo, without grading
+    # it again, and equals a fresh computation; the memo keeps the most
+    # recent HEART_MEMO_SIZE points
+    m = bd.u6_model(23)
+    monkeypatch.setattr(m, "_hearts", {})
+    first = bd.heart_blocks(m, bd.U6_Z)
+    graded = []
+    units = bd.grading_units
+    monkeypatch.setattr(bd, "grading_units",
+                        lambda *a: graded.append(a) or units(*a))
+    assert bd.heart_blocks(m, tuple(bd.U6_Z)) is first
+    assert graded == [] and isinstance(first, tuple)
+    m._hearts.clear()
+    assert bd.heart_blocks(m, bd.U6_Z) == first
+    assert len(graded) == 1
+    assert first == tuple(heart_blocks_reference(m, bd.U6_Z))
+    monkeypatch.setattr(bd, "HEART_MEMO_SIZE", 3)
+    for k in range(5):
+        bd.heart_blocks(m, (Fr(k, 8),) + bd.U6_Z[1:])
+    assert list(m._hearts) == [(Fr(k, 8),) + bd.U6_Z[1:]
+                               for k in range(2, 5)]
 
 
 def test_grade_dim_periodicity():

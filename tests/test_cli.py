@@ -64,7 +64,7 @@ def test_parse_wrong_row_count():
 def test_parse_rejects_char_bound_without_override():
     text = (INPUTS / "toral.ini").read_text().replace(
         "override-char-bound = true", "")
-    with pytest.raises(ValueError, match="p > 35"):
+    with pytest.raises(cli.CliError, match="line 7: .*p > 35"):
         cli.parse_input(text)
     cli.parse_input(text, override=True)
 
@@ -116,26 +116,62 @@ def test_wf_compute_refuses_keys_it_does_not_read(old, new, line, message,
         "message": "line %d: %s" % (line, message), "line": line}
 
 
-@pytest.mark.parametrize("old, new, line, message", [
-    ("model = u6", "", 6, "missing model in [group]"),
-    ("depth = 0", "", 10, "section [gamma.1] missing depth"),
-    ("row = 0, 0, 0, 0, 0, 6*s", "", 10,
+SL3_CHAIN_WITH_U6_SEED = """\
+[field]
+q = 23
+
+[group]
+model = sl3
+
+[gamma.1]
+depth = 0
+row = 1, 0, 0
+row = 0, 2, 0
+row = 0, 0, -3
+
+[gamma.2]
+depth = -1
+row = t^-1, 0, 0
+row = 0, -t^-1, 0
+row = 0, 0, 0
+
+[options]
+seed-datum = u6
+"""
+
+
+TORAL = (INPUTS / "toral.ini").read_text()
+
+
+@pytest.mark.parametrize("base, old, new, line, message", [
+    (TORAL, "model = u6", "", 6, "missing model in [group]"),
+    (TORAL, "depth = 0", "", 10, "section [gamma.1] missing depth"),
+    (TORAL, "row = 0, 0, 0, 0, 0, 6*s", "", 10,
      "section [gamma.1]: expected 6 matrix rows, got 5"),
-    ("q = 23", "q = 4", 4, "p = 4 is not an odd prime"),
-    ("point = 0, 0, 0, 0, 0, 1/2", "seed-datum = u7", 20,
+    (TORAL, "q = 23", "q = 4", 4, "p = 4 is not an odd prime"),
+    (TORAL, "point = 0, 0, 0, 0, 0, 1/2", "seed-datum = u7", 20,
      "unknown seed-datum 'u7'"),
-    ("point = 0, 0, 0, 0, 0, 1/2", "point = 0, 1", 20,
+    (TORAL, "point = 0, 0, 0, 0, 0, 1/2", "point = 0, 1", 20,
      "point must have 6 coordinates"),
-    ("override-char-bound = true", "override-char-bound = ture", 8,
+    (TORAL, "override-char-bound = true", "override-char-bound = ture", 8,
      "override-char-bound must be 1/0, true/false or yes/no, not 'ture'"),
+    (TORAL, "override-char-bound = true", "", 7,
+     "residue characteristic 23 violates the bound p > 35 (absolute rank "
+     "6); pass override to proceed"),
+    (TORAL, "depth = 0", "depth = 1", 11,
+     "piece 'gamma.1' is not good at depth 1"),
+    (SL3_CHAIN_WITH_U6_SEED, "", "", 20,
+     "seed-datum u6 lives in the u6 model, not in model 'sl3'"),
 ], ids=["no-model", "no-depth", "five-rows", "q4", "seed-u7", "point-2",
-        "ture"])
-def test_wf_compute_input_errors_name_their_line(old, new, line, message,
-                                                 tmp_path, capsys):
+        "ture", "char-bound", "not-good", "seed-u6-sl3"])
+def test_wf_compute_input_errors_name_their_line(base, old, new, line,
+                                                 message, tmp_path, capsys):
     # a missing key is charged to its section header; `ture` used to
-    # read as false and fail later on the characteristic bound
+    # read as false and fail later on the characteristic bound.  The
+    # rank bound is charged to the model line, a piece that is not good
+    # to its depth line, and a seed datum in the wrong model to its line
     path = tmp_path / "bad.ini"
-    path.write_text((INPUTS / "toral.ini").read_text().replace(old, new))
+    path.write_text(base.replace(old, new))
     code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == {
@@ -196,30 +232,6 @@ def test_wf_compute_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-SL3_CHAIN_WITH_U6_SEED = """\
-[field]
-q = 23
-
-[group]
-model = sl3
-
-[gamma.1]
-depth = 0
-row = 1, 0, 0
-row = 0, 2, 0
-row = 0, 0, -3
-
-[gamma.2]
-depth = -1
-row = t^-1, 0, 0
-row = 0, -t^-1, 0
-row = 0, 0, 0
-
-[options]
-seed-datum = u6
-"""
-
-
 def test_wf_compute_point_beside_seed_datum_is_refused(tmp_path, capsys):
     # the seed datum fixes its own base points, so a point option there
     # would be read by nothing
@@ -242,8 +254,9 @@ def test_wf_compute_u6_seed_needs_a_u6_model(tmp_path, capsys):
     path.write_text(SL3_CHAIN_WITH_U6_SEED)
     code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"]["message"] == \
-        "seed-datum u6 lives in the u6 model, not in model 'sl3'"
+    assert json.loads(err)["error"] == {
+        "message": "line 20: seed-datum u6 lives in the u6 model, not in "
+                   "model 'sl3'", "line": 20}
 
 
 U6_CHAIN = (INPUTS / "u6_chain.ini").read_text()
@@ -672,6 +685,23 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_springerlab_unloaded():
+    # the finite-field lab is imported by the commands that use it; the
+    # lab, the oracle and the u7 example still find it there
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, padicwf.cli; print('padicwf.springerlab' in "
+         "sys.modules, 'numpy' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["False", "False"]
+    for argv in (["oracle", "all"], ["wf", "example", "u7"]):
+        proc = subprocess.run([sys.executable, "-m", "padicwf.cli"] + argv,
+                              capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_descent_commands_leave_numpy_unloaded():

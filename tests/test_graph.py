@@ -453,8 +453,9 @@ def test_path_trace_u7_computes_no_center_on_repeat(monkeypatch):
     gr.path_trace(v, Fr(1, 2))
     reads = []
     vertices = bd.AugFacet.vertices
-    monkeypatch.setattr(bd.AugFacet, "vertices",
-                        lambda f: reads.append(f) or vertices(f))
+    homogeneous = bd.AugFacet.homogeneous
+    monkeypatch.setattr(bd.AugFacet, "homogeneous",
+                        lambda f: reads.append(f) or homogeneous(f))
     m, win, c, v = u7h_setup()
     edges = gr.path_trace(v, Fr(1, 2))
     assert reads == []
@@ -480,7 +481,7 @@ def test_shared_facets_match_fresh_cells():
     assert len(facets) == 21
     for f in facets:
         fresh = bd.AugFacet(f.model, f.window, f.forms, f.pos, f.neg)
-        assert set(f.vertices()) == {y for y, _ in fresh.cell()}
+        assert set(f.homogeneous()) == {h for h, _ in fresh.cell()}
         assert (f.depth(), f.dim(), f.is_horizontal()) == (
             fresh.depth(), fresh.dim(), fresh.is_horizontal())
 

@@ -76,7 +76,8 @@ def test_second_sl2_trace_builds_no_ranker(monkeypatch, tmp_path, capsys):
     built = []
     ranker = bd._ranker
     monkeypatch.setattr(bd, "_ranker",
-                        lambda rows: built.append(rows) or ranker(rows))
+                        lambda rows, *memo: built.append(rows)
+                        or ranker(rows, *memo))
     argv = ["graph", "trace", "--scenario", "sl2"]
     first = _run(argv, tmp_path / "a.json", capsys)
     assert len(built) == 1
