@@ -469,11 +469,26 @@ def _shared_facet(entry, window, pos, neg, verts=None):
     return f
 
 
+def share_facet(facet):
+    """The facet of the window's `_PLANE_CACHE` entry with the masks of
+    `facet`, say an arrangement's face: `facet` itself where the entry
+    holds none yet, so that what is kept on it lives with the entry."""
+    facets = _window_planes(facet.model, facet.window)[2]
+    return facets.setdefault((facet.pos, facet.neg), facet)
+
+
 class AugFacet:
     """An augmented facet: the masks `pos` and `neg` of the critical
     hyperplanes it lies above and below (bit k: the k-th plane of
     `critical_hyperplanes`, whose integer forms it is handed as
     `forms`); it lies on the others.
+
+    A facet keeps what is computed on it, each once: its cell,
+    vertices, depth, dimension and kind here, and, filled by `graph` on
+    first use, its centre, the graded quotient there and a coset table
+    (a coset's residue matrix -> its walk's outcome and its label).  A
+    shared facet (`facet_of`, `facets_below`, `share_facet`) lives, and
+    keeps all of these, while its window's `_PLANE_CACHE` entry does.
 
     verts, when given, are the vertices of the facet's closure in the
     window, in primitive homogeneous integer coordinates (X, W), W > 0;
@@ -496,6 +511,7 @@ class AugFacet:
         self._depth = self._horizontal = None
         self._center = None  # kept by graph.facet_center
         self._quot = None  # kept by graph.facet_quotient
+        self._cosets = None  # kept by graph.GraphVertex.kept
 
     def __eq__(self, other):
         return isinstance(other, AugFacet) and self.pos == other.pos \

@@ -11,6 +11,15 @@ of cosets refining the old one.  Every edge strictly increases the
 Fibers are enumerated exactly over the residue field up to FIBER_CAP
 cosets; larger fibers raise FiberTooLarge so callers can fall back to
 targeted membership tests.
+
+What depends only on a facet, or on a facet and a coset, is computed
+once and kept on the facet (`building.AugFacet`): its centre, its graded
+quotient, and in its coset table, keyed by the coset's residue matrix,
+the outcome of the coset's walk (the facet entered, or the message of
+the ValueError raised, raised again on a repeat) and the coset's label.
+A trace, a reach and any later trace or reach on the same window read
+the same table: the facets they visit are the window's shared ones,
+which live while the window's `building._PLANE_CACHE` entry does.
 """
 
 from fractions import Fraction
@@ -74,7 +83,6 @@ class GraphVertex:
         self.facet = facet
         self.cmat = la.mat(cmat)
         self._coset = None
-        self._label = None
 
     def quot(self):
         """The graded quotient at the facet's center, kept with the
@@ -95,10 +103,23 @@ class GraphVertex:
     def is_nilpotent(self):
         return self.coset().is_nilpotent()
 
+    def kept(self):
+        """The coset's entry in the facet's coset table: [the walk's
+        outcome, the label], each None until first computed."""
+        f = self.facet
+        if f._cosets is None:
+            f._cosets = {}
+        mat = self.coset().mat
+        kept = f._cosets.get(mat)
+        if kept is None:
+            kept = f._cosets[mat] = [None, None]
+        return kept
+
     def label(self):
-        if self._label is None:
-            self._label = mpq.n_label(self.coset())
-        return self._label
+        kept = self.kept()
+        if kept[1] is None:
+            kept[1] = mpq.n_label(self.coset())
+        return kept[1]
 
     def key(self):
         return (self.facet.pos, self.facet.neg, self.coset().mat)
@@ -142,15 +163,20 @@ def _walk_direction(v):
 
 def _walk_step(model, window, x, r, lam, slope):
     """Largest safe parameter: half the first plane or wall crossing."""
-    # along (x, r) + t (lam, slope) a plane's form reads v0 / W + t dv / L
+    # along (x, r) + t (lam, slope) a plane's form reads v0 / W + t dv / L,
+    # which crosses 0 at t = |v0| L / (|dv| W) if v0 and dv differ in
+    # sign: the crossings are ordered by |v0| / |dv|, cross-multiplied
     h = bd._homogeneous(x + (r,))
     ld = bd._homogeneous(lam + (slope,))
-    ts = []
+    first = None  # |v0| and |dv| of the first crossing
     for form in bd.critical_hyperplanes(model, window):
         v0 = sum(map(mul, form, h))
         dv = sum(map(mul, form, ld[:-1]))
-        if v0 * dv < 0:
-            ts.append(Fraction(-v0 * ld[-1], dv * h[-1]))
+        if v0 * dv < 0 and (first is None or
+                            abs(v0) * first[1] < first[0] * abs(dv)):
+            first = abs(v0), abs(dv)
+    ts = [] if first is None else [Fraction(first[0] * ld[-1],
+                                            first[1] * h[-1])]
     walls = []
     for k, (a, b) in enumerate(window.xranges):
         if lam[k] > 0:
@@ -169,7 +195,22 @@ def _walk_step(model, window, x, r, lam, slope):
 
 
 def _walk_target(v):
-    """The facet the cocharacter walk (slope 2) from v's facet enters."""
+    """The facet the cocharacter walk (slope 2) from v's facet enters,
+    walked once per (facet, coset) and kept in the facet's coset table;
+    a walk that raised raises a ValueError with the same message again."""
+    kept = v.kept()
+    if kept[0] is None:
+        try:
+            kept[0] = _walk(v)
+        except ValueError as err:
+            kept[0] = str(err)
+    if isinstance(kept[0], str):
+        raise ValueError(kept[0])
+    return kept[0]
+
+
+def _walk(v):
+    """The facet the walk from v's facet enters, walked afresh."""
     model, window = v.model, v.facet.window
     if not v.is_nilpotent():
         raise ValueError("walk requires a nilpotent coset")
@@ -290,7 +331,9 @@ class Reach:
     """The backward closure into one target vertex.  Both edge rules
     keep the matrix, so every vertex reached holds the target's and is
     known by its facet, a face of the window's arrangement.  Each facet
-    is tested for the lattice once and walked at most once."""
+    is tested for the lattice once per reach; a vertex's facet is the
+    window's shared one (`building.share_facet`), so it is walked at
+    most once while the window's entry lives, by a trace or a reach."""
 
     def __init__(self, target):
         self.target = target
@@ -300,18 +343,26 @@ class Reach:
         for f in faces:
             if not f.is_horizontal():
                 self.sloped.setdefault(f.depth(), []).append(f)
-        # facet masks -> its vertex, or None off the facet's lattice;
-        # and -> the facet its walk enters, or None where the walk raises
-        self.vertices, self.walks = {}, {}
+        # facet masks -> its vertex, or None off the facet's lattice
+        self.vertices = {}
 
     def vertex(self, f):
         """The vertex holding the target's matrix over the facet f, or
         None if the matrix is not in f's lattice."""
         k = (f.pos, f.neg)
         if k not in self.vertices:
-            u = GraphVertex(self.target.model, f, self.target.cmat)
+            u = GraphVertex(self.target.model, bd.share_facet(f),
+                            self.target.cmat)
             self.vertices[k] = u if u.in_lattice() else None
         return self.vertices[k]
+
+    @staticmethod
+    def walk(u):
+        """The facet u's walk enters, or None where the walk raises."""
+        try:
+            return _walk_target(u)
+        except ValueError:
+            return None
 
     def predecessors(self, v):
         """In-neighbors of a vertex of this reach."""
@@ -325,13 +376,8 @@ class Reach:
         # keeps the matrix, so it lands on v's coset
         out = []
         for f in closure_horizontals(v.facet, self.horizontal):
-            u, k = self.vertex(f), (f.pos, f.neg)
-            if u is not None and k not in self.walks:
-                try:
-                    self.walks[k] = _walk_target(u)
-                except ValueError:
-                    self.walks[k] = None
-            if u is not None and self.walks[k] == v.facet:
+            u = self.vertex(f)
+            if u is not None and self.walk(u) == v.facet:
                 assert bd.precede(f, v.facet)
                 out.append(u)
         return out

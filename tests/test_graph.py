@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as Fr
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -188,6 +189,50 @@ def test_walk_step_matches_the_fraction_route(case, data):
             gr._walk_step(model, win, x, r, lam, slope)
         return
     assert gr._walk_step(model, win, x, r, lam, slope) == want
+
+
+def test_walk_step_matches_the_fraction_route_on_graph_walks(monkeypatch):
+    # every walk from a horizontal facet of the sl2 window 0,1 / -1..2,
+    # of a unit in each off-diagonal position at an integral threshold,
+    # and every walk of the u7h reach (its trace's included)
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    calls = []
+    step = gr._walk_step
+
+    def record(*args):
+        try:
+            out = step(*args)
+        except ValueError as err:
+            out = err
+        calls.append((args, out))
+        if isinstance(out, ValueError):
+            raise out
+        return out
+
+    monkeypatch.setattr(gr, "_walk_step", record)
+    m, win, c, v = sl2_setup()
+    E = m.field
+    for f in bd.Arrangement(m, win).faces:
+        if f.is_horizontal():
+            (x,), r = gr.facet_center(f)
+            for (i, j), t in (((0, 1), r - 2 * x), ((1, 0), r + 2 * x)):
+                if t.denominator == 1:
+                    g = zmat(E, 2)
+                    g[i][j] = E.scalar({t: 1})
+                    gr.Reach.walk(gr.GraphVertex(m, f, g))
+    n_sl2 = len(calls)
+    gr.reachable(_reach_target("u7h"))
+    # 36 and 112 walks get as far as the step, 13 of them with no room
+    assert (n_sl2, len(calls) - n_sl2) == (36, 112)
+    assert sum(isinstance(out, ValueError) for _, out in calls) == 13
+    for args, got in calls:
+        try:
+            want = walk_step_reference(*args)
+        except ValueError:
+            assert isinstance(got, ValueError)
+            assert str(got).startswith("no room to walk inside the window")
+            continue
+        assert got == want
 
 
 def test_rule2_requires_nilpotent():
@@ -468,18 +513,17 @@ def test_path_trace_u7_computes_no_center_on_repeat(monkeypatch):
 
 
 def test_shared_facets_match_fresh_cells():
-    # the facets of the u7h trace are its window's shared ones; every
-    # facet of the trace and of the sl2 reach has the vertex set, depth,
-    # dimension and kind of a cell made afresh from its masks
+    # the facets of the u7h trace and of the sl2 reach are their windows'
+    # shared ones; every one has the vertex set, depth, dimension and
+    # kind of a cell made afresh from its masks
     m, win, c, v = u7h_setup()
     edges = gr.path_trace(v, Fr(1, 2))
     facets = {e.src.facet for e in edges} | {e.dst.facet for e in edges}
-    table = bd._window_planes(m, win)[2]
     assert len(facets) == 13
-    assert all(table[f.pos, f.neg] is f for f in facets)
     facets |= {u.facet for u in gr.reachable(_reach_target("sl2"))}
     assert len(facets) == 21
     for f in facets:
+        assert bd._window_planes(f.model, f.window)[2][f.pos, f.neg] is f
         fresh = bd.AugFacet(f.model, f.window, f.forms, f.pos, f.neg)
         assert set(f.homogeneous()) == {h for h, _ in fresh.cell()}
         assert (f.depth(), f.dim(), f.is_horizontal()) == (
@@ -496,8 +540,9 @@ def test_facet_quotient_is_kept_with_the_facet():
 
 
 def test_path_trace_u7_labels_each_vertex_once(monkeypatch):
-    # the start and the six rule-1 targets carry labels; a vertex keeps
-    # its label, and the trace asks for each one once
+    # the start and the six rule-1 targets carry labels; a facet keeps
+    # its cosets' labels, and the trace asks for each one once
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
     calls = []
     n_label = mpq.n_label
     monkeypatch.setattr(mpq, "n_label",
@@ -507,6 +552,70 @@ def test_path_trace_u7_labels_each_vertex_once(monkeypatch):
     assert len(calls) == 7
     labels = [e.dst.label() for e in edges if e.rule == 1]
     assert len(labels) == 6 and len(calls) == 7
+
+
+def test_repeated_u7h_trace_lifts_and_labels_nothing(monkeypatch):
+    # the walks and labels of a trace are kept in its facets' coset
+    # tables: a repeat reads them and equals a trace on a cleared cache
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    m, win, c, v = u7h_setup()
+    gr.path_trace(v, Fr(1, 2))
+    calls = []
+    for name in ("lift_triple", "n_label"):
+        monkeypatch.setattr(mpq, name, lambda c, fn=getattr(mpq, name),
+                            name=name: calls.append(name) or fn(c))
+
+    def trace():
+        m, win, c, v = u7h_setup()
+        edges = gr.path_trace(v, Fr(1, 2))
+        return ([(e.rule, e.src.key(), e.dst.key()) for e in edges],
+                [v.label()] + [e.dst.label() for e in edges if e.rule == 1])
+
+    again = trace()
+    assert calls == []
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    assert trace() == again
+    assert sorted(calls) == ["lift_triple"] * 6 + ["n_label"] * 7
+
+
+@pytest.mark.parametrize("setup, n_checks", [(sl2_setup, 1),
+                                             (u7h_setup, 6)])
+def test_cold_trace_certifies_each_rule2_edge_once(setup, n_checks,
+                                                   monkeypatch):
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    checks = []
+    check = lie.Sl2Triple.check
+    monkeypatch.setattr(lie.Sl2Triple, "check",
+                        lambda t, E: checks.append(t) or check(t, E))
+    m, win, c, v = setup()
+    edges = gr.path_trace(v, Fr(1, 2))
+    assert len(checks) == sum(e.rule == 2 for e in edges) == n_checks
+
+
+@pytest.mark.parametrize("case", ["scenario A", "no room to walk"])
+def test_a_walk_that_raises_raises_its_message_again(case, monkeypatch):
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    if case == "scenario A":
+        # from the sloped wall segment the walk keeps to its plane
+        m, win, c, v = sl2_setup()
+        u = gr.out_edge_rule2(v)
+        retry = partial(gr.out_edge_rule2, u)
+    else:
+        # a depth past the window: the u7h walk from its depth-1/2 stop
+        m, win, c, v = u7h_setup()
+        u = gr.path_trace(v, Fr(1, 2))[-1].dst
+        retry = partial(gr.path_trace, v, Fr(2))
+    walks = []
+    walk = gr._walk
+    monkeypatch.setattr(gr, "_walk", lambda u: walks.append(u) or walk(u))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match=case) as err:
+            retry()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert gr.Reach.walk(u) is None
+    assert len(walks) == 1
 
 
 def test_path_edges_strictly_increase_order():
@@ -608,12 +717,13 @@ def _reach_target(scenario):
 def test_reachable_walks_each_candidate_once(monkeypatch):
     # a facet met by several predecessor queries is tested for the
     # lattice once per reach, and walked at most once, whether its walk
-    # lands or raises
-    in_lattice, walk = gr.GraphVertex.in_lattice, gr._walk_target
+    # lands or raises; the trace to the target walks the same shared
+    # facets and the reach reads those walks back
+    in_lattice, walk = gr.GraphVertex.in_lattice, gr._walk
     for scenario, size, n_tests, n_walks, n_raised in [
             ("sl2", 8, 12, 6, 4),
             ("u7h", goldens.U7H_REACH_VERTICES, 1816, 316, 205)]:
-        target = _reach_target(scenario)
+        monkeypatch.setattr(bd, "_PLANE_CACHE", {})
         tests, walks, raised = Counter(), Counter(), set()
 
         def counted_test(u):
@@ -629,8 +739,8 @@ def test_reachable_walks_each_candidate_once(monkeypatch):
                 raise
 
         monkeypatch.setattr(gr.GraphVertex, "in_lattice", counted_test)
-        monkeypatch.setattr(gr, "_walk_target", counted_walk)
-        assert len(gr.reachable(target)) == size
+        monkeypatch.setattr(gr, "_walk", counted_walk)
+        assert len(gr.reachable(_reach_target(scenario))) == size
         assert len(tests) == n_tests and set(tests.values()) == {1}
         assert len(walks) == n_walks and set(walks.values()) == {1}
         assert len(raised) == n_raised
@@ -638,35 +748,45 @@ def test_reachable_walks_each_candidate_once(monkeypatch):
 
 def test_candidate_that_cannot_walk_is_skipped_on_later_queries(
         monkeypatch):
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
     target = _reach_target("sl2")
     back = sorted(gr.reachable(target),
                   key=lambda u: (u.facet.depth(), u.facet.signs))
     reach = gr.Reach(target)
     first = [reach.predecessors(u) for u in back]
-    failed = {k for k, t in reach.walks.items() if t is None}
+    failed = [u for u in reach.vertices.values() if u is not None
+              and u.facet.is_horizontal() and reach.walk(u) is None]
     assert len(failed) == 4
-    # in a fresh reach per query, the failing candidates are walked again
-    walk, calls = gr._walk_target, Counter()
+    # the walks are kept on the window's shared facets: a fresh reach per
+    # query walks nothing again, and no query in one reach does
+    walk, calls = gr._walk, Counter()
 
     def counted(u):
         calls[u.facet.pos, u.facet.neg] += 1
         return walk(u)
 
-    monkeypatch.setattr(gr, "_walk_target", counted)
+    monkeypatch.setattr(gr, "_walk", counted)
     for u in back:
         gr.Reach(target).predecessors(u)
-    assert max(calls[k] for k in failed) > 1
-    # in one reach, no query walks again, and each gives the same answer
-    calls.clear()
     assert [reach.predecessors(u) for u in back] == first
+    assert not calls
+    # a kept failure raises its message again; the reach sees None
+    for u in failed:
+        with pytest.raises(ValueError) as first_err:
+            gr._walk_target(u)
+        with pytest.raises(ValueError) as again:
+            gr.out_edge_rule2(u)
+        assert str(again.value) == str(first_err.value)
+        assert gr.Reach.walk(u) is None
     assert not calls
 
 
 def test_u7h_reach_closes_and_each_vertex_steps_into_the_set():
     # The u7h backward closure is finite.  A second, forward route
     # certifies it: every vertex but the target has an out-edge into the
-    # set, its cocharacter walk (made afresh) from a horizontal facet,
-    # else a facet below with the same matrix.
+    # set, its cocharacter walk from a horizontal facet, made afresh on
+    # a copy of the facet that keeps no walk, else a facet below with the
+    # same matrix.
     target = _reach_target("u7h")
     back = gr.reachable(target)
     keys = {u.key() for u in back}
@@ -676,7 +796,9 @@ def test_u7h_reach_closes_and_each_vertex_steps_into_the_set():
         if u == target:
             continue
         if u.facet.is_horizontal():
-            fresh = gr.GraphVertex(u.model, u.facet, u.cmat)
+            f = u.facet
+            fresh = gr.GraphVertex(u.model, bd.AugFacet(
+                f.model, f.window, f.forms, f.pos, f.neg), u.cmat)
             assert gr.out_edge_rule2(fresh).key() in keys
         else:
             assert any(gr.GraphVertex(u.model, b, u.cmat).key() in keys

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dense
 import newton
+from padicwf import building as bd
 from padicwf import liealg as lg
 from padicwf import linalg as la
 from padicwf import orbits as ob
@@ -347,14 +348,16 @@ def test_jm_codes_match_the_reference_on_graph_commands():
     from padicwf import cli
 
     def run():
+        bd._PLANE_CACHE.clear()
         for scenario, cmd, code in (("u7h", "trace", 0), ("sl2", "trace", 0),
                                     ("sl2", "reach", 0), ("u7h", "reach", 0)):
             assert cli.main(["graph", cmd, "--scenario", scenario]) == code
 
     calls = record_jm_calls(run)
     # every call solves; the u7h lifts over F_23 with Lie rows, the sl2
-    # lifts over F_3 without; a reach walks each candidate once
-    assert len(calls) == 128
+    # lifts over F_3 without; a facet walks each coset once, whether a
+    # trace or a reach asks
+    assert len(calls) == 114
     assert {(field.p, bool(rows)) for _, _, field, rows in calls} == \
         {(23, True), (3, False)}
     for c, basis, field, rows in calls:

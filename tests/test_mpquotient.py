@@ -449,8 +449,11 @@ def _outcome(fn, c):
 def _graph_runs():
     """Every coset lift_triple is called on, and every (quotient, level,
     units) the Lie rows are written for, in graph trace and graph reach
-    for the sl2 and u7h scenarios, in call order."""
+    for the sl2 and u7h scenarios, in call order, from a cleared plane
+    cache: a facet walks each coset once while its window's entry
+    lives."""
     from padicwf import cli
+    bd._PLANE_CACHE.clear()
     cosets, pieces = [], []
     lift, rows = mpq.lift_triple, mpq._lie_relations
 
@@ -502,9 +505,9 @@ def test_lift_triple_matches_the_local_reference(capsys):
     capsys.readouterr()
     outcomes = [(_outcome(mpq.lift_triple, c),
                  _outcome(reference_lift_triple, c)) for c in cosets]
-    # 336 calls on 322 distinct cosets (a reach walks each candidate
-    # once); 208 calls raise
-    assert len(outcomes) == 336 and len({c.key() for c in cosets}) == 322
+    # 322 calls on 322 distinct cosets (a facet walks each coset once,
+    # whether a trace or a reach asks); 208 calls raise
+    assert len(outcomes) == 322 and len({c.key() for c in cosets}) == 322
     assert sum(isinstance(ref, str) for _, ref in outcomes) == 208
     for got, ref in outcomes:
         assert got == ref

@@ -1,7 +1,7 @@
 """Repeated commands in one interpreter.  The lab keeps the structures
 that depend only on the field, the form or (n, p), and the descent path
-keeps each window's facets and their graded quotients, while they are
-among the most recent; `oracle all` and the benchmark drive `cli.main`
+keeps each window's facets, their graded quotients and the walks and
+labels of their cosets, while they are among the most recent; `oracle all` and the benchmark drive `cli.main`
 many times in one interpreter: a second run of a command must print the
 same output and write the same result record, byte for byte, as the
 first."""
@@ -120,3 +120,23 @@ def test_curve_queries_on_one_table_match_fresh_runs(tmp_path, capsys):
     assert out == ""
     assert json.loads(err)["error"]["message"] == \
         "enumeration too large (148316260 points)"
+
+
+def test_interleaved_reaches_and_traces_match_fresh_runs(monkeypatch,
+                                                         tmp_path, capsys):
+    # traces and reaches on one window read the walks and labels kept in
+    # its facets' coset tables, whichever command walked first; each run
+    # must print and record what it does in a new interpreter
+    monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    queries = [["graph", cmd, "--scenario", scenario]
+               for cmd, scenario in [("reach", "sl2"), ("trace", "u7h"),
+                                     ("trace", "sl2"), ("reach", "u7h"),
+                                     ("reach", "sl2"), ("trace", "u7h")]]
+    here = [_run(argv, tmp_path / ("here%d.json" % k), capsys)
+            for k, argv in enumerate(queries)]
+    fresh = {}
+    for k, argv in enumerate(queries):
+        if tuple(argv) not in fresh:
+            fresh[tuple(argv)] = _fresh_run(argv,
+                                            tmp_path / ("fresh%d.json" % k))
+    assert here == [fresh[tuple(argv)] for argv in queries]
