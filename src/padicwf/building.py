@@ -557,7 +557,9 @@ class AugFacet:
 
     def is_horizontal(self):
         if self._horizontal is None:
-            self._horizontal = _at_level(self.homogeneous(), self.depth())
+            dep = self.depth()
+            self._horizontal = _at_level(self.homogeneous(), dep.numerator,
+                                         dep.denominator)
         return self._horizontal
 
     def dim(self):
@@ -828,9 +830,25 @@ def _top(hs):
     return top
 
 
-def _at_level(hs, r):
-    """Whether every homogeneous point of hs lies at the level r."""
-    return all(h[-2] * r.denominator == r.numerator * h[-1] for h in hs)
+def _barycentre(hs):
+    """The barycentre of the homogeneous points hs, one reduced integer
+    pair (numerator, denominator > 0) per coordinate: the points are
+    summed at their common weight L, so each coordinate is an integer
+    sum over len(hs) * L."""
+    L = lcm(*(h[-1] for h in hs))
+    scale = [L // h[-1] for h in hs]
+    D = len(hs) * L
+    out = []
+    for col in list(zip(*hs))[:-1]:
+        s = sum(map(mul, col, scale))
+        g = gcd(s, D)
+        out.append((s // g, D // g))
+    return out
+
+
+def _at_level(hs, num, den):
+    """Whether every homogeneous point of hs lies at the level num/den."""
+    return all(h[-2] * den == num * h[-1] for h in hs)
 
 
 def _primitive(h):
@@ -868,7 +886,7 @@ def facets_below(facet):
     out = []
     for z in _zero_sets(m for _, m in verts):
         fv = [h for h, m in verts if m & z == z]
-        if _at_level(fv, dep):
+        if _at_level(fv, dep.numerator, dep.denominator):
             out.append(_shared_facet(entry, facet.window, facet.pos & ~z,
                                      facet.neg & ~z, fv))
     if not out:

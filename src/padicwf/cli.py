@@ -4,7 +4,12 @@ Subcommands: wf compute/example, facets, graph trace/reach,
 lab spr/curve/count, oracle all.  Output is a human-readable text
 table on stdout; --out writes a machine-readable JSON result file
 embedding a reproducibility manifest (identical manifests produce
-byte-identical files).  Every option and input-file key is read by the
+byte-identical files).  A result file has the layout of
+json.dumps(indent=2, sort_keys=True), written by `_json`, a small
+writer over the types a record holds; an --out whose directory does
+not exist is refused before any work.  `facets` reads each face's row
+(depth, kind, centre, signs) off its integer vertices once and prints
+its table in one write.  Every option and input-file key is read by the
 command that takes it, or refused as a JSON error: an option that a
 command accepts but does not read, such as `lab spr --n 2 --seed`, or
 an input key that no code reads, such as a misspelt `pint`.
@@ -13,8 +18,11 @@ an input key that no code reads, such as a misspelt `pint`.
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
 
 from . import building as bd
 from . import ffield as ff
@@ -64,11 +72,67 @@ def manifest(args, input_text=None):
     return data
 
 
+# The text of each scalar type a record holds, as json.dumps writes it.
+_SCALAR = {str: _quote, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
+
+
+def _json(obj, indent, out):
+    """Append to the list `out` the text that json.dumps(obj, indent=2,
+    sort_keys=True) gives obj nested at `indent` (a string of spaces).
+    A record holds dicts with str keys, lists, str, int, bool and None;
+    anything else raises TypeError."""
+    scalar = _SCALAR.get(type(obj))
+    if scalar is not None:
+        out.append(scalar(obj))
+        return
+    inner = indent + "  "
+    if type(obj) is dict:
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError("record keys are str, not %s"
+                                % type(key).__name__)
+            value = obj[key]
+            scalar = _SCALAR.get(type(value))
+            if scalar is not None:
+                out += (sep, _quote(key), ": ", scalar(value))
+            else:
+                out += (sep, _quote(key), ": ")
+                _json(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif type(obj) is list:
+        if not obj:
+            out.append("[]")
+            return
+        sep = ",\n" + inner
+        if all(type(x) is int for x in obj):
+            out.append("[\n" + inner + sep.join(map(str, obj)) + "\n"
+                       + indent + "]")
+            return
+        out.append("[\n" + inner)
+        _json(obj[0], inner, out)
+        for x in obj[1:]:
+            out.append(sep)
+            _json(x, inner, out)
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError("a record holds no %s" % type(obj).__name__)
+
+
 def write_result(path, mani, result):
-    text = json.dumps({"manifest": mani, "result": result}, indent=2,
-                      sort_keys=True)
+    """The result file: the manifest and the result in the layout of
+    json.dumps(indent=2, sort_keys=True), written by `_json`."""
+    out = []
+    _json({"manifest": mani, "result": result}, "", out)
+    out.append("\n")
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write("".join(out))
 
 
 def wf_result_record(res):
@@ -338,13 +402,6 @@ def cmd_wf(args):
     return 0
 
 
-def enumerate_facets(model, window):
-    """All augmented facets in a window, in table order: by depth, then
-    larger dimension first, then sign vector."""
-    facets = bd.Arrangement(model, window).faces
-    return sorted(facets, key=lambda f: (f.depth(), -f.dim(), f.signs))
-
-
 def _parse_window(args, model):
     spans = []
     if args.window:
@@ -360,26 +417,46 @@ def _parse_window(args, model):
                      _fraction(args.rmax, "--rmax"))
 
 
+def _ratio(n, d):
+    """str(Fraction(n, d)) of a reduced pair n/d, d > 0."""
+    return "%d/%d" % (n, d) if d != 1 else str(n)
+
+
 def cmd_facets(args):
     # the arrangement reads no residue field, so one prime serves all
     model = MODELS[args.model](3)
     window = _parse_window(args, model)
-    facets = enumerate_facets(model, window)
-    print("facet table: model=%s window=%s r in [%s, %s]"
-          % (args.model, [tuple(map(str, s)) for s in window.xranges],
-             window.rmin, window.rmax))
-    print("%-6s %-5s %-12s %s" % ("depth", "dim", "kind", "center"))
-    for f in facets:
-        x, r = gr.facet_center(f)
-        kind = "horizontal" if f.is_horizontal() else "sloped"
-        print("%-6s %-5s %-12s x=%s r=%s"
-              % (f.depth(), f.dim(), kind,
-                 tuple(str(xi) for xi in x), r))
-    print("total: %d facets" % len(facets))
+    # one row per face, read off its homogeneous integer vertices once:
+    # its depth as a reduced pair (the top vertex's level) and as text,
+    # its kind by cross-multiplication, its barycentre as text, its signs
+    rows = []
+    for f in bd.Arrangement(model, window).faces:
+        hs = f.homogeneous()
+        top = bd._top(hs)
+        g = gcd(top[-2], top[-1])
+        dn, dd = top[-2] // g, top[-1] // g
+        rows.append((dn, dd, f.dim(), _ratio(dn, dd),
+                     bd._at_level(hs, dn, dd),
+                     [_ratio(n, d) for n, d in bd._barycentre(hs)],
+                     f.signs))
+    # table order: by depth (an integer at the common denominator M),
+    # then larger dimension first, then sign vector
+    M = lcm(*(row[1] for row in rows))
+    rows.sort(key=lambda row: (row[0] * (M // row[1]), -row[2], row[6]))
+    lines = ["facet table: model=%s window=%s r in [%s, %s]"
+             % (args.model, [tuple(map(str, s)) for s in window.xranges],
+                window.rmin, window.rmax),
+             "%-6s %-5s %-12s %s" % ("depth", "dim", "kind", "center")]
+    for _, _, dim, depth, horizontal, centre, _ in rows:
+        lines.append("%-6s %-5s %-12s x=%s r=%s"
+                     % (depth, dim, "horizontal" if horizontal else "sloped",
+                        tuple(centre[:-1]), centre[-1]))
+    lines.append("total: %d facets\n" % len(rows))
+    sys.stdout.write("\n".join(lines))
     if args.out:
-        rec = [{"depth": str(f.depth()), "dim": f.dim(),
-                "horizontal": f.is_horizontal(),
-                "signs": list(f.signs)} for f in facets]
+        rec = [{"depth": depth, "dim": dim, "horizontal": horizontal,
+                "signs": list(signs)}
+               for _, _, dim, depth, horizontal, _, signs in rows]
         write_result(args.out, manifest(args), {"facets": rec})
     return 0
 
@@ -653,6 +730,9 @@ def main(argv=None):
         _PARSER.append(build_parser())
     try:
         args = _PARSER[0].parse_args(argv)
+        where = os.path.dirname(args.out or ".") or "."
+        if not os.path.isdir(where):
+            raise CliError("--out: no directory %s" % where)
         if args.cmd == "wf":
             return cmd_wf(args)
         if args.cmd == "facets":

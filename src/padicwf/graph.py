@@ -24,7 +24,6 @@ which live while the window's `building._PLANE_CACHE` entry does.
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from operator import mul
 
 from . import building as bd
@@ -46,16 +45,12 @@ FIBER_CAP = 2000
 
 
 def facet_center(facet):
-    """Deterministic interior point: barycenter of the closure vertices,
-    computed once per facet and kept with it.  The homogeneous vertices
-    are summed at their common weight L, so each coordinate is one
-    Fraction: its integer sum over len * L."""
+    """Deterministic interior point: barycenter of the closure vertices
+    (`building._barycentre`, which the facet table reads too), computed
+    once per facet and kept with it as Fractions."""
     if facet._center is None:
-        hs = facet.homogeneous()
-        L = lcm(*(h[-1] for h in hs))
-        scale = [L // h[-1] for h in hs]
-        c = tuple(Fraction(sum(map(mul, col, scale)), len(hs) * L)
-                  for col in list(zip(*hs))[:-1])
+        c = tuple(Fraction(n, d)
+                  for n, d in bd._barycentre(facet.homogeneous()))
         facet._center = c[:-1], c[-1]
     return facet._center
 

@@ -401,6 +401,25 @@ def test_zero_denominator_option_is_a_json_error(argv, message, capsys):
     assert json.loads(err) == {"error": {"message": message}}
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["facets", "--window", "0,1/4", "--rmin", "0", "--rmax", "1/4"],
+     "padicwf.building.Arrangement"),
+    (["lab", "curve", "--q", "113"], "padicwf.springerlab.curve_counts"),
+])
+def test_out_in_a_missing_directory_is_refused_before_any_work(
+        argv, work, tmp_path, monkeypatch, capsys):
+    def unreached(*args):
+        raise AssertionError("%s ran before --out was checked" % work)
+
+    monkeypatch.setattr(work, unreached)
+    missing = tmp_path / "missing"
+    code, out, err = run(argv + ["--out", str(missing / "x.json")], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": {"message": "--out: no directory %s" % missing}}
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("argv, text", [
     (["--version"], cli.VERSION + "\n"),
     (["lab", "curve", "--help"], "usage: padicwf lab curve"),

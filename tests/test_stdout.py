@@ -1,5 +1,5 @@
 """The full standard output of the wave-front, path-trace and reach
-commands, pinned byte for byte: labels, provenance, dominated lines and
+commands and the bytes of their --out records, pinned byte for byte: labels, provenance, dominated lines and
 notes; the rules, depths, dimensions and centres of each descent edge;
 the backward reachable sets of the sl2 and u7h reaches, the u7h set
 also against its census golden; the parabolic identity counts of
@@ -7,8 +7,8 @@ also against its census golden; the parabolic identity counts of
 for both corner coefficients and for the sweep, and their result
 records; the flag counts of `lab count` on the curve spec and their
 result record; the oracle suite, which lifts
-triples on the u6, u7, sl2 and u7h paths; the facet tables and their
-result records.  A refactor of the label, descent, arrangement or lab
+triples on the u6, u7, sl2 and u7h paths, and its record; the facet
+tables and their result records.  A refactor of the label, descent, arrangement or lab
 layers must leave every file under tests/stdout unchanged."""
 
 import hashlib
@@ -35,30 +35,44 @@ GOLDEN = ROOT / "tests" / "stdout"
     (["wf", "compute", "--input", str(ROOT / "inputs" / "toral.ini")],
      "wf_compute_toral"),
 ])
-def test_wf_stdout_is_pinned(argv, name, capsys):
-    assert cli.main(argv) == 0
+def test_wf_stdout_is_pinned(argv, name, tmp_path, capsys):
+    out = tmp_path / "wf.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == (GOLDEN / (name + ".txt")).read_text()
+    assert out.read_text() == (GOLDEN / (name + ".out.json")).read_text()
 
 
 @pytest.mark.parametrize("scenario", ["sl2", "u7h"])
-def test_graph_trace_stdout_is_pinned(scenario, capsys):
-    assert cli.main(["graph", "trace", "--scenario", scenario]) == 0
+def test_graph_trace_stdout_is_pinned(scenario, tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    assert cli.main(["graph", "trace", "--scenario", scenario,
+                     "--out", str(out)]) == 0
     assert capsys.readouterr().out == \
         (GOLDEN / ("graph_trace_%s.txt" % scenario)).read_text()
+    assert out.read_text() == \
+        (GOLDEN / ("graph_trace_%s.out.json" % scenario)).read_text()
 
 
-def test_graph_reach_sl2_stdout_is_pinned(capsys):
-    assert cli.main(["graph", "reach", "--scenario", "sl2"]) == 0
+def test_graph_reach_sl2_stdout_is_pinned(tmp_path, capsys):
+    out = tmp_path / "reach.json"
+    assert cli.main(["graph", "reach", "--scenario", "sl2",
+                     "--out", str(out)]) == 0
     assert capsys.readouterr().out == \
         (GOLDEN / "graph_reach_sl2.txt").read_text()
+    assert out.read_text() == \
+        (GOLDEN / "graph_reach_sl2.out.json").read_text()
 
 
-def test_graph_reach_u7h_stdout_is_pinned(capsys):
+def test_graph_reach_u7h_stdout_is_pinned(tmp_path, capsys):
     # one line per vertex, sorted by depth and then larger dimension
     # first; the lines of each (depth, dim) cell count its vertices
-    assert cli.main(["graph", "reach", "--scenario", "u7h"]) == 0
+    out = tmp_path / "reach.json"
+    assert cli.main(["graph", "reach", "--scenario", "u7h",
+                     "--out", str(out)]) == 0
     pinned = (GOLDEN / "graph_reach_u7h.txt").read_text()
     assert capsys.readouterr().out == pinned
+    assert out.read_text() == \
+        (GOLDEN / "graph_reach_u7h.out.json").read_text()
     cells = Counter(tuple(part.split("=")[1] for part in line.split()[:2])
                     for line in pinned.splitlines()[1:])
     assert cells == {(dep, str(dim)): n
@@ -114,10 +128,12 @@ def test_lab_count_stdout_and_record_are_pinned(tmp_path, capsys):
         (GOLDEN / "lab_count_curve_p3.out.json").read_text()
 
 
-def test_oracle_all_stdout_is_pinned(capsys):
-    assert cli.main(["oracle", "all"]) == 0
+def test_oracle_all_stdout_is_pinned(tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "all", "--out", str(out)]) == 0
     assert capsys.readouterr().out == \
         (GOLDEN / "oracle_all.txt").read_text()
+    assert out.read_text() == (GOLDEN / "oracle_all.out.json").read_text()
 
 
 # -- facet tables ------------------------------------------------------------
@@ -166,7 +182,8 @@ def test_facets_stdout_and_record_are_pinned(argv, name, digest, tmp_path,
 
 
 def test_facets_u7h_unit_window_is_pinned(tmp_path, capsys):
-    # 12,905 facets: too many to keep as text, so only their digests
+    # 12,905 facets: too many to keep as text, so only their digests:
+    # of the table, of the rows of the record and of its raw bytes
     text, raw = _run_facets(["--model", "u7h"] + FACETS_SL3_UNIT[2:],
                             tmp_path, capsys)
     assert text.endswith("total: 12905 facets\n")
@@ -174,3 +191,5 @@ def test_facets_u7h_unit_window_is_pinned(tmp_path, capsys):
         "55cc44c8c3d35adbe5b98eb016f50ddab46de7a75c036ed126abf9e34edf3e97"
     assert hashlib.sha256(_facet_rows(raw).encode()).hexdigest() == \
         "93bf3c709a43cae6976a5b9d8d711e26f0f2c7e53659366562ab3ecf719e088a"
+    assert hashlib.sha256(raw).hexdigest() == \
+        "da078534db1c9c9e121cdafa09847cb3a09c8fbdfa8990276733ba36db051643"
