@@ -155,8 +155,8 @@ class Model:
     matrix, as read by _monomial_gram; None without one.  rank: the
     absolute rank N of the ambient group, n unless given.  The chart's
     plane families (`_plane_families`), the rank memo of its windows
-    (`_ranker`) and its recent heart blocks (`heart_blocks`) are kept
-    with the model.
+    (`_ranker`), its recent heart blocks (`heart_blocks`) and the labels
+    of its recent cosets (`mpquotient.n_label`) are kept with the model.
     """
 
     def __init__(self, name, n, field, classes, weight_funcs=None,
@@ -176,6 +176,7 @@ class Model:
         self._families = None
         self._ranks = ({}, {})
         self._hearts = {}
+        self._labels = {}
 
     def position_class(self, i, j):
         """(class, shift) of the coupling class carrying position (i,j)."""
@@ -486,9 +487,10 @@ class AugFacet:
     A facet keeps what is computed on it, each once: its cell,
     vertices, depth, dimension and kind here, and, filled by `graph` on
     first use, its centre, the graded quotient there and a coset table
-    (a coset's residue matrix -> its walk's outcome and its label).  A
-    shared facet (`facet_of`, `facets_below`, `share_facet`) lives, and
-    keeps all of these, while its window's `_PLANE_CACHE` entry does.
+    (a coset's residue matrix -> its walk's outcome; labels are kept by
+    the model, `mpquotient.n_label`).  A shared facet (`facet_of`,
+    `facets_below`, `share_facet`) lives, and keeps all of these, while
+    its window's `_PLANE_CACHE` entry does.
 
     verts, when given, are the vertices of the facet's closure in the
     window, in primitive homogeneous integer coordinates (X, W), W > 0;
@@ -993,6 +995,9 @@ def grade_dim(model, w, r):
 
 # Most points whose heart blocks one model keeps; the oldest goes first.
 HEART_MEMO_SIZE = 256
+# Most cosets whose labels (`mpquotient.n_label`) one model keeps; the
+# oldest goes first.
+LABEL_MEMO_SIZE = 1024
 
 
 def heart_blocks(model, w):

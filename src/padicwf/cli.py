@@ -733,6 +733,8 @@ def main(argv=None):
         where = os.path.dirname(args.out or ".") or "."
         if not os.path.isdir(where):
             raise CliError("--out: no directory %s" % where)
+        if args.out and os.path.isdir(args.out):
+            raise CliError("--out: %s is a directory" % args.out)
         if args.cmd == "wf":
             return cmd_wf(args)
         if args.cmd == "facets":

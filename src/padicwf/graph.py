@@ -16,10 +16,11 @@ What depends only on a facet, or on a facet and a coset, is computed
 once and kept on the facet (`building.AugFacet`): its centre, its graded
 quotient, and in its coset table, keyed by the coset's residue matrix,
 the outcome of the coset's walk (the facet entered, or the message of
-the ValueError raised, raised again on a repeat) and the coset's label.
-A trace, a reach and any later trace or reach on the same window read
-the same table: the facets they visit are the window's shared ones,
-which live while the window's `building._PLANE_CACHE` entry does.
+the ValueError raised, raised again on a repeat).  A trace, a reach and
+any later trace or reach on the same window read the same table: the
+facets they visit are the window's shared ones, which live while the
+window's `building._PLANE_CACHE` entry does.  A vertex's label is its
+coset's, which the model keeps (`mpquotient.n_label`).
 """
 
 from fractions import Fraction
@@ -99,22 +100,15 @@ class GraphVertex:
         return self.coset().is_nilpotent()
 
     def kept(self):
-        """The coset's entry in the facet's coset table: [the walk's
-        outcome, the label], each None until first computed."""
+        """The facet's coset table: a coset's residue matrix -> the
+        outcome of its walk (`_walk_target`)."""
         f = self.facet
         if f._cosets is None:
             f._cosets = {}
-        mat = self.coset().mat
-        kept = f._cosets.get(mat)
-        if kept is None:
-            kept = f._cosets[mat] = [None, None]
-        return kept
+        return f._cosets
 
     def label(self):
-        kept = self.kept()
-        if kept[1] is None:
-            kept[1] = mpq.n_label(self.coset())
-        return kept[1]
+        return mpq.n_label(self.coset())
 
     def key(self):
         return (self.facet.pos, self.facet.neg, self.coset().mat)
@@ -193,15 +187,17 @@ def _walk_target(v):
     """The facet the cocharacter walk (slope 2) from v's facet enters,
     walked once per (facet, coset) and kept in the facet's coset table;
     a walk that raised raises a ValueError with the same message again."""
-    kept = v.kept()
-    if kept[0] is None:
+    kept, mat = v.kept(), v.coset().mat
+    target = kept.get(mat)
+    if target is None:
         try:
-            kept[0] = _walk(v)
+            target = _walk(v)
         except ValueError as err:
-            kept[0] = str(err)
-    if isinstance(kept[0], str):
-        raise ValueError(kept[0])
-    return kept[0]
+            target = str(err)
+        kept[mat] = target
+    if isinstance(target, str):
+        raise ValueError(target)
+    return target
 
 
 def _walk(v):

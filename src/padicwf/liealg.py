@@ -525,17 +525,18 @@ def root_value_data(gamma):
     diag = all(not gamma[i][j].terms
                for i in range(n) for j in range(n) if i != j)
     if diag:
+        # the root values are gamma_ii - gamma_jj, i != j: each unordered
+        # pair's difference is taken once and counted for (i, j) and
+        # (j, i), whose difference is its negative, of the same valuation
         vals = []
         zeros = 0
         for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
+            for j in range(i + 1, n):
                 d = gamma[i][i] - gamma[j][j]
                 if not d:
-                    zeros += 1
+                    zeros += 2
                 else:
-                    vals.append(d.val())
+                    vals += [d.val()] * 2
         return zeros + n, vals
     ad = ad_matrix_gl(gamma)
     f = la.charpoly(ad, field)

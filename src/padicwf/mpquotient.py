@@ -17,7 +17,9 @@ certificate.
 
 The level-0 piece is the reductive quotient; its block decomposition
 (heart_structure) drives the induced-label computation for elements
-with a semisimple part.
+with a semisimple part.  Each coset's label is computed once and kept
+on its model (`n_label`), whichever route asks for it: `wf compute`,
+`wf example`, `oracle all` and the descent graph read one table.
 """
 
 from fractions import Fraction
@@ -188,10 +190,28 @@ def _block_shim(tag, m, kres):
 def n_label(c):
     """Induced nilpotent label N(c) of a coset in the ambient group.
 
-    Nilpotent cosets are labeled by their club Jordan type; otherwise
-    the element must respect the reductive-quotient blocks and each
-    block contributes its Lusztig-Spaltenstein induced label.
+    The label depends on the coset's point, level and residue matrix
+    alone (`c.key()` without the model), so the model keeps it
+    (`building.Model`): the most recent LABEL_MEMO_SIZE cosets, oldest
+    out first.  A coset whose labelling raises is not kept and raises
+    the same ValueError again.
     """
+    memo = c.quot.model._labels
+    key = c.key()[1:]
+    label = memo.get(key)
+    if label is None:
+        label = _n_label(c)
+        if len(memo) >= bd.LABEL_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = label
+    return label
+
+
+def _n_label(c):
+    """N(c) computed afresh.  Nilpotent cosets are labeled by their club
+    Jordan type; otherwise the element must respect the
+    reductive-quotient blocks and each block contributes its
+    Lusztig-Spaltenstein induced label."""
     quot = c.quot
     kres = quot.residue_field()
     club_set = set(quot.model.club_indices)

@@ -402,9 +402,15 @@ def test_zero_denominator_option_is_a_json_error(argv, message, capsys):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["facets", "--window", "0,1/4", "--rmin", "0", "--rmax", "1/4"],
-     "padicwf.building.Arrangement"),
-    (["lab", "curve", "--q", "113"], "padicwf.springerlab.curve_counts"),
+    (["facets", "--window", "0,1/4", "--rmin", "0", "--rmax", "1/4",
+      "--out", "MISSING"], "padicwf.building.Arrangement"),
+    (["lab", "curve", "--q", "113", "--out", "MISSING"],
+     "padicwf.springerlab.curve_counts"),
+    # an --out that names an existing directory
+    (["facets", "--window", "0,1/4", "--rmin", "0", "--rmax", "1/4",
+      "--out", "DIR"], "padicwf.building.Arrangement"),
+    (["wf", "example", "toral", "--out", "DIR"],
+     "padicwf.wavefront.toral_example"),
 ])
 def test_out_in_a_missing_directory_is_refused_before_any_work(
         argv, work, tmp_path, monkeypatch, capsys):
@@ -413,11 +419,16 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(
 
     monkeypatch.setattr(work, unreached)
     missing = tmp_path / "missing"
-    code, out, err = run(argv + ["--out", str(missing / "x.json")], capsys)
+    if argv[-1] == "MISSING":
+        path = missing / "x.json"
+        message = "--out: no directory %s" % missing
+    else:
+        path = tmp_path
+        message = "--out: %s is a directory" % tmp_path
+    code, out, err = run(argv[:-1] + [str(path)], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err) == {
-        "error": {"message": "--out: no directory %s" % missing}}
-    assert not missing.exists()
+    assert json.loads(err) == {"error": {"message": message}}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, text", [

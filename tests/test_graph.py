@@ -540,12 +540,13 @@ def test_facet_quotient_is_kept_with_the_facet():
 
 
 def test_path_trace_u7_labels_each_vertex_once(monkeypatch):
-    # the start and the six rule-1 targets carry labels; a facet keeps
-    # its cosets' labels, and the trace asks for each one once
+    # the start and the six rule-1 targets carry labels; the model keeps
+    # its cosets' labels, and the trace labels each one once
     monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    monkeypatch.setattr(bd.u7_h_model(23), "_labels", {})
     calls = []
-    n_label = mpq.n_label
-    monkeypatch.setattr(mpq, "n_label",
+    n_label = mpq._n_label
+    monkeypatch.setattr(mpq, "_n_label",
                         lambda c: calls.append(1) or n_label(c))
     m, win, c, v = u7h_setup()
     edges = gr.path_trace(v, Fr(1, 2))
@@ -555,13 +556,15 @@ def test_path_trace_u7_labels_each_vertex_once(monkeypatch):
 
 
 def test_repeated_u7h_trace_lifts_and_labels_nothing(monkeypatch):
-    # the walks and labels of a trace are kept in its facets' coset
-    # tables: a repeat reads them and equals a trace on a cleared cache
+    # the walks of a trace are kept in its facets' coset tables and its
+    # labels in the model's label table: a repeat reads them and equals
+    # a trace on cleared tables
     monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    monkeypatch.setattr(bd.u7_h_model(23), "_labels", {})
     m, win, c, v = u7h_setup()
     gr.path_trace(v, Fr(1, 2))
     calls = []
-    for name in ("lift_triple", "n_label"):
+    for name in ("lift_triple", "_n_label"):
         monkeypatch.setattr(mpq, name, lambda c, fn=getattr(mpq, name),
                             name=name: calls.append(name) or fn(c))
 
@@ -574,8 +577,9 @@ def test_repeated_u7h_trace_lifts_and_labels_nothing(monkeypatch):
     again = trace()
     assert calls == []
     monkeypatch.setattr(bd, "_PLANE_CACHE", {})
+    monkeypatch.setattr(m, "_labels", {})
     assert trace() == again
-    assert sorted(calls) == ["lift_triple"] * 6 + ["n_label"] * 7
+    assert sorted(calls) == ["_n_label"] * 7 + ["lift_triple"] * 6
 
 
 @pytest.mark.parametrize("setup, n_checks", [(sl2_setup, 1),

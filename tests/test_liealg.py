@@ -1,8 +1,10 @@
 import contextlib
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,9 +13,11 @@ from hypothesis import strategies as st
 import dense
 import newton
 from padicwf import building as bd
+from padicwf import cli
 from padicwf import liealg as lg
 from padicwf import linalg as la
 from padicwf import orbits as ob
+from padicwf import wavefront as wf
 from padicwf.ffield import ExtField, prime_field, quad_field
 from padicwf.localfield import LocalField
 
@@ -779,3 +783,77 @@ def test_good_depth_ramified():
     g = la.mat([[E.parse("w^-1"), E.zero()],
                 [E.zero(), E.parse("-w^-1")]])
     assert lg.is_good_depth(g, Fraction(-1, 2))
+
+
+def root_value_data_reference(gamma):
+    """`liealg.root_value_data` with its diagonal route over every ordered
+    pair (i, j), i != j, one difference each."""
+    n = len(gamma)
+    if any(gamma[i][j].terms for i in range(n) for j in range(n)
+           if i != j):
+        return lg.root_value_data(gamma)
+    vals = []
+    zeros = 0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            d = gamma[i][i] - gamma[j][j]
+            if not d:
+                zeros += 1
+            else:
+                vals.append(d.val())
+    return zeros + n, vals
+
+
+def assert_root_values_match_the_reference(gamma, r=None):
+    zeros, vals = lg.root_value_data(gamma)
+    want_zeros, want = root_value_data_reference(gamma)
+    assert zeros == want_zeros and Counter(vals) == Counter(want)
+    if r is not None:
+        good = "mixed" not in want and all(v == r for v in want)
+        assert lg.is_good_depth(gamma, r) == good
+        return good
+
+
+def test_diagonal_root_values_match_the_full_pair_loop():
+    rng = random.Random(7)
+    for field in (LocalField(23), LocalField(23).unramified_quadratic(),
+                  LocalField(23).ramified_quadratic()):
+        res = field.residue
+        unit = field.from_residue(res.gen if hasattr(res, "gen") else res(5))
+        one, pi = field.one(), field.uniformizer()
+        tail = field.from_int(3) * pi * pi
+        entries = [field.zero(), one, unit, pi, pi.inv(), pi.inv() + one,
+                   pi.inv() + tail, tail, unit * (pi.inv() + one + pi)]
+        diags = [
+            [field.zero()] * 4,  # all equal and zero
+            [unit] * 3 + [field.zero()] * 3,  # equal runs and zeros
+            entries[3:6] * 2,  # the (a, b, c, a, b, c) pattern
+            entries,
+        ]
+        diags += [[rng.choice(entries) for _ in range(rng.randint(1, 7))]
+                  for _ in range(40)]
+        for d in diags:
+            n = len(d)
+            g = la.mat([[d[i] if i == j else field.zero() for j in range(n)]
+                        for i in range(n)])
+            for r in (None, Fraction(-1), Fraction(0), Fraction(1, 2)):
+                assert_root_values_match_the_reference(g, r)
+
+
+def test_good_depth_is_unchanged_on_the_shipped_pieces():
+    inputs = Path(__file__).resolve().parent.parent / "inputs"
+    pieces = []
+    for path in sorted(inputs.glob("*.ini")):
+        chain, _, _ = cli.parse_input(path.read_text())
+        pieces += [(g, r) for _, g, r in chain.pieces]
+    assert len(pieces) == 3
+    u6, u7 = bd.u6_model(23), bd.u7_model(23)
+    pieces += [(g, r) for _, g, r in wf.u6_chain().pieces]
+    pieces += [(wf.toral_gamma(u6), 0), (wf.u7_gamma_zero(u7), 0)]
+    # the u6 example's depth -1 piece is not good at depth 0
+    pieces.append((wf.u6_gamma_deep(u6), 0))
+    verdicts = [assert_root_values_match_the_reference(g, Fraction(r))
+                for g, r in pieces]
+    assert verdicts == [True] * 7 + [False]

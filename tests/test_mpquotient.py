@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction as Fr
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicwf import building as bd
+from padicwf import cli
 from padicwf import graph as gr
 from padicwf import liealg as lie
 from padicwf import linalg as la
@@ -201,6 +203,125 @@ def test_n_label_nilpotent_matches_jordan():
     m = bd.u7_model(23)
     c = mpq.project(m, u7_chain_z(m), m.point(U7_Z), 0)
     assert mpq.n_label(c) == mpq.minimal_orbit_ur(c) == (4, 1, 1, 1)
+
+
+# -- the label table -----------------------------------------------------
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+
+# the commands whose output tests/stdout pins and that label cosets
+LABELLING = {
+    "wf-example-u6": ["wf", "example", "u6"],
+    "wf-example-u7": ["wf", "example", "u7"],
+    "wf-example-toral": ["wf", "example", "toral"],
+    "wf-compute-u6-chain": ["wf", "compute", "--input",
+                            str(INPUTS / "u6_chain.ini")],
+    "wf-compute-toral": ["wf", "compute", "--input",
+                         str(INPUTS / "toral.ini")],
+    "graph-trace-sl2": ["graph", "trace", "--scenario", "sl2"],
+    "graph-trace-u7h": ["graph", "trace", "--scenario", "u7h"],
+}
+
+
+def _unreached(c):
+    raise AssertionError("a coset was labelled afresh")
+
+
+def _asked(argv, monkeypatch, capsys):
+    """The cosets whose labels one run of the command asks for."""
+    asked = []
+    n_label = mpq.n_label
+    monkeypatch.setattr(mpq, "n_label",
+                        lambda c: asked.append(c) or n_label(c))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(mpq, "n_label", n_label)
+    return asked
+
+
+@pytest.mark.parametrize("name", sorted(LABELLING))
+def test_labels_from_the_table_equal_a_fresh_labelling(name, monkeypatch,
+                                                       capsys):
+    asked = _asked(LABELLING[name], monkeypatch, capsys)
+    assert asked
+    fresh = [mpq._n_label(c) for c in asked]
+    monkeypatch.setattr(mpq, "_n_label", _unreached)
+    assert [mpq.n_label(c) for c in asked] == fresh
+
+
+@pytest.mark.parametrize("name", ["wf-example-u6", "wf-compute-u6-chain"])
+def test_a_second_run_labels_nothing(name, monkeypatch, capsys):
+    assert cli.main(LABELLING[name]) == 0
+    first = capsys.readouterr().out
+    monkeypatch.setattr(mpq, "_n_label", _unreached)
+    assert cli.main(LABELLING[name]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_a_cleared_table_gives_equal_values(monkeypatch, capsys):
+    asked = [c for name in ("wf-example-u6", "graph-trace-u7h")
+             for c in _asked(LABELLING[name], monkeypatch, capsys)]
+    kept = [mpq.n_label(c) for c in asked]
+    models = {id(c.quot.model): c.quot.model for c in asked}
+    for m in models.values():
+        monkeypatch.setattr(m, "_labels", {})
+    calls = []
+    n_label = mpq._n_label
+    monkeypatch.setattr(mpq, "_n_label",
+                        lambda c: calls.append(c) or n_label(c))
+    assert [mpq.n_label(c) for c in asked * 2] == kept * 2
+    # each distinct coset is labelled afresh once
+    assert len(calls) == len({(id(c.quot.model),) + c.key()[1:]
+                              for c in asked}) == 10
+
+
+def _diagonal_cosets(m, k):
+    """k cosets of the u6 level-0 piece at U6_Z, diag(a, 0, ..., 0)."""
+    kres = m.field.residue
+    quot = mpq.GradedQuotient(m, bd.U6_Z, 0)
+    out = []
+    for a in range(1, k + 1):
+        mat = [[kres.zero] * 6 for _ in range(6)]
+        mat[0][0] = kres(a)
+        out.append(mpq.QuotientElement(quot, mat))
+    return out
+
+
+def test_the_table_drops_its_oldest_coset_at_the_bound(monkeypatch):
+    m = bd.u6_model(23)
+    monkeypatch.setattr(m, "_labels", {})
+    monkeypatch.setattr(bd, "LABEL_MEMO_SIZE", 3)
+    cosets = _diagonal_cosets(m, 5)
+    labels = [mpq.n_label(c) for c in cosets]
+    assert list(m._labels) == [c.key()[1:] for c in cosets[2:]]
+    calls = []
+    n_label = mpq._n_label
+    monkeypatch.setattr(mpq, "_n_label",
+                        lambda c: calls.append(c) or n_label(c))
+    assert mpq.n_label(cosets[4]) == labels[4] and calls == []
+    assert mpq.n_label(cosets[0]) == labels[0] and calls == [cosets[0]]
+    assert list(m._labels) == [c.key()[1:] for c in cosets[3:] + cosets[:1]]
+
+
+def test_a_coset_whose_labelling_raises_is_not_kept(monkeypatch):
+    # at U6_Z the heart blocks are {0, 1, 5} and {2, 3, 4}: an entry at
+    # (0, 2) respects neither
+    m = bd.u6_model(23)
+    monkeypatch.setattr(m, "_labels", {})
+    kres = m.field.residue
+    mat = [[kres.zero] * 6 for _ in range(6)]
+    mat[0][0], mat[0][2] = kres.gen, kres.one
+    c = mpq.QuotientElement(mpq.GradedQuotient(m, bd.U6_Z, 0), mat)
+    calls = []
+    n_label = mpq._n_label
+    monkeypatch.setattr(mpq, "_n_label",
+                        lambda c: calls.append(c) or n_label(c))
+    for k in range(2):
+        with pytest.raises(ValueError) as err:
+            mpq.n_label(c)
+        assert str(err.value) == \
+            "element does not respect the reductive-quotient blocks"
+        assert m._labels == {} and len(calls) == k + 1
 
 
 # -- sl2 lifting ---------------------------------------------------------

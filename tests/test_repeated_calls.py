@@ -1,10 +1,12 @@
 """Repeated commands in one interpreter.  The lab keeps the structures
-that depend only on the field, the form or (n, p), and the descent path
-keeps each window's facets, their graded quotients and the walks and
-labels of their cosets, while they are among the most recent; `oracle all` and the benchmark drive `cli.main`
-many times in one interpreter: a second run of a command must print the
-same output and write the same result record, byte for byte, as the
-first."""
+that depend only on the field, the form or (n, p); the descent path
+keeps each window's facets, their graded quotients and the walks of
+their cosets, and each model keeps the labels of its cosets, whichever
+command asked for them, while they are among the most recent.  `oracle
+all` and the benchmark drive `cli.main` many times in one interpreter:
+a second run of a command must print the same output and write the
+same result record, byte for byte, as the first, and as a new
+interpreter does."""
 
 import json
 import os
@@ -132,6 +134,42 @@ def test_interleaved_reaches_and_traces_match_fresh_runs(monkeypatch,
                for cmd, scenario in [("reach", "sl2"), ("trace", "u7h"),
                                      ("trace", "sl2"), ("reach", "u7h"),
                                      ("reach", "sl2"), ("trace", "u7h")]]
+    here = [_run(argv, tmp_path / ("here%d.json" % k), capsys)
+            for k, argv in enumerate(queries)]
+    fresh = {}
+    for k, argv in enumerate(queries):
+        if tuple(argv) not in fresh:
+            fresh[tuple(argv)] = _fresh_run(argv,
+                                            tmp_path / ("fresh%d.json" % k))
+    assert here == [fresh[tuple(argv)] for argv in queries]
+
+
+def _diagonal_input(units):
+    """A one-piece depth-0 u6 input, diag(k * s for k in units), at one
+    point: the shape of the benchmark's descent inputs."""
+    rows = ["row = " + ", ".join("%d*s" % k if i == j else "0"
+                                 for j in range(6))
+            for i, k in enumerate(units)]
+    return "\n".join(["[field]", "q = 23", "", "[group]", "model = u6",
+                      "override-char-bound = true", "", "[gamma.1]",
+                      "depth = 0"] + rows +
+                     ["", "[options]", "point = 0, 0, 0, 0, 0, 1/2", ""])
+
+
+def test_diagonal_inputs_and_examples_match_fresh_runs(tmp_path, capsys):
+    # distinct diagonal inputs at one point, interleaved with the u6
+    # example, read and fill the u6 model's label table; each run must
+    # print and record what it does in a new interpreter
+    units = [(1, 2, 3, 4, 5, 6), (7, 3, 11, 2, 19, 5), (4, 9, 13, 4, 9, 13),
+             (8, 1, 22, 8, 1, 22)]
+    inputs = []
+    for k, us in enumerate(units):
+        path = tmp_path / ("diag%d.ini" % k)
+        path.write_text(_diagonal_input(us))
+        inputs.append(["wf", "compute", "--input", str(path)])
+    example = ["wf", "example", "u6"]
+    queries = [inputs[0], example, inputs[1], inputs[2], inputs[0], example,
+               inputs[3], inputs[2]]
     here = [_run(argv, tmp_path / ("here%d.json" % k), capsys)
             for k, argv in enumerate(queries)]
     fresh = {}
