@@ -1,10 +1,13 @@
 """Command-line surface for the wave-front toolkit.
 
 Subcommands: wf compute/example, facets, graph trace/reach,
-lab spr/curve/count, oracle all.  Output is a human-readable text
-table on stdout; --out writes a machine-readable JSON result file
-embedding a reproducibility manifest (identical manifests produce
-byte-identical files).  A result file has the layout of
+lab spr/curve/count, oracle all.  `wf example u6|toral` and the oracle's
+u6 and toral checks run the input files shipped in padicwf/examples
+(`inputs/` links to them) through `parse_input` and `compute_input`,
+the route of `wf compute`; each file is parsed once per process.
+Output is a human-readable text table on stdout; --out writes a
+machine-readable JSON result file embedding a reproducibility manifest
+(identical manifests produce byte-identical files).  A result file has the layout of
 json.dumps(indent=2, sort_keys=True), written by `_json`, a small
 writer over the types a record holds; an --out whose directory does
 not exist is refused before any work.  `facets` reads each face's row
@@ -21,6 +24,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
+from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 
@@ -283,6 +288,7 @@ def parse_input(text, override=False):
 
     pieces = []
     depth_lines = {}
+    depths = {}  # depth -> the section that has it
     for name, (header, kv, rows) in sections.items():
         if not name.startswith("gamma"):
             continue
@@ -290,6 +296,11 @@ def parse_input(text, override=False):
             raise _line_error(header, "section [%s] missing depth" % name)
         depth = _line_fraction(*kv["depth"])
         depth_lines[name] = kv["depth"][0]
+        if depth in depths:
+            raise _line_error(depth_lines[name], "section [%s] has the "
+                              "depth %s of [%s]: a chain has one piece "
+                              "per depth" % (name, depth, depths[depth]))
+        depths[depth] = name
         if len(rows) != n:
             raise _line_error(
                 header, "section [%s]: expected %d matrix rows, got %d"
@@ -326,6 +337,9 @@ def parse_input(text, override=False):
             if model.name not in ("u6", "u6hyp"):
                 raise _line_error(lineno, "seed-datum u6 lives in the u6 "
                                   "model, not in model %r" % model.name)
+            if q != 23:
+                raise _line_error(lineno, "seed-datum u6 exists at q = 23 "
+                                  "only, not at q = %d" % q)
         lineno, val = kv.get("point", (0, ""))
         if "point" in kv and "seed-datum" in kv:
             raise _line_error(lineno, "point is not read when seed-datum "
@@ -351,14 +365,53 @@ def parse_input(text, override=False):
 # -- subcommand bodies ---------------------------------------------------
 
 
+# The examples that run a shipped input file: name -> (title, file in
+# padicwf/examples).  `inputs/` links to the same files.
+EXAMPLES = {
+    "u6": ("u6 chain", "u6_chain.ini"),
+    "toral": ("toral element", "toral.ini"),
+}
+
+
+@cache
+def example_input(name):
+    """parse_input of a shipped example's file, once per process: the
+    file is package data, which cannot change while the process runs."""
+    path = resources.files(__package__).joinpath("examples",
+                                                 EXAMPLES[name][1])
+    return parse_input(path.read_text())
+
+
+def compute_input(chain, model, options, mode):
+    """The wave-front set of a parsed input file: from the u6 seed datum
+    if the file names it, else from one base point (the file's `point`,
+    or the origin) at the depth of the chain's one piece."""
+    if options.get("seed-datum") == "u6":
+        seed = wf.u6_seed()
+    else:
+        if len(chain.pieces) > 1:
+            raise CliError(
+                "multi-piece chains need explicit spectral data: set "
+                "seed-datum in [options]")
+        coords = options.get("point") or tuple(
+            Fraction(0) for _ in range(model.d or model.n))
+        if model.d and len(coords) == model.d:
+            coords = model.point(coords)
+        top = chain.pieces[0][2]
+        seed = wf.SpectralDatum(top, [
+            wf.Entry("base", model, coords, wf.zmat(model.field,
+                                                    model.n))])
+    return wf.compute_wf(chain, seed, mode or "exact")
+
+
 def cmd_wf(args):
     if args.wf_cmd == "example":
         if args.mode and args.name != "u6":
             raise CliError("--mode applies to the u6 example only")
-        if args.name == "u6":
-            results = [("u6 chain", wf.u6_example(args.mode or "exact"))]
-        elif args.name == "toral":
-            results = [("toral element", wf.toral_example())]
+        if args.name in EXAMPLES:
+            title, _ = EXAMPLES[args.name]
+            results = [(title, compute_input(*example_input(args.name),
+                                             args.mode))]
         else:
             results = [
                 ("u7 chain, plain half-depth piece",
@@ -376,25 +429,9 @@ def cmd_wf(args):
     # wf compute
     with open(args.input) as fh:
         text = fh.read()
-    chain, model, options = parse_input(
-        text, override=args.override_char_bound)
-    seed_name = options.get("seed-datum")
-    if seed_name == "u6":
-        seed = wf.u6_seed()
-    else:
-        if len(chain.pieces) > 1:
-            raise CliError(
-                "multi-piece chains need explicit spectral data: set "
-                "seed-datum in [options]")
-        coords = options.get("point") or tuple(
-            Fraction(0) for _ in range(model.d or model.n))
-        if model.d and len(coords) == model.d:
-            coords = model.point(coords)
-        top = chain.pieces[0][2]
-        seed = wf.SpectralDatum(top, [
-            wf.Entry("base", model, coords, wf.zmat(model.field,
-                                                    model.n))])
-    res = wf.compute_wf(chain, seed, args.mode or "exact")
+    res = compute_input(*parse_input(text,
+                                     override=args.override_char_bound),
+                        args.mode)
     print_wf_result(res, "computed chain")
     if args.out:
         write_result(args.out, manifest(args, input_text=text),
@@ -600,9 +637,11 @@ def _oracle_checks():
     def add(name, fn):
         checks.append((name, fn))
 
-    add("u6 labels", lambda: wf.u6_example().labels == ((4, 1, 1),
-                                                        (3, 3)))
-    add("toral singleton", lambda: wf.toral_example().labels == ((5, 1),))
+    def example(name):
+        return compute_input(*example_input(name), "exact").labels
+
+    add("u6 labels", lambda: example("u6") == ((4, 1, 1), (3, 3)))
+    add("toral singleton", lambda: example("toral") == ((5, 1),))
     add("u7 dichotomy", lambda: (
         wf.u7_example("plain").labels == ((5, 2),)
         and wf.u7_example("prime").labels == ((6, 1),)))

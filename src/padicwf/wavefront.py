@@ -10,6 +10,11 @@ wave-front set is the maximal antichain of these labels.  Non-integral
 top depth is only supported through the shipped example classes, where
 the decisive membership question reduces to an exact point count on a
 flag variety.
+
+The u6 and toral example chains are input files shipped in
+padicwf/examples and run by the CLI like any other input; this module
+keeps the u6 seed datum those files name, and the u7 example, whose
+depth-1/2 question is decided by a curve count that no input file runs.
 """
 
 from fractions import Fraction
@@ -166,28 +171,7 @@ def compute_wf(chain, seed, mode="exact"):
     return res
 
 
-# -- built-in example data -----------------------------------------------
-
-
-def u6_gamma_deep(model):
-    """Depth -1 diagonal piece: varpi^{-1} diag(0,0,l3,l4,l5,l6) with
-    distinct trace-zero residue units."""
-    E = model.field
-    g = zmat(E, 6)
-    s = E.from_residue(E.residue.gen)
-    for i in range(2, 6):
-        g[i][i] = E.parse("t^-1") * s * E.from_int(i + 1)
-    return g
-
-
-def u6_gamma_zero(model):
-    """Depth 0 diagonal piece supported on the first two coordinates."""
-    E = model.field
-    g = zmat(E, 6)
-    s = E.from_residue(E.residue.gen)
-    for i in range(2):
-        g[i][i] = s * E.from_int(i + 1)
-    return g
+# -- built-in example data: the u6 seed datum and the u7 example ---------
 
 
 def u6_chain_regular(model):
@@ -220,39 +204,6 @@ def u6_seed():
         Entry("alcove", mh, bd.U6_ALCOVE, zmat(mh.field, 6)),
         Entry("z", m, bd.U6_Z, u6_chain_regular(m)),
     ])
-
-
-def u6_chain():
-    m = bd.u6_model(23)
-    return GoodChain([
-        ("gamma0", u6_gamma_zero(m), 0),
-        ("gamma-1", u6_gamma_deep(m), -1),
-    ])
-
-
-def u6_example(mode="exact"):
-    """The two-step unitary reproduction: labels [4,1,1] and [3,3]."""
-    return compute_wf(u6_chain(), u6_seed(), mode)
-
-
-def toral_gamma(model):
-    """A depth-0 diagonal regular element with distinct trace-zero
-    residue units: its centralizer is an anisotropic torus."""
-    E = model.field
-    g = zmat(E, 6)
-    s = E.from_residue(E.residue.gen)
-    for i in range(6):
-        g[i][i] = s * E.from_int(i + 1)
-    return g
-
-
-def toral_example():
-    """Single good element with anisotropic centralizer: the building of
-    the centralizer is one point, so one facet carries the answer."""
-    m = bd.u6_model(23)
-    chain = GoodChain([("gamma", toral_gamma(m), 0)])
-    seed = SpectralDatum(0, [Entry("y", m, bd.U6_Y, zmat(m.field, 6))])
-    return compute_wf(chain, seed, "exact")
 
 
 def u7_gamma_zero(model):

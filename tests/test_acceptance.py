@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 
 import goldens
+import shipped
 from padicwf import building as bd
 from padicwf import graph as gr
 from padicwf import liealg as lg
@@ -35,7 +36,7 @@ def report(num, ok, detail):
 
 def test_criterion_1_u6_exact_wavefront():
     t0 = time.monotonic()
-    res = wf.u6_example()
+    res = cli.compute_input(*shipped.example("u6"), "exact")
     elapsed = time.monotonic() - t0
     ok = (res.labels == ((4, 1, 1), (3, 3))
           and not res.is_upper_bound

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as Fr
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,7 @@ seed-datum = u6
 
 
 TORAL = (INPUTS / "toral.ini").read_text()
+U6_CHAIN = (INPUTS / "u6_chain.ini").read_text()
 
 
 @pytest.mark.parametrize("base, old, new, line, message", [
@@ -162,14 +164,25 @@ TORAL = (INPUTS / "toral.ini").read_text()
      "piece 'gamma.1' is not good at depth 1"),
     (SL3_CHAIN_WITH_U6_SEED, "", "", 20,
      "seed-datum u6 lives in the u6 model, not in model 'sl3'"),
+    (U6_CHAIN, "depth = -1", "depth = 0", 21,
+     "section [gamma.2] has the depth 0 of [gamma.1]: a chain has one "
+     "piece per depth"),
+    (U6_CHAIN, "q = 23", "q = 29", 30,
+     "seed-datum u6 exists at q = 23 only, not at q = 29"),
+    (U6_CHAIN, "q = 23", "q = 41", 30,
+     "seed-datum u6 exists at q = 23 only, not at q = 41"),
 ], ids=["no-model", "no-depth", "five-rows", "q4", "seed-u7", "point-2",
-        "ture", "char-bound", "not-good", "seed-u6-sl3"])
+        "ture", "char-bound", "not-good", "seed-u6-sl3", "same-depth",
+        "seed-u6-q29", "seed-u6-q41"])
 def test_wf_compute_input_errors_name_their_line(base, old, new, line,
                                                  message, tmp_path, capsys):
     # a missing key is charged to its section header; `ture` used to
     # read as false and fail later on the characteristic bound.  The
     # rank bound is charged to the model line, a piece that is not good
-    # to its depth line, and a seed datum in the wrong model to its line
+    # to its depth line, and a seed datum in the wrong model or at a q
+    # where it does not exist to its line.  Two pieces at one depth used
+    # to end in an AssertionError traceback, and the u6 seed datum at
+    # q = 29 or 41 in a TypeError
     path = tmp_path / "bad.ini"
     path.write_text(base.replace(old, new))
     code, out, err = run(["wf", "compute", "--input", str(path)], capsys)
@@ -259,8 +272,6 @@ def test_wf_compute_u6_seed_needs_a_u6_model(tmp_path, capsys):
                    "model 'sl3'", "line": 20}
 
 
-U6_CHAIN = (INPUTS / "u6_chain.ini").read_text()
-
 U6_DEPTH_MINUS_2 = "[gamma.3]\ndepth = -2\n" + "".join(
     "row = %s\n" % ", ".join("(%d*s)*t^-2" % (i + 7) if j == i else "0"
                              for j in range(6))
@@ -295,6 +306,37 @@ def test_wf_example_u6(capsys):
     assert code == 0
     assert "[4,1,1]" in text and "[3,3]" in text
     assert "dominated" in text  # the alcove contribution
+
+
+@pytest.mark.parametrize("name", sorted(cli.EXAMPLES))
+def test_wf_example_runs_its_shipped_input(name, capsys):
+    # one route per example: `wf example` and `wf compute` on the same
+    # file print the same labels and provenance under their own titles
+    title, filename = cli.EXAMPLES[name]
+    _, example, _ = run(["wf", "example", name], capsys)
+    _, computed, _ = run(["wf", "compute", "--input",
+                          str(INPUTS / filename)], capsys)
+    example, computed = example.splitlines(), computed.splitlines()
+    assert example[0] == title + " (exact)"
+    assert computed[0] == "computed chain (exact)"
+    assert len(example) > 1 and example[1:] == computed[1:]
+
+
+@pytest.mark.parametrize("name", sorted(cli.EXAMPLES))
+def test_inputs_link_the_shipped_examples(name):
+    filename = cli.EXAMPLES[name][1]
+    shipped = resources.files("padicwf").joinpath("examples", filename)
+    assert (INPUTS / filename).is_symlink()
+    assert (INPUTS / filename).read_bytes() == shipped.read_bytes()
+
+
+def test_second_wf_example_parses_no_input(monkeypatch, capsys):
+    run(["wf", "example", "u6"], capsys)
+    calls, parse = [], cli.parse_input
+    monkeypatch.setattr(cli, "parse_input", lambda *args, **kw: (
+        calls.append(args) or parse(*args, **kw)))
+    code, text, _ = run(["wf", "example", "u6"], capsys)
+    assert code == 0 and "[4,1,1]" in text and calls == []
 
 
 def test_wf_example_u7_reports_both_variants(capsys):
@@ -410,7 +452,7 @@ def test_zero_denominator_option_is_a_json_error(argv, message, capsys):
     (["facets", "--window", "0,1/4", "--rmin", "0", "--rmax", "1/4",
       "--out", "DIR"], "padicwf.building.Arrangement"),
     (["wf", "example", "toral", "--out", "DIR"],
-     "padicwf.wavefront.toral_example"),
+     "padicwf.wavefront.compute_wf"),
 ])
 def test_out_in_a_missing_directory_is_refused_before_any_work(
         argv, work, tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import dense
 import newton
+import shipped
 from padicwf import building as bd
 from padicwf import cli
 from padicwf import liealg as lg
@@ -849,11 +850,11 @@ def test_good_depth_is_unchanged_on_the_shipped_pieces():
         chain, _, _ = cli.parse_input(path.read_text())
         pieces += [(g, r) for _, g, r in chain.pieces]
     assert len(pieces) == 3
-    u6, u7 = bd.u6_model(23), bd.u7_model(23)
-    pieces += [(g, r) for _, g, r in wf.u6_chain().pieces]
-    pieces += [(wf.toral_gamma(u6), 0), (wf.u7_gamma_zero(u7), 0)]
+    u7 = bd.u7_model(23)
+    pieces += [(g, r) for _, g, r in shipped.example("u6")[0].pieces]
+    pieces += [(shipped.piece("toral", 0), 0), (wf.u7_gamma_zero(u7), 0)]
     # the u6 example's depth -1 piece is not good at depth 0
-    pieces.append((wf.u6_gamma_deep(u6), 0))
+    pieces.append((shipped.piece("u6", -1), 0))
     verdicts = [assert_root_values_match_the_reference(g, Fraction(r))
                 for g, r in pieces]
     assert verdicts == [True] * 7 + [False]

@@ -15,6 +15,7 @@ from padicwf import linalg as la
 from padicwf import mpquotient as mpq
 
 import dense
+import shipped
 
 
 def zmat(field, n):
@@ -22,26 +23,6 @@ def zmat(field, n):
 
 
 # -- example elements ----------------------------------------------------
-
-
-def u6_gamma_minus1(model):
-    """Diagonal depth -1 part: varpi^{-1} diag(0,0,l3,l4,l5,l6) with the
-    l_i distinct trace-zero units."""
-    E = model.field
-    g = zmat(E, 6)
-    s = E.from_residue(E.residue.gen)
-    for i in range(2, 6):
-        g[i][i] = E.parse("t^-1") * s * E.from_int(i + 1)
-    return g
-
-
-def u6_gamma_0(model):
-    E = model.field
-    g = zmat(E, 6)
-    s = E.from_residue(E.residue.gen)
-    for i in range(2):
-        g[i][i] = s * E.from_int(i + 1)
-    return g
 
 
 def u6_c_n(model):
@@ -141,7 +122,7 @@ def test_project_not_in_lattice():
 
 def test_project_u6_diagonal():
     m = bd.u6_model(23)
-    c = mpq.project(m, u6_gamma_minus1(m), bd.U6_Y, -1)
+    c = mpq.project(m, shipped.piece("u6", -1), bd.U6_Y, -1)
     k = m.field.residue
     assert c.mat[2][2] == k.gen * k(3)
     assert not c.mat[0][0]  # the depth-0 part vanishes at level -1
@@ -160,7 +141,7 @@ def test_minimal_orbit_sl2_regular():
 
 def test_minimal_orbit_rejects_semisimple():
     m = bd.u6_model(23)
-    c = mpq.project(m, u6_gamma_minus1(m), bd.U6_Z, -1)
+    c = mpq.project(m, shipped.piece("u6", -1), bd.U6_Z, -1)
     with pytest.raises(ValueError):
         mpq.minimal_orbit_ur(c)
 
@@ -174,13 +155,14 @@ def test_minimal_orbit_u6_c_n():
 
 def test_n_label_u6_y():
     m = bd.u6_model(23)
-    g = madd(u6_gamma_minus1(m), u6_gamma_0(m))
+    g = madd(shipped.piece("u6", -1), shipped.piece("u6", 0))
     assert mpq.n_label(mpq.project(m, g, bd.U6_Y, -1)) == (4, 1, 1)
 
 
 def test_n_label_u6_z():
     m = bd.u6_model(23)
-    g = madd(madd(u6_gamma_minus1(m), u6_gamma_0(m)), u6_c_n(m))
+    g = madd(madd(shipped.piece("u6", -1), shipped.piece("u6", 0)),
+             u6_c_n(m))
     assert mpq.n_label(mpq.project(m, g, bd.U6_Z, -1)) == (3, 3)
 
 

@@ -1,10 +1,13 @@
 import pytest
 
 from padicwf import building as bd
+from padicwf import cli
 from padicwf import liealg as lie
 from padicwf import linalg as la
 from padicwf import orbits as ob
 from padicwf import wavefront as wf
+
+import shipped
 
 
 # -- characteristic bound ------------------------------------------------
@@ -24,10 +27,9 @@ def test_char_bound():
 
 
 def test_chain_orders_by_depth():
-    m = bd.u6_model(23)
     with pytest.raises(AssertionError):
-        wf.GoodChain([("a", wf.u6_gamma_deep(m), -1),
-                      ("b", wf.u6_gamma_zero(m), 0)])
+        wf.GoodChain([("a", shipped.piece("u6", -1), -1),
+                      ("b", shipped.piece("u6", 0), 0)])
 
 
 def test_chain_rejects_bad_piece():
@@ -58,7 +60,8 @@ def test_chain_rejects_non_commuting():
 
 
 def test_u6_chain_validates():
-    wf.u6_chain()  # goodness + commutation pass
+    chain, _, _ = shipped.example("u6")
+    wf.GoodChain(chain.pieces)  # goodness + commutation pass
 
 
 def test_u6_pieces_lie_membership_per_model():
@@ -67,8 +70,8 @@ def test_u6_pieces_lie_membership_per_model():
     # depth -1 piece lies in both Lie algebras.  The alcove's label is
     # dominated, so the u6 answer does not depend on it.
     m = bd.u6_model(23)
-    pieces = [wf.u6_gamma_zero(m), wf.u6_gamma_deep(m), wf.toral_gamma(m),
-              wf.u6_chain_regular(m)]
+    pieces = [shipped.piece("u6", 0), shipped.piece("u6", -1),
+              shipped.piece("toral", 0), wf.u6_chain_regular(m)]
     member = {name: [lie.Factor.u(6, model.field, model.gram).is_lie(
         la.mat(g)) for g in pieces]
         for name, model in (("u6", m), ("u6hyp", bd.u6_hyp_model(23)))}
@@ -81,7 +84,7 @@ def test_u6_pieces_lie_membership_per_model():
 
 def test_descend_adds_piece_to_every_entry():
     m = bd.u6_model(23)
-    want = la.mat(wf.u6_gamma_deep(m))
+    want = shipped.piece("u6", -1)
     seed = wf.u6_seed()
     out = wf.descend(seed, want)
     assert out.depth == seed.depth == -1
@@ -96,8 +99,8 @@ def test_compute_wf_requires_matching_depth():
     # a piece strictly deeper than the seed needs a level transfer,
     # which the generic driver does not provide
     m = bd.u6_model(23)
-    g = wf.toral_gamma(m)
-    deep = la.mat_scale(m.field.parse("t^-2"), la.mat(g))
+    g = shipped.piece("toral", 0)
+    deep = la.mat_scale(m.field.parse("t^-2"), g)
     chain = wf.GoodChain([("g0", g, 0), ("g-2", deep, -2)])
     seed = wf.SpectralDatum(0, [wf.Entry("y", m, bd.U6_Y,
                                          wf.zmat(m.field, 6))])
@@ -111,8 +114,13 @@ def test_compute_wf_requires_matching_depth():
 # -- the unitary rank-6 reproduction -------------------------------------
 
 
+def u6_example(mode="exact"):
+    """The shipped u6 file, run as `wf example u6` runs it."""
+    return cli.compute_input(*shipped.example("u6"), mode)
+
+
 def test_u6_labels_and_provenance():
-    res = wf.u6_example()
+    res = u6_example()
     assert res.labels == ((4, 1, 1), (3, 3))
     assert not res.is_upper_bound
     assert res.provenance[(4, 1, 1)] == ["y"]
@@ -123,7 +131,7 @@ def test_u6_labels_and_provenance():
 
 
 def test_u6_bound_mode_same_labels():
-    res = wf.u6_example(mode="bound")
+    res = u6_example(mode="bound")
     assert res.labels == ((4, 1, 1), (3, 3))
     assert res.is_upper_bound
     assert any("conjectural" in n for n in res.notes)
@@ -137,13 +145,13 @@ def test_u6_labels_incomparable():
 def test_translated_origin_same_labels():
     # shifting every apartment coordinate by a constant leaves all the
     # pairwise thresholds, hence all labels, unchanged
-    m = bd.u6_model(23)
+    chain, _, _ = shipped.example("u6")
     base = wf.u6_seed()
     shifted = wf.SpectralDatum(-1, [
         wf.Entry(e.name, e.model, tuple(x + 1 for x in e.point), e.cmat)
         for e in base.entries])
-    r1 = wf.compute_wf(wf.u6_chain(), base)
-    r2 = wf.compute_wf(wf.u6_chain(), shifted)
+    r1 = wf.compute_wf(chain, base)
+    r2 = wf.compute_wf(chain, shifted)
     assert r1.labels == r2.labels
     assert r1.provenance == r2.provenance
 
@@ -152,18 +160,19 @@ def test_translated_origin_same_labels():
 
 
 def test_toral_singleton():
-    res = wf.toral_example()
+    res = cli.compute_input(*shipped.example("toral"), "exact")
     assert res.labels == ((5, 1),)
     assert not res.is_upper_bound
 
 
 def test_toral_unit_scalar_invariance():
     m = bd.u6_model(23)
-    scaled = la.mat_scale(m.field.from_int(2), la.mat(wf.toral_gamma(m)))
+    scaled = la.mat_scale(m.field.from_int(2), shipped.piece("toral", 0))
     chain = wf.GoodChain([("gamma", scaled, 0)])
     seed = wf.SpectralDatum(0, [wf.Entry("y", m, bd.U6_Y,
                                          wf.zmat(m.field, 6))])
-    assert wf.compute_wf(chain, seed).labels == wf.toral_example().labels
+    assert wf.compute_wf(chain, seed).labels == cli.compute_input(
+        *shipped.example("toral"), "exact").labels
 
 
 # -- the rank-7 half-depth bound -----------------------------------------
