@@ -12,8 +12,11 @@ flag-variety point counts parameterize complete isotropic flags
 directly: every flag of a field is enumerated in bulk as arrays of
 element codes, the pattern conditions on the first two flag vectors are
 tested on all flags at once, and the flags that pass are completed to
-adapted bases all at once, by one elimination on stacks of code arrays;
-every flat table index a * q + b is formed by `_at`, in intp, as uint8
+adapted bases all at once, by one elimination on stacks of code arrays
+per step.  A flag's basis depends on the form alone, not on X or the
+pattern, so each is kept in a table per field and form
+(`_basis_table`) and a later count completes only the flags not yet in
+it; every flat table index a * q + b is formed by `_at`, in intp, as uint8
 codes would wrap past 255 on fields of 17 or more elements.  The u7
 curve is counted for every corner coefficient c of a field in one pass
 over the isotropic points: its first condition is linear in c, so each
@@ -583,14 +586,17 @@ def curve_spec(coeff, p=23):
 
 
 def _per_form(build):
-    """Memoize build(K, gram), which returns read-only arrays, keyed by
-    K and the gram's codes as a tuple of tuples, for the 16 most recently
-    used keys.  Callers check SCAN_CAP before the lookup."""
+    """Memoize build(K, gram), keyed by K and the gram's codes as a tuple
+    of tuples, for the 16 most recently used keys.  The entries are
+    read-only arrays, but for `_basis_table`'s: each flag's row there is
+    written once, from a pure function of that flag.  Callers check
+    SCAN_CAP before the lookup."""
     cached = functools.lru_cache(maxsize=16)(build)
 
     @functools.wraps(build)
     def lookup(K, gram):
         return cached(K, tuple(map(tuple, gram)))
+    lookup.cache_clear = cached.cache_clear
     return lookup
 
 
@@ -682,7 +688,9 @@ def _quadric_points(K, Q):
 def _rref_codes(K, A):
     """`linalg.rref`, its pivot rule included, on an (N, rows, cols)
     stack of code arrays: the reduced stack, the (N, rows) pivot columns
-    (-1 past the rank) and, for square matrices, the determinants."""
+    (-1 past the rank) and the determinants of the minors on the pivot
+    columns, 0 below full row rank: for square matrices, the
+    determinants."""
     add, mul, neg = K.arrays()
     inv, submul = np.array(K.inv), neg[mul]
     A = np.array(A, dtype=np.intp)
@@ -711,7 +719,7 @@ def _rref_codes(K, A):
     nonzero = A != 0
     pivots = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), -1)
     det = np.where(rank < rows, 0, np.where(flips, neg[det], det))
-    return A, pivots, det if rows == cols else None
+    return A, pivots, det
 
 
 @_per_form
@@ -782,14 +790,42 @@ def _degenerate(K):
                       "antidiagonal form extends the flag over F_%d" % K.q)
 
 
+# The state of a flag in `_basis_table`: not yet completed, completed, a
+# middle vector whose norm is not a nonzero square, a system with no
+# solution.
+_UNKNOWN, _OK, _NORM, _DEGENERATE = range(4)
+
+
 def _adapted_bases(K, gram, V0, V1):
     """The flags (v0, v1), two (n, N) code arrays, completed to bases with
-    the standard antidiagonal gram and determinant 1, an (n, n, N) array,
-    by one `_rref_codes` per step: v2 is the first kernel vector of
-    (G v0, G v1) of rank 3 with v0, v1, scaled to norm 1; v3 and v4 solve
-    linear systems, made isotropic; v2 flips where the determinant is not
-    1.  Raises the first flag's error: a middle vector whose norm is not
-    a nonzero square, else a system with no solution."""
+    the standard antidiagonal gram and determinant 1, as an (n, n, N)
+    array (`_complete_flags`).  Raises the first flag's error."""
+    bases, state, norm = _complete_flags(K, gram, V0, V1)
+    _raise_first_error(K, state, norm)
+    return bases.transpose(1, 2, 0)
+
+
+def _raise_first_error(K, state, norm):
+    """The error of the first flag whose state is one: a middle vector
+    whose norm is not a nonzero square, else a system with no
+    solution."""
+    bad = state > _OK
+    if bad.any():
+        first = np.argmax(bad)
+        if state[first] == _NORM:
+            raise ValueError("middle vector has norm %d, not a nonzero "
+                             "square in F_%d" % (norm[first], K.q))
+        raise _degenerate(K)
+
+
+def _complete_flags(K, gram, V0, V1):
+    """The adapted bases of the flags (v0, v1), two (n, N) code arrays,
+    as an (N, n, n) array, by one `_rref_codes` per step, with each
+    flag's state and the norm of its middle vector.  v2 is the first
+    kernel vector of (G v0, G v1) of rank 3 with v0, v1, scaled to norm
+    1; v3 and v4 solve linear systems, made isotropic; v2 flips where
+    the determinant is not 1.  Each flag's row depends on that flag
+    alone; the rows of flags with an error are not bases."""
     add, mul, neg = K.arrays()
     inv = np.array(K.inv)
     sqrt = np.array([-1 if s is None else s for s in K.sqrt])
@@ -816,34 +852,36 @@ def _adapted_bases(K, gram, V0, V1):
     G2 = G(V2)
 
     def solve(rows, rhs):
-        # the solution of rows x = rhs that is 0 at the free columns, and
-        # where there is none
-        R, P, _ = _rref_codes(K, np.stack([
+        # the solution of rows x = rhs that is 0 at the free columns,
+        # where there is none, the minor on the pivot columns and the
+        # first free column
+        R, P, minor = _rref_codes(K, np.stack([
             np.vstack([g, np.full(N, b)]) for g, b in zip(rows, rhs)],
             axis=1).T)
         pivot = P[:, :, None] == np.arange(n)
         x = np.einsum("fr,frj->jf", R[:, :, n], pivot)
-        return x, (P == n).any(axis=1)
+        return (x, (P == n).any(axis=1), minor,
+                (~pivot.any(axis=1)).argmax(axis=1))
 
     def isotropic(U, V):
         # U + t V with t = -B(U, U) / 2, isotropic where B(U, V) = 1
         t = _at(mul, neg[_dots(K, U, G(U))], inv[K.embed(2)])
         return _at(add, U, _at(mul, t, V))
 
-    W0, bad3 = solve([G0, G1, G2], [0, 1, 0])
+    W0, bad3 = solve([G0, G1, G2], [0, 1, 0])[:2]
     V3 = isotropic(W0, V1)
-    U0, bad4 = solve([G0, G1, G2, G(V3)], [1, 0, 0, 0])
-    bad = (root <= 0) | bad3 | bad4
-    if bad.any():
-        first = np.argmax(bad)
-        if root[first] <= 0:
-            raise ValueError("middle vector has norm %d, not a nonzero "
-                             "square in F_%d" % (norm[first], K.q))
-        raise _degenerate(K)
+    U0, bad4, minor, c = solve([G0, G1, G2, G(V3)], [1, 0, 0, 0])
     basis = np.stack([V0, V1, V2, V3, isotropic(U0, V0)])
-    flip = _rref_codes(K, basis.transpose(2, 0, 1))[2] != 1
+    # A completed flag has B G B^T = J, and det J = 1, so det B is
+    # 1 / det M, M the rows G v0, ..., G v4.  The v4 solve reduced the
+    # first four to their minor on the pivot columns and one free column
+    # c, with kernel vector v0 / v0[c] (v0 is B-orthogonal to v0, ..., v3):
+    # det M = minor (-1)^(n-1-c) B(v4, v0) / v0[c], and B(v4, v0) = 1.
+    flip = V0[c, np.arange(N)] != np.where((n - 1 - c) % 2, neg[minor],
+                                           minor)
     basis[2][:, flip] = neg[V2[:, flip]]
-    return basis
+    state = np.select([root <= 0, bad3 | bad4], [_NORM, _DEGENERATE], _OK)
+    return basis.transpose(2, 0, 1), state, norm
 
 
 def _flag_count(K, gram):
@@ -864,7 +902,7 @@ def _flag_count(K, gram):
 def point_count(spec, degrees=(1,)):
     """Exact number of complete isotropic flags satisfying the pattern,
     per extension degree.  SCAN_CAP bounds the split form's flags, then
-    the spec's own, before they are enumerated."""
+    the spec's own, before they are enumerated or looked up."""
     out = {}
     for deg in degrees:
         est = flag_total(ff.field_order(spec.p, deg))
@@ -890,16 +928,47 @@ def point_count(spec, degrees=(1,)):
         if early == len(cons):
             out[deg] = int(np.count_nonzero(ok))
             continue
-        # the others on the adapted bases of the flags that passed
-        V0, V1 = (f[:, ok] for f in flags)
+        # the others on the adapted bases of the flags that passed, read
+        # off the form's table once they are in it
+        sel = np.nonzero(ok)[0]
+        bases, state, norm = table = _basis_table(K, gram)
         step = CURVE_CHUNK // (n * n)
+        _complete_selected(K, gram, flags, table, sel, step)
+        _raise_first_error(K, state[sel], norm[sel])
         out[deg] = sum(
             int(np.count_nonzero(_pattern_holds(
-                K, GX, _adapted_bases(K, gram, V0[:, lo:lo + step],
-                                      V1[:, lo:lo + step]),
+                K, GX, bases[sel[lo:lo + step]].transpose(1, 2, 0),
                 cons[early:])))
-            for lo in range(0, V0.shape[1], step))
+            for lo in range(0, len(sel), step))
     return out
+
+
+@_per_form
+def _basis_table(K, gram):
+    """The adapted bases of the flags of `_flags(K, gram)`, by index, as
+    `point_count` completes them: an (F, n, n) array of codes, each
+    flag's state (`_UNKNOWN` until completed) and the norm of its middle
+    vector.  Zeros until written, so its pages are mapped only where
+    flags reach it."""
+    F, n = _flags(K, gram)[0].shape[1], len(gram)
+    code = K.arrays()[0].dtype
+    return (np.zeros((F, n, n), dtype=code), np.zeros(F, dtype=np.uint8),
+            np.zeros(F, dtype=code))
+
+
+def _complete_selected(K, gram, flags, table, sel, step):
+    """Complete the flags of index array sel whose state is unknown, in
+    order and `step` at a time, up to the first flag with an error: the
+    flags before it are then all in the table."""
+    bases, state, norm = table
+    todo = sel[:np.argmax(np.append(state[sel] > _OK, True))]
+    todo = todo[state[todo] == _UNKNOWN]
+    for lo in range(0, len(todo), step):
+        at = todo[lo:lo + step]
+        bases[at], state[at], norm[at] = _complete_flags(
+            K, gram, *(f[:, at] for f in flags))
+        if (state[at] > _OK).any():
+            break
 
 
 def _pattern_holds(K, GX, vecs, cons):

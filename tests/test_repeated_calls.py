@@ -32,8 +32,8 @@ def _run(argv, out, capsys):
     return capsys.readouterr().out, out.read_bytes()
 
 
-def _curve_spec_file(path):
-    spec = sl.curve_spec(1, 3)
+def _curve_spec_file(path, coeff=1):
+    spec = sl.curve_spec(coeff, 3)
     path.write_text(json.dumps({
         "gram": spec.gram, "X": spec.X,
         "pattern": ["".join(r) for r in spec.pattern], "p": 3,
@@ -122,6 +122,20 @@ def test_curve_queries_on_one_table_match_fresh_runs(tmp_path, capsys):
     assert out == ""
     assert json.loads(err)["error"]["message"] == \
         "enumeration too large (148316260 points)"
+
+
+def test_count_on_a_form_another_spec_completed_matches_fresh_runs(
+        tmp_path, capsys):
+    # the coeff-3 curve spec right after the coeff-1 spec: one form, so
+    # the second count reads the table of adapted bases the first filled
+    queries = [["lab", "count", "--spec",
+                _curve_spec_file(tmp_path / ("spec%d.json" % coeff), coeff)]
+               for coeff in (1, 3)]
+    here = [_run(argv, tmp_path / ("here%d.json" % k), capsys)
+            for k, argv in enumerate(queries)]
+    fresh = [_fresh_run(argv, tmp_path / ("fresh%d.json" % k))
+             for k, argv in enumerate(queries)]
+    assert here == fresh
 
 
 def test_interleaved_reaches_and_traces_match_fresh_runs(monkeypatch,

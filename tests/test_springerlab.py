@@ -237,7 +237,8 @@ def test_per_form_memo_keeps_the_most_recent_keys():
 
 def test_scan_cap_refuses_before_any_lookup(monkeypatch):
     looked = []
-    for name in ("_isotropic_array", "_flags", "_curve_table"):
+    for name in ("_isotropic_array", "_flags", "_curve_table",
+                 "_basis_table"):
         monkeypatch.setattr(sl, name, lambda K, gram, name=name:
                             looked.append(name))
     monkeypatch.setattr(sl, "SCAN_CAP", 10)
@@ -1162,15 +1163,29 @@ def _outcome(fn):
         return "ValueError: %s" % e
 
 
+COUNT_GRAMS = [
+    sl.curve_spec(1, 3).gram,
+    [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)],
+    [[1 if i + j == 4 and i != 2 else 0 for j in range(5)]
+     for i in range(5)]]
+
+
 @st.composite
 def count_specs(draw):
     p = draw(st.sampled_from([3, 5]))
+    return _count_spec(draw, p, draw(st.sampled_from(COUNT_GRAMS)))
+
+
+@st.composite
+def count_spec_pairs(draw):
+    # two specs on one form, X and pattern drawn apart
+    p = draw(st.sampled_from([3, 5]))
+    gram = draw(st.sampled_from(COUNT_GRAMS))
+    return [_count_spec(draw, p, gram) for _ in range(2)]
+
+
+def _count_spec(draw, p, gram):
     ints = st.integers(0, p - 1)
-    gram = draw(st.sampled_from([
-        sl.curve_spec(1, p).gram,
-        [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)],
-        [[1 if i + j == 4 and i != 2 else 0 for j in range(5)]
-         for i in range(5)]]))
     X = [[draw(ints) for _ in range(5)] for _ in range(5)]
     cells = st.tuples(st.integers(0, 4), st.integers(0, 4))
     cons = draw(st.dictionaries(cells, st.sampled_from("0!"), max_size=6))
@@ -1192,15 +1207,18 @@ def test_point_count_matches_per_flag_reference(spec, deg):
 
 def test_point_count_in_chunks_matches_one_chunk(monkeypatch):
     # the 112 flags of the curve spec at F_9 that reach the adapted bases
-    # three at a time, and one at a time on a spec that raises
+    # three at a time, and one at a time on a spec that raises; the
+    # table of bases is emptied first, or the runs would only read it
     spec = sl.curve_spec(1, 3)
     degenerate = sl.VarietySpec(
         [[1 if i + j == 4 and i != 2 else 0 for j in range(5)]
          for i in range(5)], spec.X, spec.pattern, 3)
+    sl._basis_table.cache_clear()
     whole = [_outcome(lambda: sl.point_count(s, (2,))[2])
              for s in (spec, degenerate)]
     for flags in (3, 1):
         monkeypatch.setattr(sl, "CURVE_CHUNK", 25 * flags)
+        sl._basis_table.cache_clear()
         assert [_outcome(lambda: sl.point_count(s, (2,))[2])
                 for s in (spec, degenerate)] == whole
 
@@ -1230,9 +1248,7 @@ def test_adapted_bases_match_per_flag_reference(p, d, coeff):
 
 
 CURVE_PATTERN = sl.curve_spec(1, 3).pattern
-
-
-@pytest.mark.parametrize("p,gram,pattern,error", [
+ERROR_CASES = [
     (3, [[2 if i + j == 4 else 0 for j in range(5)] for i in range(5)],
      CURVE_PATTERN, "middle vector has norm 2,"),
     (3, [[1 if i + j == 4 and i != 2 else 0 for j in range(5)]
@@ -1245,13 +1261,103 @@ CURVE_PATTERN = sl.curve_spec(1, 3).pattern
     (3, [[0, 2, 0, 0, 0], [2, 0, 0, 0, 2], [0] * 5, [0, 0, 0, 0, 2],
          [0, 2, 0, 2, 2]], ["*****", "*****", "0****", "*****", "*****"],
      "middle vector has norm 0,"),
-])
+]
+
+
+@pytest.mark.parametrize("p,gram,pattern,error", ERROR_CASES)
 def test_point_count_errors_match_per_flag_reference(p, gram, pattern,
                                                      error):
     spec = sl.VarietySpec(gram, sl.curve_spec(1, p).X, pattern, p)
     got = _outcome(lambda: sl.point_count(spec)[1])
     assert got.startswith("ValueError: " + error)
     assert got == _outcome(lambda: _point_count_reference(spec, 1))
+
+
+# -- the table of adapted bases, shared by the specs on one form ---------
+
+
+@settings(max_examples=20, deadline=None)
+@given(count_spec_pairs())
+@example([sl.curve_spec(1, 5), sl.curve_spec(3, 5)])
+def test_specs_on_one_form_share_the_basis_table(specs):
+    # the first spec completes its flags into an empty table, the second
+    # reads those it shares and completes the rest
+    sl._basis_table.cache_clear()
+    for spec in specs:
+        assert (_outcome(lambda: sl.point_count(spec)[1])
+                == _outcome(lambda: _point_count_reference(spec, 1)))
+
+
+def _pairs(V0, V1):
+    return [tuple(map(tuple, f)) for f in zip(V0.T.tolist(), V1.T.tolist())]
+
+
+def _completed_flags(monkeypatch):
+    # the flags that each call of the elimination body completes
+    calls = []
+    real = sl._complete_flags
+
+    def counted(K, gram, V0, V1):
+        calls.append(_pairs(V0, V1))
+        return real(K, gram, V0, V1)
+    monkeypatch.setattr(sl, "_complete_flags", counted)
+    return calls
+
+
+def test_repeated_spec_completes_no_flag(monkeypatch):
+    calls = _completed_flags(monkeypatch)
+    sl._basis_table.cache_clear()
+    spec = sl.curve_spec(1, 3)
+    # another X, and a pattern that shares some flags with the first
+    other = sl.VarietySpec(spec.gram, sl.curve_spec(2, 3).X,
+                           ["*****", "!****", "0****", "*****", "0****"], 3)
+    first = sl.point_count(spec, (1, 2))
+    reached = [_pairs(*_reaching_flags(ff.ext_field(3, d), spec)[1:])
+               for d in (1, 2)]
+    assert calls == reached
+    calls.clear()
+    assert sl.point_count(spec, (1, 2)) == first
+    assert calls == []
+    # a new X on the same form: only the flags not yet in the table
+    new = [[f for f in _pairs(*_reaching_flags(ff.ext_field(3, d),
+                                               other)[1:])
+            if f not in done] for d, done in zip((1, 2), map(set, reached))]
+    # 4 of its 64 flags at F_3 are shared, 46 of its 1,000 at F_9
+    assert [len(f) for f in new] == [60, 954]
+    warm = sl.point_count(other, (1, 2))
+    assert calls == new
+    sl._basis_table.cache_clear()
+    assert sl.point_count(other, (1, 2)) == warm
+
+
+@pytest.mark.parametrize("p,gram,pattern,error", ERROR_CASES)
+def test_errors_on_a_warm_table_match_per_flag_reference(
+        p, gram, pattern, error, monkeypatch):
+    # a spec that raises, one flag a step, so that its selected flags
+    # past the error stay unknown; again on the table it left, which
+    # completes no flag; then other specs on the same degenerate form,
+    # the last one with no flag that passes its first entries
+    monkeypatch.setattr(sl, "CURVE_CHUNK", 25)
+    calls = _completed_flags(monkeypatch)
+    sl._basis_table.cache_clear()
+    spec = sl.VarietySpec(gram, sl.curve_spec(1, p).X, pattern, p)
+    want = _outcome(lambda: _point_count_reference(spec, 1))
+    assert want.startswith("ValueError: " + error)
+    assert _outcome(lambda: sl.point_count(spec)[1]) == want
+    # completed in order up to the first error, and no further
+    state = sl._basis_table(ff.ext_field(p, 1), gram)[1]
+    known = state[state != sl._UNKNOWN]
+    assert (known[:-1] == sl._OK).all() and known[-1] > sl._OK
+    calls.clear()
+    assert _outcome(lambda: sl.point_count(spec)[1]) == want
+    assert calls == []
+    zero = [[0] * 5 for _ in range(5)]
+    for second in (
+            sl.VarietySpec(gram, sl.curve_spec(2, p).X, CURVE_PATTERN, p),
+            sl.VarietySpec(gram, zero, ["0****"] + ["*****"] * 3
+                           + ["!****"], p)):
+        assert (_outcome(lambda: sl.point_count(second)[1])
+                == _outcome(lambda: _point_count_reference(second, 1)))
 
 
 def test_all_free_pattern_counts_all_flags():
